@@ -4,10 +4,9 @@ Two departures from the ``dense`` default, both aimed at *reference*
 quality rather than throughput:
 
 * **Local gate noise.**  Full-circuit executions evolve a
-  :class:`~repro.sim.DensityMatrix` with a depolarizing Kraus channel
-  after every gate (plus optional amplitude damping) — the physical
-  noise model :mod:`repro.sim.density` implements — instead of the
-  dense backend's single global-depolarizing approximation.  The
+  :class:`~repro.sim.DensityMatrix` with a depolarizing channel after
+  every gate (plus optional amplitude damping) instead of the dense
+  backend's single global-depolarizing approximation.  The
   prepared-state fast path (``run_from_state``) keeps the global
   approximation: it starts from a cached pure statevector, where the
   per-gate channel history is no longer available.
@@ -18,8 +17,9 @@ quality rather than throughput:
   to the exact noisy expectation with zero shot variance, and consumes
   no RNG.  Set ``analytic=False`` to restore sampling.
 
-Density-matrix evolution is O(4^n) per gate: this backend is for
-validation and small-system studies, not the VQA tuning loop.
+:mod:`repro.sim.density` evolution is O(4^n) per gate and channel,
+for validation and small systems.  The engine runs it once per circuit
+body per batch, so a JigSaw Global and its subsets share one evolution.
 """
 
 from __future__ import annotations
@@ -84,23 +84,9 @@ class DensityBackend(SimulatorBackend):
         )
         return rho.probabilities()
 
-    def exact_pmf(self, circuit: Circuit, map_to_best: bool = False) -> PMF:
-        """The exact noisy distribution, noise applied gate by gate.
-
-        Gate noise is already inside :meth:`circuit_probabilities`
-        (local Kraus channels), so the downstream pipeline must not mix
-        in the global depolarizing weight again — the gate load is
-        reported as zero and only readout error remains to apply.
-        """
-        if not circuit.measured_qubits:
-            raise ValueError("circuit measures no qubits")
-        return self._pmf_from_probs(
-            self.circuit_probabilities(circuit),
-            circuit.n_qubits,
-            sorted(circuit.measured_qubits),
-            map_to_best,
-            (0, 0),
-        )
+    def noise_gate_load(self, circuit: Circuit) -> tuple[int, int]:
+        """``(0, 0)``: the local channels already applied the gate noise."""
+        return (0, 0)
 
     # --------------------------------------------------------- sampling
 

@@ -10,7 +10,9 @@ evaluation as a spec, and receive :class:`JobHandle` futures; one
    simulate once and fan their exact PMF out to every submitter.
 2. **Simulate** — unique PMFs are computed through the configured
    executor (inline or thread pool), consulting the bounded LRU
-   memoization cache first.  Simulation is deterministic, so neither
+   memoization cache first.  Circuits that differ only in their
+   measured qubits (a JigSaw Global and its subsets) share one
+   ideal-probability evaluation.  Simulation is deterministic, so neither
    caching nor scheduling can change any numeric result.
 3. **Sample & charge** — in *submission order*, every job samples its
    own shots from its PMF and charges the backend ledger exactly as a
@@ -45,6 +47,7 @@ from .executor import make_executor
 from .spec import (
     CircuitSpec,
     StateSpec,
+    body_fingerprint,
     circuit_fingerprint,
     device_fingerprint,
     state_digest,
@@ -290,7 +293,7 @@ class ExecutionEngine:
         # each capability is gated on the backend *inheriting* the
         # corresponding dense pipeline (an override — stabilizer
         # tableaus, density channels, test doubles — computes different
-        # bits, so those hooks keep being called circuit-by-circuit).
+        # bits, so those hooks keep being called once per circuit body).
         self._plan_cache = LRUCache(self.config.plan_cache_size)
         plans_on = self.config.plan_cache_size > 0
         bcls = type(backend)
@@ -416,24 +419,39 @@ class ExecutionEngine:
 
     # -------------------------------------------------------------- execution
 
-    def _simulate(self, spec) -> PMF:
-        """Scalar simulation through the backend's planless hooks.
+    def _simulate(self, specs: list) -> list[PMF]:
+        """PMFs of one planless group through the backend's scalar hooks.
 
         The fallback for backends that override the dense pipeline
         (stabilizer tableaus, density channels, test doubles) — and for
-        engines with the plan path disabled.
+        engines with the plan path disabled.  A group is one
+        prepared-state spec, or every circuit spec sharing a
+        :func:`body_fingerprint`: the body's ideal probabilities are
+        computed once, then each spec is finished with its own measured
+        qubits, readout mapping and gate load, exactly as
+        ``backend.exact_pmf`` would finish it alone.
         """
-        if isinstance(spec, CircuitSpec):
-            return self.backend.exact_pmf(
-                spec.circuit, map_to_best=spec.map_to_best
+        backend = self.backend
+        first = specs[0]
+        if isinstance(first, StateSpec):
+            return [backend.pmf_from_state(
+                first.state,
+                first.suffix,
+                first.measured_qubits,
+                map_to_best=first.map_to_best,
+                gate_load=first.gate_load,
+            )]
+        probs = backend.circuit_probabilities(first.circuit)
+        return [
+            backend._pmf_from_probs(
+                probs,
+                spec.circuit.n_qubits,
+                sorted(spec.circuit.measured_qubits),
+                spec.map_to_best,
+                backend.noise_gate_load(spec.circuit),
             )
-        return self.backend.pmf_from_state(
-            spec.state,
-            spec.suffix,
-            spec.measured_qubits,
-            map_to_best=spec.map_to_best,
-            gate_load=spec.gate_load,
-        )
+            for spec in specs
+        ]
 
     def _ideal_probs_group(
         self, plan: CircuitPlan, group: list[tuple[tuple, CircuitSpec]]
@@ -450,15 +468,13 @@ class ExecutionEngine:
         rows = []
         for (key, spec), state in zip(group, states):
             circuit = spec.circuit
-            g2 = circuit.num_two_qubit_gates
-            g1 = circuit.num_gates - g2
             rows.append((
                 key,
                 probabilities(state),
                 circuit.n_qubits,
                 tuple(sorted(circuit.measured_qubits)),
                 spec.map_to_best,
-                (g1, g2),
+                self.backend.noise_gate_load(circuit),
             ))
         return rows
 
@@ -530,8 +546,10 @@ class ExecutionEngine:
             # noise pipeline then advances every row at once through
             # the backend's vectorized finisher.  All of it is
             # bit-identical to the planless hooks, which keep serving
-            # backends that override them.
-            futures: dict[tuple, object] = {}
+            # backends that override them.  There, circuit specs group
+            # by body digest (they differ at most in measured qubits)
+            # and evolve once per group; state specs run alone.
+            planless: dict[object, list] = {}
             row_futures: list[object] = []
             with _obs_span("engine.simulate", simulations=len(misses)):
                 circuit_groups: dict[str, tuple[CircuitPlan, list]] = {}
@@ -541,9 +559,10 @@ class ExecutionEngine:
                         circuit_groups.setdefault(
                             plan.structure_key, (plan, [])
                         )[1].append((key, spec))
-                    elif (
-                        isinstance(spec, StateSpec) and self._suffix_plans
-                    ):
+                    elif isinstance(spec, CircuitSpec):
+                        body = body_fingerprint(spec.circuit)
+                        planless.setdefault(body, []).append((key, spec))
+                    elif self._suffix_plans:
                         suffix_plan = (
                             self._plan_for(spec.suffix)
                             if spec.suffix is not None
@@ -558,19 +577,23 @@ class ExecutionEngine:
                             )
                         )
                     else:
-                        futures[key] = self._executor.submit(
-                            self._simulate, spec
-                        )
+                        planless[key] = [(key, spec)]
+                futures = [
+                    (group, self._executor.submit(
+                        self._simulate, [spec for _, spec in group]
+                    ))
+                    for group in planless.values()
+                ]
                 for plan, group in circuit_groups.values():
                     row_futures.append(
                         self._executor.submit(
                             self._ideal_probs_group, plan, group
                         )
                     )
-                for key, future in futures.items():
-                    pmf = future.result()
-                    resolved[key] = pmf
-                    self._pmf_cache.put(key, pmf)
+                for group, future in futures:
+                    for (key, _), pmf in zip(group, future.result()):
+                        resolved[key] = pmf
+                        self._pmf_cache.put(key, pmf)
                 rows: list[tuple] = []
                 for future in row_futures:
                     rows.extend(future.result())

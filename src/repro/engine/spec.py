@@ -27,6 +27,7 @@ from ..circuits import Circuit
 __all__ = [
     "CircuitSpec",
     "StateSpec",
+    "body_fingerprint",
     "circuit_fingerprint",
     "device_fingerprint",
     "state_digest",
@@ -37,7 +38,7 @@ def _hasher() -> "hashlib._Hash":
     return hashlib.blake2b(digest_size=16)
 
 
-def _feed_circuit(h, circuit: Circuit) -> None:
+def _feed_body(h, circuit: Circuit) -> None:
     h.update(f"c:{circuit.n_qubits}".encode())
     for ins in circuit.instructions:
         param = ins.param
@@ -50,6 +51,10 @@ def _feed_circuit(h, circuit: Circuit) -> None:
             f"|{ins.name}:{','.join(map(str, ins.qubits))}:"
             f"{'' if param is None else float(param).hex()}".encode()
         )
+
+
+def _feed_circuit(h, circuit: Circuit) -> None:
+    _feed_body(h, circuit)
     h.update(
         f"|m:{','.join(map(str, sorted(circuit.measured_qubits)))}".encode()
     )
@@ -59,6 +64,17 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     """Structural digest of a bound circuit (gates + measured qubits)."""
     h = _hasher()
     _feed_circuit(h, circuit)
+    return h.hexdigest()
+
+
+def body_fingerprint(circuit: Circuit) -> str:
+    """:func:`circuit_fingerprint` without the measured qubits.
+
+    Circuits sharing a body (a JigSaw Global and its subsets) evolve
+    to the same ideal probabilities; only their readout differs.
+    """
+    h = _hasher()
+    _feed_body(h, circuit)
     return h.hexdigest()
 
 

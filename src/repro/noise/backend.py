@@ -46,7 +46,10 @@ class SimulatorBackend:
     ------------------------------------------------
     Alternative execution backends subclass this class and override the
     narrow hooks below — :meth:`circuit_probabilities` (how a full
-    circuit becomes ideal outcome probabilities) and :meth:`sample`
+    circuit becomes ideal outcome probabilities, a function of its
+    gates alone: the engine evaluates it once per circuit body and
+    batch, whatever the measured qubits), :meth:`noise_gate_load` (the
+    gate counts the global depolarizing mix charges) and :meth:`sample`
     (how a PMF becomes counts) — so the noise pipeline, the cost
     ledger, and the engine contract stay shared.  ``backend_kind`` is
     the registry name; the engine mixes it into its cache keys.  A
@@ -182,6 +185,18 @@ class SimulatorBackend:
             return probabilities(plan.run(plan.slot_values(circuit)))
         return probabilities(run_statevector(circuit))
 
+    def noise_gate_load(self, circuit: Circuit) -> tuple[int, int]:
+        """The (one-qubit, two-qubit) gate counts charged to gate noise.
+
+        The noise pipeline mixes in global depolarizing noise weighted
+        by these counts, taken from the *original* circuit (a fused
+        ``plan`` never changes the noise).  A backend whose
+        :meth:`circuit_probabilities` already applies gate noise
+        returns ``(0, 0)`` so it is never applied twice.
+        """
+        g2 = circuit.num_two_qubit_gates
+        return circuit.num_gates - g2, g2
+
     def exact_pmf(
         self,
         circuit: Circuit,
@@ -190,13 +205,11 @@ class SimulatorBackend:
     ) -> PMF:
         """The exact (noisy) outcome distribution over measured qubits.
 
-        Depolarizing weight is charged from the *original* circuit's
-        gate counts, so a fused ``plan`` never changes the noise.
+        Ideal probabilities from :meth:`circuit_probabilities`, finished
+        by the noise pipeline with :meth:`noise_gate_load`.
         """
         if not circuit.measured_qubits:
             raise ValueError("circuit measures no qubits")
-        g2 = circuit.num_two_qubit_gates
-        g1 = circuit.num_gates - g2
         if plan is not None:
             probs = self.circuit_probabilities(circuit, plan=plan)
         else:
@@ -208,7 +221,7 @@ class SimulatorBackend:
             circuit.n_qubits,
             sorted(circuit.measured_qubits),
             map_to_best,
-            (g1, g2),
+            self.noise_gate_load(circuit),
         )
 
     def supports_plan_batching(self) -> bool:
@@ -218,7 +231,7 @@ class SimulatorBackend:
         *is* the dense statevector path — a subclass overriding
         :meth:`circuit_probabilities` or :meth:`exact_pmf` (stabilizer
         tableaus, density-matrix channels) computes different bits, so
-        the engine must call those hooks circuit-by-circuit instead.
+        the engine must call those hooks once per circuit body instead.
         The noise pipeline must also be inherited, because the engine
         finishes plan batches through
         :meth:`exact_pmfs_from_probs_batch` instead of

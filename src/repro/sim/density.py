@@ -3,13 +3,15 @@
 The fast backend (:mod:`repro.noise.backend`) applies noise to outcome
 *probabilities* — exact for readout error, approximate (global
 depolarizing) for gate error.  This module is the reference
-implementation: full mixed-state evolution with local Kraus channels
+implementation: full mixed-state evolution with local channels
 (depolarizing after every gate, optional amplitude damping), the way
 Qiskit Aer's density-matrix method models the paper's noisy simulations.
 
-It is O(4^n) per gate, so it is used for validation and small-system
-studies (tests compare it against the statevector engine and against the
-fast backend's approximation), not for the VQA experiment loop.
+Rho evolves as a ``(2,)*2n`` tensor, never via a full-register operator:
+each op is a superoperator (``U ⊗ U*``, ``sum K ⊗ K*``, or closed-form
+depolarizing) contracted into its qubits' row and column axes, which
+:func:`~repro.sim.plan.axis_permutation` moves to the front.  That is
+O(4^n) per op: for validation and small systems, not VQA loops.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuits import Circuit, gate_matrix
+from .plan import axis_permutation
 
 __all__ = [
     "DensityMatrix",
@@ -30,17 +33,9 @@ def depolarizing_kraus(probability: float) -> list[np.ndarray]:
     """Single-qubit depolarizing channel as four Kraus operators."""
     if not 0.0 <= probability <= 1.0:
         raise ValueError("probability must be in [0, 1]")
-    identity = np.eye(2, dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.diag([1, -1]).astype(complex)
     p = probability
-    return [
-        np.sqrt(1 - 3 * p / 4) * identity,
-        np.sqrt(p / 4) * x,
-        np.sqrt(p / 4) * y,
-        np.sqrt(p / 4) * z,
-    ]
+    identity = np.sqrt(1 - 3 * p / 4) * gate_matrix("i")
+    return [identity] + [np.sqrt(p / 4) * gate_matrix(g) for g in "xyz"]
 
 
 def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
@@ -50,6 +45,26 @@ def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
     k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
     return [k0, k1]
+
+
+def _superop(kraus_ops) -> np.ndarray:
+    """``rho -> sum K rho K†`` as ``sum K ⊗ K*``, acting on vec(rho)."""
+    ks = np.asarray(kraus_ops, dtype=complex)
+    superop = np.einsum("mij,mkl->ikjl", ks, ks.conj())
+    return superop.reshape(ks.shape[1] ** 2, -1)
+
+
+def _depolarizing(p: float) -> np.ndarray:
+    """``rho -> (1-p) rho + p (I/2 ⊗ Tr rho)`` on one qubit, closed form."""
+    trace = np.array([1, 0, 0, 1], dtype=complex)  # vec(I)
+    return (1 - p) * np.eye(4) + (p / 2) * np.outer(trace, trace)
+
+
+def _on_pair(channel: np.ndarray) -> np.ndarray:
+    """A one-qubit superoperator applied to both qubits of a pair."""
+    both = np.kron(channel, channel).reshape((2,) * 8)
+    # (r1 c1 r2 c2) -> (r1 r2 c1 c2), the order _evolve contracts in.
+    return both.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
 
 
 class DensityMatrix:
@@ -72,20 +87,23 @@ class DensityMatrix:
     # ------------------------------------------------------------ constructors
 
     @classmethod
-    def zero_state(cls, n_qubits: int) -> "DensityMatrix":
+    def zero_state(cls, n_qubits: int) -> DensityMatrix:
+        """The pure all-zeros state ``|0...0><0...0|``."""
         dim = 2**n_qubits
         matrix = np.zeros((dim, dim), dtype=complex)
         matrix[0, 0] = 1.0
         return cls(matrix)
 
     @classmethod
-    def from_statevector(cls, state: np.ndarray) -> "DensityMatrix":
+    def from_statevector(cls, state: np.ndarray) -> DensityMatrix:
+        """The pure state ``|psi><psi|`` of a statevector."""
         state = np.asarray(state, dtype=complex)
         return cls(np.outer(state, state.conj()))
 
     # ------------------------------------------------------------- properties
 
     def trace(self) -> float:
+        """Tr(rho), real part: 1 for a normalized state."""
         return float(np.trace(self.matrix).real)
 
     def purity(self) -> float:
@@ -106,54 +124,51 @@ class DensityMatrix:
 
     # --------------------------------------------------------------- dynamics
 
-    def _embed(self, op: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-        """Expand a k-qubit operator to the full register.
+    def _checked(self, qubits, ops=()) -> tuple[int, ...]:
+        """``qubits`` as ints: in range, distinct, matching ``ops``."""
+        qubits = tuple(int(q) for q in qubits)
+        n, k = self.n_qubits, len(qubits)
+        if any(not 0 <= q < n for q in qubits):
+            raise ValueError(f"qubits {qubits} out of range for {n} qubits")
+        if len(set(qubits)) != k:
+            raise ValueError(f"qubits {qubits} are not distinct")
+        for op in ops:
+            if op.shape != (2**k, 2**k):
+                raise ValueError(f"{op.shape} operator on {k} qubit(s)")
+        return qubits
 
-        Simple and fast enough at validation sizes: kron with identities,
-        then permute axes so ``qubits`` land where they belong.
-        """
+    def _evolve(self, superop: np.ndarray, qubits: tuple[int, ...]) -> None:
+        """Contract ``superop`` into ``qubits``' row, then column, axes."""
         n = self.n_qubits
-        rest = [q for q in range(n) if q not in qubits]
-        order = list(qubits) + rest
-        kron = op
-        for _ in rest:
-            kron = np.kron(kron, np.eye(2, dtype=complex))
-        # kron acts on qubits in `order`; permute axes back to 0..n-1.
-        kron = kron.reshape((2,) * (2 * n))
-        perm = [order.index(q) for q in range(n)]
-        full_perm = perm + [n + p for p in perm]
-        return np.transpose(kron, full_perm).reshape(2**n, 2**n)
+        axes = qubits + tuple(n + q for q in qubits)
+        perm, inv = axis_permutation(axes, 2 * n)
+        tensor = self.matrix.reshape((2,) * (2 * n))
+        out = superop @ tensor.transpose(perm).reshape(len(superop), -1)
+        shape = self.matrix.shape
+        self.matrix = out.reshape(tensor.shape).transpose(inv).reshape(shape)
 
-    def apply_unitary(
-        self, matrix: np.ndarray, qubits: tuple[int, ...]
-    ) -> None:
-        """In-place ``rho -> U rho U†`` on the given qubits."""
-        full = self._embed(matrix, tuple(int(q) for q in qubits))
-        self.matrix = full @ self.matrix @ full.conj().T
+    def apply_unitary(self, matrix: np.ndarray, qubits) -> None:
+        """In-place ``rho -> U rho U†``: ``U`` on rows, ``U*`` on columns."""
+        matrix = np.asarray(matrix, dtype=complex)
+        qubits = self._checked(qubits, [matrix])
+        self._evolve(_superop([matrix]), qubits)
 
     def apply_channel(self, kraus_ops, qubit: int) -> None:
-        """In-place single-qubit Kraus channel ``rho -> sum K rho K†``."""
-        out = np.zeros_like(self.matrix)
-        for k in kraus_ops:
-            full = self._embed(np.asarray(k, dtype=complex), (qubit,))
-            out += full @ self.matrix @ full.conj().T
-        self.matrix = out
+        """In-place Kraus channel ``rho -> sum K rho K†`` on one qubit."""
+        ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
+        qubits = self._checked((qubit,), ops)
+        self._evolve(_superop(ops), qubits)
 
-    def partial_trace(self, keep) -> "DensityMatrix":
+    def partial_trace(self, keep) -> DensityMatrix:
         """Reduced state on ``keep`` (in the given order)."""
-        keep = [int(q) for q in keep]
+        keep = self._checked(keep)
         n = self.n_qubits
-        drop = [q for q in range(n) if q not in keep]
-        tensor = self.matrix.reshape((2,) * (2 * n))
-        # Move kept axes to the front (rows) and their column twins after.
-        row_axes = keep + drop
-        col_axes = [n + a for a in row_axes]
-        tensor = np.transpose(tensor, row_axes + col_axes)
-        dim_keep = 2 ** len(keep)
-        dim_drop = 2 ** len(drop)
-        tensor = tensor.reshape(dim_keep, dim_drop, dim_keep, dim_drop)
-        reduced = np.einsum("abcb->ac", tensor)
-        return DensityMatrix(reduced)
+        # Kept row then column axes first; the traced-out pairs last.
+        perm, _ = axis_permutation(keep + tuple(n + q for q in keep), 2 * n)
+        kept, dropped = 2 ** len(keep), 2 ** (n - len(keep))
+        tensor = self.matrix.reshape((2,) * (2 * n)).transpose(perm)
+        tensor = tensor.reshape(kept, kept, dropped, dropped)
+        return DensityMatrix(np.einsum("abcc->ab", tensor))
 
 
 def run_density_matrix(
@@ -177,20 +192,15 @@ def run_density_matrix(
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1]")
     rho = DensityMatrix.zero_state(circuit.n_qubits)
-    dep_1q = depolarizing_kraus(gate_error_1q) if gate_error_1q else None
-    dep_2q = depolarizing_kraus(gate_error_2q) if gate_error_2q else None
-    damp = (
-        amplitude_damping_kraus(amplitude_damping)
-        if amplitude_damping
-        else None
-    )
+    # Each gate folds with its qubits' depolarizing-then-damping channel.
+    damp = _superop(amplitude_damping_kraus(amplitude_damping))
+    noise = {
+        1: damp @ _depolarizing(gate_error_1q),
+        2: _on_pair(damp @ _depolarizing(gate_error_2q)),
+    }
     for ins in circuit.instructions:
+        superop = noise[len(ins.qubits)]
         if ins.name != "i":
-            rho.apply_unitary(gate_matrix(ins.name, ins.param), ins.qubits)
-        channel = dep_2q if len(ins.qubits) == 2 else dep_1q
-        for q in ins.qubits:
-            if channel is not None:
-                rho.apply_channel(channel, q)
-            if damp is not None:
-                rho.apply_channel(damp, q)
+            superop = superop @ _superop([gate_matrix(ins.name, ins.param)])
+        rho._evolve(superop, ins.qubits)
     return rho

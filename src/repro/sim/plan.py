@@ -43,6 +43,7 @@ pipeline must charge from it — never from the fused op list.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -50,7 +51,12 @@ import numpy as np
 from ..circuits import Circuit, ROTATION_GATES, gate_matrix, rotation_matrix
 from ..circuits.transpile import BITEXACT_SELF_INVERSE, cancel_adjacent
 
-__all__ = ["CircuitPlan", "compile_plan", "structure_fingerprint"]
+__all__ = [
+    "CircuitPlan",
+    "axis_permutation",
+    "compile_plan",
+    "structure_fingerprint",
+]
 
 
 def structure_fingerprint(circuit: Circuit) -> str:
@@ -65,6 +71,24 @@ def structure_fingerprint(circuit: Circuit) -> str:
     for ins in circuit.instructions:
         h.update(f"|{ins.name}:{','.join(map(str, ins.qubits))}".encode())
     return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=4096)
+def axis_permutation(
+    axes: tuple[int, ...], n_axes: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose moving ``axes`` to the front, and its inverse.
+
+    Every contraction kernel applies a matrix to ``k`` axes of a
+    ``(2,)*n_axes`` tensor the same way: ``transpose(perm) ->
+    reshape(2^k, -1) -> GEMM -> reshape -> transpose(inv)``.  Plans use
+    it on a statevector's qubit axes; :mod:`repro.sim.density` on rho's
+    row and column axes.  Memoized: circuits revisit the same few
+    qubit tuples.
+    """
+    rest = tuple(a for a in range(n_axes) if a not in axes)
+    perm = axes + rest
+    return perm, tuple(int(i) for i in np.argsort(perm))
 
 
 class _PlanOp:
@@ -85,12 +109,8 @@ class _PlanOp:
         self.matrix = matrix
         self.slot = slot
         self.rows = 2 ** len(qubits)
-        rest = tuple(q for q in range(n_qubits) if q not in qubits)
-        perm = qubits + rest
-        inv = np.argsort(perm)
-        self.perm = perm
-        self.inv_perm = tuple(int(i) for i in inv)
-        self.batch_perm = (0,) + tuple(p + 1 for p in perm)
+        self.perm, self.inv_perm = axis_permutation(qubits, n_qubits)
+        self.batch_perm = (0,) + tuple(p + 1 for p in self.perm)
         self.batch_inv_perm = (0,) + tuple(p + 1 for p in self.inv_perm)
 
 

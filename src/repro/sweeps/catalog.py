@@ -2261,8 +2261,9 @@ def _build_ext_backend_matrix() -> SweepSpec:
             "seed": 11,
             "shots": 256,
             # Full scale stays modest on purpose: the density cell is
-            # O(4^n) per gate, so 8 qubits / 60 layers keeps it to
-            # minutes while dense-vs-clifford still separates clearly.
+            # O(4^n) per gate and channel (4x the work per qubit
+            # added), so 8 qubits / 60 layers keeps it to seconds while
+            # dense-vs-clifford still separates clearly.
             "options": {
                 "n_qubits": scaled(6, 8),
                 "layers": scaled(30, 60),

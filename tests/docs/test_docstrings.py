@@ -27,6 +27,7 @@ SCOPED = [
     "repro/io",
     "repro/obs",
     "repro/serve",
+    "repro/sim/density.py",
     "repro/sim/plan.py",
     "repro/sweeps/spec.py",
     "repro/sweeps/catalog.py",

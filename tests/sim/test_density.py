@@ -144,3 +144,52 @@ class TestRunDensityMatrix:
         clean = run_density_matrix(bell())
         noisy = run_density_matrix(bell(), gate_error_2q=0.1)
         assert abs(noisy.expectation(zz)) < abs(clean.expectation(zz))
+
+
+class TestQubitValidation:
+    """Bad qubits raise a clear ValueError instead of failing by accident
+    inside a reshape, or silently wrapping (``q = -1``) as an axis."""
+
+    CX = np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        dtype=complex,
+    )
+    H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+    @pytest.mark.parametrize("qubits", [(2,), (-1,)])
+    def test_unitary_qubit_out_of_range(self, qubits):
+        rho = DensityMatrix.zero_state(2)
+        with pytest.raises(ValueError, match="out of range"):
+            rho.apply_unitary(self.H, qubits)
+
+    def test_unitary_qubits_not_distinct(self):
+        rho = DensityMatrix.zero_state(3)
+        with pytest.raises(ValueError, match="not distinct"):
+            rho.apply_unitary(self.CX, (1, 1))
+
+    @pytest.mark.parametrize(
+        "matrix, qubits",
+        [(CX, (0,)), (H, (0, 1)), (np.eye(3), (0,)), (np.ones(2), (0,))],
+    )
+    def test_unitary_arity_mismatch(self, matrix, qubits):
+        rho = DensityMatrix.zero_state(3)
+        with pytest.raises(ValueError, match="operator on"):
+            rho.apply_unitary(matrix, qubits)
+
+    @pytest.mark.parametrize("qubit", [3, -1])
+    def test_channel_qubit_out_of_range(self, qubit):
+        rho = DensityMatrix.zero_state(3)
+        with pytest.raises(ValueError, match="out of range"):
+            rho.apply_channel(depolarizing_kraus(0.1), qubit)
+
+    def test_channel_kraus_arity_mismatch(self):
+        rho = DensityMatrix.zero_state(2)
+        with pytest.raises(ValueError, match="operator on"):
+            rho.apply_channel([np.eye(4)], 0)
+
+    def test_failed_validation_leaves_the_state_untouched(self):
+        rho = DensityMatrix.zero_state(2)
+        before = rho.matrix.copy()
+        with pytest.raises(ValueError):
+            rho.apply_unitary(self.H, (-1,))
+        assert np.array_equal(rho.matrix, before)
