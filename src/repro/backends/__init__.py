@@ -32,7 +32,7 @@ Typical use::
     backend = make_backend({"kind": "density", "analytic": True})
 
 Out-of-tree backends subclass :class:`~repro.noise.SimulatorBackend`
-(overriding the ``circuit_probabilities``/``sample`` hooks) and
+(overriding the ``circuit_probabilities_batch``/``sample`` hooks) and
 register a spec; see ``docs/backends.md`` for the end-to-end recipe.
 """
 

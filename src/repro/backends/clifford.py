@@ -12,14 +12,15 @@ ledger are exactly the dense backend's, so results differ from
 ``dense`` only by the absence of the statevector's floating-point dust
 on the fast path.
 
-The prepared-state path (``prepare_state`` + ``run_from_state``) stays
-dense: it starts from a cached statevector, which is already the right
-representation for the non-Clifford ansatz circuits that use it.
+The prepared-state path (``prepare_states`` + ``pmf_from_state``)
+stays dense: it starts from a cached statevector, which is already the
+right representation for the non-Clifford ansatz circuits that use it.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from ..api.spec import check_bool, check_choice
 from ..circuits import Circuit
 from ..clifford import is_clifford_circuit, stabilizer_probabilities
 from ..noise import DeviceModel, SimulatorBackend
+from ..noise.backend import PlanFor
 from .registry import register_backend
 from .spec import BackendSpec
 
@@ -70,24 +72,41 @@ class CliffordBackend(SimulatorBackend):
         self.fallback = fallback
         self.stabilizer_runs = 0
         self.dense_fallbacks = 0
-        # The engine may call circuit_probabilities from pool worker
-        # threads; the counters must not lose increments.
+        # The counters must not lose increments if several threads
+        # share this backend.
         self._dispatch_lock = threading.Lock()
 
-    def circuit_probabilities(self, circuit: Circuit) -> np.ndarray:
-        """Stabilizer evaluation for Clifford circuits, dense otherwise."""
-        if is_clifford_circuit(circuit):
+    def circuit_probabilities_batch(
+        self, circuits: Sequence[Circuit], plan_for: PlanFor
+    ) -> list[np.ndarray]:
+        """Stabilizer evaluation for Clifford circuits, dense otherwise.
+
+        The non-Clifford rest runs through the dense hook (compiled-plan
+        batches from ``plan_for``), bit-identical to the ``dense`` kind.
+        """
+        rows: list[np.ndarray] = [np.empty(0)] * len(circuits)
+        dense: list[int] = []
+        for i, circuit in enumerate(circuits):
+            if is_clifford_circuit(circuit):
+                with self._dispatch_lock:
+                    self.stabilizer_runs += 1
+                rows[i] = stabilizer_probabilities(circuit)
+            elif self.fallback == "error":
+                raise ValueError(
+                    "circuit contains non-Clifford gates and the clifford "
+                    "backend was created with fallback='error'"
+                )
+            else:
+                dense.append(i)
+        if dense:
             with self._dispatch_lock:
-                self.stabilizer_runs += 1
-            return stabilizer_probabilities(circuit)
-        if self.fallback == "error":
-            raise ValueError(
-                "circuit contains non-Clifford gates and the clifford "
-                "backend was created with fallback='error'"
+                self.dense_fallbacks += len(dense)
+            fallback = super().circuit_probabilities_batch(
+                [circuits[i] for i in dense], plan_for
             )
-        with self._dispatch_lock:
-            self.dense_fallbacks += 1
-        return super().circuit_probabilities(circuit)
+            for i, row in zip(dense, fallback):
+                rows[i] = row
+        return rows
 
     def __repr__(self) -> str:
         return (

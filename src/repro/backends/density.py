@@ -7,10 +7,11 @@ quality rather than throughput:
   :class:`~repro.sim.DensityMatrix` with a depolarizing channel after
   every gate (plus optional amplitude damping) instead of the dense
   backend's single global-depolarizing approximation.  The
-  prepared-state fast path (``run_from_state``) keeps the global
-  approximation: it starts from a cached pure statevector, where the
-  per-gate channel history is no longer available.
-* **Analytic sampling.**  ``run``/``run_from_state`` return the
+  prepared-state fast path (``prepare_states`` + ``pmf_from_state``)
+  keeps the global approximation: it starts from a cached pure
+  statevector, where the per-gate channel history is no longer
+  available.
+* **Analytic sampling.**  ``run`` and engine jobs return the
   *expected* counts (``pmf * shots``, as floats) instead of drawing
   multinomial samples, so an estimator whose statistic is linear in
   the counts — every PMF-based expectation in the library — evaluates
@@ -24,6 +25,7 @@ body per batch, so a JigSaw Global and its subsets share one evolution.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,7 @@ import numpy as np
 from ..api.spec import check_bool, check_fraction
 from ..circuits import Circuit
 from ..noise import DeviceModel, SimulatorBackend
+from ..noise.backend import PlanFor
 from ..sim import PMF, Counts, run_density_matrix
 from .registry import register_backend
 from .spec import BackendSpec
@@ -72,17 +75,24 @@ class DensityBackend(SimulatorBackend):
 
     # ------------------------------------------------------- simulation
 
-    def circuit_probabilities(self, circuit: Circuit) -> np.ndarray:
-        """Mixed-state evolution with local per-gate noise channels."""
+    def circuit_probabilities_batch(
+        self, circuits: Sequence[Circuit], plan_for: PlanFor
+    ) -> list[np.ndarray]:
+        """Mixed-state evolution with local per-gate noise channels.
+
+        Each circuit evolves on its own; ``plan_for`` is unused.
+        """
         gn = self.device.gate_noise
         scale = gn.scale if self.gate_noise_enabled else 0.0
-        rho = run_density_matrix(
-            circuit,
-            gate_error_1q=min(1.0, gn.error_1q * scale),
-            gate_error_2q=min(1.0, gn.error_2q * scale),
-            amplitude_damping=self.amplitude_damping,
-        )
-        return rho.probabilities()
+        return [
+            run_density_matrix(
+                circuit,
+                gate_error_1q=min(1.0, gn.error_1q * scale),
+                gate_error_2q=min(1.0, gn.error_2q * scale),
+                amplitude_damping=self.amplitude_damping,
+            ).probabilities()
+            for circuit in circuits
+        ]
 
     def noise_gate_load(self, circuit: Circuit) -> tuple[int, int]:
         """``(0, 0)``: the local channels already applied the gate noise."""

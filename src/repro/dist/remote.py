@@ -1,14 +1,14 @@
 """The ``remote`` execution backend: circuits evaluated by a worker pool.
 
 :class:`RemoteBackend` is a :class:`~repro.noise.SimulatorBackend`
-whose ideal-simulation hooks — ``circuit_probabilities`` and
-``prepare_state`` — ship serialized circuit batches to a pool of
-worker processes (local forks over ``multiprocessing`` pipes, or
-remote hosts over the length-prefixed socket transport) and read exact
-float results back.  Everything else — the noise pipeline, sampling,
-the cost ledger — runs locally and unchanged, so any estimator kind
-runs on ``remote`` exactly as it would on the worker's backend kind:
-results are bit-identical to a local run of that kind.
+whose simulation hooks — ``circuit_probabilities_batch`` and
+``prepare_states`` — ship each serialized circuit batch as one request
+to a pool of worker processes (local forks over ``multiprocessing``
+pipes, or remote hosts over the length-prefixed socket transport) and
+read exact float results back.  Everything else — the noise pipeline,
+sampling, the cost ledger — runs locally and unchanged, so any
+estimator kind runs on ``remote`` exactly as it would on the worker's
+backend kind: results are bit-identical to a local run of that kind.
 
 Cache-key discipline: the backend advertises its *worker's* kind as
 ``backend_kind``, so :func:`repro.engine.spec.device_fingerprint`
@@ -25,6 +25,7 @@ killed worker's batch is resubmitted without loss or duplication.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from ..backends import register_backend
 from ..backends.spec import BackendSpec
 from ..circuits import Circuit
 from ..noise import DeviceModel, SimulatorBackend
+from ..noise.backend import PlanFor
 from .transport import PipeChannel, SocketChannel, WorkerPool
 from .wire import (
     WORKER_BACKEND_KINDS,
@@ -108,28 +110,23 @@ class RemoteBackend(SimulatorBackend):
 
     # ----------------------------------------------------- engine hooks
 
-    def circuit_probabilities(
-        self, circuit: Circuit, plan=None
-    ) -> np.ndarray:
-        """Ideal pre-noise probabilities, computed by a remote worker."""
-        (row,) = self._submit_batch("probs", [circuit])
-        return np.asarray(row, dtype=float)
-
     def circuit_probabilities_batch(
-        self, circuits: list[Circuit]
+        self, circuits: Sequence[Circuit], plan_for: PlanFor
     ) -> list[np.ndarray]:
-        """Evaluate many circuits in one wire round trip.
+        """Ideal probability rows, computed by a worker in one request.
 
-        The protocol-level batch API: one request, one reply, one
-        probability row per circuit, in order.
+        ``plan_for`` stays local and unused: the worker compiles its
+        own plans.
         """
         rows = self._submit_batch("probs", list(circuits))
         return [np.asarray(row, dtype=float) for row in rows]
 
-    def prepare_state(self, circuit: Circuit, plan=None) -> np.ndarray:
-        """Statevector of ``circuit``, computed by a remote worker."""
-        (state,) = self._submit_batch("prepare", [circuit])
-        return state_from_wire(state)
+    def prepare_states(
+        self, circuits: Sequence[Circuit], plan_for: PlanFor
+    ) -> list[np.ndarray]:
+        """Statevectors, computed by a worker in one request."""
+        states = self._submit_batch("prepare", list(circuits))
+        return [state_from_wire(state) for state in states]
 
     def __repr__(self) -> str:
         return (

@@ -44,6 +44,7 @@ from typing import Any, BinaryIO
 import numpy as np
 
 from ..circuits import Circuit
+from ..sim.plan import compile_plan
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -70,7 +71,7 @@ MAX_FRAME_BYTES = 1 << 30
 
 _HEADER = struct.Struct(">I")
 
-#: Worker backend kinds whose ``circuit_probabilities`` is a pure
+#: Worker backend kinds whose ``circuit_probabilities_batch`` is a pure
 #: function of the circuit alone (no device, no RNG) — the only kinds
 #: safe to evaluate remotely without shipping noise state.
 WORKER_BACKEND_KINDS = ("dense", "clifford")
@@ -268,13 +269,17 @@ def execute_request(
             ]
             if op == "probs":
                 results: list[Any] = [
-                    [float(p) for p in backend.circuit_probabilities(c)]
-                    for c in circuits
+                    [float(p) for p in row]
+                    for row in backend.circuit_probabilities_batch(
+                        circuits, compile_plan
+                    )
                 ]
             else:
                 results = [
-                    state_to_wire(backend.prepare_state(c))
-                    for c in circuits
+                    state_to_wire(state)
+                    for state in backend.prepare_states(
+                        circuits, compile_plan
+                    )
                 ]
             reply.update(ok=True, results=results)
         else:

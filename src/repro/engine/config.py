@@ -2,8 +2,10 @@
 
 One frozen record controls everything operational about an
 :class:`~repro.engine.ExecutionEngine`: how many simulation workers run
-concurrently, how large the PMF/state memoization caches may grow, and
-which RNG discipline sampling follows.
+concurrently, how large the PMF/state memoization caches and the
+compiled-plan cache may grow, and which RNG discipline sampling
+follows.  None of it selects a code path: every backend runs through
+the same batched hooks whatever the configuration.
 
 The two RNG modes trade compatibility against scheduling freedom:
 
@@ -37,10 +39,12 @@ class EngineConfig:
     Parameters
     ----------
     workers:
-        Concurrent PMF simulations.  ``1`` runs inline on the caller's
-        thread (no pool); higher values use a thread pool — the dense
-        ``tensordot`` kernels release the GIL inside NumPy, so threads
-        scale on multi-core hosts without pickling circuits.
+        Concurrent prepared-state simulations.  ``1`` runs inline on
+        the caller's thread (no pool); higher values use a thread pool
+        — the dense kernels release the GIL inside NumPy, so threads
+        scale on multi-core hosts without pickling circuits.  A batch's
+        circuit bodies go to the backend in one hook call, alongside
+        the pool.
     cache_size:
         Maximum memoized exact-PMF entries; ``0`` disables the cache.
         This entry cap is the *secondary* bound — the byte budget below
@@ -62,9 +66,10 @@ class EngineConfig:
     plan_cache_size:
         Maximum compiled :class:`~repro.sim.plan.CircuitPlan` entries,
         keyed by circuit *structure* fingerprint (one plan serves every
-        parameter binding of a structure).  ``0`` disables the plan
-        path entirely — the engine then simulates through the
-        uncompiled backend hooks, which is what the throughput
+        parameter binding of a structure).  ``0`` retains no plan:
+        every lookup compiles afresh, and prepared-state specs run
+        through the backend's ``pmf_from_state`` one at a time instead
+        of through cached suffix plans — what the throughput
         benchmark's "direct" row measures.
     rng_mode:
         ``"shared"`` or ``"per_job"`` — see the module docstring.

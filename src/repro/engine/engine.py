@@ -8,17 +8,19 @@ evaluation as a spec, and receive :class:`JobHandle` futures; one
 1. **Dedup** — specs are grouped by content fingerprint (mixed with the
    backend's device/noise fingerprint); structurally identical circuits
    simulate once and fan their exact PMF out to every submitter.
-2. **Simulate** — unique PMFs are computed through the configured
-   executor (inline or thread pool), consulting the bounded LRU
-   memoization cache first.  Circuits that differ only in their
-   measured qubits (a JigSaw Global and its subsets) share one
-   ideal-probability evaluation.  Simulation is deterministic, so neither
-   caching nor scheduling can change any numeric result.
+2. **Simulate** — the bounded LRU memoization cache is consulted
+   first; every miss becomes an ideal probability row, and the
+   backend's noise finisher turns all rows into exact PMFs at once.
+   Circuits that differ only in their measured qubits (a JigSaw Global
+   and its subsets) share one ideal-probability evaluation, and all
+   circuit bodies of a batch go to the backend's simulation hook in
+   one call.  Simulation is deterministic, so neither caching nor
+   scheduling can change any numeric result.
 3. **Sample & charge** — in *submission order*, every job samples its
    own shots from its PMF and charges the backend ledger exactly as a
-   direct ``run``/``run_from_state`` call would: one circuit plus
-   ``shots`` per submitted spec, duplicates included.  The paper's cost
-   metric is therefore bit-identical to the serial path.
+   direct ``backend.run`` call would: one circuit plus ``shots`` per
+   submitted spec, duplicates included.  The paper's cost metric is
+   therefore bit-identical to the serial path.
 
 Under the default ``rng_mode="shared"`` the sampling pass consumes the
 backend's single RNG stream in submission order, reproducing the legacy
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuits import Circuit
-from ..noise.backend import SimulatorBackend as _DenseBackend
 from ..obs import REGISTRY as _METRICS
 from ..obs import span as _obs_span
 from ..sim import PMF, Counts, probabilities
@@ -224,7 +225,7 @@ class Batch:
         map_to_best: bool = False,
         gate_load: tuple[int, int] = (0, 0),
     ) -> JobHandle:
-        """Queue a prepared state + basis suffix (``run_from_state``)."""
+        """Queue a prepared state + basis suffix (a :class:`StateSpec`)."""
         digest = self._state_digests.get(id(state))
         if digest is None:
             digest = state_digest(state)
@@ -288,27 +289,9 @@ class ExecutionEngine:
                 _AUTO_STATE_ENTRIES,
             ),
         )
-        # Compiled-plan cache, keyed by structure fingerprint.  The
-        # plan path is only taken where it is provably bit-identical:
-        # each capability is gated on the backend *inheriting* the
-        # corresponding dense pipeline (an override — stabilizer
-        # tableaus, density channels, test doubles — computes different
-        # bits, so those hooks keep being called once per circuit body).
+        # Compiled-plan cache, keyed by structure fingerprint; the
+        # backend's simulation hooks reach it through _plan_for.
         self._plan_cache = LRUCache(self.config.plan_cache_size)
-        plans_on = self.config.plan_cache_size > 0
-        bcls = type(backend)
-        self._plan_prepare = plans_on and (
-            getattr(bcls, "prepare_state", None)
-            is _DenseBackend.prepare_state
-        )
-        self._plan_batching = plans_on and (
-            getattr(bcls, "supports_plan_batching", None) is not None
-            and backend.supports_plan_batching()
-        )
-        self._suffix_plans = plans_on and (
-            getattr(bcls, "supports_suffix_plans", None) is not None
-            and backend.supports_suffix_plans()
-        )
         self._job_counter = 0
         self._batches_run = 0
         self._simulations = 0
@@ -341,7 +324,12 @@ class ExecutionEngine:
     # ------------------------------------------------------ state preparation
 
     def _plan_for(self, circuit: Circuit) -> CircuitPlan:
-        """The compiled plan for ``circuit``'s structure (plan cache)."""
+        """The compiled plan for ``circuit``'s structure (plan cache).
+
+        The ``plan_for`` the engine hands the backend's simulation
+        hooks.  With ``plan_cache_size=0`` every call compiles afresh
+        and no plan is retained.
+        """
         key = structure_fingerprint(circuit)
         plan = self._plan_cache.get(key)
         if plan is None:
@@ -355,137 +343,51 @@ class ExecutionEngine:
     def prepare_state(self, circuit: Circuit) -> np.ndarray:
         """Memoized ansatz-state preparation (never charged, noise-free).
 
-        Callers must treat the returned statevector as read-only — the
-        backend's ``run_statevector`` copies it before applying suffixes,
-        so the cached array is never mutated downstream.
+        Callers must treat the returned statevector as read-only — suffix
+        evolution copies it first, so the cached array is never mutated
+        downstream.
         """
-        key = circuit_fingerprint(circuit)
-        state = self._state_cache.get(key)
-        if state is None:
-            if self._plan_prepare:
-                state = self.backend.prepare_state(
-                    circuit, plan=self._plan_for(circuit)
-                )
-            else:
-                state = self.backend.prepare_state(circuit)
-            self._state_cache.put(key, state)
+        (state,) = self.prepare_states([circuit])
         return state
 
     def prepare_states(self, circuits) -> list[np.ndarray]:
         """Batched :meth:`prepare_state` over many bound circuits.
 
-        Cache misses that share one structure (SPSA's ``±ck·Δ``
-        perturbation pair, sweep points over one ansatz) advance
-        through a single compiled-plan batch — one broadcast ``matmul``
-        per gate — and land in the state cache.  Every returned state
-        is bit-identical to calling :meth:`prepare_state` one circuit
-        at a time.
+        State-cache misses go to the backend's ``prepare_states`` hook
+        in one call; on dense backends, misses sharing one structure
+        (SPSA's ``±ck·Δ`` perturbation pair, sweep points over one
+        ansatz) advance through a single compiled-plan batch — one
+        broadcast ``matmul`` per gate.  Every returned state is
+        bit-identical to preparing its circuit alone.
         """
         results: list[np.ndarray | None] = [None] * len(circuits)
-        misses: list[tuple[int, str, Circuit]] = []
+        misses: list[tuple[int, str]] = []
         for i, circuit in enumerate(circuits):
             key = circuit_fingerprint(circuit)
             state = self._state_cache.get(key)
             if state is None:
-                misses.append((i, key, circuit))
+                misses.append((i, key))
             else:
                 results[i] = state
-        groups: dict[str, tuple[CircuitPlan, list]] = {}
-        for i, key, circuit in misses:
-            if self._plan_prepare:
-                plan = self._plan_for(circuit)
-                groups.setdefault(plan.structure_key, (plan, []))[
-                    1
-                ].append((i, key, circuit))
-            else:
-                state = self.backend.prepare_state(circuit)
-                self._state_cache.put(key, state)
-                results[i] = state
-        for plan, items in groups.values():
-            if len(items) == 1:
-                i, key, circuit = items[0]
-                state = self.backend.prepare_state(circuit, plan=plan)
-                self._state_cache.put(key, state)
-                results[i] = state
-                continue
-            states = plan.run_batch(
-                [plan.slot_values(circuit) for _, _, circuit in items]
+        if misses:
+            states = self.backend.prepare_states(
+                [circuits[i] for i, _ in misses], self._plan_for
             )
-            for (i, key, _), row in zip(items, states):
-                state = row.copy()
+            for (i, key), state in zip(misses, states):
                 self._state_cache.put(key, state)
                 results[i] = state
         return results
 
     # -------------------------------------------------------------- execution
 
-    def _simulate(self, specs: list) -> list[PMF]:
-        """PMFs of one planless group through the backend's scalar hooks.
-
-        The fallback for backends that override the dense pipeline
-        (stabilizer tableaus, density channels, test doubles) — and for
-        engines with the plan path disabled.  A group is one
-        prepared-state spec, or every circuit spec sharing a
-        :func:`body_fingerprint`: the body's ideal probabilities are
-        computed once, then each spec is finished with its own measured
-        qubits, readout mapping and gate load, exactly as
-        ``backend.exact_pmf`` would finish it alone.
-        """
-        backend = self.backend
-        first = specs[0]
-        if isinstance(first, StateSpec):
-            return [backend.pmf_from_state(
-                first.state,
-                first.suffix,
-                first.measured_qubits,
-                map_to_best=first.map_to_best,
-                gate_load=first.gate_load,
-            )]
-        probs = backend.circuit_probabilities(first.circuit)
-        return [
-            backend._pmf_from_probs(
-                probs,
-                spec.circuit.n_qubits,
-                sorted(spec.circuit.measured_qubits),
-                spec.map_to_best,
-                backend.noise_gate_load(spec.circuit),
-            )
-            for spec in specs
-        ]
-
-    def _ideal_probs_group(
-        self, plan: CircuitPlan, group: list[tuple[tuple, CircuitSpec]]
-    ) -> list[tuple]:
-        """Ideal probability rows of same-structure circuit specs.
-
-        Runs the whole group through one compiled-plan batch; the noise
-        pipeline is applied later by the backend's vectorized finisher.
-        Gate loads come from each spec's *original* instruction list.
-        """
-        states = plan.run_batch(
-            [plan.slot_values(spec.circuit) for _, spec in group]
-        )
-        rows = []
-        for (key, spec), state in zip(group, states):
-            circuit = spec.circuit
-            rows.append((
-                key,
-                probabilities(state),
-                circuit.n_qubits,
-                tuple(sorted(circuit.measured_qubits)),
-                spec.map_to_best,
-                self.backend.noise_gate_load(circuit),
-            ))
-        return rows
-
     def _ideal_probs_state(
         self, key: tuple, spec: StateSpec, suffix_plan: CircuitPlan | None
-    ) -> list[tuple]:
+    ) -> tuple:
         """Ideal probability row of one prepared-state spec.
 
         Evolves the state through the cached suffix plan (when there is
         a suffix) and charges the *combined* original gate load, exactly
-        like the backend's ``_pmf_from_state``.
+        like the backend's ``pmf_from_state``.
         """
         state = spec.state
         g1, g2 = spec.gate_load
@@ -496,19 +398,85 @@ class ExecutionEngine:
             s1, s2 = suffix_plan.gate_load
             g1, g2 = g1 + s1, g2 + s2
         n = int(np.log2(state.shape[0]))
-        return [(
+        return (
             key,
             probabilities(state),
             n,
-            tuple(sorted(int(q) for q in spec.measured_qubits)),
+            tuple(sorted(spec.measured_qubits)),
             spec.map_to_best,
             (g1, g2),
-        )]
+        )
+
+    def _simulate(self, misses: list[tuple[tuple, object]]) -> list:
+        """Exact PMFs of a batch's cache misses: ``(key, pmf)`` pairs.
+
+        Circuit specs group by :func:`body_fingerprint` — a JigSaw
+        Global and its subsets differ only in measured qubits — and
+        one circuit per body goes to the backend's
+        ``circuit_probabilities_batch`` hook, in a single call; every
+        spec then contributes an ideal probability row with its own
+        measured qubits, readout mapping and gate load.  State specs
+        evolve through cached suffix plans into rows too.  The noise
+        finisher advances all rows at once.  With
+        ``plan_cache_size=0`` state specs instead run through the
+        backend's ``pmf_from_state``, each finished alone.
+        """
+        backend = self.backend
+        bodies: dict[str, list] = {}
+        row_futures = []
+        alone = []
+        for key, spec in misses:
+            if isinstance(spec, CircuitSpec):
+                bodies.setdefault(body_fingerprint(spec.circuit), []).append(
+                    (key, spec)
+                )
+            elif self.config.plan_cache_size:
+                suffix_plan = (
+                    self._plan_for(spec.suffix)
+                    if spec.suffix is not None
+                    else None
+                )
+                row_futures.append(self._executor.submit(
+                    self._ideal_probs_state, key, spec, suffix_plan
+                ))
+            else:
+                alone.append((key, self._executor.submit(
+                    backend.pmf_from_state,
+                    spec.state,
+                    spec.suffix,
+                    spec.measured_qubits,
+                    spec.map_to_best,
+                    spec.gate_load,
+                )))
+        rows = []
+        if bodies:
+            groups = list(bodies.values())
+            body_probs = backend.circuit_probabilities_batch(
+                [group[0][1].circuit for group in groups], self._plan_for
+            )
+            for group, probs in zip(groups, body_probs):
+                for key, spec in group:
+                    circuit = spec.circuit
+                    rows.append((
+                        key,
+                        probs,
+                        circuit.n_qubits,
+                        tuple(sorted(circuit.measured_qubits)),
+                        spec.map_to_best,
+                        backend.noise_gate_load(circuit),
+                    ))
+        rows.extend(future.result() for future in row_futures)
+        fresh = [(key, future.result()) for key, future in alone]
+        if rows:
+            pmfs = backend.exact_pmfs_from_probs_batch(
+                [row[1:] for row in rows]
+            )
+            fresh.extend((row[0], pmf) for row, pmf in zip(rows, pmfs))
+        return fresh
 
     def _execute(self, jobs: list[JobHandle]) -> None:
         if not jobs:
             return
-        self._batches_run += 1
         started = time.perf_counter()
         with _obs_span("engine.batch", jobs=len(jobs)) as batch_span:
             device_fp = device_fingerprint(self.backend)
@@ -518,92 +486,38 @@ class ExecutionEngine:
             resolved: dict[tuple, PMF] = {}
             scheduled: set[tuple] = set()
             misses: list[tuple[tuple, object]] = []
-            coalesced = 0
+            sources: list[str] = []
             with _obs_span("engine.dedup"):
                 for job in jobs:
                     key = (device_fp, job._fingerprint)
                     if key in resolved or key in scheduled:
-                        self._dedup_coalesced += 1
-                        coalesced += 1
-                        job.source = "dedup"
+                        sources.append("dedup")
                         continue
                     cached = self._pmf_cache.get(key)
                     if cached is not None:
                         resolved[key] = cached
-                        job.source = "cache"
+                        sources.append("cache")
                     else:
                         scheduled.add(key)
                         misses.append((key, job.spec))
-                        job.source = "simulated"
-                        self._simulations += 1
+                        sources.append("simulated")
             cache_hits = len(resolved)
+            coalesced = len(jobs) - cache_hits - len(misses)
 
-            # Phase 2: simulate.  On plan-capable backends each miss
-            # contributes an *ideal probability row*: full circuits
-            # sharing one structure vectorize into a single
-            # compiled-plan batch (one broadcast matmul per gate),
-            # suffix specs evolve through cached suffix plans.  The
-            # noise pipeline then advances every row at once through
-            # the backend's vectorized finisher.  All of it is
-            # bit-identical to the planless hooks, which keep serving
-            # backends that override them.  There, circuit specs group
-            # by body digest (they differ at most in measured qubits)
-            # and evolve once per group; state specs run alone.
-            planless: dict[object, list] = {}
-            row_futures: list[object] = []
+            # Phase 2: simulate every miss (see _simulate).  Batches,
+            # simulations, job sources and PMF-cache entries are
+            # committed only once every PMF exists, so a failing batch
+            # leaves no trace in them.
             with _obs_span("engine.simulate", simulations=len(misses)):
-                circuit_groups: dict[str, tuple[CircuitPlan, list]] = {}
-                for key, spec in misses:
-                    if isinstance(spec, CircuitSpec) and self._plan_batching:
-                        plan = self._plan_for(spec.circuit)
-                        circuit_groups.setdefault(
-                            plan.structure_key, (plan, [])
-                        )[1].append((key, spec))
-                    elif isinstance(spec, CircuitSpec):
-                        body = body_fingerprint(spec.circuit)
-                        planless.setdefault(body, []).append((key, spec))
-                    elif self._suffix_plans:
-                        suffix_plan = (
-                            self._plan_for(spec.suffix)
-                            if spec.suffix is not None
-                            else None
-                        )
-                        row_futures.append(
-                            self._executor.submit(
-                                self._ideal_probs_state,
-                                key,
-                                spec,
-                                suffix_plan,
-                            )
-                        )
-                    else:
-                        planless[key] = [(key, spec)]
-                futures = [
-                    (group, self._executor.submit(
-                        self._simulate, [spec for _, spec in group]
-                    ))
-                    for group in planless.values()
-                ]
-                for plan, group in circuit_groups.values():
-                    row_futures.append(
-                        self._executor.submit(
-                            self._ideal_probs_group, plan, group
-                        )
-                    )
-                for group, future in futures:
-                    for (key, _), pmf in zip(group, future.result()):
-                        resolved[key] = pmf
-                        self._pmf_cache.put(key, pmf)
-                rows: list[tuple] = []
-                for future in row_futures:
-                    rows.extend(future.result())
-                if rows:
-                    pmfs = self.backend.exact_pmfs_from_probs_batch(
-                        [row[1:] for row in rows]
-                    )
-                    for (key, *_), pmf in zip(rows, pmfs):
-                        resolved[key] = pmf
-                        self._pmf_cache.put(key, pmf)
+                fresh = self._simulate(misses) if misses else []
+            for key, pmf in fresh:
+                resolved[key] = pmf
+                self._pmf_cache.put(key, pmf)
+            self._batches_run += 1
+            self._simulations += len(misses)
+            self._dedup_coalesced += coalesced
+            for job, source in zip(jobs, sources):
+                job.source = source
 
             # Phase 3: sample and charge in submission order.
             shots_charged = 0

@@ -3,7 +3,7 @@
 A *spec* is everything needed to reproduce one device execution: either a
 full bound circuit (:class:`CircuitSpec`) or a prepared ansatz state plus
 a measurement-basis suffix (:class:`StateSpec` — the backend's
-``run_from_state`` fast path).  Specs are immutable once submitted.
+``pmf_from_state`` fast path).  Specs are immutable once submitted.
 
 Each spec exposes a :meth:`fingerprint`: a digest over the exact content
 that determines its noisy outcome distribution — circuit structure,
@@ -157,13 +157,15 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """One prepared-state execution request (``backend.run_from_state``).
+    """One prepared-state execution request (``backend.pmf_from_state``).
 
     ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
     preparation, charged to depolarizing noise on top of the suffix.
-    ``digest`` is an optional precomputed :func:`state_digest` of
-    ``state`` (an optimization for batches whose specs share a state);
-    when given, it MUST match the array's content.
+    ``measured_qubits`` must be distinct qubits of ``state``'s register
+    (checked here, so a bad spec fails at submit time, not inside its
+    batch).  ``digest`` is an optional precomputed :func:`state_digest`
+    of ``state`` (an optimization for batches whose specs share a
+    state); when given, it MUST match the array's content.
     """
 
     state: np.ndarray = field(repr=False)
@@ -189,6 +191,15 @@ class StateSpec:
             raise ValueError("shots must be positive")
         if not self.measured_qubits:
             raise ValueError("no measured qubits")
+        n_qubits = len(self.state).bit_length() - 1
+        for i, q in enumerate(self.measured_qubits):
+            if not 0 <= q < n_qubits:
+                raise ValueError(
+                    f"measured qubit {q} is outside the state's "
+                    f"{n_qubits}-qubit register"
+                )
+            if q in self.measured_qubits[:i]:
+                raise ValueError(f"measured qubit {q} is listed twice")
 
     def fingerprint(self) -> str:
         """Content digest over state bytes + suffix + measurement."""

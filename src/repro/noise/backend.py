@@ -1,31 +1,70 @@
-"""Noisy execution backend: statevector simulation + device noise + sampling.
+"""Noisy execution backend: ideal simulation + device noise + sampling.
 
 :class:`SimulatorBackend` is the single place circuits get "executed".  It
 also keeps the *circuit/shot counters* that the paper's cost metric ("number
 of circuits executed on the quantum device") is measured from, so every
 experiment reads its cost from the same ledger.
 
-Two execution paths exist:
+Execution has two halves:
 
-* :meth:`run` — simulate a full bound circuit.
-* :meth:`prepare_state` + :meth:`run_from_state` — VQE executes many
-  measurement-basis variants of one ansatz per iteration; preparing the
-  ansatz state once and applying only the cheap basis suffix per group is
-  an exact optimization (the physics is identical), but each
-  ``run_from_state`` still counts as one executed circuit.
+* the *simulation hooks* —
+  :meth:`~SimulatorBackend.circuit_probabilities_batch` (bound
+  circuits -> ideal outcome probabilities) and
+  :meth:`~SimulatorBackend.prepare_states` (bound circuits ->
+  statevectors) — take a whole batch per call, so a backend can share
+  work across it (compiled-plan batches, one wire request);
+* the *noise finisher* —
+  :meth:`~SimulatorBackend.exact_pmfs_from_probs_batch` — turns ideal
+  probability rows into exact noisy PMFs (global depolarizing mix,
+  marginal, readout channel).  It is the only noise pipeline:
+  :meth:`~SimulatorBackend.exact_pmf`, :meth:`~SimulatorBackend.run`,
+  :meth:`~SimulatorBackend.pmf_from_state` and the execution engine all
+  finish through it, a single circuit being a batch of one.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from ..circuits import Circuit
 from ..sim import PMF, Counts, probabilities, run_statevector
-from ..sim.plan import CircuitPlan
+from ..sim.plan import CircuitPlan, compile_plan
 from .device import DeviceModel, ideal_device
-from .readout import ReadoutErrorModel
 
 __all__ = ["SimulatorBackend"]
+
+#: The plan source a simulation hook compiles circuits through: the
+#: engine's plan-cache lookup, or :func:`~repro.sim.plan.compile_plan`.
+PlanFor = Callable[[Circuit], CircuitPlan]
+
+
+def _run_plans(
+    circuits: Sequence[Circuit], plan_for: PlanFor
+) -> list[np.ndarray]:
+    """Statevectors of bound circuits, one plan batch per structure.
+
+    Circuits sharing a structure advance through one broadcast
+    ``run_batch``; a structure met once runs alone.  Either way each
+    state is bit-identical to ``run_statevector`` on its circuit.
+    """
+    states: list[np.ndarray] = [np.empty(0)] * len(circuits)
+    groups: dict[str, tuple[CircuitPlan, list[int]]] = {}
+    for i, circuit in enumerate(circuits):
+        plan = plan_for(circuit)
+        groups.setdefault(plan.structure_key, (plan, []))[1].append(i)
+    for plan, indices in groups.values():
+        if len(indices) == 1:
+            (i,) = indices
+            states[i] = plan.run(plan.slot_values(circuits[i]))
+            continue
+        batch = plan.run_batch(
+            [plan.slot_values(circuits[i]) for i in indices]
+        )
+        for i, row in zip(indices, batch):
+            states[i] = row.copy()
+    return states
 
 
 class SimulatorBackend:
@@ -45,18 +84,18 @@ class SimulatorBackend:
     Subclassing (the :mod:`repro.backends` registry)
     ------------------------------------------------
     Alternative execution backends subclass this class and override the
-    narrow hooks below — :meth:`circuit_probabilities` (how a full
-    circuit becomes ideal outcome probabilities, a function of its
-    gates alone: the engine evaluates it once per circuit body and
-    batch, whatever the measured qubits), :meth:`noise_gate_load` (the
-    gate counts the global depolarizing mix charges) and :meth:`sample`
-    (how a PMF becomes counts) — so the noise pipeline, the cost
-    ledger, and the engine contract stay shared.  ``backend_kind`` is
-    the registry name; the engine mixes it into its cache keys.  A
-    subclass with extra PMF-shaping state beyond the device and the
-    kill-switches must expose it via a ``pmf_fingerprint_extra() ->
-    str`` method (see :func:`repro.engine.device_fingerprint`) so
-    memoized PMFs are never shared across configurations.
+    narrow hooks below — :meth:`circuit_probabilities_batch` and
+    :meth:`prepare_states` (how bound circuits become ideal
+    probabilities or statevectors, a function of their gates alone),
+    :meth:`noise_gate_load` (the gate counts the global depolarizing
+    mix charges) and :meth:`sample` (how a PMF becomes counts) — so the
+    noise finisher, the cost ledger, and the engine contract stay
+    shared.  ``backend_kind`` is the registry name; the engine mixes it
+    into its cache keys.  A subclass with extra PMF-shaping state
+    beyond the device and the kill-switches must expose it via a
+    ``pmf_fingerprint_extra() -> str`` method (see
+    :func:`repro.engine.device_fingerprint`) so memoized PMFs are never
+    shared across configurations.
     """
 
     #: Registry kind name (see :mod:`repro.backends`); subclasses
@@ -82,10 +121,16 @@ class SimulatorBackend:
     # ------------------------------------------------------------ accounting
 
     def reset_counters(self) -> None:
+        """Zero the circuit/shot ledger (the device clock is untouched)."""
         self.circuits_run = 0
         self.shots_run = 0
 
-    def _charge(self, shots: int) -> None:
+    def charge(self, shots: int) -> None:
+        """Record one executed circuit of ``shots`` shots on the ledger.
+
+        Public so :class:`~repro.engine.ExecutionEngine` can charge per
+        submitted spec even when deduplication simulated a circuit once.
+        """
         self.circuits_run += 1
         self.shots_run += shots
         # Drifting devices measure logical time in charged circuits;
@@ -95,30 +140,7 @@ class SimulatorBackend:
         if advance is not None:
             advance(1)
 
-    def charge(self, shots: int) -> None:
-        """Record one executed circuit of ``shots`` shots on the ledger.
-
-        Public so :class:`~repro.engine.ExecutionEngine` can charge per
-        submitted spec even when deduplication simulated a circuit once.
-        """
-        self._charge(shots)
-
     # ------------------------------------------------------------- execution
-
-    def prepare_state(
-        self, circuit: Circuit, plan: CircuitPlan | None = None
-    ) -> np.ndarray:
-        """Simulate ``circuit`` (ignoring measurement) to a statevector.
-
-        Not charged to the circuit counter: preparation alone is not an
-        execution; the charge happens when a measurement run is requested.
-        ``plan`` is an optional precompiled plan for the circuit's
-        structure (the engine passes its cached one); results are
-        bit-identical either way.
-        """
-        if plan is not None:
-            return plan.run(plan.slot_values(circuit))
-        return run_statevector(circuit)
 
     def run(
         self, circuit: Circuit, shots: int, map_to_best: bool = False
@@ -129,28 +151,7 @@ class SimulatorBackend:
         best readout lines (what JigSaw does for subset circuits).
         """
         pmf = self.exact_pmf(circuit, map_to_best=map_to_best)
-        self._charge(shots)
-        return self.sample(pmf, shots, self.rng)
-
-    def run_from_state(
-        self,
-        state: np.ndarray,
-        suffix: Circuit | None,
-        measured_qubits,
-        shots: int,
-        map_to_best: bool = False,
-        gate_load: tuple[int, int] = (0, 0),
-    ) -> Counts:
-        """Execute a cached prepared state + basis-change suffix.
-
-        ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
-        preparation, so the depolarizing weight reflects the *full* circuit,
-        not just the suffix.
-        """
-        pmf = self._pmf_from_state(
-            state, suffix, measured_qubits, map_to_best, gate_load
-        )
-        self._charge(shots)
+        self.charge(shots)
         return self.sample(pmf, shots, self.rng)
 
     def sample(
@@ -166,127 +167,120 @@ class SimulatorBackend:
         """
         return Counts.from_pmf_samples(pmf, shots, rng)
 
-    # ---------------------------------------------------- exact distributions
+    # ------------------------------------------------------ simulation hooks
 
-    def circuit_probabilities(
-        self, circuit: Circuit, plan: CircuitPlan | None = None
-    ) -> np.ndarray:
-        """Ideal (pre-noise) outcome probabilities of a bound circuit.
+    def circuit_probabilities_batch(
+        self, circuits: Sequence[Circuit], plan_for: PlanFor
+    ) -> list[np.ndarray]:
+        """Ideal (pre-noise) outcome probabilities of bound circuits.
 
-        The simulation hook subclasses override: the dense default runs
-        the statevector engine; the ``clifford`` backend substitutes a
-        stabilizer-tableau evaluation for Clifford-only circuits.  The
-        noise pipeline downstream (:meth:`exact_pmf`) is shared.
-        ``plan`` is an optional precompiled plan for the circuit's
-        structure (bit-identical fast path; overriding backends may
-        ignore it).
+        One row per circuit, in order, over all ``2**n`` outcomes: a
+        function of each circuit's gates alone, never of its measured
+        qubits (the engine evaluates one circuit per *body* and lets
+        every spec sharing it read out its own qubits).  The dense
+        default runs each structure's circuits as one compiled-plan
+        batch, with ``plan_for(circuit)`` supplying the plan — the
+        engine passes its plan-cache lookup, one-off callers
+        :func:`~repro.sim.plan.compile_plan`.  Overriding backends may
+        ignore ``plan_for``.
         """
-        if plan is not None:
-            return probabilities(plan.run(plan.slot_values(circuit)))
-        return probabilities(run_statevector(circuit))
+        return [probabilities(state) for state in _run_plans(
+            circuits, plan_for
+        )]
+
+    def prepare_states(
+        self, circuits: Sequence[Circuit], plan_for: PlanFor
+    ) -> list[np.ndarray]:
+        """Statevectors of bound circuits, measurement ignored.
+
+        Not charged to the circuit counter: preparation alone is not an
+        execution; the charge happens when a measurement run is
+        requested.  ``plan_for`` as in
+        :meth:`circuit_probabilities_batch`.
+        """
+        return _run_plans(circuits, plan_for)
 
     def noise_gate_load(self, circuit: Circuit) -> tuple[int, int]:
         """The (one-qubit, two-qubit) gate counts charged to gate noise.
 
-        The noise pipeline mixes in global depolarizing noise weighted
+        The noise finisher mixes in global depolarizing noise weighted
         by these counts, taken from the *original* circuit (a fused
-        ``plan`` never changes the noise).  A backend whose
-        :meth:`circuit_probabilities` already applies gate noise
+        plan never changes the noise).  A backend whose
+        :meth:`circuit_probabilities_batch` already applies gate noise
         returns ``(0, 0)`` so it is never applied twice.
         """
         g2 = circuit.num_two_qubit_gates
         return circuit.num_gates - g2, g2
 
-    def exact_pmf(
-        self,
-        circuit: Circuit,
-        map_to_best: bool = False,
-        plan: CircuitPlan | None = None,
-    ) -> PMF:
+    # ---------------------------------------------------- exact distributions
+
+    def exact_pmf(self, circuit: Circuit, map_to_best: bool = False) -> PMF:
         """The exact (noisy) outcome distribution over measured qubits.
 
-        Ideal probabilities from :meth:`circuit_probabilities`, finished
-        by the noise pipeline with :meth:`noise_gate_load`.
+        Ideal probabilities from :meth:`circuit_probabilities_batch`,
+        finished by :meth:`exact_pmfs_from_probs_batch` with
+        :meth:`noise_gate_load` — both as a batch of one.
         """
         if not circuit.measured_qubits:
             raise ValueError("circuit measures no qubits")
-        if plan is not None:
-            probs = self.circuit_probabilities(circuit, plan=plan)
-        else:
-            # Keyword-free call keeps pre-plan subclass overrides of
-            # circuit_probabilities working unchanged.
-            probs = self.circuit_probabilities(circuit)
-        return self._pmf_from_probs(
+        (probs,) = self.circuit_probabilities_batch([circuit], compile_plan)
+        (pmf,) = self.exact_pmfs_from_probs_batch([(
             probs,
             circuit.n_qubits,
-            sorted(circuit.measured_qubits),
+            tuple(sorted(circuit.measured_qubits)),
             map_to_best,
             self.noise_gate_load(circuit),
-        )
+        )])
+        return pmf
 
-    def supports_plan_batching(self) -> bool:
-        """Whether the engine may simulate this backend via plan batches.
+    def pmf_from_state(
+        self,
+        state: np.ndarray,
+        suffix: Circuit | None,
+        measured_qubits,
+        map_to_best: bool = False,
+        gate_load: tuple[int, int] = (0, 0),
+    ) -> PMF:
+        """Exact noisy PMF of a prepared state + basis suffix (uncharged).
 
-        True only when this instance's ideal-probability computation
-        *is* the dense statevector path — a subclass overriding
-        :meth:`circuit_probabilities` or :meth:`exact_pmf` (stabilizer
-        tableaus, density-matrix channels) computes different bits, so
-        the engine must call those hooks once per circuit body instead.
-        The noise pipeline must also be inherited, because the engine
-        finishes plan batches through
-        :meth:`exact_pmfs_from_probs_batch` instead of
-        :meth:`_pmf_from_probs`.
+        ``gate_load`` is the (one-qubit, two-qubit) gate count of the
+        state preparation; the suffix's own gates are added to it, so
+        the depolarizing weight reflects the *full* circuit.
         """
-        cls = type(self)
-        return (
-            cls.circuit_probabilities
-            is SimulatorBackend.circuit_probabilities
-            and cls.exact_pmf is SimulatorBackend.exact_pmf
-            and cls._pmf_from_probs is SimulatorBackend._pmf_from_probs
-        )
-
-    def supports_suffix_plans(self) -> bool:
-        """Whether the engine may apply basis suffixes via compiled plans.
-
-        The engine evolves a prepared state through a cached suffix plan
-        and finishes the result through the shared noise pipeline with
-        the combined gate load — valid only while this instance inherits
-        the dense state-plus-suffix pipeline.
-        """
-        cls = type(self)
-        return (
-            cls.pmf_from_state is SimulatorBackend.pmf_from_state
-            and cls._pmf_from_state is SimulatorBackend._pmf_from_state
-            and cls._pmf_from_probs is SimulatorBackend._pmf_from_probs
-        )
+        g1, g2 = gate_load
+        if suffix is not None:
+            state = run_statevector(suffix, initial_state=state)
+            s2 = suffix.num_two_qubit_gates
+            g1 += suffix.num_gates - s2
+            g2 += s2
+        (pmf,) = self.exact_pmfs_from_probs_batch([(
+            probabilities(state),
+            int(np.log2(state.shape[0])),
+            tuple(sorted(int(q) for q in measured_qubits)),
+            map_to_best,
+            (g1, g2),
+        )])
+        return pmf
 
     def exact_pmfs_from_probs_batch(self, rows) -> list[PMF]:
-        """Vectorized noise pipeline over many ideal probability vectors.
+        """The noise finisher: exact noisy PMFs of ideal probability rows.
 
         ``rows`` is a list of ``(probs, n_qubits, measured, map_to_best,
         gate_load)`` tuples with ``measured`` a sorted tuple; the result
-        is one PMF per row, in order.  Rows sharing ``(n_qubits,
-        measured, map_to_best)`` advance through each pipeline stage —
-        normalize, depolarizing mix, marginal, readout — as single
-        whole-group NumPy calls whose per-row bits equal
-        :meth:`_pmf_from_probs` exactly (elementwise ops broadcast per
-        row; axis reductions use the same pairwise order; the readout
-        matrix product hits the same GEMM kernel, with the
-        one-measured-qubit case looped because alone it would dispatch
-        to GEMV and round differently).
-
-        Only the engine calls this, and only on backends whose
-        capability checks above confirm the dense pipeline is inherited.
-        A device carrying a *subclassed* readout model falls back to the
-        scalar pipeline row by row.
+        is one PMF per row, in order.  Each row is normalized, mixed
+        toward uniform with its gate load's depolarizing weight,
+        marginalized onto ``measured`` and pushed through the readout
+        channel (with crosstalk and the ``map_to_best`` line mapping),
+        renormalized after every step.  Rows sharing ``(n_qubits,
+        measured, map_to_best)`` advance through each stage as single
+        whole-group NumPy calls whose per-row bits do not depend on the
+        rest of the batch (elementwise ops broadcast per row; axis
+        reductions keep one pairwise order; the readout matrix product
+        hits one GEMM kernel, with the one-measured-qubit case looped
+        because a batched GEMV would round differently).
+        ``tests/noise/scalar_reference.py`` freezes the one-row
+        pipeline this must equal bit for bit.
         """
-        if type(self.device.readout) is not ReadoutErrorModel:
-            return [
-                self._pmf_from_probs(
-                    probs, n, list(measured), map_to_best, gate_load
-                )
-                for probs, n, measured, map_to_best, gate_load in rows
-            ]
         out: list[PMF | None] = [None] * len(rows)
         groups: dict[tuple, list[int]] = {}
         for i, (_, n, measured, map_to_best, _) in enumerate(rows):
@@ -329,7 +323,7 @@ class SimulatorBackend:
                 )
                 mixed = mixed / mixed.sum(axis=1)[:, None]
                 # Rows with zero depolarizing weight skip the mix (and
-                # its renormalization) entirely, like the scalar path.
+                # its renormalization) entirely, as a lone row would.
                 probs = np.where((lams > 0)[:, None], mixed, probs)
         drop = tuple(ax for ax in range(n) if ax not in measured)
         if drop:
@@ -365,61 +359,6 @@ class SimulatorBackend:
             probs = np.clip(probs, 0.0, None)
             probs = probs / probs.sum(axis=1)[:, None]
         return [PMF._trusted(probs[i], measured) for i in range(batch)]
-
-    def pmf_from_state(
-        self,
-        state: np.ndarray,
-        suffix: Circuit | None,
-        measured_qubits,
-        map_to_best: bool = False,
-        gate_load: tuple[int, int] = (0, 0),
-    ) -> PMF:
-        """Exact noisy PMF of a prepared state + basis suffix (uncharged)."""
-        return self._pmf_from_state(
-            state, suffix, measured_qubits, map_to_best, gate_load
-        )
-
-    def _pmf_from_state(
-        self,
-        state: np.ndarray,
-        suffix: Circuit | None,
-        measured_qubits,
-        map_to_best: bool,
-        gate_load: tuple[int, int],
-    ) -> PMF:
-        measured = sorted(int(q) for q in measured_qubits)
-        if not measured:
-            raise ValueError("no measured qubits")
-        n = int(np.log2(state.shape[0]))
-        g1, g2 = gate_load
-        if suffix is not None:
-            state = run_statevector(suffix, initial_state=state)
-            s2 = suffix.num_two_qubit_gates
-            g1 += suffix.num_gates - s2
-            g2 += s2
-        return self._pmf_from_probs(
-            probabilities(state), n, measured, map_to_best, (g1, g2)
-        )
-
-    def _pmf_from_probs(
-        self,
-        probs: np.ndarray,
-        n_qubits: int,
-        measured: list[int],
-        map_to_best: bool,
-        gate_load: tuple[int, int],
-    ) -> PMF:
-        pmf = PMF(probs, tuple(range(n_qubits)))
-        if self.gate_noise_enabled:
-            g1, g2 = gate_load
-            lam = self._depolarizing_weight(g1, g2)
-            if lam > 0:
-                pmf = pmf.mix(PMF.uniform(n_qubits, pmf.qubits), lam)
-        pmf = pmf.marginal(measured)
-        if self.readout_enabled:
-            mapping = self.physical_mapping(measured, map_to_best)
-            pmf = self.device.readout.apply(pmf, mapping)
-        return pmf
 
     def _depolarizing_weight(self, g1: int, g2: int) -> float:
         gn = self.device.gate_noise

@@ -358,7 +358,7 @@ class DriftingDeviceModel(DeviceModel):
     Wraps a static base device; ``readout`` / ``gate_noise`` become
     *views* that rebuild themselves whenever the logical clock crosses
     an epoch boundary.  The clock counts charged circuit executions:
-    :meth:`~repro.noise.backend.SimulatorBackend._charge` calls
+    :meth:`~repro.noise.backend.SimulatorBackend.charge` calls
     :meth:`advance_clock` once per circuit, making the trajectory a
     pure function of the execution history (deterministic across
     processes, executors, and engine batching — the engine charges in
@@ -367,9 +367,7 @@ class DriftingDeviceModel(DeviceModel):
     When a schedule's factors are exactly 1.0 everywhere (e.g.
     :class:`ConstantDrift`, or any schedule at epoch 0), the *base*
     noise objects are returned unchanged, so the zero-drift path is
-    byte-identical to the static device — including the engine's
-    vectorized noise finisher, which requires a genuine
-    :class:`~repro.noise.readout.ReadoutErrorModel`.
+    byte-identical to the static device.
     """
 
     def __init__(

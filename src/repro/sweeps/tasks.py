@@ -824,9 +824,9 @@ def _engine_replay(point: Point, workload_cache: dict) -> dict:
     trace_repeats = options.get("trace_repeats", 3)
     config_kwargs = {}
     if not options.get("cache", True):
-        # The "direct" row: no PMF/state memoization AND no compiled
-        # plans (plan_cache_size=0 disables the plan path entirely), so
-        # the speedup column measures everything the engine adds.
+        # The "direct" row: no PMF/state memoization AND no retained
+        # compiled plans (plan_cache_size=0), so the speedup column
+        # measures everything the engine adds.
         config_kwargs.update(
             cache_size=0, state_cache_size=0, plan_cache_size=0
         )

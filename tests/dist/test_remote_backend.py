@@ -9,10 +9,11 @@ from repro.backends import backend_kinds, make_backend
 from repro.dist.remote import RemoteBackendSpec
 from repro.engine.spec import device_fingerprint
 from repro.noise import SimulatorBackend, ibmq_mumbai_like
+from repro.sim import compile_plan
 from repro.sweeps.runner import execute_point
 from repro.sweeps.spec import Point
 
-from .test_wire import _sample_circuit
+from .test_wire import _local_probs, _sample_circuit
 
 
 def test_remote_is_a_registered_builtin_kind():
@@ -25,18 +26,18 @@ def test_remote_matches_dense_bit_for_bit():
     remote = make_backend({"kind": "remote", "workers": 1})
     try:
         np.testing.assert_array_equal(
-            remote.circuit_probabilities(circuit),
-            dense.circuit_probabilities(circuit),
+            _local_probs(remote, circuit), _local_probs(dense, circuit)
         )
-        np.testing.assert_array_equal(
-            remote.prepare_state(circuit),
-            dense.prepare_state(circuit),
+        for remote_state, dense_state in zip(
+            remote.prepare_states([circuit, circuit], compile_plan),
+            dense.prepare_states([circuit, circuit], compile_plan),
+        ):
+            np.testing.assert_array_equal(remote_state, dense_state)
+        batched = remote.circuit_probabilities_batch(
+            [circuit, circuit], compile_plan
         )
-        batched = remote.circuit_probabilities_batch([circuit, circuit])
         for row in batched:
-            np.testing.assert_array_equal(
-                row, dense.circuit_probabilities(circuit)
-            )
+            np.testing.assert_array_equal(row, _local_probs(dense, circuit))
     finally:
         remote.close()
 
@@ -49,8 +50,7 @@ def test_clifford_worker_matches_local_clifford():
     )
     try:
         np.testing.assert_array_equal(
-            remote.circuit_probabilities(ghz),
-            local.circuit_probabilities(ghz),
+            _local_probs(remote, ghz), _local_probs(local, ghz)
         )
     finally:
         remote.close()

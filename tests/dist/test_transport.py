@@ -22,7 +22,7 @@ from repro.dist.wire import circuit_to_wire
 from repro.noise import SimulatorBackend
 from repro.obs import REGISTRY, snapshot_delta
 
-from .test_wire import _sample_circuit
+from .test_wire import _local_probs, _sample_circuit
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def test_pipe_pool_probs_match_local(pipe_pool):
             "circuits": [circuit_to_wire(circuit)],
         }
     )
-    local = SimulatorBackend(None, seed=0).circuit_probabilities(circuit)
+    local = _local_probs(SimulatorBackend(None, seed=0), circuit)
     np.testing.assert_array_equal(np.asarray(reply["results"][0]), local)
 
 
@@ -102,9 +102,7 @@ def test_socket_worker_round_trip():
                 "circuits": [circuit_to_wire(circuit)],
             }
         )
-        local = SimulatorBackend(None, seed=0).circuit_probabilities(
-            circuit
-        )
+        local = _local_probs(SimulatorBackend(None, seed=0), circuit)
         np.testing.assert_array_equal(
             np.asarray(reply["results"][0]), local
         )

@@ -24,6 +24,7 @@ from repro.dist.wire import (
     write_frame,
 )
 from repro.noise import SimulatorBackend
+from repro.sim import compile_plan
 
 
 def _sample_circuit() -> Circuit:
@@ -36,6 +37,12 @@ def _sample_circuit() -> Circuit:
     return circuit
 
 
+def _local_probs(backend, circuit: Circuit) -> np.ndarray:
+    """``backend``'s ideal probabilities of one circuit, computed here."""
+    (row,) = backend.circuit_probabilities_batch([circuit], compile_plan)
+    return row
+
+
 def test_circuit_round_trip_is_exact():
     circuit = _sample_circuit()
     rebuilt = circuit_from_wire(circuit_to_wire(circuit))
@@ -46,8 +53,7 @@ def test_circuit_round_trip_is_exact():
     )
     local = SimulatorBackend(None, seed=0)
     np.testing.assert_array_equal(
-        local.circuit_probabilities(rebuilt),
-        local.circuit_probabilities(circuit),
+        _local_probs(local, rebuilt), _local_probs(local, circuit)
     )
 
 
@@ -138,7 +144,7 @@ def test_execute_request_probs_matches_local_backend():
         {},
     )
     assert reply["ok"]
-    local = SimulatorBackend(None, seed=0).circuit_probabilities(circuit)
+    local = _local_probs(SimulatorBackend(None, seed=0), circuit)
     for row in reply["results"]:
         np.testing.assert_array_equal(np.asarray(row), local)
 

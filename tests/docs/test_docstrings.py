@@ -5,8 +5,9 @@ missing-docstring) selection in ``pyproject.toml``, runnable without
 installing ruff: every module, public class, and public
 function/method in the packages below must carry a docstring.  The
 scope is the surface a new contributor (or an out-of-tree extension
-author) programs against: the experiment API, the backend registry,
-the execution engine, and the sweep spec/runner/catalog layer.
+author) programs against: the experiment API, the backend registry
+and the base backend it extends, the execution engine, and the sweep
+spec/runner/catalog layer.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ SCOPED = [
     "repro/dist",
     "repro/engine",
     "repro/io",
+    "repro/noise/backend.py",
     "repro/obs",
     "repro/serve",
     "repro/sim/density.py",

@@ -1,12 +1,12 @@
-"""Planless batches evolve each circuit body once.
+"""Engine batches evolve each circuit body once, on every backend.
 
 A JigSaw batch submits one fully measured circuit and its subset
-circuits: the same gates, measured on fewer qubits.  On backends that
-override the dense pipeline (here ``density``) the engine groups such
-specs by body, runs ``circuit_probabilities`` once per group, and
-finishes every spec with its own measured qubits, readout mapping and
-gate load.  Results and the ledger must equal one-spec-at-a-time
-execution exactly.
+circuits: the same gates, measured on fewer qubits.  The engine groups
+such specs by body, hands one circuit per body to the backend's
+``circuit_probabilities_batch`` hook (here ``density`` and
+``clifford``), and finishes every spec with its own measured qubits,
+readout mapping and gate load in the batch noise finisher.  Results
+and the ledger must equal one-spec-at-a-time execution exactly.
 """
 
 import numpy as np

@@ -12,7 +12,9 @@ from repro.engine import (
     circuit_fingerprint,
     ensure_engine,
 )
+from repro.backends import CliffordBackend
 from repro.noise import SimulatorBackend
+from repro.obs import REGISTRY, snapshot_delta
 from repro.pauli import PauliString
 
 
@@ -207,6 +209,28 @@ class TestBatchLifecycle:
         assert engine.new_batch().run() == []
         assert backend.circuits_run == 0
 
+    def test_failed_batch_leaves_no_trace(self, noisy_device):
+        backend = CliffordBackend(noisy_device, seed=7, fallback="error")
+        engine = ExecutionEngine(backend)
+        rotated = ghz()
+        rotated.ry(0.3, 0)
+        before, metrics = engine.stats, REGISTRY.snapshot()
+        batch = engine.new_batch()
+        handle = batch.submit_circuit(rotated, shots=5)
+        with pytest.raises(ValueError, match="non-Clifford"):
+            batch.run()
+        delta = engine.stats - before
+        assert delta.batches_run == 0 and delta.simulations == 0
+        moved = snapshot_delta(REGISTRY.snapshot(), metrics)
+        assert moved.get("repro_engine_batches_total", 0) == 0
+        assert moved.get("repro_engine_simulations_total", 0) == 0
+        assert handle.source is None and not handle.done()
+        assert backend.circuits_run == 0
+        # The engine stays usable and counts the next batch normally.
+        engine.run_spec(CircuitSpec(ghz(), shots=5))
+        delta = engine.stats - before
+        assert delta.batches_run == 1 and delta.simulations == 1
+
 
 class TestSpecs:
     def test_unmeasured_circuit_rejected(self):
@@ -225,6 +249,38 @@ class TestSpecs:
                 measured_qubits=(0,),
                 shots=0,
             )
+
+    @pytest.mark.parametrize("qubit", [2, -1])
+    def test_state_spec_qubit_outside_register_rejected(self, qubit):
+        with pytest.raises(ValueError, match=f"measured qubit {qubit} "):
+            StateSpec(
+                state=np.array([1.0 + 0j, 0.0, 0.0, 0.0]),
+                suffix=None,
+                measured_qubits=(0, qubit),
+                shots=10,
+            )
+
+    def test_state_spec_duplicate_qubit_rejected(self):
+        with pytest.raises(ValueError, match="measured qubit 1 is listed"):
+            StateSpec(
+                state=np.array([1.0 + 0j, 0.0, 0.0, 0.0]),
+                suffix=None,
+                measured_qubits=(1, 0, 1),
+                shots=10,
+            )
+
+    def test_bad_state_spec_fails_at_submit_and_the_batch_still_runs(
+        self, backend
+    ):
+        engine = ExecutionEngine(backend)
+        state = engine.prepare_state(ghz())
+        batch = engine.new_batch()
+        good = batch.submit_state(state, None, (0, 2), shots=10)
+        with pytest.raises(ValueError, match="measured qubit 3 "):
+            batch.submit_state(state, None, (0, 3), shots=10)
+        batch.run()
+        assert good.done() and good.pmf().qubits == (0, 2)
+        assert backend.circuits_run == 1
 
     def test_unbound_circuit_fingerprint_rejected(self):
         from repro.circuits.parameter import Parameter

@@ -7,9 +7,12 @@ from repro.backends.clifford import CliffordBackend
 from repro.backends.density import DensityBackend
 from repro.engine import EngineConfig
 from repro.engine.engine import ExecutionEngine
-from repro.engine.spec import CircuitSpec
+from repro.engine.spec import CircuitSpec, StateSpec
 from repro.circuits import Circuit
-from repro.noise import DeviceModel, ReadoutErrorModel, SimulatorBackend
+from repro.noise import SimulatorBackend
+from repro.sim.plan import CircuitPlan, compile_plan
+
+from ..noise.scalar_reference import reference_pmf
 
 
 def ansatz(theta, phi=0.25):
@@ -23,13 +26,17 @@ def ansatz(theta, phi=0.25):
     return qc
 
 
-def run_trace(engine, thetas, shots=128):
+def run_specs(engine, specs):
     batch = engine.new_batch()
-    handles = [
-        batch.submit(CircuitSpec(ansatz(t), shots, False)) for t in thetas
-    ]
+    handles = [batch.submit(spec) for spec in specs]
     batch.run()
     return handles
+
+
+def run_trace(engine, thetas, shots=128):
+    return run_specs(
+        engine, [CircuitSpec(ansatz(t), shots, False) for t in thetas]
+    )
 
 
 class TestPlanCache:
@@ -65,16 +72,16 @@ class TestPlanCache:
         assert engine.stats.plan_cache.size == 0
         engine.close()
 
-    def test_plan_cache_size_zero_disables_the_plan_path(self, backend):
+    def test_plan_cache_size_zero_retains_no_plan(self, backend):
         engine = ExecutionEngine(
             backend, EngineConfig(plan_cache_size=0)
         )
-        assert not engine._plan_batching
-        assert not engine._plan_prepare
-        assert not engine._suffix_plans
         run_trace(engine, [0.1, 0.2])
+        run_trace(engine, [0.3])
         stats = engine.stats.plan_cache
-        assert stats.misses == 0 and stats.hits == 0
+        # Every lookup compiles afresh; nothing is kept or reused.
+        assert stats.size == 0 and stats.hits == 0
+        assert stats.misses >= 2
         engine.close()
 
 
@@ -121,25 +128,64 @@ class TestPlanPathBitIdentity:
 
 
 class TestCapabilityGating:
-    def test_dense_backend_supports_plan_batching(self, backend):
-        assert backend.supports_plan_batching()
-        assert backend.supports_suffix_plans()
+    """Each backend's hooks decide how it simulates; the engine has one
+    path and never inspects the backend's class."""
+
+    def test_dense_backend_supports_plan_batching(self, backend, monkeypatch):
+        batches = []
+        original = CircuitPlan.run_batch
+
+        def counting(plan, bindings, *args, **kwargs):
+            batches.append(len(bindings))
+            return original(plan, bindings, *args, **kwargs)
+
+        monkeypatch.setattr(CircuitPlan, "run_batch", counting)
+        circuits = [ansatz(t) for t in (0.1, 0.2, 0.3)]
+        rows = backend.circuit_probabilities_batch(circuits, compile_plan)
+        assert batches == [3]
+        for circuit, row in zip(circuits, rows):
+            (alone,) = backend.circuit_probabilities_batch(
+                [circuit], compile_plan
+            )
+            assert np.array_equal(row, alone)
 
     @pytest.mark.parametrize("cls", [CliffordBackend, DensityBackend])
     def test_overriding_backends_are_excluded(self, cls, noisy_device):
+        """Stabilizer and density evolution never touch the plan cache."""
         backend = cls(noisy_device, seed=7)
-        assert not backend.supports_plan_batching()
+        ghz = Circuit(3)
+        ghz.h(0)
+        ghz.cx(0, 1)
+        ghz.cx(1, 2)
+        ghz.measure((0, 1, 2))
         engine = ExecutionEngine(backend, EngineConfig())
-        assert not engine._plan_batching
+        handle = run_specs(engine, [CircuitSpec(ghz, 64, False)])[0]
+        assert engine.stats.plan_cache.misses == 0
+        assert engine.stats.plan_cache.hits == 0
+        expected = backend.exact_pmf(ghz)
+        assert np.array_equal(handle.pmf().probs, expected.probs)
+        engine.close()
 
-    def test_noise_pipeline_override_disables_batching(self, noisy_device):
-        class CustomNoise(SimulatorBackend):
-            def _pmf_from_probs(self, *args, **kwargs):
-                return super()._pmf_from_probs(*args, **kwargs)
+    def test_finisher_override_serves_every_path(self, noisy_device):
+        class CountingFinisher(SimulatorBackend):
+            def exact_pmfs_from_probs_batch(self, rows):
+                calls.append(len(rows))
+                return super().exact_pmfs_from_probs_batch(rows)
 
-        backend = CustomNoise(noisy_device, seed=7)
-        assert not backend.supports_plan_batching()
-        assert not backend.supports_suffix_plans()
+        calls: list[int] = []
+        backend = CountingFinisher(noisy_device, seed=7)
+        backend.exact_pmf(ansatz(0.1))
+        engine = ExecutionEngine(backend, EngineConfig())
+        state = engine.prepare_state(ansatz(0.2))
+        run_specs(engine, [
+            CircuitSpec(ansatz(0.3), 64, False),
+            CircuitSpec(ansatz(0.4), 64, True),
+            StateSpec(state, None, (0, 1), 64),
+        ])
+        backend.pmf_from_state(state, None, (2,))
+        # exact_pmf, then the whole batch in one call, then one state.
+        assert calls == [1, 3, 1]
+        engine.close()
 
 
 class TestVectorizedFinisher:
@@ -152,30 +198,6 @@ class TestVectorizedFinisher:
         rows.append((rng.random(8), 3, (0, 1, 2), True, (0, 0)))
         batch = backend.exact_pmfs_from_probs_batch(rows)
         for row, pmf in zip(rows, batch):
-            expected = backend._pmf_from_probs(
-                row[0], row[1], list(row[2]), row[3], row[4]
-            )
-            assert pmf.qubits == expected.qubits
-            assert np.array_equal(pmf.probs, expected.probs)
-
-    def test_custom_readout_falls_back_to_scalar_rows(self, noisy_device):
-        class TracingReadout(ReadoutErrorModel):
-            pass
-
-        readout = noisy_device.readout
-        device = DeviceModel(
-            noisy_device.name,
-            TracingReadout(
-                readout.qubit_errors,
-                readout.crosstalk_strength,
-                readout.scale,
-            ),
-            noisy_device.gate_noise,
-            noisy_device.topology,
-        )
-        backend = SimulatorBackend(device, seed=7)
-        probs = np.full(8, 1 / 8)
-        rows = [(probs, 3, (0, 1, 2), False, (2, 1))]
-        batch = backend.exact_pmfs_from_probs_batch(rows)
-        expected = backend._pmf_from_probs(probs, 3, [0, 1, 2], False, (2, 1))
-        assert np.array_equal(batch[0].probs, expected.probs)
+            expected = reference_pmf(*row, device=backend.device)
+            assert pmf.qubits == row[2]
+            assert np.array_equal(pmf.probs, expected)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
+from repro.engine import ExecutionEngine, StateSpec
 from repro.noise import SimulatorBackend, ideal_device
-from repro.sim import run_statevector
+from repro.sim import compile_plan
 
 
 def bell() -> Circuit:
@@ -57,14 +58,17 @@ class TestAccounting:
     def test_prepare_state_not_charged(self, ideal_backend):
         qc = Circuit(2)
         qc.h(0)
-        ideal_backend.prepare_state(qc)
+        ideal_backend.prepare_states([qc], compile_plan)
         assert ideal_backend.circuits_run == 0
 
     def test_run_from_state_charged(self, ideal_backend):
         qc = Circuit(2)
         qc.h(0)
-        state = ideal_backend.prepare_state(qc)
-        ideal_backend.run_from_state(state, None, [0], shots=5)
+        (state,) = ideal_backend.prepare_states([qc], compile_plan)
+        ideal_backend.pmf_from_state(state, None, [0])
+        assert ideal_backend.circuits_run == 0
+        engine = ExecutionEngine(ideal_backend)
+        engine.run_spec(StateSpec(state, None, (0,), shots=5))
         assert ideal_backend.circuits_run == 1
         assert ideal_backend.shots_run == 5
 
@@ -117,8 +121,8 @@ class TestNoiseApplication:
         full = prep.compose(suffix)
         full.measure([0, 1])
         pmf_full = backend.exact_pmf(full)
-        state = backend.prepare_state(prep)
-        pmf_cached = backend._pmf_from_state(
+        (state,) = backend.prepare_states([prep], compile_plan)
+        pmf_cached = backend.pmf_from_state(
             state, suffix, [0, 1], False, (3, 1)
         )
         assert np.allclose(pmf_full.probs, pmf_cached.probs)
