@@ -1,14 +1,12 @@
 """Extension: the typed experiment API driving the sweep pipeline.
 
-PR 4 replaced the string-kind estimator factory with the
-``repro.api`` registry: per-kind typed ``EstimatorSpec`` dataclasses
-plus a ``Session`` owning device/backend/seed/engine.  This bench
-exercises the new surface end to end through the declarative catalog
-(entry ``ext_api_session``): one tuning grid whose axis is a list of
-*inline estimator-spec payloads* — including the ``gc``, ``selective``,
-and ``calibration_gated`` kinds the legacy ``make_estimator`` factory
-never exposed — each constructed through ``Session`` inside the sweep
-runner.
+The ``repro.api`` registry holds per-kind typed ``EstimatorSpec``
+dataclasses plus a ``Session`` owning device/backend/seed/engine.
+This bench exercises that surface end to end through the declarative
+catalog (entry ``ext_api_session``): one tuning grid whose axis is a
+list of *inline estimator-spec payloads* — including the ``gc``,
+``selective`` and ``calibration_gated`` kinds — each constructed
+through ``Session`` inside the sweep runner.
 
 Expected shape: every registered kind tunes (finite energies, charged
 circuit ledgers); GC spends several-fold fewer circuits per iteration

@@ -18,31 +18,19 @@ from conftest import print_table, record_entry_stat
 from repro.sweeps import ResultStore, get_entry, run_entry, select
 
 ENTRY = "ext_engine_throughput"
-_STATE: dict = {}
 
 
-def _run(benchmark, tmp_path_factory):
-    if not _STATE:
-        store = ResultStore(tmp_path_factory.mktemp(ENTRY) / "store.jsonl")
-        entry = get_entry(ENTRY)
-        outcome = benchmark.pedantic(
-            lambda: run_entry(entry, store), iterations=1, rounds=1
-        )
-        _STATE["outcome"] = outcome
-        _STATE["tables"] = outcome.tables()
-        assert run_entry(entry, store).executed == []
-    else:
-        benchmark.pedantic(lambda: _STATE["outcome"], iterations=1,
-                           rounds=1)
-    return _STATE
-
-
-def test_engine_throughput_on_repeated_trace(benchmark, tmp_path_factory):
-    state = _run(benchmark, tmp_path_factory)
-    table = state["tables"][0]
+def test_engine_throughput_on_repeated_trace(benchmark, tmp_path):
+    store = ResultStore(tmp_path / "store.jsonl")
+    entry = get_entry(ENTRY)
+    outcome = benchmark.pedantic(
+        lambda: run_entry(entry, store), iterations=1, rounds=1
+    )
+    assert run_entry(entry, store).executed == []
+    table = outcome.tables()[0]
     print_table(table.title, table.headers, table.rows)
 
-    records = state["outcome"].records
+    records = outcome.records
     direct = select(records, point__options={"cache": False})[0]["result"]
     engine = select(records, point__options={})[0]["result"]
     # The paper's cost metric is untouched: identical ledgers...
@@ -63,16 +51,3 @@ def test_engine_throughput_on_repeated_trace(benchmark, tmp_path_factory):
         ENTRY, speedup=direct["seconds"] / engine["seconds"]
     )
 
-
-def test_worker_scaling_is_deterministic(benchmark, tmp_path_factory):
-    """workers=4 must reproduce workers=1 bit-for-bit on the same trace."""
-    state = _run(benchmark, tmp_path_factory)
-    records = state["outcome"].records
-    results = {
-        workers: select(
-            records, point__options__workers=workers
-        )[0]["result"]
-        for workers in (1, 4)
-    }
-    assert results[1]["energies"] == results[4]["energies"]
-    assert results[1]["circuits"] == results[4]["circuits"]

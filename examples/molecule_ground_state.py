@@ -14,15 +14,15 @@ Usage::
 
 import sys
 
-from repro import make_estimator, make_workload, run_vqe
+from repro import Session, make_workload, run_vqe
 from repro.hamiltonian import molecule_keys
-from repro.noise import SimulatorBackend, ibmq_mumbai_like
+from repro.noise import ibmq_mumbai_like
 from repro.optimizers import SPSA
 
 
 def run_budgeted(kind, workload, device, budget, shots=256, seed=13):
-    backend = SimulatorBackend(device, seed=seed)
-    estimator = make_estimator(kind, workload, backend, shots=shots)
+    session = Session(device, seed=seed)
+    estimator = session.estimator(kind, workload, shots=shots)
     return run_vqe(
         estimator,
         optimizer=SPSA(a=0.3, seed=seed),

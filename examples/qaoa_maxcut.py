@@ -14,8 +14,8 @@ Usage::
 import networkx as nx
 import numpy as np
 
-from repro import make_estimator, run_vqe
-from repro.noise import SimulatorBackend, ibmq_mumbai_like
+from repro import Session, run_vqe
+from repro.noise import ibmq_mumbai_like
 from repro.qaoa import cut_value, make_qaoa_workload
 from repro.sim import PMF
 from repro.sim.statevector import probabilities, run_statevector
@@ -39,8 +39,8 @@ def main() -> None:
     device = ibmq_mumbai_like(scale=2.0)
     results = {}
     for kind in ("baseline", "varsaw"):
-        backend = SimulatorBackend(device, seed=13)
-        estimator = make_estimator(kind, workload, backend, shots=512)
+        session = Session(device, seed=13)
+        estimator = session.estimator(kind, workload, shots=512)
         result = run_vqe(estimator, max_iterations=120, seed=13)
         results[kind] = result
         print(

@@ -28,10 +28,8 @@ Typical use::
     estimator = session.estimator(spec, workload)
     result = run_vqe(estimator, max_iterations=100, seed=7)
 
-The legacy ``repro.workloads.make_estimator`` factory is a thin
-deprecation shim over this package (bit-identical results); sweep
-Points, the CLI, ZNE, and the analysis drivers all construct through
-it as well.
+Sweep Points, the CLI, ZNE, the serve subsystem and the analysis
+drivers all construct estimators through this package.
 """
 
 from __future__ import annotations

@@ -94,7 +94,9 @@ class Session:
         backend — bit-identical to the pre-registry behavior.
         Alternatively a ready live backend to adopt as-is (then
         mutually exclusive with ``device`` / ``seed`` /
-        ``noise_scale``).
+        ``noise_scale``).  :meth:`close` closes a backend the session
+        built, never an adopted one: whoever builds a backend closes
+        it.
     """
 
     def __init__(
@@ -147,6 +149,7 @@ class Session:
                     )
                 device = device.with_noise_scale(noise_scale)
             self.backend = make_backend(backend, device, seed=seed)
+        self._owns_backend = declarative
         self.engine = ensure_engine(engine, self.backend)
 
     # ------------------------------------------------------- properties
@@ -240,8 +243,14 @@ class Session:
     # -------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Release the engine's worker pool (idempotent)."""
-        self.engine.close()
+        """Close the backend if this session built it (idempotent).
+
+        Releases a ``remote`` backend's worker processes; an adopted
+        live backend stays open for its owner.  The ledger and stats
+        stay readable afterwards.
+        """
+        if self._owns_backend:
+            self.backend.close()
 
     def __enter__(self) -> Session:
         return self

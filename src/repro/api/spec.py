@@ -2,10 +2,9 @@
 
 An :class:`EstimatorSpec` is the declarative description of one
 estimator construction — every knob a comparison scheme exposes, as a
-frozen dataclass of plain JSON values.  Where the legacy
-``make_estimator(kind, **kwargs)`` factory forwarded untyped keyword
-arguments into constructors (and silently dropped or exploded on the
-misspelled ones), a spec
+frozen dataclass of plain JSON values.  Instead of forwarding untyped
+keyword arguments into constructors (and silently dropping or
+exploding on the misspelled ones), a spec
 
 * **validates eagerly** — every field is checked in ``__post_init__``,
   so a bad ``window`` or a misspelled parameter fails at spec build
@@ -108,15 +107,14 @@ def check_bool(name: str, value: Any) -> None:
 def split_live_params(
     params: Mapping[str, Any],
 ) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Split raw factory kwargs into (spec params, live build overrides).
+    """Split raw keyword arguments into (spec params, live overrides).
 
     A live object passed where a spec expects a JSON flag — today only
-    ``mbm``, which legacy callers may pass as a ready
+    ``mbm``, which callers of
+    :func:`repro.sweeps.runner.execute_tuning` may pass as a ready
     :class:`~repro.mitigation.MatrixMitigator` instead of a bool — has
     no dict spelling; it bypasses the spec and is handed straight to
-    :meth:`EstimatorSpec.build` as an override.  The shim layers
-    (``make_estimator``, the sweep runner) share this so the escape
-    hatch lives in one place.
+    :meth:`EstimatorSpec.build` as an override.
     """
     params = dict(params)
     overrides: dict[str, Any] = {}

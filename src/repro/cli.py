@@ -36,8 +36,9 @@ import sys
 from . import obs
 from .analysis import sparkline
 from .api import Session, estimator_kinds, spec_class
-from .backends import backend_class, backend_kinds, make_backend
+from .backends import backend_class, backend_kinds
 from .core import count_jigsaw_subsets, count_varsaw_subsets
+from .engine import EngineConfig
 from .hamiltonian import MOLECULES, build_hamiltonian, molecule_keys
 from .noise import (
     DEVICE_PRESETS,
@@ -49,7 +50,7 @@ from .noise import (
 )
 from .optimizers import SPSA
 from .vqe import run_vqe
-from .workloads import ESTIMATOR_KINDS, make_engine, make_workload
+from .workloads import ESTIMATOR_KINDS, make_workload
 
 __all__ = ["main", "build_parser"]
 
@@ -384,8 +385,8 @@ def _int_at_least(minimum: int):
 def _add_engine_arguments(parser) -> None:
     """Execution-engine knobs shared by the VQE-running subcommands.
 
-    Defaults are ``None`` so :func:`repro.workloads.make_engine` falls
-    through to :class:`~repro.engine.EngineConfig`'s canonical values.
+    Defaults are ``None`` so :func:`_engine_config` falls through to
+    :class:`~repro.engine.EngineConfig`'s canonical values.
     """
     parser.add_argument(
         "--backend", default=None, metavar="KIND",
@@ -393,12 +394,8 @@ def _add_engine_arguments(parser) -> None:
         "default: dense)",
     )
     parser.add_argument(
-        "--workers", type=_int_at_least(1), default=None,
-        help="parallel simulation workers (default: serial)",
-    )
-    parser.add_argument(
         "--cache-size", type=_int_at_least(0), default=None,
-        help="PMF memoization entries; 0 disables caching",
+        help="PMF memoization entries; 0 disables all caching",
     )
     parser.add_argument(
         "--cache-bytes", type=_int_at_least(0), default=None,
@@ -450,15 +447,30 @@ def _scheme_params(args) -> dict:
     return {name: value for name, value in flags.items() if value is not None}
 
 
-def _make_cli_session(args, workload, backend):
+def _engine_config(args) -> EngineConfig:
+    """The engine flags the user set, over the config defaults.
+
+    ``--cache-size 0`` turns off the statevector cache along with the
+    PMF cache, so an uncached run memoizes nothing.
+    """
+    knobs = {}
+    if args.cache_size is not None:
+        knobs["cache_size"] = args.cache_size
+        if args.cache_size == 0:
+            knobs["state_cache_size"] = 0
+    if args.cache_bytes is not None:
+        knobs["cache_bytes"] = args.cache_bytes
+    return EngineConfig(**knobs)
+
+
+def _make_cli_session(args, workload, device):
     """Session + estimator for a run/qaoa invocation's arguments."""
-    engine = make_engine(
-        backend,
-        workers=args.workers,
-        cache_size=args.cache_size,
-        cache_bytes=args.cache_bytes,
+    session = Session(
+        device,
+        seed=args.seed,
+        backend=args.backend,
+        engine=_engine_config(args),
     )
-    session = Session(backend=backend, engine=engine)
     estimator = session.estimator(
         args.scheme, workload, shots=args.shots, **_scheme_params(args)
     )
@@ -569,8 +581,7 @@ def _cmd_run(args) -> int:
             ),
         )
     try:
-        backend = make_backend(args.backend, device, seed=args.seed)
-        estimator, session = _make_cli_session(args, workload, backend)
+        estimator, session = _make_cli_session(args, workload, device)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -579,13 +590,14 @@ def _cmd_run(args) -> int:
         f"{workload.hamiltonian.num_terms} terms, "
         f"ideal energy {workload.ideal_energy:.3f}"
     )
-    result = run_vqe(
-        estimator,
-        optimizer=SPSA(a=0.3, seed=args.seed),
-        max_iterations=args.iterations if args.budget is None else 10**6,
-        circuit_budget=args.budget,
-        seed=args.seed,
-    )
+    with session:
+        result = run_vqe(
+            estimator,
+            optimizer=SPSA(a=0.3, seed=args.seed),
+            max_iterations=args.iterations if args.budget is None else 10**6,
+            circuit_budget=args.budget,
+            seed=args.seed,
+        )
     print(
         f"{args.scheme}: energy = {result.energy:.4f} "
         f"(error {abs(result.energy - workload.ideal_energy):.4f}) "
@@ -667,8 +679,7 @@ def _cmd_qaoa(args) -> int:
         return 2
     device = workload.device.with_noise_scale(args.noise_scale)
     try:
-        backend = make_backend(args.backend, device, seed=args.seed)
-        estimator, session = _make_cli_session(args, workload, backend)
+        estimator, session = _make_cli_session(args, workload, device)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -676,11 +687,12 @@ def _cmd_qaoa(args) -> int:
         f"{workload.key}: QAOA p={args.reps}, max cut "
         f"{-workload.ideal_energy:.0f}"
     )
-    result = run_vqe(
-        estimator,
-        max_iterations=args.iterations,
-        seed=args.seed,
-    )
+    with session:
+        result = run_vqe(
+            estimator,
+            max_iterations=args.iterations,
+            seed=args.seed,
+        )
     print(
         f"{args.scheme}: energy = {result.energy:.4f} "
         f"(ideal {workload.ideal_energy:.1f}) after "

@@ -1,18 +1,19 @@
-"""repro.engine — batched, caching, parallel circuit execution.
+"""repro.engine — batched, caching circuit execution.
 
 Every estimator in the library routes its device executions through an
 :class:`ExecutionEngine` instead of calling the backend one circuit at a
 time.  The engine deduplicates structurally identical circuit specs
 within a batch, memoizes exact noisy PMFs across iterations/trials in a
-bounded LRU, and runs unique simulations through a configurable worker
-pool — while charging the backend's ``circuits_run``/``shots_run``
-ledger per *submitted* spec, so the paper's cost metric is untouched.
+bounded LRU, and runs each batch's unique simulations inline, with all
+of its circuit bodies going to the backend in one call — while
+charging the backend's ``circuits_run``/``shots_run`` ledger per
+*submitted* spec, so the paper's cost metric is untouched.
 
 Typical use::
 
     from repro.engine import EngineConfig, ExecutionEngine
 
-    engine = ExecutionEngine(backend, EngineConfig(workers=4))
+    engine = ExecutionEngine(backend, EngineConfig(cache_size=512))
     batch = engine.new_batch()
     handle = batch.submit_state(state, rotation, range(n), shots=512)
     batch.run()
@@ -32,9 +33,8 @@ the old failure mode where 256 cached 20-qubit PMFs pinned GiBs.
 from __future__ import annotations
 
 from .cache import CacheStats, LRUCache
-from .config import RNG_MODES, EngineConfig
+from .config import EngineConfig
 from .engine import Batch, EngineStats, ExecutionEngine, JobHandle
-from .executor import PoolExecutor, SerialExecutor, make_executor
 from .spec import (
     CircuitSpec,
     StateSpec,
@@ -52,10 +52,6 @@ __all__ = [
     "StateSpec",
     "LRUCache",
     "CacheStats",
-    "RNG_MODES",
-    "SerialExecutor",
-    "PoolExecutor",
-    "make_executor",
     "circuit_fingerprint",
     "device_fingerprint",
     "ensure_engine",
@@ -68,10 +64,9 @@ def shared_engine(backend) -> ExecutionEngine:
 
     One engine (and therefore one PMF/state cache pair) per backend is
     the default sharing discipline: estimators that don't ask for a
-    specific engine all pool their memoization.  Semantically invisible
-    under the default ``shared`` RNG mode — caches never touch sampling
-    randomness — but note that in ``per_job`` mode job sequence numbers
-    are per-engine, so explicitly-constructed engines stay private.
+    specific engine all pool their memoization.  Semantically
+    invisible: caches never touch sampling randomness, which always
+    comes from the backend's own RNG stream.
     """
     engine = getattr(backend, "_repro_shared_engine", None)
     if engine is None:

@@ -1,4 +1,4 @@
-"""The batched, caching, parallel circuit-execution engine.
+"""The batched, caching circuit-execution engine.
 
 Estimators no longer call the backend circuit-by-circuit.  They open a
 :class:`Batch`, submit every execution of the current objective
@@ -14,20 +14,18 @@ evaluation as a spec, and receive :class:`JobHandle` futures; one
    Circuits that differ only in their measured qubits (a JigSaw Global
    and its subsets) share one ideal-probability evaluation, and all
    circuit bodies of a batch go to the backend's simulation hook in
-   one call.  Simulation is deterministic, so neither caching nor
-   scheduling can change any numeric result.
+   one call.  Simulation is deterministic, so caching cannot change
+   any numeric result.
 3. **Sample & charge** — in *submission order*, every job samples its
    own shots from its PMF and charges the backend ledger exactly as a
    direct ``backend.run`` call would: one circuit plus ``shots`` per
    submitted spec, duplicates included.  The paper's cost metric is
    therefore bit-identical to the serial path.
 
-Under the default ``rng_mode="shared"`` the sampling pass consumes the
-backend's single RNG stream in submission order, reproducing the legacy
-serial semantics exactly for any worker count.  ``rng_mode="per_job"``
-gives each job a child RNG spawned from the backend seed and the job's
-global sequence number instead, decoupling results from submission
-interleaving entirely.
+The whole batch runs inline on the caller's thread, and the sampling
+pass consumes the backend's single RNG stream in submission order, so
+counts, energies and the ledger match a sequence of direct
+``backend.run`` calls exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from ..sim import PMF, Counts, probabilities
 from ..sim.plan import CircuitPlan, compile_plan, structure_fingerprint
 from .cache import CacheStats, LRUCache
 from .config import EngineConfig
-from .executor import make_executor
 from .spec import (
     CircuitSpec,
     StateSpec,
@@ -261,8 +258,8 @@ class ExecutionEngine:
     ----------
     backend:
         The execution substrate.  The engine charges this backend's
-        ``circuits_run``/``shots_run`` ledger per submitted spec and (in
-        ``shared`` RNG mode) samples from its RNG stream.
+        ``circuits_run``/``shots_run`` ledger per submitted spec and
+        samples from its RNG stream.
     config:
         An :class:`~repro.engine.EngineConfig`; defaults preserve the
         pre-engine serial semantics bit for bit.
@@ -271,7 +268,6 @@ class ExecutionEngine:
     def __init__(self, backend, config: EngineConfig | None = None):
         self.backend = backend
         self.config = config if config is not None else EngineConfig()
-        self._executor = make_executor(self.config.workers)
         n_qubits = getattr(
             getattr(backend, "device", None), "n_qubits", 0
         )
@@ -296,12 +292,6 @@ class ExecutionEngine:
         self._batches_run = 0
         self._simulations = 0
         self._dedup_coalesced = 0
-        seed = getattr(backend, "seed", None)
-        if seed is None:
-            # Unseeded backend: draw a per-engine root so per_job streams
-            # are still independent, just not reproducible across runs.
-            seed = int(np.random.SeedSequence().entropy % (2**63))
-        self._rng_root = int(seed)
 
     # ------------------------------------------------------------ submission
 
@@ -423,8 +413,8 @@ class ExecutionEngine:
         """
         backend = self.backend
         bodies: dict[str, list] = {}
-        row_futures = []
-        alone = []
+        state_rows = []
+        fresh = []
         for key, spec in misses:
             if isinstance(spec, CircuitSpec):
                 bodies.setdefault(body_fingerprint(spec.circuit), []).append(
@@ -436,12 +426,11 @@ class ExecutionEngine:
                     if spec.suffix is not None
                     else None
                 )
-                row_futures.append(self._executor.submit(
-                    self._ideal_probs_state, key, spec, suffix_plan
-                ))
+                state_rows.append(
+                    self._ideal_probs_state(key, spec, suffix_plan)
+                )
             else:
-                alone.append((key, self._executor.submit(
-                    backend.pmf_from_state,
+                fresh.append((key, backend.pmf_from_state(
                     spec.state,
                     spec.suffix,
                     spec.measured_qubits,
@@ -465,8 +454,7 @@ class ExecutionEngine:
                         spec.map_to_best,
                         backend.noise_gate_load(circuit),
                     ))
-        rows.extend(future.result() for future in row_futures)
-        fresh = [(key, future.result()) for key, future in alone]
+        rows.extend(state_rows)
         if rows:
             pmfs = backend.exact_pmfs_from_probs_batch(
                 [row[1:] for row in rows]
@@ -521,16 +509,10 @@ class ExecutionEngine:
 
             # Phase 3: sample and charge in submission order.
             shots_charged = 0
-            shared = self.config.rng_mode == "shared"
+            rng = self.backend.rng
             with _obs_span("engine.sample"):
                 for job in jobs:
                     pmf = resolved[(device_fp, job._fingerprint)]
-                    if shared:
-                        rng = self.backend.rng
-                    else:
-                        rng = np.random.default_rng(
-                            (self._rng_root, job.index)
-                        )
                     counts = self.backend.sample(pmf, job.spec.shots, rng)
                     self.backend.charge(job.spec.shots)
                     shots_charged += job.spec.shots
@@ -572,14 +554,9 @@ class ExecutionEngine:
         self._state_cache.clear()
         self._plan_cache.clear()
 
-    def close(self) -> None:
-        """Shut down the worker pool (caches stay usable)."""
-        self._executor.shutdown()
-
     def __repr__(self) -> str:
         s = self.stats
         return (
-            f"<ExecutionEngine workers={self.config.workers} "
-            f"jobs={s.jobs_submitted} sims={s.simulations} "
+            f"<ExecutionEngine jobs={s.jobs_submitted} sims={s.simulations} "
             f"cache={s.pmf_cache.hits}/{s.pmf_cache.requests} hits>"
         )

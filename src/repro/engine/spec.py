@@ -161,11 +161,13 @@ class StateSpec:
 
     ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
     preparation, charged to depolarizing noise on top of the suffix.
-    ``measured_qubits`` must be distinct qubits of ``state``'s register
-    (checked here, so a bad spec fails at submit time, not inside its
-    batch).  ``digest`` is an optional precomputed :func:`state_digest`
-    of ``state`` (an optimization for batches whose specs share a
-    state); when given, it MUST match the array's content.
+    ``state`` must hold ``2**n`` amplitudes, ``suffix`` (if any) must
+    act on the same ``n`` qubits, and ``measured_qubits`` must be
+    distinct qubits of that register — all checked here, so a bad spec
+    fails at submit time instead of failing its whole batch.
+    ``digest`` is an optional precomputed :func:`state_digest` of
+    ``state`` (an optimization for batches whose specs share a state);
+    when given, it MUST match the array's content.
     """
 
     state: np.ndarray = field(repr=False)
@@ -191,7 +193,17 @@ class StateSpec:
             raise ValueError("shots must be positive")
         if not self.measured_qubits:
             raise ValueError("no measured qubits")
-        n_qubits = len(self.state).bit_length() - 1
+        size = len(self.state)
+        n_qubits = max(size.bit_length() - 1, 0)
+        if size != 1 << n_qubits:
+            raise ValueError(
+                f"state has {size} amplitudes, not a power of two"
+            )
+        if self.suffix is not None and self.suffix.n_qubits != n_qubits:
+            raise ValueError(
+                f"suffix acts on {self.suffix.n_qubits} qubits but the "
+                f"state has a {n_qubits}-qubit register"
+            )
         for i, q in enumerate(self.measured_qubits):
             if not 0 <= q < n_qubits:
                 raise ValueError(

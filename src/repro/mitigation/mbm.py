@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..noise import SimulatorBackend
+from ..noise.characterization import _flip_fraction
 from ..sim import PMF, Counts
 
 __all__ = ["MatrixMitigator"]
@@ -74,8 +75,8 @@ class MatrixMitigator:
         counts1 = backend.run(ones, shots)
         matrices = {}
         for j, q in enumerate(qubits):
-            p01 = _flip_rate(counts0, j, expected="0")
-            p10 = _flip_rate(counts1, j, expected="1")
+            p01 = _flip_fraction(counts0, j, "0")
+            p10 = _flip_fraction(counts1, j, "1")
             matrices[q] = np.array([[1 - p01, p10], [p01, 1 - p10]])
         return cls(matrices)
 
@@ -103,15 +104,5 @@ class MatrixMitigator:
         return PMF(flat, pmf.qubits)
 
     def mitigate_counts(self, counts: Counts) -> PMF:
+        """:meth:`mitigate_pmf` applied to sampled ``counts``."""
         return self.mitigate_pmf(counts.to_pmf())
-
-
-def _flip_rate(counts: Counts, position: int, expected: str) -> float:
-    """Fraction of shots whose bit at ``position`` differs from expected."""
-    total = counts.shots
-    flips = sum(
-        value
-        for key, value in counts.items()
-        if key[position] != expected
-    )
-    return flips / total if total else 0.0

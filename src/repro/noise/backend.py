@@ -88,7 +88,8 @@ class SimulatorBackend:
     :meth:`prepare_states` (how bound circuits become ideal
     probabilities or statevectors, a function of their gates alone),
     :meth:`noise_gate_load` (the gate counts the global depolarizing
-    mix charges) and :meth:`sample` (how a PMF becomes counts) — so the
+    mix charges), :meth:`sample` (how a PMF becomes counts) and
+    :meth:`close` (releasing processes or connections) — so the
     noise finisher, the cost ledger, and the engine contract stay
     shared.  ``backend_kind`` is the registry name; the engine mixes it
     into its cache keys.  A subclass with extra PMF-shaping state
@@ -387,6 +388,17 @@ class SimulatorBackend:
                     f"{self.device.n_qubits}"
                 )
         return {q: q for q in measured}
+
+    # -------------------------------------------------------------- lifecycle
+
+    def close(self) -> None:
+        """Release the worker processes or connections the backend holds.
+
+        A no-op here; backends that start workers override it.  Whoever
+        builds a backend closes it (:meth:`repro.api.Session.close`
+        closes the backends it built), and the ledger stays readable
+        afterwards.
+        """
 
     def __repr__(self) -> str:
         return (

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..circuits import Circuit
+from ..sim import Counts
 from .backend import SimulatorBackend
 
 __all__ = ["QubitCharacterization", "CharacterizationReport", "characterize_readout"]
@@ -28,6 +29,7 @@ class QubitCharacterization:
 
     @property
     def mean_error(self) -> float:
+        """The average of the two flip rates."""
         return 0.5 * (self.p01 + self.p10)
 
 
@@ -47,10 +49,12 @@ class CharacterizationReport:
         return [q.qubit for q in ranked[:k]]
 
     def mean_error(self) -> float:
+        """Isolated mean readout error averaged over every qubit."""
         return sum(q.mean_error for q in self.qubits) / len(self.qubits)
 
 
-def _flip_fraction(counts, position: int, expected: str) -> float:
+def _flip_fraction(counts: Counts, position: int, expected: str) -> float:
+    """Fraction of shots whose bit at ``position`` differs from expected."""
     total = counts.shots
     flips = sum(
         value for key, value in counts.items() if key[position] != expected

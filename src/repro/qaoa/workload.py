@@ -2,7 +2,7 @@
 
 Wraps a MaxCut (or any diagonal-Hamiltonian) problem into the same
 :class:`~repro.workloads.Workload` record the VQE experiments use, so
-:func:`repro.workloads.make_estimator` builds every comparison scheme
+:meth:`repro.api.Session.estimator` builds every comparison scheme
 (baseline / JigSaw / VarSaw variants) for QAOA without modification.
 """
 
@@ -40,7 +40,7 @@ def make_qaoa_workload(
     """Build a QAOA workload: problem Hamiltonian + QAOA ansatz + device.
 
     The returned record is interchangeable with VQE workloads —
-    ``make_estimator('varsaw', workload, backend)`` works directly.
+    ``session.estimator('varsaw', workload)`` works directly.
     """
     hamiltonian = _build_problem(problem, n_qubits, seed)
     ansatz = QAOAAnsatz(hamiltonian, reps=reps)

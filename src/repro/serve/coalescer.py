@@ -316,6 +316,10 @@ class Coalescer:
         return totals
 
     def close(self) -> None:
-        """Release every shared session's engine pool (idempotent)."""
+        """Close every shared session and the backend it built.
+
+        Idempotent; releases the worker processes of ``remote``
+        backends.  Stats and engine totals stay readable afterwards.
+        """
         for session in self._sessions.values():
             session.close()

@@ -1483,8 +1483,6 @@ def _build_ext_engine_throughput() -> SweepSpec:
         cells=[
             {"options": {"cache": False}},
             {"options": {}},
-            {"options": {"workers": 1, "limit": 8}},
-            {"options": {"workers": 4, "limit": 8}},
         ],
     )
 

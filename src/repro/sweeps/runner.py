@@ -319,7 +319,8 @@ def execute_tuning_point(point: Point, workload_cache: dict) -> dict:
     The execution backend comes from the point's optional ``backend``
     field through the :mod:`repro.backends` registry; absent, the
     ``dense`` default is constructed exactly as the pre-registry
-    runner did.
+    runner did.  The point closes the backend it built, so a
+    ``remote`` backend's workers never outlive it.
     """
     from ..backends import make_backend
 
@@ -330,18 +331,21 @@ def execute_tuning_point(point: Point, workload_cache: dict) -> dict:
         seed=point.seed,
     )
     scheme, shots, estimator_kwargs = point.estimator_args()
-    run = execute_tuning(
-        scheme,
-        workload,
-        max_iterations=point.max_iterations,
-        circuit_budget=point.circuit_budget,
-        shots=shots,
-        seed=point.seed,
-        spsa_gain=point.spsa_gain,
-        initial_params=initial,
-        backend=backend,
-        **estimator_kwargs,
-    )
+    try:
+        run = execute_tuning(
+            scheme,
+            workload,
+            max_iterations=point.max_iterations,
+            circuit_budget=point.circuit_budget,
+            shots=shots,
+            seed=point.seed,
+            spsa_gain=point.spsa_gain,
+            initial_params=initial,
+            backend=backend,
+            **estimator_kwargs,
+        )
+    finally:
+        backend.close()
     fraction = run.global_fraction
     result = {
         "energy": float(run.energy),

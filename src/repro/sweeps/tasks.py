@@ -807,8 +807,8 @@ def _engine_replay(point: Point, workload_cache: dict) -> dict:
     """Replay the repeated-parameter H2-4 VarSaw trace through the
     execution engine (throughput bench).
 
-    Options: ``cache`` (False disables memoization), ``workers``
-    (engine simulation workers), ``trace_points``/``trace_repeats``.
+    Options: ``cache`` (False disables memoization),
+    ``trace_points``/``trace_repeats``.
     The evaluate-loop wall clock is measured *inside* the task (it is
     the bench's reported quantity) — it is volatile and masked by the
     parity suite.
@@ -830,8 +830,6 @@ def _engine_replay(point: Point, workload_cache: dict) -> dict:
         config_kwargs.update(
             cache_size=0, state_cache_size=0, plan_cache_size=0
         )
-    if options.get("workers") is not None:
-        config_kwargs.update(workers=options["workers"])
 
     workload = make_workload("H2-4")
     session = Session(
@@ -848,10 +846,7 @@ def _engine_replay(point: Point, workload_cache: dict) -> dict:
             0.0, 0.05, size=workload.ansatz.num_parameters
         )
         points.append(theta.copy())
-    limit = options.get("limit")
-    trace = (points * trace_repeats)[
-        : limit if limit is not None else None
-    ]
+    trace = points * trace_repeats
     start = time.perf_counter()
     energies = [estimator.evaluate(theta) for theta in trace]
     elapsed = time.perf_counter() - start

@@ -9,9 +9,9 @@ provide alternative estimators (in :mod:`repro.mitigation` and
 Estimators do not call the backend circuit-by-circuit: each objective
 evaluation is submitted as one batch to a
 :class:`~repro.engine.ExecutionEngine`, which deduplicates identical
-circuit specs, memoizes exact noisy PMFs across iterations, and can
-simulate on a worker pool — while charging the backend's cost ledger
-per submitted spec, exactly like the serial path did.
+circuit specs and memoizes exact noisy PMFs across iterations — while
+charging the backend's cost ledger per submitted spec, exactly like
+the serial path did.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 Experiments in the paper repeat the same setup dance — build a molecule's
 Hamiltonian, an EfficientSU2 ansatz of matching width, a noisy device
 model, and look up the ideal energy.  :func:`make_workload` packages
-that.  Estimator construction lives in :mod:`repro.api` (typed
-``EstimatorSpec`` classes + ``Session``); the :func:`make_estimator` /
-:func:`make_engine` factories kept here are thin deprecation shims over
-that registry, bit-identical to their historical behavior.
+that.  Estimators over a workload come from :mod:`repro.api`::
+
+    session = Session(workload.device, seed=7)
+    estimator = session.estimator("varsaw", workload, shots=512)
 """
 
 from __future__ import annotations
@@ -14,23 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..ansatz import EfficientSU2
-from ..api import estimator_kinds, spec_class
-from ..engine import EngineConfig, ExecutionEngine, ensure_engine
+from ..api import estimator_kinds
 from ..hamiltonian import (
     MOLECULES,
     Hamiltonian,
     build_hamiltonian,
     ground_state_energy,
 )
-from ..noise import DeviceModel, SimulatorBackend, ibmq_mumbai_like
+from ..noise import DeviceModel, ibmq_mumbai_like
 
 __all__ = [
     "Workload",
     "make_workload",
     "make_spin_workload",
     "spin_hamiltonian_constructor",
-    "make_estimator",
-    "make_engine",
     "ESTIMATOR_KINDS",
     "SPIN_MODELS",
 ]
@@ -54,6 +51,7 @@ class Workload:
 
     @property
     def n_qubits(self) -> int:
+        """Register width of the Hamiltonian (and the ansatz)."""
         return self.hamiltonian.n_qubits
 
 
@@ -151,96 +149,3 @@ def make_spin_workload(
         device=device,
         ideal_energy=ground_state_energy(hamiltonian),
     )
-
-
-def make_engine(
-    backend: SimulatorBackend,
-    workers: int | None = None,
-    cache_size: int | None = None,
-    rng_mode: str | None = None,
-    state_cache_size: int | None = None,
-    cache_bytes: int | None = None,
-    state_cache_bytes: int | None = None,
-) -> ExecutionEngine:
-    """Build an :class:`~repro.engine.ExecutionEngine` for a backend.
-
-    Convenience wrapper for scripts/CLI; library code can construct the
-    engine (or just an :class:`~repro.engine.EngineConfig`) directly.
-    ``None`` for any knob defers to :class:`~repro.engine.EngineConfig`'s
-    default — for ``cache_bytes``/``state_cache_bytes`` that default is
-    an automatic byte budget scaling with ``2**n_qubits`` (pass ``0``
-    for unbounded bytes).  ``cache_size=0`` disables *all* memoization
-    (the statevector cache included, unless ``state_cache_size``
-    overrides it); note intra-batch dedup of structurally identical
-    specs is always active, so even an uncached engine can simulate
-    fewer circuits than the old serial path (results are unaffected).
-    """
-    overrides = {
-        key: value
-        for key, value in (
-            ("workers", workers),
-            ("cache_size", cache_size),
-            ("rng_mode", rng_mode),
-            ("state_cache_size", state_cache_size),
-            ("cache_bytes", cache_bytes),
-            ("state_cache_bytes", state_cache_bytes),
-        )
-        if value is not None
-    }
-    if cache_size == 0 and state_cache_size is None:
-        overrides["state_cache_size"] = 0
-    # The same coercion Session applies to its engine= argument.
-    return ensure_engine(EngineConfig(**overrides), backend)
-
-
-def make_estimator(
-    kind: str,
-    workload: Workload,
-    backend: SimulatorBackend,
-    shots: int = 1024,
-    window: int = 2,
-    engine=None,
-    workers: int | None = None,
-    cache_size: int | None = None,
-    **kwargs,
-):
-    """Build one of the comparison schemes (deprecation shim).
-
-    Prefer the typed path::
-
-        session = Session(backend=backend)
-        estimator = session.estimator(kind, workload, shots=shots, ...)
-
-    This factory now resolves ``kind`` through the
-    :mod:`repro.api` registry, so every registered kind (including
-    ``gc``, ``selective``, ``calibration_gated``, and out-of-tree
-    estimators) is addressable — and unknown or misspelled keyword
-    arguments raise a ``ValueError`` naming the offending key and the
-    kind's accepted fields instead of being forwarded blindly.
-    Construction is bit-identical to the historical factory: ``shots``
-    and ``window`` apply only to kinds that accept them, exactly as the
-    old named-argument forwarding did.
-
-    Execution engine configuration
-    ------------------------------
-    ``engine`` may be a ready :class:`~repro.engine.ExecutionEngine`
-    (e.g. shared between estimators on one backend) or an
-    :class:`~repro.engine.EngineConfig`.  Alternatively pass ``workers``
-    and/or ``cache_size`` to configure a fresh engine in place; with
-    neither given the estimator builds a default-configured engine.
-    """
-    from ..api.spec import split_live_params
-
-    if workers is not None or cache_size is not None:
-        if engine is not None:
-            raise ValueError(
-                "pass either engine= or workers=/cache_size=, not both"
-            )
-        engine = make_engine(backend, workers=workers, cache_size=cache_size)
-    cls = spec_class(kind)
-    params, overrides = split_live_params(kwargs)
-    for name, value in (("shots", shots), ("window", window)):
-        if name in cls.field_names():
-            params.setdefault(name, value)
-    spec = cls(**cls.check_params(params))
-    return spec.build(workload, backend, engine=engine, **overrides)

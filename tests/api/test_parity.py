@@ -1,10 +1,8 @@
-"""Bit-identity: the Session/spec path vs the legacy constructions.
+"""Bit-identity: the Session/spec path vs the direct constructors.
 
-The api_redesign acceptance bar: with a fixed seed, constructing through
-``Session.estimator`` (or the ``make_estimator`` shim, which now
-resolves through the registry) yields *bit-identical* energies and
-cost ledgers to the historical direct-constructor / string-factory
-paths, for every registered kind.
+With a fixed seed, constructing through ``Session.estimator`` yields
+*bit-identical* energies and cost ledgers to hand-wiring the
+estimator class over a backend, for every registered kind.
 """
 
 import numpy as np
@@ -25,18 +23,8 @@ from repro.vqe import (
     BaselineEstimator,
     GeneralCommutationEstimator,
     IdealEstimator,
-    run_vqe,
 )
-from repro.workloads import make_estimator, make_workload
-
-LEGACY_FACTORY_KINDS = (
-    "ideal",
-    "baseline",
-    "jigsaw",
-    "varsaw",
-    "varsaw_no_sparsity",
-    "varsaw_max_sparsity",
-)
+from repro.workloads import make_workload
 
 
 @pytest.fixture(scope="module")
@@ -48,30 +36,8 @@ def _params(workload):
     return np.full(workload.ansatz.num_parameters, 0.1)
 
 
-class TestSessionVsLegacyFactory:
-    @pytest.mark.parametrize("kind", LEGACY_FACTORY_KINDS)
-    def test_tuning_runs_bit_identical(self, kind, workload):
-        backend = SimulatorBackend(workload.device, seed=11)
-        legacy = run_vqe(
-            make_estimator(kind, workload, backend, shots=32),
-            max_iterations=3,
-            seed=11,
-        )
-        session = Session(workload.device, seed=11)
-        ours = run_vqe(
-            session.estimator(kind, workload, shots=32),
-            max_iterations=3,
-            seed=11,
-        )
-        assert ours.energy == legacy.energy
-        assert ours.energy_history == legacy.energy_history
-        assert session.backend.circuits_run == backend.circuits_run
-        assert session.backend.shots_run == backend.shots_run
-
-
 class TestSessionVsDirectConstructors:
-    """The kinds the legacy factory never exposed, against the direct
-    constructor calls the benchmarks used to hand-wire."""
+    """Every kind against the direct constructor call it replaces."""
 
     CASES = {
         "ideal": (IdealEstimator, {}, {}),
@@ -153,15 +119,23 @@ class TestMbmMaterialization:
         ours = session.estimator("varsaw", workload, shots=32, mbm=True)
         assert ours.evaluate(params) == legacy.evaluate(params)
 
-    def test_live_mbm_object_still_accepted_by_shim(self, workload):
-        backend = SimulatorBackend(workload.device, seed=2)
+    def test_live_mbm_object_accepted_by_execute_tuning(self, workload):
+        """The sweep runner hands a ready mitigator straight to the
+        build; it tunes exactly like the ``mbm`` flag's own."""
+        from repro.sweeps.runner import execute_tuning
+
         mitigator = MatrixMitigator.from_device(
             SimulatorBackend(workload.device), range(workload.n_qubits)
         )
-        estimator = make_estimator(
-            "varsaw", workload, backend, shots=32, mbm=mitigator
+        live, flag = (
+            execute_tuning(
+                "varsaw", workload, max_iterations=2, shots=32, seed=2,
+                mbm=mbm,
+            ).result
+            for mbm in (mitigator, True)
         )
-        assert estimator.mbm is mitigator
+        assert live.energy_history == flag.energy_history
+        assert live.circuits_executed == flag.circuits_executed
 
 
 class TestSpecDrivenPointParity:

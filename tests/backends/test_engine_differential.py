@@ -102,7 +102,6 @@ def run_mixed_batch(backend):
         for suffix, qubits, best in state_specs
     ]
     batch.run()
-    engine.close()
     expected = [
         backend.exact_pmf(circuit, map_to_best)
         for circuit, map_to_best, _ in circuit_specs()
@@ -160,7 +159,6 @@ def test_remote_dense_is_bitwise_dense_in_one_probs_request(wire_ops):
         for circuit, map_to_best, _ in circuit_specs():
             batch.submit_circuit(circuit, SHOTS, map_to_best)
         batch.run()
-        engine.close()
         assert wire_ops.count("probs") == 1
         pmfs, expected, _ = run_mixed_batch(backend)
     finally:

@@ -6,8 +6,9 @@ installing ruff: every module, public class, and public
 function/method in the packages below must carry a docstring.  The
 scope is the surface a new contributor (or an out-of-tree extension
 author) programs against: the experiment API, the backend registry
-and the base backend it extends, the execution engine, and the sweep
-spec/runner/catalog layer.
+and the base backend it extends, the execution engine, the workload
+registry, readout characterization and matrix mitigation, and the
+sweep spec/runner/catalog layer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ SCOPED = [
     "repro/dist",
     "repro/engine",
     "repro/io",
+    "repro/mitigation/mbm.py",
     "repro/noise/backend.py",
+    "repro/noise/characterization.py",
     "repro/obs",
     "repro/serve",
     "repro/sim/density.py",
@@ -34,6 +37,7 @@ SCOPED = [
     "repro/sweeps/spec.py",
     "repro/sweeps/catalog.py",
     "repro/sweeps/runner.py",
+    "repro/workloads",
 ]
 
 

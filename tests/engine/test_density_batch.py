@@ -16,7 +16,6 @@ import repro.backends.density as density_module
 from repro.ansatz import EfficientSU2
 from repro.backends import CliffordBackend, DensityBackend
 from repro.circuits import Circuit
-from repro.engine import EngineConfig
 from repro.engine.engine import ExecutionEngine
 from repro.mitigation import sliding_windows
 from repro.noise import ibmq_mumbai_like
@@ -68,13 +67,11 @@ def run_batch(engine, specs):
     return handles
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_jigsaw_batch_evolves_once(density_calls, workers):
+def test_jigsaw_batch_evolves_once(density_calls):
     backend = DensityBackend(ibmq_mumbai_like(), seed=7)
-    engine = ExecutionEngine(backend, EngineConfig(workers=workers))
+    engine = ExecutionEngine(backend)
     specs = jigsaw_specs(bound_ansatz(0))
     handles = run_batch(engine, specs)
-    engine.close()
     assert len(density_calls) == 1
     assert backend.circuits_run == len(specs) == 6
     assert backend.shots_run == 6 * SHOTS

@@ -124,6 +124,8 @@ class TestStatePreparation:
 
 
 class TestRNGModes:
+    """Sampling draws from the backend's one RNG in submission order."""
+
     def test_shared_mode_matches_direct_backend_path(self, noisy_device):
         direct = SimulatorBackend(noisy_device, seed=3)
         c_direct = [direct.run(ghz(), shots=64) for _ in range(3)]
@@ -139,51 +141,6 @@ class TestRNGModes:
             engined.circuits_run,
             engined.shots_run,
         )
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_per_job_mode_reproducible_across_worker_counts(
-        self, noisy_device, workers
-    ):
-        def run(workers):
-            backend = SimulatorBackend(noisy_device, seed=5)
-            engine = ExecutionEngine(
-                backend,
-                EngineConfig(workers=workers, rng_mode="per_job"),
-            )
-            batch = engine.new_batch()
-            handles = []
-            for pauli in ("XXX", "YYY", "ZZZ", "XYZ"):
-                suffix = PauliString(pauli).basis_rotation()
-                state = engine.prepare_state(ghz())
-                handles.append(
-                    batch.submit_state(state, suffix, range(3), shots=32)
-                )
-            batch.run()
-            engine.close()
-            return [h.result().data for h in handles]
-
-        assert run(1) == run(workers)
-
-
-class TestWorkers:
-    def test_thread_pool_matches_serial_in_shared_mode(self, noisy_device):
-        def run(workers):
-            backend = SimulatorBackend(noisy_device, seed=9)
-            engine = ExecutionEngine(backend, EngineConfig(workers=workers))
-            batch = engine.new_batch()
-            handles = []
-            for theta in np.linspace(0.0, 1.0, 6):
-                qc = Circuit(3)
-                qc.ry(float(theta), 0)
-                qc.cx(0, 1)
-                qc.cx(1, 2)
-                qc.measure_all()
-                handles.append(batch.submit_circuit(qc, shots=40))
-            batch.run()
-            engine.close()
-            return [h.result().data for h in handles], backend.circuits_run
-
-        assert run(1) == run(4)
 
 
 class TestBatchLifecycle:
@@ -282,6 +239,46 @@ class TestSpecs:
         assert good.done() and good.pmf().qubits == (0, 2)
         assert backend.circuits_run == 1
 
+    def test_state_spec_length_not_a_power_of_two_rejected(self):
+        with pytest.raises(ValueError, match="6 amplitudes"):
+            StateSpec(
+                state=np.ones(6, dtype=complex) / np.sqrt(6),
+                suffix=None,
+                measured_qubits=(0,),
+                shots=10,
+            )
+
+    def test_state_spec_suffix_width_mismatch_rejected(self):
+        suffix = PauliString("XX").basis_rotation()
+        with pytest.raises(
+            ValueError, match="suffix acts on 2 qubits .* 3-qubit"
+        ):
+            StateSpec(
+                state=np.eye(8, dtype=complex)[0],
+                suffix=suffix,
+                measured_qubits=(0, 1),
+                shots=10,
+            )
+
+    def test_misshapen_state_specs_fail_at_submit_and_the_batch_runs(
+        self, backend
+    ):
+        engine = ExecutionEngine(backend)
+        state = engine.prepare_state(ghz())
+        batch = engine.new_batch()
+        good = batch.submit_state(
+            state, PauliString("XYZ").basis_rotation(), (0, 1, 2), 10
+        )
+        with pytest.raises(ValueError, match="not a power of two"):
+            batch.submit_state(state[:6], None, (0,), shots=10)
+        with pytest.raises(ValueError, match="suffix acts on 2 qubits"):
+            batch.submit_state(
+                state, PauliString("XX").basis_rotation(), (0, 1), 10
+            )
+        batch.run()
+        assert good.done() and good.pmf().qubits == (0, 1, 2)
+        assert backend.circuits_run == 1
+
     def test_unbound_circuit_fingerprint_rejected(self):
         from repro.circuits.parameter import Parameter
 
@@ -321,10 +318,12 @@ class TestEnsureEngine:
     def test_estimators_on_one_backend_share_the_engine(
         self, h2_workload, backend
     ):
-        from repro import make_estimator
+        from repro.mitigation import JigSawEstimator
+        from repro.vqe import BaselineEstimator
 
-        baseline = make_estimator("baseline", h2_workload, backend, shots=32)
-        jigsaw = make_estimator("jigsaw", h2_workload, backend, shots=32)
+        args = (h2_workload.hamiltonian, h2_workload.ansatz, backend)
+        baseline = BaselineEstimator(*args, shots=32)
+        jigsaw = JigSawEstimator(*args, shots=32)
         assert baseline.engine is jigsaw.engine
 
     def test_config_still_builds_private_engines(self, backend):
@@ -335,9 +334,10 @@ class TestEnsureEngine:
         assert first is not ensure_engine(None, backend)
 
     def test_config_builds_engine(self, backend):
-        engine = ensure_engine(EngineConfig(workers=2), backend)
-        assert engine.config.workers == 2
-        engine.close()
+        config = EngineConfig(plan_cache_size=4)
+        engine = ensure_engine(config, backend)
+        assert engine.config is config
+        assert engine.backend is backend
 
     def test_existing_engine_passes_through(self, backend):
         engine = ExecutionEngine(backend)
@@ -355,9 +355,23 @@ class TestEnsureEngine:
 
 class TestConfigValidation:
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(workers=0)
-        with pytest.raises(ValueError):
-            EngineConfig(cache_size=-1)
-        with pytest.raises(ValueError):
-            EngineConfig(rng_mode="chaotic")
+        for name in (
+            "cache_size",
+            "state_cache_size",
+            "plan_cache_size",
+            "cache_bytes",
+            "state_cache_bytes",
+        ):
+            with pytest.raises(ValueError, match=name):
+                EngineConfig(**{name: -1})
+
+    def test_config_holds_only_cache_bounds(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(EngineConfig)] == [
+            "cache_size",
+            "state_cache_size",
+            "plan_cache_size",
+            "cache_bytes",
+            "state_cache_bytes",
+        ]

@@ -1,12 +1,12 @@
 """End-to-end: every estimator family routes through the engine with
-seed-exact cost accounting and worker-count-independent results."""
+seed-exact cost accounting."""
 
 import numpy as np
 import pytest
 
-from repro import make_estimator, run_vqe
+from repro import Session
 from repro.core import SelectiveVarSawEstimator, TermSelector
-from repro.engine import EngineConfig, ExecutionEngine
+from repro.engine import ExecutionEngine
 from repro.noise import SimulatorBackend
 from repro.vqe import GeneralCommutationEstimator
 
@@ -22,7 +22,9 @@ class TestEstimatorsUseEngine:
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_jobs_flow_through_engine(self, kind, h2_workload, noisy_device):
         backend = SimulatorBackend(noisy_device, seed=7)
-        estimator = make_estimator(kind, h2_workload, backend, shots=64)
+        estimator = Session(backend=backend).estimator(
+            kind, h2_workload, shots=64
+        )
         estimator.evaluate(fixed_params(estimator))
         stats = estimator.engine.stats
         assert stats.jobs_submitted > 0
@@ -61,7 +63,9 @@ class TestCostLedgerParity:
     ):
         """Ledger equals the analytic per-evaluation circuit count."""
         backend = SimulatorBackend(noisy_device, seed=7)
-        estimator = make_estimator(kind, h2_workload, backend, shots=64)
+        estimator = Session(backend=backend).estimator(
+            kind, h2_workload, shots=64
+        )
         estimator.evaluate(fixed_params(estimator))
         if kind in ("baseline", "jigsaw"):
             expected = estimator.circuits_per_evaluation
@@ -74,52 +78,14 @@ class TestCostLedgerParity:
         assert backend.shots_run == 64 * expected
 
 
-class TestWorkerCountInvariance:
-    @pytest.mark.parametrize("kind", ("baseline", "varsaw"))
-    def test_run_vqe_identical_energy_workers_1_vs_4(
-        self, kind, h2_workload, noisy_device
-    ):
-        def run(workers):
-            backend = SimulatorBackend(noisy_device, seed=7)
-            estimator = make_estimator(
-                kind, h2_workload, backend, shots=32, workers=workers
-            )
-            result = run_vqe(estimator, max_iterations=6, seed=7)
-            estimator.engine.close()
-            return result
-
-        serial = run(1)
-        parallel = run(4)
-        assert serial.energy == parallel.energy
-        assert serial.energy_history == parallel.energy_history
-        assert serial.circuits_executed == parallel.circuits_executed
-        assert serial.shots_executed == parallel.shots_executed
-
-    def test_per_job_mode_also_worker_invariant(
-        self, h2_workload, noisy_device
-    ):
-        def run(workers):
-            backend = SimulatorBackend(noisy_device, seed=7)
-            estimator = make_estimator(
-                "baseline",
-                h2_workload,
-                backend,
-                shots=32,
-                engine=EngineConfig(workers=workers, rng_mode="per_job"),
-            )
-            result = run_vqe(estimator, max_iterations=4, seed=7)
-            estimator.engine.close()
-            return result
-
-        assert run(1).energy == run(4).energy
-
-
 class TestCacheAcrossEvaluations:
     def test_repeated_parameters_hit_the_cache(
         self, h2_workload, noisy_device
     ):
         backend = SimulatorBackend(noisy_device, seed=7)
-        estimator = make_estimator("baseline", h2_workload, backend, shots=64)
+        estimator = Session(backend=backend).estimator(
+            "baseline", h2_workload, shots=64
+        )
         theta = fixed_params(estimator)
         e1 = estimator.evaluate(theta)
         sims_after_first = estimator.engine.stats.simulations
@@ -137,12 +103,9 @@ class TestCacheAcrossEvaluations:
     def test_shared_engine_across_estimators(self, h2_workload, noisy_device):
         backend = SimulatorBackend(noisy_device, seed=7)
         engine = ExecutionEngine(backend)
-        baseline = make_estimator(
-            "baseline", h2_workload, backend, shots=64, engine=engine
-        )
-        jigsaw = make_estimator(
-            "jigsaw", h2_workload, backend, shots=64, engine=engine
-        )
+        session = Session(backend=backend, engine=engine)
+        baseline = session.estimator("baseline", h2_workload, shots=64)
+        jigsaw = session.estimator("jigsaw", h2_workload, shots=64)
         theta = fixed_params(baseline)
         baseline.evaluate(theta)
         hits_before = engine.stats.pmf_cache.hits

@@ -51,7 +51,6 @@ class TestPlanCache:
         after = engine.stats.plan_cache
         assert after.misses == 1
         assert after.hits > stats.hits
-        engine.close()
 
     def test_distinct_structures_compile_separately(self, backend):
         engine = ExecutionEngine(backend, EngineConfig())
@@ -62,7 +61,6 @@ class TestPlanCache:
         batch.submit(CircuitSpec(other, 64, False))
         batch.run()
         assert engine.stats.plan_cache.misses == 2
-        engine.close()
 
     def test_clear_caches_drops_plans(self, backend):
         engine = ExecutionEngine(backend, EngineConfig())
@@ -70,7 +68,6 @@ class TestPlanCache:
         assert engine.stats.plan_cache.size == 1
         engine.clear_caches()
         assert engine.stats.plan_cache.size == 0
-        engine.close()
 
     def test_plan_cache_size_zero_retains_no_plan(self, backend):
         engine = ExecutionEngine(
@@ -82,7 +79,6 @@ class TestPlanCache:
         # Every lookup compiles afresh; nothing is kept or reused.
         assert stats.size == 0 and stats.hits == 0
         assert stats.misses >= 2
-        engine.close()
 
 
 class TestPlanPathBitIdentity:
@@ -99,9 +95,7 @@ class TestPlanPathBitIdentity:
                     plan_cache_size=plan_cache_size,
                 ),
             )
-            handles = run_trace(engine, thetas)
-            engine.close()
-            return handles
+            return run_trace(engine, thetas)
 
         planned = run(64)
         scalar = run(0)
@@ -123,8 +117,6 @@ class TestPlanPathBitIdentity:
         singles = [single_engine.prepare_state(c) for c in circuits]
         for a, b in zip(batched, singles):
             assert np.array_equal(a, b)
-        batched_engine.close()
-        single_engine.close()
 
 
 class TestCapabilityGating:
@@ -164,7 +156,6 @@ class TestCapabilityGating:
         assert engine.stats.plan_cache.hits == 0
         expected = backend.exact_pmf(ghz)
         assert np.array_equal(handle.pmf().probs, expected.probs)
-        engine.close()
 
     def test_finisher_override_serves_every_path(self, noisy_device):
         class CountingFinisher(SimulatorBackend):
@@ -185,7 +176,6 @@ class TestCapabilityGating:
         backend.pmf_from_state(state, None, (2,))
         # exact_pmf, then the whole batch in one call, then one state.
         assert calls == [1, 3, 1]
-        engine.close()
 
 
 class TestVectorizedFinisher:

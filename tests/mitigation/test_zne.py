@@ -5,8 +5,8 @@ import pytest
 
 from repro.analysis import optimal_parameters
 from repro.mitigation import linear_extrapolate, richardson_extrapolate, zne_energy
-from repro.noise import SimulatorBackend
-from repro.workloads import make_estimator, make_workload
+from repro.api import Session
+from repro.workloads import make_workload
 
 
 class TestRichardson:
@@ -55,9 +55,7 @@ class TestZneEnergy:
         to the noise-free value than the scale-1 evaluation."""
         workload = make_workload("H2-4")
         params = optimal_parameters(workload, iterations=300)
-        ideal = make_estimator(
-            "ideal", workload, SimulatorBackend(seed=0)
-        ).evaluate(params)
+        ideal = Session(seed=0).estimator("ideal", workload).evaluate(params)
         estimate, energies = zne_energy(
             workload,
             params,
@@ -75,9 +73,7 @@ class TestZneEnergy:
             workload, params, scales=(0.5, 2.0, 4.0), shots=60_000, seed=1
         )
         # Energy error grows with the noise scale (monotone ladder).
-        ideal = make_estimator(
-            "ideal", workload, SimulatorBackend(seed=0)
-        ).evaluate(params)
+        ideal = Session(seed=0).estimator("ideal", workload).evaluate(params)
         errors = [abs(e - ideal) for e in energies]
         assert errors[0] < errors[-1]
 

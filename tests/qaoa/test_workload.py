@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.noise import SimulatorBackend, ibmq_mumbai_like, ideal_device
+from repro.api import Session
+from repro.noise import ibmq_mumbai_like, ideal_device
 from repro.qaoa import make_qaoa_workload
 from repro.vqe import run_vqe
-from repro.workloads import make_estimator
 
 
 class TestWorkloadFactory:
@@ -38,19 +38,18 @@ class TestEstimatorIntegration:
     )
     def test_every_scheme_evaluates(self, kind):
         wl = make_qaoa_workload("ring", 4, reps=1)
-        backend = SimulatorBackend(ibmq_mumbai_like(), seed=5)
-        estimator = make_estimator(kind, wl, backend, shots=256)
+        session = Session(ibmq_mumbai_like(), seed=5)
+        estimator = session.estimator(kind, wl, shots=256)
         value = estimator.evaluate(np.array([0.5, 0.3]))
         # Energies live between the ground state and the trivial offset.
         assert wl.ideal_energy - 1.0 < value < 1.0
 
     def test_ideal_estimator_matches_exact_expectation(self):
         wl = make_qaoa_workload("ring", 4, reps=1)
-        backend = SimulatorBackend(seed=5)
         from repro.hamiltonian import Hamiltonian
         from repro.sim.statevector import run_statevector
 
-        estimator = make_estimator("ideal", wl, backend)
+        estimator = Session(seed=5).estimator("ideal", wl)
         params = np.array([0.7, 0.4])
         state = run_statevector(wl.ansatz.bind(params))
         exact = wl.hamiltonian.expectation_exact(state)
@@ -61,18 +60,18 @@ class TestEstimatorIntegration:
         params = np.array([0.5, 0.3])
         costs = {}
         for kind in ("jigsaw", "varsaw"):
-            backend = SimulatorBackend(ibmq_mumbai_like(), seed=5)
-            estimator = make_estimator(kind, wl, backend, shots=128)
+            session = Session(ibmq_mumbai_like(), seed=5)
+            estimator = session.estimator(kind, wl, shots=128)
             estimator.evaluate(params)
-            costs[kind] = backend.circuits_run
+            costs[kind] = session.backend.circuits_run
         assert costs["varsaw"] < costs["jigsaw"]
 
 
 class TestShortTuningRun:
     def test_qaoa_vqe_loop_improves_energy(self):
         wl = make_qaoa_workload("ring", 4, reps=1)
-        backend = SimulatorBackend(ideal_device(4), seed=9)
-        estimator = make_estimator("baseline", wl, backend, shots=512)
+        session = Session(ideal_device(4), seed=9)
+        estimator = session.estimator("baseline", wl, shots=512)
         start = estimator.evaluate(np.array([0.05, 0.05]))
         result = run_vqe(
             estimator,

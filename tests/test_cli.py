@@ -19,6 +19,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "H2-4", "--scheme", "magic"])
 
+    @pytest.mark.parametrize("command", [["run", "H2-4"], ["qaoa"]])
+    def test_engine_runs_inline_so_there_is_no_workers_flag(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--workers", "2"])
+
+    def test_cache_size_zero_turns_off_the_state_cache_too(self):
+        from repro.cli import _engine_config
+
+        args = build_parser().parse_args(["run", "H2-4", "--cache-size", "0"])
+        config = _engine_config(args)
+        assert (config.cache_size, config.state_cache_size) == (0, 0)
+        default = _engine_config(build_parser().parse_args(["run", "H2-4"]))
+        assert default.state_cache_size > 0
+
 
 class TestCommands:
     def test_list(self, capsys):
