@@ -67,16 +67,19 @@ def run_batch(engine, specs):
     return handles
 
 
-def test_jigsaw_batch_evolves_once(density_calls):
+@pytest.mark.parametrize("window", [1, 2])
+def test_jigsaw_batch_evolves_once(density_calls, window):
     backend = DensityBackend(ibmq_mumbai_like(), seed=7)
     engine = ExecutionEngine(backend)
-    specs = jigsaw_specs(bound_ansatz(0))
+    windows = sliding_windows(N_QUBITS, window)
+    specs = jigsaw_specs(bound_ansatz(0), windows)
     handles = run_batch(engine, specs)
+    n_specs = 1 + N_QUBITS - window + 1
     assert len(density_calls) == 1
-    assert backend.circuits_run == len(specs) == 6
-    assert backend.shots_run == 6 * SHOTS
-    assert engine.stats.simulations == 6
-    assert engine.stats.jobs_submitted == 6
+    assert backend.circuits_run == len(specs) == n_specs
+    assert backend.shots_run == n_specs * SHOTS
+    assert engine.stats.simulations == n_specs
+    assert engine.stats.jobs_submitted == n_specs
     alone = DensityBackend(ibmq_mumbai_like(), seed=7)
     for handle, (circuit, map_to_best) in zip(handles, specs):
         expected = alone.exact_pmf(circuit, map_to_best)
