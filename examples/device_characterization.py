@@ -14,6 +14,7 @@ Usage::
 """
 
 from repro.circuits import Circuit
+from repro.engine import CircuitSpec, shared_engine
 from repro.mitigation import MatrixMitigator
 from repro.noise import SimulatorBackend, characterize_readout, ibmq_mumbai_like
 from repro.sim import PMF
@@ -41,7 +42,8 @@ def main() -> None:
     bell.h(0)
     bell.cx(0, 1)
     bell.measure([0, 1])
-    noisy = backend.run(bell, shots=20_000).to_pmf()
+    engine = shared_engine(backend)
+    noisy = engine.run_spec(CircuitSpec(bell, shots=20_000)).to_pmf()
     mitigator = MatrixMitigator.calibrate(backend, [0, 1], shots=20_000)
     cleaned = mitigator.mitigate_pmf(noisy)
     truth = PMF([0.5, 0.0, 0.0, 0.5], qubits=(0, 1))

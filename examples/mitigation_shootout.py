@@ -15,6 +15,7 @@ Usage::
 import numpy as np
 
 from repro.circuits import Circuit
+from repro.engine import CircuitSpec, shared_engine
 from repro.mitigation import (
     M3Mitigator,
     MatrixMitigator,
@@ -34,6 +35,11 @@ def ghz(n: int) -> Circuit:
         qc.cx(q, q + 1)
     qc.measure_all()
     return qc
+
+
+def run(backend: SimulatorBackend, circuit: Circuit):
+    """Execute ``circuit`` once, as its own engine batch."""
+    return shared_engine(backend).run_spec(CircuitSpec(circuit, SHOTS))
 
 
 def ideal_ghz(n: int) -> PMF:
@@ -59,7 +65,7 @@ def main() -> None:
         target = ideal_ghz(n)
 
         backend = SimulatorBackend(device, seed=37)
-        rows["raw"].append(backend.run(circuit, SHOTS).to_pmf().tvd(target))
+        rows["raw"].append(run(backend, circuit).to_pmf().tvd(target))
 
         backend = SimulatorBackend(device, seed=37)
         rows["bias-aware"].append(
@@ -67,12 +73,12 @@ def main() -> None:
         )
 
         backend = SimulatorBackend(device, seed=37)
-        counts = backend.run(circuit, SHOTS)
+        counts = run(backend, circuit)
         mbm = MatrixMitigator.from_device(backend, range(n), n)
         rows["MBM"].append(mbm.mitigate_pmf(counts.to_pmf()).tvd(target))
 
         backend = SimulatorBackend(device, seed=37)
-        counts = backend.run(circuit, SHOTS)
+        counts = run(backend, circuit)
         m3 = M3Mitigator.from_device(backend, range(n), n)
         rows["M3"].append(m3.mitigate_counts(counts).tvd(target))
 

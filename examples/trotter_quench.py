@@ -12,6 +12,7 @@ Usage::
     python examples/trotter_quench.py
 """
 
+from repro.engine import CircuitSpec, shared_engine
 from repro.hamiltonian.tfim import tfim_hamiltonian
 from repro.mitigation import jigsaw_mitigate
 from repro.noise import SimulatorBackend, ibmq_mumbai_like
@@ -44,9 +45,8 @@ def main() -> None:
         circuit.measure_all()
 
         backend = SimulatorBackend(device, seed=17)
-        noisy_m = average_magnetization(
-            backend.run(circuit, 8192).to_pmf().probs, N_QUBITS
-        )
+        counts = shared_engine(backend).run_spec(CircuitSpec(circuit, 8192))
+        noisy_m = average_magnetization(counts.to_pmf().probs, N_QUBITS)
 
         backend = SimulatorBackend(device, seed=17)
         result = jigsaw_mitigate(backend, circuit, shots=8192, window=2)

@@ -21,10 +21,11 @@ Built-in kinds:
 
 Typical use::
 
-    from repro import Session, make_workload
+    from repro import Session
+    from repro.engine import CircuitSpec
 
     session = Session("ibmq_mumbai_like", seed=7, backend="clifford")
-    counts = session.backend.run(ghz_circuit, shots=512)
+    counts = session.engine.run_spec(CircuitSpec(ghz_circuit, shots=512))
 
     from repro.backends import backend_kinds, make_backend
 

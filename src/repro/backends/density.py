@@ -7,16 +7,16 @@ quality rather than throughput:
   :class:`~repro.sim.DensityMatrix` with a depolarizing channel after
   every gate (plus optional amplitude damping) instead of the dense
   backend's single global-depolarizing approximation.  The
-  prepared-state fast path (``prepare_states`` + ``pmf_from_state``)
+  prepared-state fast path (``prepare_states`` + ``state_row``)
   keeps the global approximation: it starts from a cached pure
   statevector, where the per-gate channel history is no longer
   available.
-* **Analytic sampling.**  ``run`` and engine jobs return the
-  *expected* counts (``pmf * shots``, as floats) instead of drawing
-  multinomial samples, so an estimator whose statistic is linear in
-  the counts — every PMF-based expectation in the library — evaluates
-  to the exact noisy expectation with zero shot variance, and consumes
-  no RNG.  Set ``analytic=False`` to restore sampling.
+* **Analytic sampling.**  Engine jobs return the *expected* counts
+  (``pmf * shots``, as floats) instead of drawing multinomial
+  samples, so an estimator whose statistic is linear in the counts —
+  every PMF-based expectation in the library — evaluates to the exact
+  noisy expectation with zero shot variance, and consumes no RNG.
+  Set ``analytic=False`` to restore sampling.
 
 :mod:`repro.sim.density` evolution is O(4^n) per gate and channel,
 for validation and small systems.  The engine runs it once per circuit

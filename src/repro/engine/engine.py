@@ -17,15 +17,16 @@ evaluation as a spec, and receive :class:`JobHandle` futures; one
    one call.  Simulation is deterministic, so caching cannot change
    any numeric result.
 3. **Sample & charge** — in *submission order*, every job samples its
-   own shots from its PMF and charges the backend ledger exactly as a
-   direct ``backend.run`` call would: one circuit plus ``shots`` per
-   submitted spec, duplicates included.  The paper's cost metric is
-   therefore bit-identical to the serial path.
+   own shots from its PMF and charges the backend ledger one circuit
+   plus ``shots``, duplicates included.  The paper's cost metric
+   therefore counts every submitted spec.
 
-The whole batch runs inline on the caller's thread, and the sampling
-pass consumes the backend's single RNG stream in submission order, so
-counts, energies and the ledger match a sequence of direct
-``backend.run`` calls exactly.
+The engine is the only code that executes, samples and charges a
+circuit.  A batch runs inline on the caller's thread and samples the
+backend's single RNG stream in submission order, so on a static device
+counts and the ledger match one-spec batches run back to back; on a
+drifting device a batch sees one noise state (all its PMFs exist
+before its first charge moves the clock).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from ..circuits import Circuit
 from ..obs import REGISTRY as _METRICS
 from ..obs import span as _obs_span
-from ..sim import PMF, Counts, probabilities
+from ..sim import PMF, Counts
 from ..sim.plan import CircuitPlan, compile_plan, structure_fingerprint
 from .cache import CacheStats, LRUCache
 from .config import EngineConfig
@@ -210,7 +211,7 @@ class Batch:
     def submit_circuit(
         self, circuit: Circuit, shots: int, map_to_best: bool = False
     ) -> JobHandle:
-        """Queue a full bound circuit (mirrors ``backend.run``)."""
+        """Queue a full bound circuit (a :class:`CircuitSpec`)."""
         return self.submit(CircuitSpec(circuit, shots, map_to_best))
 
     def submit_state(
@@ -261,8 +262,7 @@ class ExecutionEngine:
         ``circuits_run``/``shots_run`` ledger per submitted spec and
         samples from its RNG stream.
     config:
-        An :class:`~repro.engine.EngineConfig`; defaults preserve the
-        pre-engine serial semantics bit for bit.
+        An :class:`~repro.engine.EngineConfig`; it never changes a result.
     """
 
     def __init__(self, backend, config: EngineConfig | None = None):
@@ -317,8 +317,8 @@ class ExecutionEngine:
         """The compiled plan for ``circuit``'s structure (plan cache).
 
         The ``plan_for`` the engine hands the backend's simulation
-        hooks.  With ``plan_cache_size=0`` every call compiles afresh
-        and no plan is retained.
+        hooks and ``state_row``.  With ``plan_cache_size=0`` every call
+        compiles afresh and no plan is retained.
         """
         key = structure_fingerprint(circuit)
         plan = self._plan_cache.get(key)
@@ -370,33 +370,6 @@ class ExecutionEngine:
 
     # -------------------------------------------------------------- execution
 
-    def _ideal_probs_state(
-        self, key: tuple, spec: StateSpec, suffix_plan: CircuitPlan | None
-    ) -> tuple:
-        """Ideal probability row of one prepared-state spec.
-
-        Evolves the state through the cached suffix plan (when there is
-        a suffix) and charges the *combined* original gate load, exactly
-        like the backend's ``pmf_from_state``.
-        """
-        state = spec.state
-        g1, g2 = spec.gate_load
-        if suffix_plan is not None:
-            state = suffix_plan.run(
-                suffix_plan.slot_values(spec.suffix), initial_state=state
-            )
-            s1, s2 = suffix_plan.gate_load
-            g1, g2 = g1 + s1, g2 + s2
-        n = int(np.log2(state.shape[0]))
-        return (
-            key,
-            probabilities(state),
-            n,
-            tuple(sorted(spec.measured_qubits)),
-            spec.map_to_best,
-            (g1, g2),
-        )
-
     def _simulate(self, misses: list[tuple[tuple, object]]) -> list:
         """Exact PMFs of a batch's cache misses: ``(key, pmf)`` pairs.
 
@@ -406,38 +379,29 @@ class ExecutionEngine:
         ``circuit_probabilities_batch`` hook, in a single call; every
         spec then contributes an ideal probability row with its own
         measured qubits, readout mapping and gate load.  State specs
-        evolve through cached suffix plans into rows too.  The noise
-        finisher advances all rows at once.  With
-        ``plan_cache_size=0`` state specs instead run through the
+        become rows through the backend's ``state_row`` over cached
+        suffix plans.  The noise finisher advances all rows at once.
+        With ``plan_cache_size=0`` state specs instead run through the
         backend's ``pmf_from_state``, each finished alone.
         """
         backend = self.backend
         bodies: dict[str, list] = {}
-        state_rows = []
+        state_keys, state_rows = [], []
         fresh = []
         for key, spec in misses:
             if isinstance(spec, CircuitSpec):
                 bodies.setdefault(body_fingerprint(spec.circuit), []).append(
                     (key, spec)
                 )
-            elif self.config.plan_cache_size:
-                suffix_plan = (
-                    self._plan_for(spec.suffix)
-                    if spec.suffix is not None
-                    else None
-                )
-                state_rows.append(
-                    self._ideal_probs_state(key, spec, suffix_plan)
-                )
+                continue
+            args = (spec.state, spec.suffix, spec.measured_qubits,
+                    spec.map_to_best, spec.gate_load)
+            if self.config.plan_cache_size:
+                state_keys.append(key)
+                state_rows.append(backend.state_row(*args, self._plan_for))
             else:
-                fresh.append((key, backend.pmf_from_state(
-                    spec.state,
-                    spec.suffix,
-                    spec.measured_qubits,
-                    spec.map_to_best,
-                    spec.gate_load,
-                )))
-        rows = []
+                fresh.append((key, backend.pmf_from_state(*args)))
+        keys, rows = [], []
         if bodies:
             groups = list(bodies.values())
             body_probs = backend.circuit_probabilities_batch(
@@ -446,20 +410,19 @@ class ExecutionEngine:
             for group, probs in zip(groups, body_probs):
                 for key, spec in group:
                     circuit = spec.circuit
+                    keys.append(key)
                     rows.append((
-                        key,
                         probs,
                         circuit.n_qubits,
                         tuple(sorted(circuit.measured_qubits)),
                         spec.map_to_best,
                         backend.noise_gate_load(circuit),
                     ))
-        rows.extend(state_rows)
+        keys += state_keys
+        rows += state_rows
         if rows:
-            pmfs = backend.exact_pmfs_from_probs_batch(
-                [row[1:] for row in rows]
-            )
-            fresh.extend((row[0], pmf) for row, pmf in zip(rows, pmfs))
+            pmfs = backend.exact_pmfs_from_probs_batch(rows)
+            fresh.extend(zip(keys, pmfs))
         return fresh
 
     def _execute(self, jobs: list[JobHandle]) -> None:

@@ -3,7 +3,7 @@
 A *spec* is everything needed to reproduce one device execution: either a
 full bound circuit (:class:`CircuitSpec`) or a prepared ansatz state plus
 a measurement-basis suffix (:class:`StateSpec` — the backend's
-``pmf_from_state`` fast path).  Specs are immutable once submitted.
+``state_row`` fast path).  Specs are immutable once submitted.
 
 Each spec exposes a :meth:`fingerprint`: a digest over the exact content
 that determines its noisy outcome distribution — circuit structure,
@@ -135,7 +135,11 @@ def state_digest(state: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """One full-circuit execution request (mirrors ``backend.run``)."""
+    """One full-circuit execution request.
+
+    ``map_to_best=True`` places the measured qubits on the device's
+    best readout lines (what JigSaw does for subset circuits).
+    """
 
     circuit: Circuit
     shots: int
@@ -157,7 +161,7 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """One prepared-state execution request (``backend.pmf_from_state``).
+    """One prepared-state execution request (``backend.state_row``).
 
     ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
     preparation, charged to depolarizing noise on top of the suffix.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuits import Circuit
+from ..engine import shared_engine
 from ..noise import SimulatorBackend
 from ..sim import PMF
 
@@ -58,13 +59,16 @@ def invert_and_measure(
     """Run both polarities (``shots/2`` each) and average the PMFs.
 
     Charges two circuits to the backend ledger — the technique's real
-    cost model.  Total shots match a single plain run.
+    cost model — as one batch on the backend's shared engine.  Total
+    shots match a single plain run.
     """
     if shots < 2:
         raise ValueError("need at least 2 shots to split polarities")
     normal, inverted = polarity_circuits(circuit)
     half = shots // 2
-    pmf_normal = backend.run(normal, half).to_pmf()
-    pmf_inverted = backend.run(inverted, shots - half).to_pmf()
-    corrected = flip_pmf_bits(pmf_inverted)
-    return pmf_normal.mix(corrected, weight=0.5)
+    batch = shared_engine(backend).new_batch()
+    batch.submit_circuit(normal, half)
+    batch.submit_circuit(inverted, shots - half)
+    counts_normal, counts_inverted = batch.run()
+    corrected = flip_pmf_bits(counts_inverted.to_pmf())
+    return counts_normal.to_pmf().mix(corrected, weight=0.5)

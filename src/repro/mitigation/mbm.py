@@ -19,7 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..noise import SimulatorBackend
-from ..noise.characterization import _flip_fraction
+from ..noise.characterization import (
+    _calibration_qubits,
+    _flip_fraction,
+    _zeros_and_ones,
+)
 from ..sim import PMF, Counts
 
 __all__ = ["MatrixMitigator"]
@@ -59,20 +63,14 @@ class MatrixMitigator:
         """Sampled calibration: run |0...0> and |1...1> preparation circuits.
 
         Charges ``2`` circuits to the backend ledger, like the tensored
-        calibration IBM's mitigation uses.
+        calibration IBM's mitigation uses, as one batch on the
+        backend's shared engine.  An empty or repeated qubit list
+        raises before anything is charged.
         """
-        from ..circuits import Circuit
-
-        qubits = sorted(int(q) for q in qubits)
-        n = max(qubits) + 1
-        zeros = Circuit(n, name="cal0")
-        zeros.measure(qubits)
-        ones = Circuit(n, name="cal1")
-        for q in qubits:
-            ones.x(q)
-        ones.measure(qubits)
-        counts0 = backend.run(zeros, shots)
-        counts1 = backend.run(ones, shots)
+        qubits = _calibration_qubits(qubits)
+        ((counts0, counts1),) = _zeros_and_ones(
+            backend, [qubits], qubits[-1] + 1, shots
+        )
         matrices = {}
         for j, q in enumerate(qubits):
             p01 = _flip_fraction(counts0, j, "0")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..circuits import Circuit
+from ..engine import shared_engine
 from ..noise import SimulatorBackend
 from ..sim import PMF
 from .reconstruction import bayesian_reconstruct
@@ -45,35 +46,35 @@ def jigsaw_mitigate(
 
     ``circuit`` must be fully bound; its measured-qubit set is ignored —
     JigSaw measures all qubits for the Global and each window for the
-    Locals.  Charges ``1 + (n - window + 1)`` circuits to the backend.
+    Locals.  ``subset_shots`` (default: ``shots``) sets each Local's
+    shots.  Charges ``1 + (n - window + 1)`` circuits to the backend,
+    submitted as one batch to its shared engine, so the Global and
+    every Local share one simulation of the circuit body.
     """
     if not circuit.is_bound():
         raise ValueError("circuit must be bound")
     if window < 1:
         raise ValueError("window must be >= 1")
-    subset_shots = subset_shots if subset_shots else shots
-    n = circuit.n_qubits
-    executed = 0
+    if subset_shots is None:
+        subset_shots = shots
+    elif subset_shots < 1:
+        raise ValueError("subset_shots must be >= 1")
 
+    batch = shared_engine(backend).new_batch()
     full = circuit.copy()
     full.measure_all()
-    global_counts = backend.run(full, shots)
-    executed += 1
-
-    local_pmfs: list[PMF] = []
-    for positions in sliding_windows(n, window):
+    batch.submit_circuit(full, shots)
+    for positions in sliding_windows(circuit.n_qubits, window):
         partial = circuit.copy()
         partial.measured_qubits = set()
         partial.measure(positions)
-        counts = backend.run(partial, subset_shots, map_to_best=True)
-        local_pmfs.append(counts.to_pmf())
-        executed += 1
+        batch.submit_circuit(partial, subset_shots, map_to_best=True)
+    global_pmf, *local_pmfs = [counts.to_pmf() for counts in batch.run()]
 
-    global_pmf = global_counts.to_pmf()
     output = bayesian_reconstruct(global_pmf, local_pmfs)
     return JigsawResult(
         output=output,
         global_pmf=global_pmf,
         local_pmfs=local_pmfs,
-        circuits_executed=executed,
+        circuits_executed=len(batch),
     )

@@ -17,9 +17,13 @@ Execution has two halves:
   :meth:`~SimulatorBackend.exact_pmfs_from_probs_batch` — turns ideal
   probability rows into exact noisy PMFs (global depolarizing mix,
   marginal, readout channel).  It is the only noise pipeline:
-  :meth:`~SimulatorBackend.exact_pmf`, :meth:`~SimulatorBackend.run`,
+  :meth:`~SimulatorBackend.exact_pmf`,
   :meth:`~SimulatorBackend.pmf_from_state` and the execution engine all
   finish through it, a single circuit being a batch of one.
+
+The :class:`~repro.engine.ExecutionEngine` is the only code that
+samples and charges a circuit; ``exact_pmf`` and ``pmf_from_state``
+are uncharged references.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from ..circuits import Circuit
-from ..sim import PMF, Counts, probabilities, run_statevector
+from ..sim import PMF, Counts, probabilities
 from ..sim.plan import CircuitPlan, compile_plan
 from .device import DeviceModel, ideal_device
 
@@ -141,19 +145,7 @@ class SimulatorBackend:
         if advance is not None:
             advance(1)
 
-    # ------------------------------------------------------------- execution
-
-    def run(
-        self, circuit: Circuit, shots: int, map_to_best: bool = False
-    ) -> Counts:
-        """Execute a bound circuit and sample its measured qubits.
-
-        ``map_to_best=True`` places the measured qubits on the device's
-        best readout lines (what JigSaw does for subset circuits).
-        """
-        pmf = self.exact_pmf(circuit, map_to_best=map_to_best)
-        self.charge(shots)
-        return self.sample(pmf, shots, self.rng)
+    # -------------------------------------------------------------- sampling
 
     def sample(
         self, pmf: PMF, shots: int, rng: np.random.Generator
@@ -162,9 +154,8 @@ class SimulatorBackend:
 
         The default draws ``shots`` multinomial samples from ``rng``
         (shot noise); analytic backends override this to return
-        expected counts instead.  The engine's sampling phase delegates
-        here, so overriding it changes batched and direct execution
-        consistently.
+        expected counts instead.  The engine's sampling phase calls
+        this once per job, in submission order.
         """
         return Counts.from_pmf_samples(pmf, shots, rng)
 
@@ -244,24 +235,43 @@ class SimulatorBackend:
     ) -> PMF:
         """Exact noisy PMF of a prepared state + basis suffix (uncharged).
 
-        ``gate_load`` is the (one-qubit, two-qubit) gate count of the
-        state preparation; the suffix's own gates are added to it, so
-        the depolarizing weight reflects the *full* circuit.
+        :meth:`state_row` with :func:`~repro.sim.plan.compile_plan`,
+        finished as a batch of one.
+        """
+        row = self.state_row(state, suffix, measured_qubits, map_to_best,
+                             gate_load, compile_plan)
+        return self.exact_pmfs_from_probs_batch([row])[0]
+
+    def state_row(
+        self,
+        state: np.ndarray,
+        suffix: Circuit | None,
+        measured_qubits,
+        map_to_best: bool,
+        gate_load: tuple[int, int],
+        plan_for: PlanFor,
+    ) -> tuple:
+        """The finisher row of a prepared state + basis suffix.
+
+        Evolves ``state`` through ``plan_for(suffix)`` (when there is a
+        suffix) and adds the suffix's gates to ``gate_load``, the state
+        preparation's (one-qubit, two-qubit) gate count, so the
+        depolarizing weight reflects the *full* circuit.  The engine
+        passes its plan-cache lookup and batches the rows.
         """
         g1, g2 = gate_load
         if suffix is not None:
-            state = run_statevector(suffix, initial_state=state)
-            s2 = suffix.num_two_qubit_gates
-            g1 += suffix.num_gates - s2
-            g2 += s2
-        (pmf,) = self.exact_pmfs_from_probs_batch([(
+            plan = plan_for(suffix)
+            state = plan.run(plan.slot_values(suffix), initial_state=state)
+            s1, s2 = plan.gate_load
+            g1, g2 = g1 + s1, g2 + s2
+        return (
             probabilities(state),
             int(np.log2(state.shape[0])),
             tuple(sorted(int(q) for q in measured_qubits)),
             map_to_best,
             (g1, g2),
-        )])
-        return pmf
+        )
 
     def exact_pmfs_from_probs_batch(self, rows) -> list[PMF]:
         """The noise finisher: exact noisy PMFs of ideal probability rows.

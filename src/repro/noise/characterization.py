@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..circuits import Circuit
+from ..engine import shared_engine
 from ..sim import Counts
 from .backend import SimulatorBackend
 
@@ -62,6 +63,39 @@ def _flip_fraction(counts: Counts, position: int, expected: str) -> float:
     return flips / total if total else 0.0
 
 
+def _calibration_qubits(qubits) -> list[int]:
+    """``qubits`` sorted, rejecting an empty list or a repeated qubit."""
+    qubits = sorted(int(q) for q in qubits)
+    if not qubits:
+        raise ValueError("need at least one qubit")
+    for a, b in zip(qubits, qubits[1:]):
+        if a == b:
+            raise ValueError(f"qubit {a} is listed twice")
+    return qubits
+
+
+def _zeros_and_ones(
+    backend: SimulatorBackend, groups, width: int, shots: int
+) -> list[tuple[Counts, Counts]]:
+    """Counts of |0...0> and |1...1> on each qubit group, measured alone.
+
+    Every group's pair of ``width``-qubit circuits runs in one batch on
+    the backend's shared engine, in group order.
+    """
+    batch = shared_engine(backend).new_batch()
+    for group in groups:
+        zeros = Circuit(width)
+        zeros.measure(group)
+        ones = Circuit(width)
+        for q in group:
+            ones.x(q)
+        ones.measure(group)
+        batch.submit_circuit(zeros, shots)
+        batch.submit_circuit(ones, shots)
+    counts = batch.run()
+    return list(zip(counts[::2], counts[1::2]))
+
+
 def characterize_readout(
     backend: SimulatorBackend,
     qubits,
@@ -77,32 +111,21 @@ def characterize_readout(
        simultaneous flip rates;
     3. inflation = mean simultaneous error / mean isolated error.
 
-    Charges ``2 * len(qubits) + 2`` circuits to the backend's ledger.
+    Charges ``2 * len(qubits) + 2`` circuits to the backend's ledger,
+    as one batch on the backend's shared engine (so on a drifting
+    device every circuit sees the same noise state).  An empty or
+    repeated qubit list raises before anything is charged.
     """
-    qubits = sorted(int(q) for q in qubits)
-    if not qubits:
-        raise ValueError("need at least one qubit")
-    width = max(qubits) + 1
-
-    isolated: list[QubitCharacterization] = []
-    for q in qubits:
-        zero = Circuit(width)
-        zero.measure(q)
-        one = Circuit(width)
-        one.x(q)
-        one.measure(q)
-        p01 = _flip_fraction(backend.run(zero, shots), 0, "0")
-        p10 = _flip_fraction(backend.run(one, shots), 0, "1")
-        isolated.append(QubitCharacterization(q, p01, p10))
-
-    zeros = Circuit(width)
-    zeros.measure(qubits)
-    ones = Circuit(width)
-    for q in qubits:
-        ones.x(q)
-    ones.measure(qubits)
-    counts0 = backend.run(zeros, shots)
-    counts1 = backend.run(ones, shots)
+    qubits = _calibration_qubits(qubits)
+    *alone, (counts0, counts1) = _zeros_and_ones(
+        backend, [[q] for q in qubits] + [qubits], qubits[-1] + 1, shots
+    )
+    isolated = [
+        QubitCharacterization(
+            q, _flip_fraction(c0, 0, "0"), _flip_fraction(c1, 0, "1")
+        )
+        for q, (c0, c1) in zip(qubits, alone)
+    ]
     simultaneous = []
     for j, q in enumerate(qubits):
         p01 = _flip_fraction(counts0, j, "0")

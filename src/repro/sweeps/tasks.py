@@ -566,6 +566,7 @@ def _ghz_target(n):
 @task("mitigation_shootout")
 def _mitigation_shootout(point: Point, workload_cache: dict) -> dict:
     """Every circuit-level technique on one noisy GHZ workload."""
+    from ..engine import CircuitSpec, shared_engine
     from ..mitigation import (
         M3Mitigator,
         MatrixMitigator,
@@ -585,10 +586,12 @@ def _mitigation_shootout(point: Point, workload_cache: dict) -> dict:
     def fresh():
         return SimulatorBackend(device, seed=37)
 
+    def raw_counts(backend):
+        return shared_engine(backend).run_spec(CircuitSpec(circuit, shots))
+
     results = {}
 
-    backend = fresh()
-    raw = backend.run(circuit, shots).to_pmf()
+    raw = raw_counts(fresh()).to_pmf()
     results["raw"] = [float(raw.tvd(target)), 1]
 
     backend = fresh()
@@ -596,7 +599,7 @@ def _mitigation_shootout(point: Point, workload_cache: dict) -> dict:
     results["bias-aware"] = [float(averaged.tvd(target)), 2]
 
     backend = fresh()
-    counts = backend.run(circuit, shots)
+    counts = raw_counts(backend)
     mbm = MatrixMitigator.from_device(
         backend, range(n_qubits), n_qubits
     )
@@ -605,7 +608,7 @@ def _mitigation_shootout(point: Point, workload_cache: dict) -> dict:
     ]
 
     backend = fresh()
-    counts = backend.run(circuit, shots)
+    counts = raw_counts(backend)
     m3 = M3Mitigator.from_device(backend, range(n_qubits), n_qubits)
     results["M3"] = [float(m3.mitigate_counts(counts).tvd(target)), 1]
 
@@ -656,6 +659,7 @@ def _quench_hamiltonian(options: Mapping):
 @task("quench")
 def _quench(point: Point, workload_cache: dict) -> dict:
     """TFIM quench magnetization: exact / noisy / JigSaw at one time."""
+    from ..engine import CircuitSpec, shared_engine
     from ..mitigation import jigsaw_mitigate
     from ..noise import SimulatorBackend, ibmq_mumbai_like
     from ..sim.statevector import probabilities, zero_state
@@ -680,9 +684,8 @@ def _quench(point: Point, workload_cache: dict) -> dict:
     )
     circuit.measure_all()
     backend = SimulatorBackend(device, seed=17)
-    noisy = average_magnetization(
-        backend.run(circuit, shots).to_pmf().probs, n_qubits
-    )
+    counts = shared_engine(backend).run_spec(CircuitSpec(circuit, shots))
+    noisy = average_magnetization(counts.to_pmf().probs, n_qubits)
     backend = SimulatorBackend(device, seed=17)
     mitigated = average_magnetization(
         jigsaw_mitigate(
@@ -895,9 +898,10 @@ def _backend_matrix(point: Point, workload_cache: dict) -> dict:
     The point's ``backend`` field (the :mod:`repro.backends` registry)
     selects the execution path; the task itself is backend-agnostic.
     Runs ``runs`` distinct seeded Clifford circuits of ``layers``
-    mixing layers each, and reports the wall clock (volatile — masked
-    by the parity suite), the circuit/shot ledger, dispatch counters,
-    and the mean all-zeros outcome weight as the checksum column.
+    mixing layers each as one engine batch, and reports the wall clock
+    (volatile — masked by the parity suite), the circuit/shot ledger,
+    dispatch counters, and the mean all-zeros outcome weight as the
+    checksum column.
 
     Options: ``n_qubits`` (default 8), ``layers`` (default 40),
     ``runs`` (default 6), ``noise_scale`` (default 2.0).
@@ -918,10 +922,12 @@ def _backend_matrix(point: Point, workload_cache: dict) -> dict:
     session = Session(device, seed=point.seed, backend=point.backend)
     zeros = "0" * n_qubits
     start = time.perf_counter()
-    zero_weights = []
+    batch = session.engine.new_batch()
     for circuit in circuits:
-        counts = session.backend.run(circuit, point.shots)
-        zero_weights.append(counts[zeros] / counts.shots)
+        batch.submit_circuit(circuit, point.shots)
+    zero_weights = [
+        counts[zeros] / counts.shots for counts in batch.run()
+    ]
     elapsed = time.perf_counter() - start
     ledger = session.ledger()
     session.close()

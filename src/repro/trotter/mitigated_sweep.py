@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuits import Circuit
+from ..engine import shared_engine
 from ..hamiltonian import Hamiltonian
 from ..mitigation import bayesian_reconstruct
 from ..mitigation.subsets import sliding_windows
@@ -39,24 +39,6 @@ class QuenchSweepResult:
         return len(self.times)
 
 
-def _run_locals(
-    backend: SimulatorBackend,
-    circuit: Circuit,
-    window: int,
-    shots: int,
-) -> tuple[list[PMF], int]:
-    locals_: list[PMF] = []
-    executed = 0
-    for positions in sliding_windows(circuit.n_qubits, window):
-        partial = circuit.copy()
-        partial.measured_qubits = set()
-        partial.measure(positions)
-        counts = backend.run(partial, shots, map_to_best=True)
-        locals_.append(counts.to_pmf())
-        executed += 1
-    return locals_, executed
-
-
 def sparse_quench_sweep(
     backend: SimulatorBackend,
     hamiltonian: Hamiltonian,
@@ -75,7 +57,9 @@ def sparse_quench_sweep(
     previous point's mitigated output serves as the reconstruction
     prior — the same staleness bet VarSaw makes across VQA iterations.
 
-    ``global_period=1`` degenerates to per-point JigSaw.
+    ``global_period=1`` degenerates to per-point JigSaw.  Each time
+    point's circuits run as one batch on the backend's shared engine,
+    Locals first, then the Global when one is due.
     """
     times = tuple(float(t) for t in times)
     if not times:
@@ -85,6 +69,7 @@ def sparse_quench_sweep(
     if sorted(times) != list(times):
         raise ValueError("times must be sorted ascending")
 
+    engine = shared_engine(backend)
     outputs: list[PMF] = []
     executed = 0
     globals_run = 0
@@ -92,19 +77,24 @@ def sparse_quench_sweep(
     for index, t in enumerate(times):
         n_steps = max(1, round(steps_per_unit * t))
         circuit = trotter_circuit(hamiltonian, t, n_steps, order=order)
-        locals_, used = _run_locals(backend, circuit, window, shots)
-        executed += used
-        if prior is None or index % global_period == 0:
+        batch = engine.new_batch()
+        for positions in sliding_windows(circuit.n_qubits, window):
+            partial = circuit.copy()
+            partial.measured_qubits = set()
+            partial.measure(positions)
+            batch.submit_circuit(partial, shots, map_to_best=True)
+        global_due = prior is None or index % global_period == 0
+        if global_due:
             full = circuit.copy()
             full.measure_all()
-            prior_pmf = backend.run(full, shots).to_pmf()
-            executed += 1
+            batch.submit_circuit(full, shots)
+        pmfs = [counts.to_pmf() for counts in batch.run()]
+        executed += len(batch)
+        if global_due:
+            prior = pmfs.pop()
             globals_run += 1
-        else:
-            prior_pmf = prior
-        output = bayesian_reconstruct(prior_pmf, locals_)
-        outputs.append(output)
-        prior = output
+        prior = bayesian_reconstruct(prior, pmfs)
+        outputs.append(prior)
     return QuenchSweepResult(
         times=times,
         outputs=tuple(outputs),

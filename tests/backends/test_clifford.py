@@ -6,6 +6,7 @@ import pytest
 from repro.backends import CliffordBackend, make_backend
 from repro.circuits import Circuit
 from repro.clifford import is_clifford_circuit, stabilizer_probabilities
+from repro.engine import CircuitSpec, shared_engine
 from repro.noise import SimulatorBackend, ibmq_mumbai_like
 from repro.sim import probabilities, run_statevector
 
@@ -17,6 +18,11 @@ def ghz(n):
         circuit.cx(q, q + 1)
     circuit.measure_all()
     return circuit
+
+
+def run(backend, circuit, shots):
+    """One circuit executed as its own engine batch."""
+    return shared_engine(backend).run_spec(CircuitSpec(circuit, shots))
 
 
 def random_clifford(n, gates, seed):
@@ -63,8 +69,8 @@ class TestDispatch:
         dense = SimulatorBackend(device, seed=3)
         clifford = make_backend("clifford", device, seed=3)
         circuit = ghz(5)
-        c_dense = dense.run(circuit, shots=512)
-        c_clifford = clifford.run(circuit, shots=512)
+        c_dense = run(dense, circuit, shots=512)
+        c_clifford = run(clifford, circuit, shots=512)
         assert c_clifford.data == c_dense.data
         assert clifford.stabilizer_runs == 1
         assert clifford.dense_fallbacks == 0
@@ -90,7 +96,7 @@ class TestDispatch:
         circuit.rz(0.7, 1)
         circuit.measure_all()
         dense = SimulatorBackend(seed=1)
-        assert clifford.run(circuit, 64).data == dense.run(circuit, 64).data
+        assert run(clifford, circuit, 64).data == run(dense, circuit, 64).data
         assert clifford.dense_fallbacks == 1
         assert clifford.stabilizer_runs == 0
 
@@ -99,9 +105,9 @@ class TestDispatch:
         non_clifford = Circuit(2)
         non_clifford.ry(0.2, 0)
         non_clifford.measure_all()
-        clifford.run(ghz(2), 16)
-        clifford.run(non_clifford, 16)
-        clifford.run(ghz(3), 16)
+        run(clifford, ghz(2), 16)
+        run(clifford, non_clifford, 16)
+        run(clifford, ghz(3), 16)
         assert clifford.stabilizer_runs == 2
         assert clifford.dense_fallbacks == 1
 
@@ -111,8 +117,8 @@ class TestDispatch:
         circuit.rx(0.5, 0)
         circuit.measure_all()
         with pytest.raises(ValueError, match="non-Clifford"):
-            strict.run(circuit, 16)
-        strict.run(ghz(2), 16)  # Clifford circuits still execute
+            run(strict, circuit, 16)
+        run(strict, ghz(2), 16)  # Clifford circuits still execute
 
     def test_invalid_fallback_rejected(self):
         with pytest.raises(ValueError, match="fallback"):

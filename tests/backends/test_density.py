@@ -6,6 +6,7 @@ import pytest
 from repro.api import Session
 from repro.backends import DensityBackend, make_backend
 from repro.circuits import Circuit
+from repro.engine import CircuitSpec, shared_engine
 from repro.noise import SimulatorBackend, ibmq_mumbai_like
 from repro.sim import run_density_matrix
 from repro.workloads import make_workload
@@ -19,18 +20,23 @@ def bell():
     return circuit
 
 
+def run(backend, circuit, shots):
+    """One circuit executed as its own engine batch."""
+    return shared_engine(backend).run_spec(CircuitSpec(circuit, shots))
+
+
 class TestAnalyticCounts:
     def test_counts_are_expected_values_not_samples(self):
         backend = make_backend("density", seed=0)
-        counts = backend.run(bell(), shots=100)
+        counts = run(backend, bell(), shots=100)
         assert counts["00"] == pytest.approx(50.0)
         assert counts["11"] == pytest.approx(50.0)
         assert counts.shots == pytest.approx(100.0)
 
     def test_repeat_executions_are_identical(self):
         backend = make_backend("density", ibmq_mumbai_like(), seed=0)
-        first = backend.run(bell(), shots=64)
-        second = backend.run(bell(), shots=64)
+        first = run(backend, bell(), shots=64)
+        second = run(backend, bell(), shots=64)
         assert first.data == second.data
 
     def test_analytic_false_restores_sampling(self):
@@ -38,14 +44,14 @@ class TestAnalyticCounts:
         sampled = make_backend(
             {"kind": "density", "analytic": False}, device, seed=4
         )
-        counts = sampled.run(bell(), shots=64)
+        counts = run(sampled, bell(), shots=64)
         assert all(float(v).is_integer() for v in counts.data.values())
         assert counts.shots == 64
 
     def test_ledger_is_charged_like_any_backend(self):
         backend = make_backend("density", seed=0)
-        backend.run(bell(), shots=100)
-        backend.run(bell(), shots=50)
+        run(backend, bell(), shots=100)
+        run(backend, bell(), shots=50)
         assert (backend.circuits_run, backend.shots_run) == (2, 150)
 
 

@@ -27,7 +27,9 @@ SCOPED = [
     "repro/dist",
     "repro/engine",
     "repro/io",
+    "repro/mitigation/bias_aware.py",
     "repro/mitigation/mbm.py",
+    "repro/mitigation/single_circuit.py",
     "repro/noise/backend.py",
     "repro/noise/characterization.py",
     "repro/obs",
@@ -37,6 +39,7 @@ SCOPED = [
     "repro/sweeps/spec.py",
     "repro/sweeps/catalog.py",
     "repro/sweeps/runner.py",
+    "repro/trotter/mitigated_sweep.py",
     "repro/workloads",
 ]
 

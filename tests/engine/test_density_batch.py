@@ -17,7 +17,7 @@ from repro.ansatz import EfficientSU2
 from repro.backends import CliffordBackend, DensityBackend
 from repro.circuits import Circuit
 from repro.engine.engine import ExecutionEngine
-from repro.mitigation import sliding_windows
+from repro.mitigation import jigsaw_mitigate, sliding_windows
 from repro.noise import ibmq_mumbai_like
 
 N_QUBITS = 6
@@ -113,6 +113,20 @@ def test_a_repeated_spec_still_dedups_and_is_charged(density_calls):
     assert engine.stats.simulations == 6
     assert handles[-1].source == "dedup"
     assert np.array_equal(handles[-1].pmf().probs, handles[0].pmf().probs)
+
+
+def test_jigsaw_mitigate_evolves_the_body_once(density_calls):
+    backend = DensityBackend(ibmq_mumbai_like(), seed=7)
+    bound = bound_ansatz(4)
+    result = jigsaw_mitigate(backend, bound, shots=SHOTS, window=2)
+    assert len(density_calls) == 1
+    assert backend.circuits_run == result.circuits_executed == 6
+    alone = DensityBackend(ibmq_mumbai_like(), seed=7)
+    pmfs = [result.global_pmf] + result.local_pmfs
+    for pmf, (circuit, map_to_best) in zip(pmfs, jigsaw_specs(bound)):
+        expected = alone.exact_pmf(circuit, map_to_best)
+        assert pmf.qubits == expected.qubits
+        assert np.array_equal(pmf.probs, expected.probs)
 
 
 def test_clifford_subsets_share_one_stabilizer_run():

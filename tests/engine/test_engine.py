@@ -127,8 +127,14 @@ class TestRNGModes:
     """Sampling draws from the backend's one RNG in submission order."""
 
     def test_shared_mode_matches_direct_backend_path(self, noisy_device):
+        # The reference: exact PMF, charge, then sample from the
+        # backend's RNG, one circuit at a time.
         direct = SimulatorBackend(noisy_device, seed=3)
-        c_direct = [direct.run(ghz(), shots=64) for _ in range(3)]
+        c_direct = []
+        for _ in range(3):
+            pmf = direct.exact_pmf(ghz())
+            direct.charge(64)
+            c_direct.append(direct.sample(pmf, 64, direct.rng))
 
         engined = SimulatorBackend(noisy_device, seed=3)
         engine = ExecutionEngine(engined)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
+from repro.engine import CircuitSpec, shared_engine
 from repro.mitigation import (
     flip_pmf_bits,
     invert_and_measure,
@@ -78,7 +79,9 @@ class TestInvertAndMeasure:
             qc.x(q)
         qc.measure_all()
 
-        plain = SimulatorBackend(device, seed=21).run(qc, 40_000).to_pmf()
+        plain = shared_engine(SimulatorBackend(device, seed=21)).run_spec(
+            CircuitSpec(qc, 40_000)
+        ).to_pmf()
         averaged = invert_and_measure(
             SimulatorBackend(device, seed=21), qc, 40_000
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
+from repro.engine import CircuitSpec, shared_engine
 from repro.mitigation import M3Mitigator, MatrixMitigator
 from repro.noise import SimulatorBackend, ibmq_mumbai_like, ideal_device
 from repro.sim import PMF, Counts
@@ -16,6 +17,11 @@ def ghz_circuit(n):
         qc.cx(q, q + 1)
     qc.measure_all()
     return qc
+
+
+def run(backend, circuit, shots):
+    """One circuit executed as its own engine batch."""
+    return shared_engine(backend).run_spec(CircuitSpec(circuit, shots))
 
 
 def ghz_pmf(n):
@@ -42,7 +48,7 @@ class TestConstruction:
 class TestMitigation:
     def test_recovers_ghz_under_heavy_noise(self):
         backend = SimulatorBackend(ibmq_mumbai_like(scale=3.0), seed=5)
-        counts = backend.run(ghz_circuit(3), 8192)
+        counts = run(backend, ghz_circuit(3), 8192)
         mitigator = M3Mitigator.from_device(backend, [0, 1, 2], 3)
         raw_tvd = counts.to_pmf().tvd(ghz_pmf(3))
         mitigated_tvd = mitigator.mitigate_counts(counts).tvd(ghz_pmf(3))
@@ -50,7 +56,7 @@ class TestMitigation:
 
     def test_matches_full_mbm_on_small_system(self):
         backend = SimulatorBackend(ibmq_mumbai_like(scale=2.0), seed=7)
-        counts = backend.run(ghz_circuit(3), 8192)
+        counts = run(backend, ghz_circuit(3), 8192)
         m3 = M3Mitigator.from_device(backend, [0, 1, 2], 3)
         mbm = MatrixMitigator.from_device(backend, [0, 1, 2], 3)
         pmf_m3 = m3.mitigate_counts(counts)
@@ -62,14 +68,14 @@ class TestMitigation:
         qc = Circuit(2)
         qc.x(0)
         qc.measure_all()
-        counts = backend.run(qc, 1024)
+        counts = run(backend, qc, 1024)
         mitigator = M3Mitigator.from_device(backend, [0, 1], 2)
         pmf = mitigator.mitigate_counts(counts)
         assert pmf.prob_of("10") == pytest.approx(1.0)
 
     def test_subspace_never_leaks_probability(self):
         backend = SimulatorBackend(ibmq_mumbai_like(scale=2.0), seed=9)
-        counts = backend.run(ghz_circuit(4), 2048)
+        counts = run(backend, ghz_circuit(4), 2048)
         mitigator = M3Mitigator.from_device(backend, [0, 1, 2, 3], 4)
         pmf = mitigator.mitigate_counts(counts)
         observed = set(counts.data)
@@ -98,7 +104,7 @@ class TestMitigation:
 
     def test_mitigate_pmf_roundtrip(self):
         backend = SimulatorBackend(ibmq_mumbai_like(scale=2.0), seed=11)
-        raw = backend.run(ghz_circuit(3), 8192).to_pmf()
+        raw = run(backend, ghz_circuit(3), 8192).to_pmf()
         mitigator = M3Mitigator.from_device(backend, [0, 1, 2], 3)
         pmf = mitigator.mitigate_pmf(raw)
         assert pmf.tvd(ghz_pmf(3)) < raw.tvd(ghz_pmf(3))

@@ -58,6 +58,18 @@ class TestSampledCalibration:
         MatrixMitigator.calibrate(backend, [0, 1], shots=100)
         assert backend.circuits_run == 2
 
+    def test_calibrate_rejects_empty_qubits(self, tiny_device):
+        backend = SimulatorBackend(tiny_device, seed=5)
+        with pytest.raises(ValueError, match="at least one qubit"):
+            MatrixMitigator.calibrate(backend, [], shots=100)
+        assert backend.circuits_run == 0
+
+    def test_calibrate_rejects_repeated_qubit(self, tiny_device):
+        backend = SimulatorBackend(tiny_device, seed=5)
+        with pytest.raises(ValueError, match="qubit 1 is listed twice"):
+            MatrixMitigator.calibrate(backend, [1, 0, 1], shots=100)
+        assert backend.circuits_run == 0
+
 
 class TestPhysicalityProjection:
     def test_negative_probabilities_clipped(self):

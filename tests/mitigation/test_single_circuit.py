@@ -63,6 +63,26 @@ class TestJigsawMitigate:
         with pytest.raises(ValueError):
             jigsaw_mitigate(backend, ghz(3), shots=16, window=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"shots": 0}, {"subset_shots": -5}, {"subset_shots": 0}],
+        ids=["shots=0", "subset_shots=-5", "subset_shots=0"],
+    )
+    def test_rejected_shots_leave_the_ledger_untouched(
+        self, tiny_device, kwargs
+    ):
+        backend = SimulatorBackend(tiny_device, seed=7)
+        with pytest.raises(ValueError, match="shots"):
+            jigsaw_mitigate(backend, ghz(3), **{"shots": 16, **kwargs})
+        assert (backend.circuits_run, backend.shots_run) == (0, 0)
+
+    def test_subset_shots_set_the_local_shots(self, tiny_device):
+        backend = SimulatorBackend(tiny_device, seed=8)
+        jigsaw_mitigate(backend, ghz(3), shots=16)
+        assert backend.shots_run == 16 + 2 * 16
+        jigsaw_mitigate(backend, ghz(3), shots=16, subset_shots=4)
+        assert backend.shots_run == 48 + 16 + 2 * 4
+
     def test_does_not_mutate_input_circuit(self, tiny_device):
         backend = SimulatorBackend(tiny_device, seed=6)
         qc = ghz(3)

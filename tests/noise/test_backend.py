@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
-from repro.engine import ExecutionEngine, StateSpec
+from repro.engine import (
+    CircuitSpec,
+    ExecutionEngine,
+    StateSpec,
+    shared_engine,
+)
 from repro.noise import SimulatorBackend, ideal_device
 from repro.sim import compile_plan
 
@@ -17,9 +22,14 @@ def bell() -> Circuit:
     return qc
 
 
+def run(backend, circuit, shots):
+    """One circuit executed as its own engine batch."""
+    return shared_engine(backend).run_spec(CircuitSpec(circuit, shots))
+
+
 class TestIdealExecution:
     def test_bell_counts(self, ideal_backend):
-        counts = ideal_backend.run(bell(), shots=4000)
+        counts = run(ideal_backend, bell(), shots=4000)
         assert set(counts) <= {"00", "11"}
         assert counts.shots == 4000
 
@@ -45,13 +55,13 @@ class TestIdealExecution:
 
 class TestAccounting:
     def test_counters_accumulate(self, ideal_backend):
-        ideal_backend.run(bell(), shots=10)
-        ideal_backend.run(bell(), shots=20)
+        run(ideal_backend, bell(), shots=10)
+        run(ideal_backend, bell(), shots=20)
         assert ideal_backend.circuits_run == 2
         assert ideal_backend.shots_run == 30
 
     def test_reset(self, ideal_backend):
-        ideal_backend.run(bell(), shots=10)
+        run(ideal_backend, bell(), shots=10)
         ideal_backend.reset_counters()
         assert ideal_backend.circuits_run == 0
 
@@ -147,6 +157,6 @@ class TestNoiseApplication:
         assert backend.device.name == ideal_device().name
 
     def test_seed_reproducibility(self, tiny_device):
-        a = SimulatorBackend(tiny_device, seed=42).run(bell(), 100)
-        b = SimulatorBackend(tiny_device, seed=42).run(bell(), 100)
+        a = run(SimulatorBackend(tiny_device, seed=42), bell(), 100)
+        b = run(SimulatorBackend(tiny_device, seed=42), bell(), 100)
         assert a.data == b.data

@@ -50,3 +50,9 @@ class TestCharacterizeReadout:
         backend = SimulatorBackend(tiny_device, seed=5)
         with pytest.raises(ValueError):
             characterize_readout(backend, [], shots=100)
+
+    def test_repeated_qubit_rejected_before_charging(self, tiny_device):
+        backend = SimulatorBackend(tiny_device, seed=5)
+        with pytest.raises(ValueError, match="qubit 0 is listed twice"):
+            characterize_readout(backend, [0, 0, 1], shots=100)
+        assert backend.circuits_run == 0

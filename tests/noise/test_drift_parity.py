@@ -11,6 +11,7 @@ never perturbs a calibrated device.
 import numpy as np
 
 from repro.circuits import Circuit
+from repro.engine import CircuitSpec, shared_engine
 from repro.noise import (
     ConstantDrift,
     DriftingDeviceModel,
@@ -38,6 +39,11 @@ def tuning_outcome(device):
         "shots": run.result.shots_executed,
         "ledger": (backend.circuits_run, backend.shots_run),
     }
+
+
+def run(backend, circuit, shots):
+    """One circuit as its own engine batch: one clock tick per call."""
+    return shared_engine(backend).run_spec(CircuitSpec(circuit, shots))
 
 
 def bell(n_qubits=4):
@@ -80,8 +86,8 @@ class TestZeroDriftParity:
         )
         circuit = bell()
         for _ in range(6):
-            a = static.run(circuit, shots=256)
-            b = drifted.run(circuit, shots=256)
+            a = run(static, circuit, shots=256)
+            b = run(drifted, circuit, shots=256)
             assert a.data == b.data
 
     def test_exact_pmfs_bit_identical(self):
@@ -98,8 +104,8 @@ class TestZeroDriftParity:
             b = drifted.exact_pmf(circuit)
             np.testing.assert_array_equal(a.probs, b.probs)
             # Keep the clocks moving so parity holds across epochs.
-            drifted.run(circuit, shots=16)
-            static.run(circuit, shots=16)
+            run(drifted, circuit, shots=16)
+            run(static, circuit, shots=16)
 
     def test_tuning_outcome_identical(self):
         baseline = tuning_outcome(ibmq_mumbai_like(scale=2.0))

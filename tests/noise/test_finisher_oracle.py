@@ -1,8 +1,8 @@
 """Differential oracle: the batch noise finisher vs the frozen scalar one.
 
 ``SimulatorBackend.exact_pmfs_from_probs_batch`` is the only noise
-pipeline: the engine, ``exact_pmf``, ``backend.run`` and
-``pmf_from_state`` all finish ideal probabilities through it.  Each of
+pipeline: the engine, ``exact_pmf`` and ``pmf_from_state`` all
+finish ideal probabilities through it.  Each of
 its rows must equal :func:`tests.noise.scalar_reference.reference_pmf`
 on that row alone, bit for bit, whatever else shares the batch: 1-6
 qubits, random sorted measured subsets (single qubits included), the
