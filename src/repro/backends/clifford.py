@@ -12,7 +12,7 @@ ledger are exactly the dense backend's, so results differ from
 ``dense`` only by the absence of the statevector's floating-point dust
 on the fast path.
 
-The prepared-state path (``prepare_states`` + ``state_row``)
+The prepared-state path (``prepare_states`` + ``state_rows``)
 stays dense: it starts from a cached statevector, which is already the
 right representation for the non-Clifford ansatz circuits that use it.
 """

@@ -7,7 +7,7 @@ quality rather than throughput:
   :class:`~repro.sim.DensityMatrix` with a depolarizing channel after
   every gate (plus optional amplitude damping) instead of the dense
   backend's single global-depolarizing approximation.  The
-  prepared-state fast path (``prepare_states`` + ``state_row``)
+  prepared-state fast path (``prepare_states`` + ``state_rows``)
   keeps the global approximation: it starts from a cached pure
   statevector, where the per-gate channel history is no longer
   available.

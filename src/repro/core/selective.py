@@ -27,6 +27,7 @@ import numpy as np
 
 from ..api import register_estimator
 from ..api.spec import check_fraction, check_int
+from ..mitigation.reconstruction import bayesian_reconstruct_batch
 from ..sim import PMF
 from ..vqe.expectation import energy_from_group_pmfs
 from .spatial import SubsetPlan
@@ -165,8 +166,6 @@ class SelectiveVarSawEstimator(VarSawEstimator):
         return self._evaluate_partially_mitigated(params)
 
     def _evaluate_partially_mitigated(self, params: np.ndarray) -> float:
-        from ..mitigation.reconstruction import bayesian_reconstruct
-
         state = self.prepare_state(params)
         t = self._evaluation_index
         self._evaluation_index += 1
@@ -190,26 +189,28 @@ class SelectiveVarSawEstimator(VarSawEstimator):
             i: h.result().to_pmf() for i, h in subset_handles.items()
         }
 
-        pmfs: list[PMF] = []
-        new_prior: list[PMF] = []
-        for g, basis in enumerate(self.bases):
-            if g not in self.mitigated_groups:
-                # Unselected: raw global every evaluation (baseline path).
-                raw = self._global_pmf(global_handles[g])
-                pmfs.append(raw)
-                new_prior.append(raw)
-                continue
-            locals_g = [local_pmfs[i] for i in self._compatible[g]]
-            if run_globals:
-                prior = self._global_pmf(global_handles[g])
-            else:
-                prior = self._prior[g]
-            mitigated = bayesian_reconstruct(prior, locals_g)
-            pmfs.append(mitigated)
-            new_prior.append(mitigated)
+        mitigated = sorted(self.mitigated_groups)
+        priors = [
+            self._global_pmf(global_handles[g]) if run_globals
+            else self._prior[g]
+            for g in mitigated
+        ]
+        group_locals = [
+            [local_pmfs[i] for i in self._compatible[g]] for g in mitigated
+        ]
+        reconstructed = dict(zip(
+            mitigated, bayesian_reconstruct_batch(priors, group_locals)
+        ))
+        # Unselected groups read their raw Global every evaluation (the
+        # baseline path).
+        pmfs: list[PMF] = [
+            reconstructed[g] if g in reconstructed
+            else self._global_pmf(global_handles[g])
+            for g in range(len(self.bases))
+        ]
         if run_globals:
             self.scheduler.record_global(t)
-        self._prior = new_prior
+        self._prior = pmfs
         self.scheduler.record_evaluation()
         return energy_from_group_pmfs(
             self.hamiltonian, pmfs, self.group_terms
@@ -270,18 +271,11 @@ class CalibrationGatedVarSawEstimator(VarSawEstimator):
             self.plan, self.backend.device.readout
         )
         self.subsets_skipped = self.plan.num_subsets - len(kept)
-        self.plan = SubsetPlan(
+        self._adopt_plan(SubsetPlan(
             n_qubits=self.plan.n_qubits,
             window=self.plan.window,
             assignments=[self.plan.assignments[i] for i in kept],
-        )
-        self._subset_rotations = [
-            self.plan.rotation_circuit(i)
-            for i in range(self.plan.num_subsets)
-        ]
-        self._compatible = [
-            self.plan.compatible_with(basis) for basis in self.bases
-        ]
+        ))
 
 
 # ------------------------------------------------------------ registry

@@ -25,8 +25,10 @@ import numpy as np
 from ..ansatz import EfficientSU2
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_bool, check_choice, check_int
+from ..engine import body_fingerprint
 from ..hamiltonian import Hamiltonian
-from ..mitigation.reconstruction import bayesian_reconstruct
+from ..mitigation.reconstruction import bayesian_reconstruct_batch
+from ..mitigation.subsets import checked_subset_shots
 from ..noise import SimulatorBackend
 from ..pauli import PauliString
 from ..sim import PMF
@@ -54,7 +56,7 @@ class VarSawEstimator(EstimatorBase):
         ``adaptive`` (the full VarSaw design), ``always`` (No-Sparsity),
         or ``never`` (Max-Sparsity; Globals only on the first evaluation).
     subset_shots:
-        Shots per subset circuit (defaults to ``shots``).
+        Shots per subset circuit (at least 1; ``None`` means ``shots``).
     initial_period / max_period:
         Hill-climbing bounds for the adaptive scheduler.
     mbm:
@@ -79,25 +81,36 @@ class VarSawEstimator(EstimatorBase):
     ):
         super().__init__(hamiltonian, ansatz, backend, shots, engine=engine)
         self.window = window
-        self.subset_shots = subset_shots if subset_shots else shots
-        self.plan: SubsetPlan = varsaw_subset_plan(hamiltonian, window)
+        self.subset_shots = checked_subset_shots(subset_shots, shots)
         self.scheduler = GlobalScheduler(
             mode=global_mode,
             initial_period=initial_period,
             max_period=max_period,
         )
-        self._subset_rotations = [
-            self.plan.rotation_circuit(i)
-            for i in range(self.plan.num_subsets)
-        ]
-        # Subset indices usable for each measurement group (by position —
-        # two groups may share a Z-filled basis but stay distinct circuits).
-        self._compatible: list[list[int]] = [
-            self.plan.compatible_with(basis) for basis in self.bases
-        ]
+        self._adopt_plan(varsaw_subset_plan(hamiltonian, window))
         self._prior: list[PMF] | None = None
         self._evaluation_index = 0
         self.mbm = mbm
+
+    def _adopt_plan(self, plan: SubsetPlan) -> None:
+        """Install ``plan`` together with everything derived from it.
+
+        Each subset's basis-change suffix, support and suffix digest,
+        and each measurement group's compatible subset indices (by
+        position — two groups may share a Z-filled basis but stay
+        distinct circuits), are built here in one place, so a subclass
+        that swaps in another plan cannot leave any of them stale.
+        """
+        self.plan: SubsetPlan = plan
+        subsets = range(plan.num_subsets)
+        self._subset_rotations = [plan.rotation_circuit(i) for i in subsets]
+        self._subset_supports = [plan.support(i) for i in subsets]
+        self._subset_digests = [
+            body_fingerprint(rotation) for rotation in self._subset_rotations
+        ]
+        self._compatible: list[list[int]] = [
+            plan.compatible_with(basis) for basis in self.bases
+        ]
 
     # ------------------------------------------------------------- execution
 
@@ -106,21 +119,17 @@ class VarSawEstimator(EstimatorBase):
         return batch.submit_state(
             state,
             self._subset_rotations[index],
-            self.plan.support(index),
+            self._subset_supports[index],
             self.subset_shots,
             map_to_best=True,
             gate_load=self.ansatz.gate_load,
+            suffix_digest=self._subset_digests[index],
         )
 
     def _submit_global(self, batch, state: np.ndarray, basis: PauliString):
         """Queue one Global circuit; return its job handle."""
-        return batch.submit_state(
-            state,
-            self.rotation_for(basis),
-            range(self.n_qubits),
-            self.shots,
-            map_to_best=False,
-            gate_load=self.ansatz.gate_load,
+        return self._submit_basis(
+            batch, state, basis, range(self.n_qubits), self.shots
         )
 
     def _global_pmf(self, handle) -> PMF:
@@ -133,6 +142,7 @@ class VarSawEstimator(EstimatorBase):
     # ------------------------------------------------------------- objective
 
     def evaluate(self, params: np.ndarray) -> float:
+        """VarSaw-mitigated energy (subsets always, Globals when due)."""
         state = self.prepare_state(params)
         t = self._evaluation_index
         self._evaluation_index += 1
@@ -153,21 +163,18 @@ class VarSawEstimator(EstimatorBase):
         )
         batch.run()
         local_pmfs = [h.result().to_pmf() for h in subset_handles]
-
-        def locals_for(group: int) -> list[PMF]:
-            return [local_pmfs[i] for i in self._compatible[group]]
+        group_locals = [
+            [local_pmfs[i] for i in compatible]
+            for compatible in self._compatible
+        ]
 
         if run_globals:
-            fresh: list[PMF] = []
-            for g, handle in enumerate(global_handles):
-                fresh.append(
-                    bayesian_reconstruct(
-                        self._global_pmf(handle), locals_for(g)
-                    )
-                )
+            fresh = bayesian_reconstruct_batch(
+                [self._global_pmf(h) for h in global_handles], group_locals
+            )
             self.scheduler.record_global(t)
             if have_prior:
-                stale = self._reconstruct_from_prior(locals_for)
+                stale = bayesian_reconstruct_batch(self._prior, group_locals)
                 energy_fresh = self._energy(fresh)
                 energy_stale = self._energy(stale)
                 # Fig. 11: if the stale-prior result is at least as low,
@@ -183,18 +190,11 @@ class VarSawEstimator(EstimatorBase):
                 chosen = fresh
                 energy = self._energy(fresh)
         else:
-            chosen = self._reconstruct_from_prior(locals_for)
+            chosen = bayesian_reconstruct_batch(self._prior, group_locals)
             energy = self._energy(chosen)
         self._prior = chosen
         self.scheduler.record_evaluation()
         return energy
-
-    def _reconstruct_from_prior(self, locals_for) -> list[PMF]:
-        assert self._prior is not None
-        return [
-            bayesian_reconstruct(self._prior[g], locals_for(g))
-            for g in range(len(self.bases))
-        ]
 
     def _energy(self, pmfs: list[PMF]) -> float:
         return energy_from_group_pmfs(
@@ -205,10 +205,12 @@ class VarSawEstimator(EstimatorBase):
 
     @property
     def circuits_per_subset_pass(self) -> int:
+        """Subset circuits every evaluation runs."""
         return self.plan.num_subsets
 
     @property
     def circuits_per_global_pass(self) -> int:
+        """Global circuits an evaluation that runs Globals adds."""
         return self.num_groups
 
     @property
@@ -257,6 +259,7 @@ class VarSawSpec(EstimatorSpec):
     _PINNED_MODE: ClassVar[str | None] = None
 
     def validate(self) -> None:
+        """Check every field eagerly, and the kind's pinned mode."""
         check_int("shots", self.shots, minimum=1)
         check_int("window", self.window, minimum=1)
         if self.subset_shots is not None:
@@ -299,6 +302,7 @@ class VarSawSpec(EstimatorSpec):
         return kwargs
 
     def build(self, workload, backend, engine=None, **overrides):
+        """A :class:`VarSawEstimator` over ``workload``."""
         kwargs = self._constructor_kwargs(workload, backend, engine)
         kwargs.update(overrides)
         return VarSawEstimator(

@@ -38,6 +38,7 @@ from .engine import Batch, EngineStats, ExecutionEngine, JobHandle
 from .spec import (
     CircuitSpec,
     StateSpec,
+    body_fingerprint,
     circuit_fingerprint,
     device_fingerprint,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "StateSpec",
     "LRUCache",
     "CacheStats",
+    "body_fingerprint",
     "circuit_fingerprint",
     "device_fingerprint",
     "ensure_engine",

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -222,8 +223,14 @@ class Batch:
         shots: int,
         map_to_best: bool = False,
         gate_load: tuple[int, int] = (0, 0),
+        suffix_digest: str | None = None,
     ) -> JobHandle:
-        """Queue a prepared state + basis suffix (a :class:`StateSpec`)."""
+        """Queue a prepared state + basis suffix (a :class:`StateSpec`).
+
+        ``suffix_digest`` is the suffix's precomputed
+        :func:`~repro.engine.spec.body_fingerprint`, for callers that
+        submit the same suffix every evaluation.
+        """
         digest = self._state_digests.get(id(state))
         if digest is None:
             digest = state_digest(state)
@@ -237,6 +244,7 @@ class Batch:
                 map_to_best=map_to_best,
                 gate_load=gate_load,
                 digest=digest,
+                suffix_digest=suffix_digest,
             )
         )
 
@@ -313,14 +321,19 @@ class ExecutionEngine:
 
     # ------------------------------------------------------ state preparation
 
-    def _plan_for(self, circuit: Circuit) -> CircuitPlan:
-        """The compiled plan for ``circuit``'s structure (plan cache).
+    def _plan_for(
+        self, circuit: Circuit, key: str | None = None
+    ) -> CircuitPlan:
+        """The compiled plan for ``circuit`` (plan cache).
 
         The ``plan_for`` the engine hands the backend's simulation
-        hooks and ``state_row``.  With ``plan_cache_size=0`` every call
+        hooks, keyed by :func:`structure_fingerprint`; a state spec's
+        suffix is keyed by its ``suffix_digest`` instead, so it is
+        never re-hashed.  With ``plan_cache_size=0`` every call
         compiles afresh and no plan is retained.
         """
-        key = structure_fingerprint(circuit)
+        if key is None:
+            key = structure_fingerprint(circuit)
         plan = self._plan_cache.get(key)
         if plan is None:
             plan = compile_plan(circuit)
@@ -373,34 +386,39 @@ class ExecutionEngine:
     def _simulate(self, misses: list[tuple[tuple, object]]) -> list:
         """Exact PMFs of a batch's cache misses: ``(key, pmf)`` pairs.
 
+        Specs group by the body they evolve, and each body evolves
+        once; every spec then contributes an ideal probability row with
+        its own measured qubits, readout mapping and gate load.
         Circuit specs group by :func:`body_fingerprint` — a JigSaw
-        Global and its subsets differ only in measured qubits — and
-        one circuit per body goes to the backend's
-        ``circuit_probabilities_batch`` hook, in a single call; every
-        spec then contributes an ideal probability row with its own
-        measured qubits, readout mapping and gate load.  State specs
-        become rows through the backend's ``state_row`` over cached
-        suffix plans.  The noise finisher advances all rows at once.
-        With ``plan_cache_size=0`` state specs instead run through the
-        backend's ``pmf_from_state``, each finished alone.
+        Global and its subsets differ only in measured qubits — and one
+        circuit per body goes to the backend's
+        ``circuit_probabilities_batch`` hook, in a single call.  State
+        specs group by (state ``digest``, ``suffix_digest``), and the
+        backend's ``state_rows`` evolves each such body through its
+        cached suffix plan.  The noise finisher advances all rows at
+        once.  With ``plan_cache_size=0`` state specs instead run
+        through the backend's ``pmf_from_state``, each finished alone.
         """
         backend = self.backend
         bodies: dict[str, list] = {}
-        state_keys, state_rows = [], []
+        state_keys: list[tuple] = []
+        state_bodies: dict[tuple, list[tuple[int, StateSpec]]] = {}
         fresh = []
         for key, spec in misses:
             if isinstance(spec, CircuitSpec):
                 bodies.setdefault(body_fingerprint(spec.circuit), []).append(
                     (key, spec)
                 )
-                continue
-            args = (spec.state, spec.suffix, spec.measured_qubits,
-                    spec.map_to_best, spec.gate_load)
-            if self.config.plan_cache_size:
+            elif self.config.plan_cache_size:
+                state_bodies.setdefault(
+                    (spec.digest, spec.suffix_digest), []
+                ).append((len(state_keys), spec))
                 state_keys.append(key)
-                state_rows.append(backend.state_row(*args, self._plan_for))
             else:
-                fresh.append((key, backend.pmf_from_state(*args)))
+                fresh.append((key, backend.pmf_from_state(
+                    spec.state, spec.suffix, spec.measured_qubits,
+                    spec.map_to_best, spec.gate_load,
+                )))
         keys, rows = [], []
         if bodies:
             groups = list(bodies.values())
@@ -418,6 +436,20 @@ class ExecutionEngine:
                         spec.map_to_best,
                         backend.noise_gate_load(circuit),
                     ))
+        # State rows keep the batch's miss order (the PMF cache's
+        # insertion order), whatever order their bodies evolve in.
+        state_rows: list = [None] * len(state_keys)
+        for (_, suffix_digest), group in state_bodies.items():
+            first = group[0][1]
+            body_rows = backend.state_rows(
+                first.state,
+                first.suffix,
+                [(spec.measured_qubits, spec.map_to_best, spec.gate_load)
+                 for _, spec in group],
+                partial(self._plan_for, key=suffix_digest),
+            )
+            for (position, _), row in zip(group, body_rows):
+                state_rows[position] = row
         keys += state_keys
         rows += state_rows
         if rows:

@@ -3,7 +3,7 @@
 A *spec* is everything needed to reproduce one device execution: either a
 full bound circuit (:class:`CircuitSpec`) or a prepared ansatz state plus
 a measurement-basis suffix (:class:`StateSpec` — the backend's
-``state_row`` fast path).  Specs are immutable once submitted.
+``state_rows`` fast path).  Specs are immutable once submitted.
 
 Each spec exposes a :meth:`fingerprint`: a digest over the exact content
 that determines its noisy outcome distribution — circuit structure,
@@ -71,7 +71,8 @@ def body_fingerprint(circuit: Circuit) -> str:
     """:func:`circuit_fingerprint` without the measured qubits.
 
     Circuits sharing a body (a JigSaw Global and its subsets) evolve
-    to the same ideal probabilities; only their readout differs.
+    to the same ideal probabilities; only their readout differs.  It
+    is also a :class:`StateSpec`'s ``suffix_digest``.
     """
     h = _hasher()
     _feed_body(h, circuit)
@@ -161,7 +162,7 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """One prepared-state execution request (``backend.state_row``).
+    """One prepared-state execution request (``backend.state_rows``).
 
     ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
     preparation, charged to depolarizing noise on top of the suffix.
@@ -169,9 +170,13 @@ class StateSpec:
     act on the same ``n`` qubits, and ``measured_qubits`` must be
     distinct qubits of that register — all checked here, so a bad spec
     fails at submit time instead of failing its whole batch.
-    ``digest`` is an optional precomputed :func:`state_digest` of
-    ``state`` (an optimization for batches whose specs share a state);
-    when given, it MUST match the array's content.
+    ``digest`` is a precomputed :func:`state_digest` of ``state`` and
+    ``suffix_digest`` a precomputed :func:`body_fingerprint` of
+    ``suffix`` (optimizations for batches whose specs share a state,
+    and estimators that submit the same suffixes every evaluation);
+    when given, each MUST match its content.  Either one left out is
+    computed here, so every spec carries both: its fingerprint and the
+    engine's suffix-plan lookup read them.
     """
 
     state: np.ndarray = field(repr=False)
@@ -181,6 +186,7 @@ class StateSpec:
     map_to_best: bool = False
     gate_load: tuple[int, int] = (0, 0)
     digest: str | None = field(default=None, repr=False)
+    suffix_digest: str | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -216,17 +222,17 @@ class StateSpec:
                 )
             if q in self.measured_qubits[:i]:
                 raise ValueError(f"measured qubit {q} is listed twice")
+        if self.digest is None:
+            object.__setattr__(self, "digest", state_digest(self.state))
+        if self.suffix_digest is None and self.suffix is not None:
+            object.__setattr__(
+                self, "suffix_digest", body_fingerprint(self.suffix)
+            )
 
     def fingerprint(self) -> str:
         """Content digest over state bytes + suffix + measurement."""
         h = _hasher()
-        h.update(b"s:")
-        digest = self.digest
-        if digest is None:
-            digest = state_digest(self.state)
-        h.update(digest.encode())
-        if self.suffix is not None:
-            _feed_circuit(h, self.suffix)
+        h.update(f"s:{self.digest}|{self.suffix_digest}".encode())
         h.update(
             f"|m:{','.join(map(str, sorted(self.measured_qubits)))}"
             f"|b:{int(self.map_to_best)}"

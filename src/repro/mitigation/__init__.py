@@ -4,7 +4,11 @@ from .bias_aware import flip_pmf_bits, invert_and_measure, polarity_circuits
 from .jigsaw import JigSawEstimator, JigSawSpec
 from .m3 import M3Mitigator
 from .mbm import MatrixMitigator
-from .reconstruction import bayesian_reconstruct, subset_index_map
+from .reconstruction import (
+    bayesian_reconstruct,
+    bayesian_reconstruct_batch,
+    subset_index_map,
+)
 from .single_circuit import JigsawResult, jigsaw_mitigate
 from .zne import linear_extrapolate, richardson_extrapolate, zne_energy
 from .subsets import jigsaw_subsets_per_term, sliding_windows, term_subsets
@@ -18,6 +22,7 @@ __all__ = [
     "polarity_circuits",
     "flip_pmf_bits",
     "bayesian_reconstruct",
+    "bayesian_reconstruct_batch",
     "subset_index_map",
     "sliding_windows",
     "term_subsets",

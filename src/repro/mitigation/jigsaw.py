@@ -27,8 +27,8 @@ from ..pauli import PauliString
 from ..sim import PMF
 from ..vqe.estimator import EstimatorBase
 from ..vqe.expectation import energy_from_group_pmfs
-from .reconstruction import bayesian_reconstruct
-from .subsets import sliding_windows
+from .reconstruction import bayesian_reconstruct_batch
+from .subsets import checked_subset_shots, sliding_windows
 
 __all__ = ["JigSawEstimator", "JigSawSpec"]
 
@@ -41,7 +41,8 @@ class JigSawEstimator(EstimatorBase):
     window:
         Subset width ``m`` (paper default and Appendix A optimum: 2).
     subset_shots:
-        Shots per subset circuit; defaults to the global's ``shots``.
+        Shots per subset circuit (at least 1); ``None`` means the
+        global's ``shots``.
     """
 
     def __init__(
@@ -58,60 +59,46 @@ class JigSawEstimator(EstimatorBase):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self.subset_shots = subset_shots if subset_shots else shots
+        self.subset_shots = checked_subset_shots(subset_shots, shots)
         self.windows = sliding_windows(self.n_qubits, window)
 
     def evaluate(self, params: np.ndarray) -> float:
+        """JigSaw-mitigated energy: every group's Global + subsets."""
         state = self.prepare_state(params)
-        batch = self.engine.new_batch()
-        handles = [
-            self._submit_group(batch, state, basis) for basis in self.bases
-        ]
-        batch.run()
-        pmfs = [self._reconstruct_group(h) for h in handles]
+        pmfs = self._mitigated_pmfs(state, self.bases)
         return energy_from_group_pmfs(
             self.hamiltonian, pmfs, self.group_terms
         )
 
     def _submit_group(self, batch, state: np.ndarray, basis: PauliString):
         """Queue one group's Global + subset circuits; return the handles."""
-        gate_load = self.ansatz.gate_load
-        rotation = self.rotation_for(basis)
-        global_handle = batch.submit_state(
-            state,
-            rotation,
-            range(self.n_qubits),
-            self.shots,
-            map_to_best=False,
-            gate_load=gate_load,
+        global_handle = self._submit_basis(
+            batch, state, basis, range(self.n_qubits), self.shots
         )
         local_handles = [
-            batch.submit_state(
-                state,
-                rotation,
-                window,
-                self.subset_shots,
+            self._submit_basis(
+                batch, state, basis, window, self.subset_shots,
                 map_to_best=True,
-                gate_load=gate_load,
             )
             for window in self.windows
         ]
         return global_handle, local_handles
 
-    @staticmethod
-    def _reconstruct_group(handles) -> PMF:
-        global_handle, local_handles = handles
-        locals_ = [h.result().to_pmf() for h in local_handles]
-        return bayesian_reconstruct(global_handle.result().to_pmf(), locals_)
+    def _mitigated_pmfs(self, state: np.ndarray, bases) -> list[PMF]:
+        """One batch of every group's circuits, one batched reconstruction."""
+        batch = self.engine.new_batch()
+        handles = [self._submit_group(batch, state, b) for b in bases]
+        batch.run()
+        return bayesian_reconstruct_batch(
+            [g.result().to_pmf() for g, _ in handles],
+            [[h.result().to_pmf() for h in locals_] for _, locals_ in handles],
+        )
 
     def mitigated_group_pmf(
         self, state: np.ndarray, basis: PauliString
     ) -> PMF:
         """Global + subset runs + Bayesian reconstruction for one group."""
-        batch = self.engine.new_batch()
-        handles = self._submit_group(batch, state, basis)
-        batch.run()
-        return self._reconstruct_group(handles)
+        return self._mitigated_pmfs(state, [basis])[0]
 
     @property
     def circuits_per_evaluation(self) -> int:
@@ -129,12 +116,14 @@ class JigSawSpec(EstimatorSpec):
     subset_shots: int | None = None
 
     def validate(self) -> None:
+        """Check shot counts and the window width eagerly."""
         check_int("shots", self.shots, minimum=1)
         check_int("window", self.window, minimum=1)
         if self.subset_shots is not None:
             check_int("subset_shots", self.subset_shots, minimum=1)
 
     def build(self, workload, backend, engine=None, **overrides):
+        """A :class:`JigSawEstimator` over ``workload``."""
         return JigSawEstimator(
             workload.hamiltonian,
             workload.ansatz,

@@ -20,7 +20,7 @@ from ..engine import shared_engine
 from ..noise import SimulatorBackend
 from ..sim import PMF
 from .reconstruction import bayesian_reconstruct
-from .subsets import sliding_windows
+from .subsets import checked_subset_shots, sliding_windows
 
 __all__ = ["JigsawResult", "jigsaw_mitigate"]
 
@@ -55,10 +55,7 @@ def jigsaw_mitigate(
         raise ValueError("circuit must be bound")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if subset_shots is None:
-        subset_shots = shots
-    elif subset_shots < 1:
-        raise ValueError("subset_shots must be >= 1")
+    subset_shots = checked_subset_shots(subset_shots, shots)
 
     batch = shared_engine(backend).new_batch()
     full = circuit.copy()

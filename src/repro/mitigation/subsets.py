@@ -20,6 +20,21 @@ __all__ = [
 ]
 
 
+def checked_subset_shots(subset_shots: int | None, shots: int) -> int:
+    """Shots per subset circuit: ``subset_shots``, or ``shots`` if None.
+
+    Rejects ``subset_shots < 1`` up front (as the estimator specs do),
+    so a bad value fails at construction, not at the first execution.
+    """
+    if subset_shots is None:
+        return shots
+    if subset_shots < 1:
+        raise ValueError(
+            f"subset_shots must be at least 1; got {subset_shots!r}"
+        )
+    return subset_shots
+
+
 def sliding_windows(n_qubits: int, size: int) -> list[tuple[int, ...]]:
     """Adjacent position windows: (0..size-1), (1..size), ...
 

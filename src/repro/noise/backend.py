@@ -235,43 +235,49 @@ class SimulatorBackend:
     ) -> PMF:
         """Exact noisy PMF of a prepared state + basis suffix (uncharged).
 
-        :meth:`state_row` with :func:`~repro.sim.plan.compile_plan`,
+        :meth:`state_rows` with :func:`~repro.sim.plan.compile_plan`,
         finished as a batch of one.
         """
-        row = self.state_row(state, suffix, measured_qubits, map_to_best,
-                             gate_load, compile_plan)
-        return self.exact_pmfs_from_probs_batch([row])[0]
+        rows = self.state_rows(
+            state, suffix, [(measured_qubits, map_to_best, gate_load)],
+            compile_plan,
+        )
+        return self.exact_pmfs_from_probs_batch(rows)[0]
 
-    def state_row(
+    def state_rows(
         self,
         state: np.ndarray,
         suffix: Circuit | None,
-        measured_qubits,
-        map_to_best: bool,
-        gate_load: tuple[int, int],
+        readouts,
         plan_for: PlanFor,
-    ) -> tuple:
-        """The finisher row of a prepared state + basis suffix.
+    ) -> list[tuple]:
+        """The finisher rows of one prepared state + basis suffix.
 
-        Evolves ``state`` through ``plan_for(suffix)`` (when there is a
-        suffix) and adds the suffix's gates to ``gate_load``, the state
-        preparation's (one-qubit, two-qubit) gate count, so the
-        depolarizing weight reflects the *full* circuit.  The engine
-        passes its plan-cache lookup and batches the rows.
+        Evolves ``state`` through ``plan_for(suffix)`` once (when there
+        is a suffix); each ``(measured_qubits, map_to_best, gate_load)``
+        readout then gets its own row, with the suffix's gates added to
+        ``gate_load`` (the state preparation's (one-qubit, two-qubit)
+        gate count) so the depolarizing weight reflects the *full*
+        circuit.  The engine passes its plan-cache lookup and batches
+        the rows of every (state, suffix) body.
         """
-        g1, g2 = gate_load
+        s1 = s2 = 0
         if suffix is not None:
             plan = plan_for(suffix)
             state = plan.run(plan.slot_values(suffix), initial_state=state)
             s1, s2 = plan.gate_load
-            g1, g2 = g1 + s1, g2 + s2
-        return (
-            probabilities(state),
-            int(np.log2(state.shape[0])),
-            tuple(sorted(int(q) for q in measured_qubits)),
-            map_to_best,
-            (g1, g2),
-        )
+        probs = probabilities(state)
+        n = int(np.log2(state.shape[0]))
+        return [
+            (
+                probs,
+                n,
+                tuple(sorted(int(q) for q in measured)),
+                map_to_best,
+                (gate_load[0] + s1, gate_load[1] + s2),
+            )
+            for measured, map_to_best, gate_load in readouts
+        ]
 
     def exact_pmfs_from_probs_batch(self, rows) -> list[PMF]:
         """The noise finisher: exact noisy PMFs of ideal probability rows.

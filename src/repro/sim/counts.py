@@ -1,9 +1,15 @@
 """Shot-count containers.
 
-:class:`Counts` is the sparse, dict-backed sibling of
-:class:`~repro.sim.pmf.PMF`: what an execution backend hands back after
-sampling.  It converts losslessly to a PMF and supports merging (used when
-results for the same circuit are accumulated across batches).
+:class:`Counts` is what an execution backend hands back after sampling:
+a dense count vector over the ``2**n`` outcomes of a labeled qubit set,
+the same layout as :class:`~repro.sim.pmf.PMF`.  Sampling stores the
+multinomial draw as-is and :meth:`Counts.to_pmf` normalizes it, so no
+outcome is ever formatted as a bitstring on the hot path.  The
+string-keyed views (:attr:`Counts.data`, :meth:`Counts.items`,
+``counts["01"]``, :meth:`Counts.most_frequent`) list outcomes in index
+order for the CLI, serve results and tests.  Counts convert losslessly
+to a PMF and merge (used when results for the same circuit are
+accumulated across batches).
 """
 
 from __future__ import annotations
@@ -14,55 +20,55 @@ from .pmf import PMF
 
 __all__ = ["Counts"]
 
-#: Bitstring labels by register width, built once per width.  Sampling
-#: formats every nonzero outcome of every executed circuit; the table
-#: turns that from a ``format`` call into an indexed lookup.
-_LABELS: dict[int, list[str]] = {}
-
-
-def _labels(n: int) -> list[str]:
-    table = _LABELS.get(n)
-    if table is None:
-        table = [format(i, f"0{n}b") for i in range(2**n)]
-        _LABELS[n] = table
-    return table
-
 
 class Counts:
     """Measurement counts over a labeled qubit set.
 
-    Keys are bitstrings in qubit-label order (most significant first, same
-    convention as :class:`PMF`).
+    ``vector[i]`` counts outcome ``i``; string keys are bitstrings in
+    qubit-label order (most significant first, same convention as
+    :class:`PMF`).  Sampled counts are integers; analytic counts
+    (:meth:`from_pmf_exact`) are floats.
     """
 
-    __slots__ = ("data", "qubits")
+    __slots__ = ("vector", "qubits")
 
     def __init__(self, data: dict[str, int], qubits: tuple[int, ...]):
         qubits = tuple(int(q) for q in qubits)
         n = len(qubits)
-        clean: dict[str, int] = {}
+        vector = np.zeros(2**n, dtype=np.int64)
         for key, value in data.items():
             if len(key) != n or set(key) - {"0", "1"}:
                 raise ValueError(f"bad bitstring {key!r} for {n} qubits")
-            value = int(value)
-            if value < 0:
+            try:
+                whole = int(value)
+            except (TypeError, ValueError, OverflowError):
+                whole = None
+            if whole is None or whole != value:
+                raise ValueError(
+                    f"count for {key!r} is not a whole number: {value!r}"
+                )
+            if whole < 0:
                 raise ValueError(f"negative count for {key!r}")
-            if value:
-                clean[key] = clean.get(key, 0) + value
-        self.data = clean
+            vector[int(key or "0", 2)] += whole
+        self.vector = vector
         self.qubits = qubits
+
+    @classmethod
+    def _adopt(
+        cls, vector: np.ndarray, qubits: tuple[int, ...]
+    ) -> "Counts":
+        """Internal: wrap a nonnegative count vector over ``qubits``."""
+        obj = cls.__new__(cls)
+        obj.vector = vector
+        obj.qubits = qubits
+        return obj
 
     @classmethod
     def from_pmf_samples(
         cls, pmf: PMF, shots: int, rng: np.random.Generator
     ) -> "Counts":
         """Sample ``shots`` outcomes from ``pmf``."""
-        draws = rng.multinomial(shots, pmf.probs)
-        labels = _labels(pmf.n_qubits)
-        data = {labels[i]: int(c) for i, c in enumerate(draws) if c}
-        # The keys and values are constructed valid here, so the
-        # normalizing constructor would only re-check them.
-        return cls._unchecked(data, pmf.qubits)
+        return cls._adopt(rng.multinomial(shots, pmf.probs), pmf.qubits)
 
     @classmethod
     def from_pmf_exact(cls, pmf: PMF, shots: int) -> "Counts":
@@ -72,94 +78,75 @@ class Counts:
         :meth:`from_pmf_samples` over the shot noise — so estimators
         whose statistic is linear in the counts (any PMF-based
         expectation) become zero-variance.  Used by analytic execution
-        backends (see :mod:`repro.backends.density`); the constructor's
-        integer coercion is deliberately bypassed.
+        backends (see :mod:`repro.backends.density`); the constructor
+        accepts whole numbers only.
         """
-        n = pmf.n_qubits
-        return cls._exact(
-            {
-                format(i, f"0{n}b"): float(p) * shots
-                for i, p in enumerate(pmf.probs)
-                if p > 0
-            },
-            pmf.qubits,
-        )
-
-    @classmethod
-    def _exact(
-        cls, data: dict[str, float], qubits: tuple[int, ...]
-    ) -> "Counts":
-        """Build float-valued (analytic) counts, bypassing coercion."""
-        return cls._unchecked(
-            {key: value for key, value in data.items() if value}, qubits
-        )
-
-    @classmethod
-    def _unchecked(
-        cls, data: dict[str, int | float], qubits: tuple[int, ...]
-    ) -> "Counts":
-        """Internal: adopt an already-validated counts mapping as-is.
-
-        Callers guarantee clean ``n``-bit keys, no zero values, and a
-        proper label tuple.
-        """
-        obj = cls.__new__(cls)
-        obj.data = data
-        obj.qubits = qubits
-        return obj
-
-    @property
-    def shots(self) -> int | float:
-        """Total recorded shots (a float for analytic counts)."""
-        return sum(self.data.values())
+        probs = pmf.probs
+        vector = np.where(probs > 0, probs * shots, 0.0)
+        return cls._adopt(vector, pmf.qubits)
 
     @property
     def n_qubits(self) -> int:
+        """Width of the counted register."""
         return len(self.qubits)
+
+    @property
+    def data(self) -> dict[str, int | float]:
+        """Nonzero counts keyed by bitstring, in outcome-index order."""
+        n = self.n_qubits
+        return {
+            format(i, f"0{n}b"): self.vector[i].item()
+            for i in np.flatnonzero(self.vector)
+        }
+
+    @property
+    def shots(self) -> int | float:
+        """Total recorded shots (a float for analytic counts).
+
+        Analytic counts add up one outcome at a time in index order, so
+        the total matches summing :attr:`data`'s values.
+        """
+        if self.vector.dtype.kind == "f":
+            return sum(self.vector.tolist())
+        return int(self.vector.sum())
 
     def to_pmf(self) -> PMF:
         """Empirical distribution of these counts."""
-        if not self.data:
+        if not self.vector.any():
             raise ValueError("cannot convert empty counts to PMF")
-        probs = np.zeros(2 ** self.n_qubits)
-        for key, value in self.data.items():
-            probs[int(key, 2)] = value
-        # Counts are validated nonnegative at construction, so the
-        # constructor's checks can't fire; normalization is identical.
-        return PMF._normalized(probs, self.qubits)
+        # Counts are nonnegative, so the constructor's checks can't
+        # fire; normalization is identical.
+        return PMF._normalized(self.vector.astype(float), self.qubits)
 
     def merge(self, other: "Counts") -> "Counts":
         """Combine counts from another run of the same circuit.
 
-        Analytic (float-valued) counts merge losslessly — the
-        constructor's integer coercion must not silently truncate
-        expected counts back to integers.
+        Analytic (float-valued) counts merge losslessly: the sum of an
+        integer and a float vector is a float vector.
         """
         if other.qubits != self.qubits:
             raise ValueError("cannot merge counts over different qubits")
-        merged = dict(self.data)
-        for key, value in other.data.items():
-            merged[key] = merged.get(key, 0) + value
-        if any(isinstance(value, float) for value in merged.values()):
-            return Counts._exact(merged, self.qubits)
-        return Counts(merged, self.qubits)
+        return Counts._adopt(self.vector + other.vector, self.qubits)
 
     def most_frequent(self) -> str:
-        """The modal bitstring."""
-        if not self.data:
+        """The modal bitstring (the lowest index among ties)."""
+        if not self.vector.any():
             raise ValueError("empty counts")
-        return max(self.data.items(), key=lambda kv: kv[1])[0]
+        return format(int(np.argmax(self.vector)), f"0{self.n_qubits}b")
 
-    def __getitem__(self, key: str) -> int:
-        return self.data.get(key, 0)
+    def __getitem__(self, key: str) -> int | float:
+        if len(key) != self.n_qubits or set(key) - {"0", "1"}:
+            return 0
+        return self.vector[int(key or "0", 2)].item()
 
     def __len__(self) -> int:
-        return len(self.data)
+        return int(np.count_nonzero(self.vector))
 
     def __iter__(self):
         return iter(self.data)
 
     def items(self):
+        """``(bitstring, count)`` pairs of the nonzero outcomes."""
         return self.data.items()
 
     def __repr__(self) -> str:

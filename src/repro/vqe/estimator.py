@@ -24,7 +24,7 @@ from ..ansatz import EfficientSU2
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_int
 from ..circuits import Circuit
-from ..engine import ensure_engine
+from ..engine import body_fingerprint, ensure_engine
 from ..hamiltonian import Hamiltonian
 from ..noise import SimulatorBackend
 from ..pauli import PauliString
@@ -67,6 +67,11 @@ class EstimatorBase:
         self._rotations: dict[PauliString, Circuit] = {
             basis: basis.basis_rotation() for basis in set(self.bases)
         }
+        # Each suffix is hashed once per estimator, not per submission.
+        self._rotation_digests: dict[PauliString, str] = {
+            basis: body_fingerprint(rotation)
+            for basis, rotation in self._rotations.items()
+        }
 
     @property
     def n_qubits(self) -> int:
@@ -93,8 +98,25 @@ class EstimatorBase:
             [self.ansatz.bind(params) for params in params_list]
         )
 
-    def rotation_for(self, basis: PauliString) -> Circuit:
-        return self._rotations[basis]
+    def _submit_basis(
+        self,
+        batch,
+        state: np.ndarray,
+        basis: PauliString,
+        measured,
+        shots: int,
+        map_to_best: bool = False,
+    ):
+        """Queue ``state`` rotated into ``basis``; return the job handle."""
+        return batch.submit_state(
+            state,
+            self._rotations[basis],
+            measured,
+            shots,
+            map_to_best=map_to_best,
+            gate_load=self.ansatz.gate_load,
+            suffix_digest=self._rotation_digests[basis],
+        )
 
     # Cost bookkeeping delegates to the backend's ledger.
     @property
@@ -111,16 +133,10 @@ class BaselineEstimator(EstimatorBase):
 
     def evaluate(self, params: np.ndarray) -> float:
         state = self.prepare_state(params)
-        gate_load = self.ansatz.gate_load
         batch = self.engine.new_batch()
         handles = [
-            batch.submit_state(
-                state,
-                self.rotation_for(basis),
-                range(self.n_qubits),
-                self.shots,
-                map_to_best=False,
-                gate_load=gate_load,
+            self._submit_basis(
+                batch, state, basis, range(self.n_qubits), self.shots
             )
             for basis in self.bases
         ]

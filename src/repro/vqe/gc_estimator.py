@@ -23,6 +23,7 @@ import numpy as np
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_choice, check_int
 from ..clifford import DiagonalizedGroup
+from ..engine import body_fingerprint
 from ..hamiltonian import Hamiltonian
 from ..noise import SimulatorBackend
 from ..pauli import diagonalized_groups
@@ -53,6 +54,9 @@ class GeneralCommutationEstimator(EstimatorBase):
         for coeff, term in hamiltonian.non_identity_terms():
             coeff_of[term] = coeff_of.get(term, 0.0) + coeff
         self._coeff_of = coeff_of
+        self._suffix_digests = [
+            body_fingerprint(group.circuit) for group in self.gc_groups
+        ]
 
     @property
     def num_groups(self) -> int:
@@ -76,8 +80,9 @@ class GeneralCommutationEstimator(EstimatorBase):
                 self.shots,
                 map_to_best=False,
                 gate_load=gate_load,
+                suffix_digest=digest,
             )
-            for group in self.gc_groups
+            for group, digest in zip(self.gc_groups, self._suffix_digests)
         ]
         batch.run()
         energy = self.hamiltonian.identity_coefficient

@@ -15,6 +15,15 @@ def make_varsaw(h2, h2_ansatz, backend, **kw):
 
 
 class TestCostAccounting:
+    @pytest.mark.parametrize("subset_shots", [0, -5])
+    def test_subset_shots_below_one_rejected(
+        self, h2, h2_ansatz, subset_shots
+    ):
+        with pytest.raises(ValueError, match="subset_shots"):
+            make_varsaw(
+                h2, h2_ansatz, SimulatorBackend(), subset_shots=subset_shots
+            )
+
     def test_first_evaluation_runs_globals_and_subsets(self, h2, h2_ansatz):
         backend = SimulatorBackend(seed=0)
         est = make_varsaw(h2, h2_ansatz, backend)

@@ -7,8 +7,9 @@ function/method in the packages below must carry a docstring.  The
 scope is the surface a new contributor (or an out-of-tree extension
 author) programs against: the experiment API, the backend registry
 and the base backend it extends, the execution engine, the workload
-registry, readout characterization and matrix mitigation, and the
-sweep spec/runner/catalog layer.
+registry, readout characterization, matrix mitigation, JigSaw and
+VarSaw with their reconstruction and count containers, and the sweep
+spec/runner/catalog layer.
 """
 
 from __future__ import annotations
@@ -24,16 +25,20 @@ SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
 SCOPED = [
     "repro/api",
     "repro/backends",
+    "repro/core/varsaw.py",
     "repro/dist",
     "repro/engine",
     "repro/io",
     "repro/mitigation/bias_aware.py",
+    "repro/mitigation/jigsaw.py",
     "repro/mitigation/mbm.py",
+    "repro/mitigation/reconstruction.py",
     "repro/mitigation/single_circuit.py",
     "repro/noise/backend.py",
     "repro/noise/characterization.py",
     "repro/obs",
     "repro/serve",
+    "repro/sim/counts.py",
     "repro/sim/density.py",
     "repro/sim/plan.py",
     "repro/sweeps/spec.py",

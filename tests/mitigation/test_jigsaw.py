@@ -31,6 +31,16 @@ class TestCostAccounting:
             >= 3 * base.circuits_per_evaluation
         )
 
+    @pytest.mark.parametrize("subset_shots", [0, -5])
+    def test_subset_shots_below_one_rejected(
+        self, h2, h2_ansatz, subset_shots
+    ):
+        with pytest.raises(ValueError, match="subset_shots"):
+            JigSawEstimator(
+                h2, h2_ansatz, SimulatorBackend(), shots=16,
+                subset_shots=subset_shots,
+            )
+
     def test_window_validation(self, h2, h2_ansatz):
         with pytest.raises(ValueError):
             JigSawEstimator(

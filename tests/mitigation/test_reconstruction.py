@@ -28,6 +28,18 @@ class TestSubsetIndexMap:
         # Outcome x=0b101 (q0=1,q1=0,q2=1) restricted to (q1,q2) = 0b01.
         assert index[0b101] == 0b01
 
+    def test_qubit_past_the_register_rejected(self):
+        with pytest.raises(ValueError, match="qubit 5 is outside"):
+            subset_index_map(2, (5,))
+
+    def test_negative_qubit_rejected(self):
+        with pytest.raises(ValueError, match="qubit -1 is outside"):
+            subset_index_map(2, (-1,))
+
+    def test_repeated_qubit_rejected(self):
+        with pytest.raises(ValueError, match="qubit 0 is listed twice"):
+            subset_index_map(3, (0, 0))
+
 
 class TestBayesianReconstruct:
     def test_no_locals_is_identity(self):

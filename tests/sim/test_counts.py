@@ -25,6 +25,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Counts({"00": -1}, qubits=(0, 1))
 
+    def test_fractional_count_rejected(self):
+        with pytest.raises(ValueError, match="'01' is not a whole number"):
+            Counts({"01": 2.7}, (0, 1))
+
+    def test_whole_float_count_accepted(self):
+        counts = Counts({"01": 3.0}, (0, 1))
+        assert counts["01"] == 3 and isinstance(counts["01"], int)
+
     def test_zero_entries_dropped(self):
         counts = Counts({"00": 0, "01": 5}, qubits=(0, 1))
         assert set(counts) == {"01"}
