@@ -171,7 +171,7 @@ def diagonalize_commuting(paulis, n_qubits: int) -> DiagonalizedGroup:
     diagonals = []
     for p in members:
         sign, image = tableau.conjugate(p)
-        if any(c in "XY" for c in image.label):
+        if image.x_mask:
             raise AssertionError(
                 f"diagonalization failed: {p} -> {image}"
             )

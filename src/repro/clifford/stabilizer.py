@@ -28,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuits import Circuit
+from ..pauli.pauli import _bit_parity
+from ..pauli.symplectic import decode
 from .tableau import CLIFFORD_GATES, CliffordTableau, PhaseForm, _phase_mul
 
 __all__ = ["is_clifford_circuit", "stabilizer_probabilities"]
@@ -44,21 +46,6 @@ def is_clifford_circuit(circuit: Circuit) -> bool:
     return all(
         ins.name.lower() in CLIFFORD_GATES for ins in circuit.instructions
     )
-
-
-def _bit_parity(values: np.ndarray) -> np.ndarray:
-    """Elementwise popcount-mod-2 of a uint64 array.
-
-    Uses ``np.bitwise_count`` where available (NumPy >= 2.0); the
-    fallback folds the 64 bits down with five in-place shifted XORs.
-    """
-    popcount = getattr(np, "bitwise_count", None)
-    if popcount is not None:
-        return (popcount(values) & 1).astype(bool)
-    folded = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        folded ^= folded >> np.uint64(shift)
-    return (folded & np.uint64(1)).astype(bool)
 
 
 def _z_type_constraints(
@@ -120,10 +107,8 @@ def stabilizer_probabilities(circuit: Circuit) -> np.ndarray:
         # simulator's complex statevector at any device width.
         index = np.arange(2**n, dtype=np.uint64)
         for b, s in constraints:
-            mask = np.uint64(0)
-            for q in np.flatnonzero(b):
-                mask |= np.uint64(1) << np.uint64(n - 1 - int(q))
-            support &= _bit_parity(index & mask) == s
+            mask = decode(np.zeros_like(b), b).z_mask  # that of Z^b
+            support &= _bit_parity(index & np.uint64(mask)) == s
     count = int(support.sum())
     if count == 0:  # pragma: no cover - stabilizer states are non-empty
         raise AssertionError("stabilizer state with empty support")

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..circuits import Circuit
 from ..pauli.pauli import PauliString
-from ..pauli.symplectic import encode
+from ..pauli.symplectic import decode, encode
 
 __all__ = ["CliffordTableau", "CLIFFORD_GATES"]
 
@@ -32,8 +32,6 @@ __all__ = ["CliffordTableau", "CLIFFORD_GATES"]
 CLIFFORD_GATES = frozenset(
     {"i", "x", "y", "z", "h", "s", "sdg", "sx", "cx", "cz", "swap"}
 )
-
-_XZ_TO_CHAR = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 PhaseForm = tuple[int, np.ndarray, np.ndarray]
 
@@ -57,10 +55,7 @@ def _phase_decode(form: PhaseForm) -> tuple[int, PauliString]:
         sign = -1
     else:
         raise ValueError("non-Hermitian phase (±i) — invalid conjugation")
-    label = "".join(
-        _XZ_TO_CHAR[(int(a), int(b))] for a, b in zip(x, z)
-    )
-    return sign, PauliString(label)
+    return sign, decode(x, z)
 
 
 def _phase_mul(a: PhaseForm, b: PhaseForm) -> PhaseForm:

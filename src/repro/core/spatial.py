@@ -122,13 +122,10 @@ class SubsetPlan:
 
     def rotation_circuit(self, index: int) -> Circuit:
         """Basis-change suffix for subset ``index`` (X -> H, Y -> S†H)."""
-        qc = Circuit(self.n_qubits, name=f"subset_{index}")
-        for q, char in sorted(self.assignments[index].items()):
-            if char == "X":
-                qc.h(q)
-            elif char == "Y":
-                qc.sdg(q)
-                qc.h(q)
+        qc = PauliString.from_sparse(
+            self.n_qubits, self.assignments[index]
+        ).basis_rotation()
+        qc.name = f"subset_{index}"
         return qc
 
     def compatible_with(self, basis: PauliString) -> list[int]:

@@ -122,7 +122,7 @@ class VarSawEstimator(EstimatorBase):
             self._subset_supports[index],
             self.subset_shots,
             map_to_best=True,
-            gate_load=self.ansatz.gate_load,
+            gate_load=self._gate_load,
             suffix_digest=self._subset_digests[index],
         )
 

@@ -3,7 +3,8 @@
 The VQA objective is ``<H> = sum_j c_j <P_j>`` (Section 3.1).  A
 :class:`Hamiltonian` stores the ``(c_j, P_j)`` pairs, exposes the QWC
 grouping that determines how many distinct circuits one evaluation costs,
-and can materialize a sparse matrix for exact reference energies.
+and can materialize a sparse matrix for exact reference energies, built
+from each string's bit masks (see :mod:`repro.pauli.pauli`).
 """
 
 from __future__ import annotations
@@ -12,15 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..pauli import MeasurementGroup, PauliString, cover_reduce
+from ..pauli.pauli import _parity_signs
 
 __all__ = ["Hamiltonian"]
-
-_SPARSE_PAULI = {
-    "I": sp.identity(2, format="csr", dtype=complex),
-    "X": sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=complex)),
-    "Y": sp.csr_matrix(np.array([[0, -1j], [1j, 0]], dtype=complex)),
-    "Z": sp.csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex)),
-}
 
 
 class Hamiltonian:
@@ -60,6 +55,10 @@ class Hamiltonian:
         self.terms: list[tuple[float, PauliString]] = [
             (c, p) for p, c in merged.items()
         ]
+        #: Sum of coefficients on the identity string (the constant offset).
+        self.identity_coefficient = sum(
+            c for c, p in self.terms if p.is_identity()
+        )
         self._groups: list[MeasurementGroup] | None = None
         self._matrix: sp.csr_matrix | None = None
 
@@ -71,15 +70,12 @@ class Hamiltonian:
         return len(self.terms)
 
     @property
-    def identity_coefficient(self) -> float:
-        """Sum of coefficients on the identity string (the constant offset)."""
-        return sum(c for c, p in self.terms if p.is_identity())
-
-    @property
     def pauli_strings(self) -> list[PauliString]:
+        """The term strings, in term order."""
         return [p for _, p in self.terms]
 
     def non_identity_terms(self) -> list[tuple[float, PauliString]]:
+        """The ``(coefficient, string)`` pairs without the identity term."""
         return [(c, p) for c, p in self.terms if not p.is_identity()]
 
     def shifted(self, delta: float) -> "Hamiltonian":
@@ -117,15 +113,23 @@ class Hamiltonian:
             raise ValueError(
                 f"refusing to materialize a {self.n_qubits}-qubit matrix"
             )
-        dim = 2**self.n_qubits
-        out = sp.csr_matrix((dim, dim), dtype=complex)
-        for coeff, pauli in self.terms:
-            term = sp.identity(1, format="csr", dtype=complex)
-            for c in pauli.label:
-                term = sp.kron(term, _SPARSE_PAULI[c], format="csr")
-            out = out + coeff * term
-        self._matrix = out
-        return out
+        n, dim = self.n_qubits, 2**self.n_qubits
+        # P|i> = i^#Y (-1)^popcount(i & z) |i ^ x>.  Each X mask's terms
+        # add in term order from complex zero, so rounding and signed
+        # zeros match a term-by-term sparse sum; cancelled entries drop.
+        columns: dict[int, np.ndarray] = {}
+        for coeff, p in self.terms:
+            column = columns.setdefault(p.x_mask, np.zeros(dim, complex))
+            phase = 1j ** (p.x_mask & p.z_mask).bit_count()
+            column += coeff * phase * _parity_signs(n, p.z_mask)
+        index = np.arange(dim)
+        rows = np.concatenate([index ^ x for x in columns])
+        cols = np.tile(index, len(columns))
+        data = np.concatenate(list(columns.values()))
+        matrix = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+        matrix.eliminate_zeros()
+        self._matrix = matrix
+        return matrix
 
     def expectation_exact(self, state: np.ndarray) -> float:
         """Exact ``<state|H|state>`` for a statevector."""

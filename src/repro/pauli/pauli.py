@@ -4,9 +4,18 @@ A :class:`PauliString` is a word over ``{I, X, Y, Z}``; the leftmost
 character acts on qubit 0 (the same reading order the paper uses, e.g.
 'ZZIZ' in Fig. 6).  The class is immutable and hashable so strings can be
 deduplicated in sets — the operation VarSaw's spatial reduction lives on.
+
+Each string fixes its bit masks at construction: bit ``n-1-q`` of
+``x_mask`` (``z_mask``) is set where qubit ``q`` holds X or Y (Z or Y),
+qubit 0 most significant as in every outcome index.  The predicates
+are popcounts of mask products, and ``P|i> = i^#Y (-1)^popcount(i &
+z_mask) |i ^ x_mask>`` gives both the term signs and the Hamiltonian
+matrix (see docs/architecture.md, "Pauli strings").
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,33 +32,51 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+#: The symplectic encoding: each character's ``(x, z)`` bits (Y = both).
+_CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_XZ_TO_CHAR = {xz: c for c, xz in _CHAR_TO_XZ.items()}
+_X_BITS = str.maketrans({c: str(x) for c, (x, _) in _CHAR_TO_XZ.items()})
+_Z_BITS = str.maketrans({c: str(z) for c, (_, z) in _CHAR_TO_XZ.items()})
 
-_PARITY_SIGNS: dict[tuple, np.ndarray] = {}
 
+def _bit_parity(values: np.ndarray) -> np.ndarray:
+    """Elementwise popcount-mod-2 of a uint64 array.
 
-def _parity_signs(n: int, support: tuple[int, ...]) -> np.ndarray:
-    """``(-1)^parity(outcome restricted to support)``, memoized.
-
-    Every energy assembly re-reads each term's expectation off a group
-    PMF; the sign vector depends only on ``(n, support)``, so it is
-    built once and handed out read-only.
+    Uses ``np.bitwise_count`` where available (NumPy >= 2.0); the
+    fallback folds the 64 bits down with five in-place shifted XORs.
     """
-    signs = _PARITY_SIGNS.get((n, support))
-    if signs is None:
-        signs = np.ones(2**n)
-        indices = np.arange(2**n)
-        for q in support:
-            bit = (indices >> (n - 1 - q)) & 1
-            signs = signs * (1 - 2 * bit)
-        signs.setflags(write=False)
-        _PARITY_SIGNS[(n, support)] = signs
+    popcount = getattr(np, "bitwise_count", None)
+    if popcount is not None:
+        return (popcount(values) & 1).astype(bool)
+    folded = values.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        folded ^= folded >> np.uint64(shift)
+    return (folded & np.uint64(1)).astype(bool)
+
+
+def _parity_signs(n: int, mask: int) -> np.ndarray:
+    """Read-only ``(-1)^popcount(i & mask)`` for every ``n``-bit index."""
+    index = np.arange(2**n, dtype=np.uint64)
+    signs = 1.0 - 2.0 * _bit_parity(index & np.uint64(mask))
+    signs.setflags(write=False)
     return signs
 
 
-class PauliString:
-    """An n-qubit Pauli operator written as a string, e.g. 'ZXIZ'."""
+#: Term signs, memoized: every energy assembly reads them again.
+_measured_signs = lru_cache(maxsize=None)(_parity_signs)
 
-    __slots__ = ("label",)
+
+class PauliString:
+    """An n-qubit Pauli operator written as a string, e.g. 'ZXIZ'.
+
+    ``support`` holds the non-identity positions, ascending.
+    """
+
+    __slots__ = ("label", "x_mask", "z_mask", "support")
+    label: str
+    x_mask: int
+    z_mask: int
+    support: tuple[int, ...]
 
     def __init__(self, label: str):
         label = label.upper()
@@ -59,14 +86,23 @@ class PauliString:
         if bad:
             raise ValueError(f"invalid Pauli characters {sorted(bad)}")
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "x_mask", int(label.translate(_X_BITS), 2))
+        object.__setattr__(self, "z_mask", int(label.translate(_Z_BITS), 2))
+        support = tuple(q for q, c in enumerate(label) if c != "I")
+        object.__setattr__(self, "support", support)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliString is immutable")
+
+    def __reduce__(self):
+        # Copy and pickle rebuild from the label, not through __setattr__.
+        return type(self), (self.label,)
 
     # ------------------------------------------------------------ constructors
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":
+        """The all-``I`` string on ``n_qubits`` qubits."""
         return cls("I" * n_qubits)
 
     @classmethod
@@ -87,12 +123,8 @@ class PauliString:
 
     @property
     def n_qubits(self) -> int:
+        """Width of the string (its number of characters)."""
         return len(self.label)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Positions with a non-identity Pauli."""
-        return tuple(i for i, c in enumerate(self.label) if c != "I")
 
     @property
     def weight(self) -> int:
@@ -100,14 +132,15 @@ class PauliString:
         return len(self.support)
 
     def is_identity(self) -> bool:
-        return self.weight == 0
+        """True if every position is 'I' (the constant term)."""
+        return not self.support
 
     def __getitem__(self, index: int) -> str:
         return self.label[index]
 
     def sparse(self) -> dict[int, str]:
         """The {qubit: char} map of non-identity positions."""
-        return {i: c for i, c in enumerate(self.label) if c != "I"}
+        return {q: self.label[q] for q in self.support}
 
     def restricted_to(self, positions) -> "PauliString":
         """Keep the given positions, setting all others to 'I'."""
@@ -122,11 +155,8 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         """Full (operator) commutation: even number of anticommuting sites."""
         self._check_width(other)
-        anti = 0
-        for a, b in zip(self.label, other.label):
-            if a != "I" and b != "I" and a != b:
-                anti += 1
-        return anti % 2 == 0
+        form = (self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)
+        return form.bit_count() % 2 == 0
 
     def qubit_wise_commutes(self, other: "PauliString") -> bool:
         """Qubit-wise commutation: every site agrees or involves an 'I'.
@@ -136,10 +166,9 @@ class PauliString:
         circuit.
         """
         self._check_width(other)
-        return all(
-            a == "I" or b == "I" or a == b
-            for a, b in zip(self.label, other.label)
-        )
+        differ = (self.x_mask ^ other.x_mask) | (self.z_mask ^ other.z_mask)
+        both = (self.x_mask | self.z_mask) & (other.x_mask | other.z_mask)
+        return not differ & both
 
     def can_be_measured_by(self, basis: "PauliString") -> bool:
         """True if measuring in ``basis`` also yields this string's value.
@@ -149,10 +178,8 @@ class PauliString:
         the arrow direction of Fig. 7).
         """
         self._check_width(basis)
-        return all(
-            c == "I" or basis.label[i] == c
-            for i, c in enumerate(self.label)
-        )
+        differ = (self.x_mask ^ basis.x_mask) | (self.z_mask ^ basis.z_mask)
+        return not differ & (self.x_mask | self.z_mask)
 
     def _check_width(self, other: "PauliString") -> None:
         if other.n_qubits != self.n_qubits:
@@ -171,11 +198,10 @@ class PauliString:
         if n != self.n_qubits:
             raise ValueError("n_qubits must match the string width")
         qc = Circuit(n, name=f"meas_{self.label}")
-        for q, c in enumerate(self.label):
-            if c == "X":
-                qc.h(q)
-            elif c == "Y":
+        for q in self.support:
+            if self.label[q] == "Y":
                 qc.sdg(q)
+            if self.label[q] != "Z":
                 qc.h(q)
         return qc
 
@@ -190,7 +216,8 @@ class PauliString:
             raise ValueError("probability vector has wrong length")
         if self.is_identity():
             return 1.0
-        return float(np.dot(_parity_signs(n, self.support), probs))
+        signs = _measured_signs(n, self.x_mask | self.z_mask)
+        return float(np.dot(signs, probs))
 
     # ----------------------------------------------------------------- matrix
 

@@ -14,21 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import _CHAR_TO_XZ, _XZ_TO_CHAR, PauliString
 
 __all__ = ["PauliTable", "encode", "decode"]
-
-_CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_XZ_TO_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
 def encode(pauli: PauliString) -> tuple[np.ndarray, np.ndarray]:
     """PauliString -> (x, z) bool vectors."""
-    x = np.zeros(pauli.n_qubits, dtype=bool)
-    z = np.zeros(pauli.n_qubits, dtype=bool)
-    for q, c in enumerate(pauli.label):
-        xq, zq = _CHAR_TO_XZ[c]
-        x[q], z[q] = bool(xq), bool(zq)
+    x, z = np.array([_CHAR_TO_XZ[c] for c in pauli.label], dtype=bool).T
     return x, z
 
 
@@ -36,10 +29,8 @@ def decode(x: np.ndarray, z: np.ndarray) -> PauliString:
     """(x, z) bool vectors -> PauliString."""
     if x.shape != z.shape or x.ndim != 1:
         raise ValueError("x and z must be equal-length 1-D vectors")
-    chars = [
-        _XZ_TO_CHAR[(int(xq), int(zq))] for xq, zq in zip(x, z)
-    ]
-    return PauliString("".join(chars))
+    pairs = zip(x.tolist(), z.tolist())
+    return PauliString("".join(_XZ_TO_CHAR[xz] for xz in pairs))
 
 
 class PauliTable:

@@ -41,7 +41,7 @@ class QAOAAnsatz:
         if reps < 1:
             raise ValueError("reps must be >= 1")
         for _, pauli in cost_hamiltonian.non_identity_terms():
-            if any(c in "XY" for c in pauli.label):
+            if pauli.x_mask:
                 raise ValueError(
                     "QAOA cost Hamiltonian must be diagonal (Z/I only); "
                     f"got term {pauli}"

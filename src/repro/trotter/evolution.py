@@ -33,37 +33,28 @@ __all__ = [
 ]
 
 
-def _append_basis_change(qc: Circuit, pauli: PauliString, invert: bool) -> None:
-    for q, char in pauli.sparse().items():
-        if char == "X":
-            qc.h(q)
-        elif char == "Y":
-            if invert:
-                qc.h(q)
-                qc.s(q)
-            else:
-                qc.sdg(q)
-                qc.h(q)
-
-
 def pauli_exponential(pauli: PauliString, theta: float) -> Circuit:
     """The circuit of ``exp(-i theta/2 · pauli)`` (exact, no phase).
 
     Identity strings evolve only a global phase, so they produce an
     empty circuit.
     """
-    qc = Circuit(pauli.n_qubits, name=f"exp({pauli.label})")
+    qc = pauli.basis_rotation()
+    qc.name = f"exp({pauli.label})"
     support = pauli.support
     if not support:
         return qc
-    _append_basis_change(qc, pauli, invert=False)
     target = support[-1]
     for q in support[:-1]:
         qc.cx(q, target)
     qc.rz(theta, target)
     for q in reversed(support[:-1]):
         qc.cx(q, target)
-    _append_basis_change(qc, pauli, invert=True)
+    for q in support:  # undo the basis change: X -> H, Y -> H then S
+        if pauli[q] != "Z":
+            qc.h(q)
+        if pauli[q] == "Y":
+            qc.s(q)
     return qc
 
 

@@ -63,6 +63,7 @@ class EstimatorBase:
         self.backend = backend
         self.engine = ensure_engine(engine, backend)
         self.shots = shots
+        self._gate_load = ansatz.gate_load  # each read walks a circuit
         self.bases, self.group_terms = assign_terms_to_groups(hamiltonian)
         self._rotations: dict[PauliString, Circuit] = {
             basis: basis.basis_rotation() for basis in set(self.bases)
@@ -114,7 +115,7 @@ class EstimatorBase:
             measured,
             shots,
             map_to_best=map_to_best,
-            gate_load=self.ansatz.gate_load,
+            gate_load=self._gate_load,
             suffix_digest=self._rotation_digests[basis],
         )
 

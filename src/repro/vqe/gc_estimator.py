@@ -70,7 +70,6 @@ class GeneralCommutationEstimator(EstimatorBase):
 
     def evaluate(self, params: np.ndarray) -> float:
         state = self.prepare_state(params)
-        gate_load = self.ansatz.gate_load
         batch = self.engine.new_batch()
         handles = [
             batch.submit_state(
@@ -79,7 +78,7 @@ class GeneralCommutationEstimator(EstimatorBase):
                 range(self.n_qubits),
                 self.shots,
                 map_to_best=False,
-                gate_load=gate_load,
+                gate_load=self._gate_load,
                 suffix_digest=digest,
             )
             for group, digest in zip(self.gc_groups, self._suffix_digests)

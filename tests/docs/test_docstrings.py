@@ -8,8 +8,9 @@ scope is the surface a new contributor (or an out-of-tree extension
 author) programs against: the experiment API, the backend registry
 and the base backend it extends, the execution engine, the workload
 registry, readout characterization, matrix mitigation, JigSaw and
-VarSaw with their reconstruction and count containers, and the sweep
-spec/runner/catalog layer.
+VarSaw with their reconstruction and count containers, Pauli strings,
+Hamiltonians and their exact solver, and the sweep spec/runner/catalog
+layer.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ SCOPED = [
     "repro/core/varsaw.py",
     "repro/dist",
     "repro/engine",
+    "repro/hamiltonian/exact.py",
+    "repro/hamiltonian/hamiltonian.py",
     "repro/io",
     "repro/mitigation/bias_aware.py",
     "repro/mitigation/jigsaw.py",
@@ -37,6 +40,7 @@ SCOPED = [
     "repro/noise/backend.py",
     "repro/noise/characterization.py",
     "repro/obs",
+    "repro/pauli/pauli.py",
     "repro/serve",
     "repro/sim/counts.py",
     "repro/sim/density.py",

@@ -5,6 +5,7 @@ import pytest
 
 from repro.hamiltonian import (
     Hamiltonian,
+    build_hamiltonian,
     ground_state,
     ground_state_energy,
     tfim_hamiltonian,
@@ -29,6 +30,18 @@ class TestGroundState:
         sparse_energy = ground_state_energy(ham)
         dense = np.linalg.eigvalsh(ham.to_sparse_matrix().toarray())
         assert sparse_energy == pytest.approx(float(dense[0]), abs=1e-8)
+
+    def test_eigsh_path_is_reproducible(self):
+        """The Lanczos start vector is seeded, so repeated calls agree.
+
+        Left to ARPACK, it comes from fresh OS entropy and the
+        eigenvalue's last bits change from call to call.
+        """
+        ham = build_hamiltonian("H6-10")
+        energies = [ground_state_energy(ham) for _ in range(3)]
+        assert len({e.hex() for e in energies}) == 1
+        dense = np.linalg.eigvalsh(ham.to_sparse_matrix().toarray())
+        assert abs(energies[0] - float(dense[0])) < 1e-10
 
     def test_tfim_exact_limits(self):
         # Zero field: classical Ising chain, ground energy -(n-1)*J.

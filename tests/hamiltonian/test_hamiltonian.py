@@ -1,9 +1,16 @@
 """Unit tests for the Hamiltonian container."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.hamiltonian import Hamiltonian, ground_state_energy
+from repro.hamiltonian import (
+    Hamiltonian,
+    build_hamiltonian,
+    ground_state_energy,
+)
 from repro.pauli import PauliString
 
 
@@ -28,6 +35,20 @@ class TestConstruction:
     def test_non_identity_terms(self):
         ham = Hamiltonian([(2.5, "II"), (1.0, "ZZ")])
         assert ham.non_identity_terms() == [(1.0, PauliString("ZZ"))]
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_keep_terms_and_masks(self, clone):
+        ham = build_hamiltonian("LiH-6")
+        twin = clone(ham)
+        assert twin.terms == ham.terms
+        assert [(p.x_mask, p.z_mask) for _, p in twin.terms] == [
+            (p.x_mask, p.z_mask) for _, p in ham.terms
+        ]
+        assert twin.identity_coefficient == ham.identity_coefficient
 
     def test_shifted_moves_spectrum(self):
         ham = Hamiltonian([(1.0, "Z")])

@@ -1,5 +1,8 @@
 """Unit tests for PauliString."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,17 @@ class TestConstruction:
     def test_from_sparse_out_of_range(self):
         with pytest.raises(ValueError):
             PauliString.from_sparse(2, {5: "Z"})
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_label_and_masks(self, clone):
+        p = PauliString("XIYZ")
+        q = clone(p)
+        assert q == p and hash(q) == hash(p)
+        assert (q.x_mask, q.z_mask, q.support) == (0b1010, 0b0011, (0, 2, 3))
 
 
 class TestStructure:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pauli import PauliString, PauliTable, decode, encode, multiply
 
@@ -111,3 +113,76 @@ class TestPauliTable:
         table = PauliTable(x, z)
         flags = table.commutes_with(PauliString("Z" * 34))
         assert flags.shape == (1000,)
+
+
+@st.composite
+def label_pairs(draw):
+    """Two equal-width labels of 1-70 qubits (past the 64-bit boundary)."""
+    n = draw(st.integers(1, 70))
+    alphabet = draw(st.sampled_from(["IXYZ", "IZ", "XY", "IIIY"]))
+    label = st.text(alphabet=alphabet, min_size=n, max_size=n)
+    return draw(label), draw(label)
+
+
+class TestMasksAgainstTable:
+    """``PauliString``'s mask predicates vs ``PauliTable``'s bool ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(label_pairs())
+    def test_structure_follows_the_label(self, pair):
+        label = pair[0]
+        p = PauliString(label)
+        n = len(label)
+        assert p.x_mask == sum(
+            1 << (n - 1 - q) for q, c in enumerate(label) if c in "XY"
+        )
+        assert p.z_mask == sum(
+            1 << (n - 1 - q) for q, c in enumerate(label) if c in "ZY"
+        )
+        support = tuple(q for q, c in enumerate(label) if c != "I")
+        assert p.support == support
+        assert p.weight == len(support)
+        assert p.is_identity() == (not support)
+        x, z = encode(p)
+        assert list(x) == [c in "XY" for c in label]
+        assert list(z) == [c in "ZY" for c in label]
+
+    @settings(max_examples=300, deadline=None)
+    @given(label_pairs())
+    def test_predicates_match_the_table(self, pair):
+        a, b = (PauliString(label) for label in pair)
+        table = PauliTable.from_strings([a])
+        assert a.commutes_with(b) == bool(table.commutes_with(b)[0])
+        assert a.qubit_wise_commutes(b) == bool(
+            table.qubit_wise_commutes_with(b)[0]
+        )
+        assert a.can_be_measured_by(b) == bool(table.measured_by(b)[0])
+        assert a.weight == int(table.weights()[0])
+
+
+def _per_qubit_signs(n: int, support: tuple[int, ...]) -> np.ndarray:
+    """The original sign vector: one ``1 - 2 * bit`` factor per qubit."""
+    signs = np.ones(2**n)
+    indices = np.arange(2**n)
+    for q in support:
+        bit = (indices >> (n - 1 - q)) & 1
+        signs = signs * (1 - 2 * bit)
+    return signs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_expectation_is_the_per_qubit_sign_dot_product(label, seed):
+    p = PauliString(label)
+    probs = np.random.default_rng(seed).random(2 ** len(label))
+    probs /= probs.sum()
+    expected = (
+        1.0 if p.is_identity()
+        else float(np.dot(_per_qubit_signs(len(label), p.support), probs))
+    )
+    assert p.expectation_from_probs(probs).hex() == expected.hex()

@@ -1,5 +1,8 @@
 """Unit tests for the workload registry and building every kind on it."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.api import Session
@@ -30,6 +33,21 @@ class TestMakeWorkload:
     def test_ansatz_width_matches_molecule(self):
         w = make_workload("CH4-6")
         assert w.ansatz.n_qubits == 6 == w.n_qubits
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_keep_terms_and_masks(self, clone):
+        w = make_workload("H2-4")
+        twin = clone(w)
+        assert twin.hamiltonian.terms == w.hamiltonian.terms
+        masks = [(p.x_mask, p.z_mask) for p in w.hamiltonian.pauli_strings]
+        assert [
+            (p.x_mask, p.z_mask) for p in twin.hamiltonian.pauli_strings
+        ] == masks
+        assert twin.ideal_energy == w.ideal_energy
 
     def test_custom_ansatz_knobs(self):
         w = make_workload("H2-4", reps=4, entanglement="linear")
