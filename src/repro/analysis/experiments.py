@@ -114,10 +114,12 @@ class TuningRun:
 
     @property
     def energy(self) -> float:
+        """The tuned energy (the optimizer's final objective value)."""
         return self.result.energy
 
     @property
     def iterations(self) -> int:
+        """Optimizer iterations the tuning run performed."""
         return self.result.iterations
 
 
@@ -173,18 +175,20 @@ def fixed_budget_runs(
 ) -> dict[str, TuningRun]:
     """Run several schemes under the same executed-circuit budget.
 
-    Delegates to :func:`repro.sweeps.runner.execute_fixed_budget`.
+    One :func:`run_tuning` per kind, each on a fresh backend seeded
+    with ``seed``.
     """
-    from ..sweeps.runner import execute_fixed_budget
-
-    return execute_fixed_budget(
-        kinds,
-        workload,
-        circuit_budget=circuit_budget,
-        shots=shots,
-        seed=seed,
-        max_iterations=max_iterations,
-        device=device,
-        initial_params=initial_params,
-        **estimator_kwargs,
-    )
+    return {
+        kind: run_tuning(
+            kind,
+            workload,
+            max_iterations=max_iterations,
+            circuit_budget=circuit_budget,
+            shots=shots,
+            seed=seed,
+            device=device,
+            initial_params=initial_params,
+            **estimator_kwargs,
+        )
+        for kind in kinds
+    }

@@ -17,7 +17,7 @@ Gives the repository's main workflows one-line entry points::
     python -m repro serve --journal run1      # multi-tenant service
     python -m repro submit --tenant alice --workload H2-4 --wait
     python -m repro jobs --journal run1       # offline journal listing
-    python -m repro reproduce --only fig8,table3 --processes 4
+    python -m repro reproduce --only fig8,table3 --workers 4
                                               # regenerate paper grids
     python -m repro --trace run.trace.jsonl run H2-4 --scheme varsaw
     python -m repro trace run.trace.jsonl     # span-tree timing report
@@ -193,12 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workers", type=_int_at_least(1), default=1,
-        help="points executed concurrently (thread pool)",
-    )
-    sweep.add_argument(
-        "--processes", type=_int_at_least(1), default=None,
         help="points executed concurrently on a process pool "
-        "(overrides --workers)",
+        "(1: inline, in this process)",
     )
     sweep.add_argument(
         "--limit", type=_int_at_least(0), default=None,
@@ -313,12 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     repro.add_argument(
         "--workers", type=_int_at_least(1), default=1,
-        help="points executed concurrently (thread pool)",
-    )
-    repro.add_argument(
-        "--processes", type=_int_at_least(1), default=None,
         help="points executed concurrently on a process pool "
-        "(overrides --workers)",
+        "(1: inline, in this process)",
     )
     repro.add_argument(
         "--limit", type=_int_at_least(0), default=None,
@@ -749,19 +741,6 @@ def _cmd_route(args) -> int:
     return 0
 
 
-def _pool_arguments(args) -> dict:
-    """``run_sweep`` pool kwargs for --workers/--processes/--shards."""
-    shards = getattr(args, "shards", 1)
-    if args.processes is not None:
-        return {
-            "workers": args.processes, "executor": "process",
-            "shards": shards,
-        }
-    return {
-        "workers": args.workers, "executor": "thread", "shards": shards,
-    }
-
-
 def _open_store(out, resume: bool):
     """Open (or refuse to clobber) a results store for a CLI run."""
     import pathlib
@@ -811,10 +790,11 @@ def _sweep_progress(done, total, point, record, state=None):
 def _print_run_cost(totals: dict, delta: dict) -> None:
     """End-of-run cost summary: executed records + engine metric deltas.
 
-    ``totals`` comes from the stored records (works for every executor);
-    the engine delta comes from the in-process metrics registry, so it
-    is printed only when nonzero (process-pool workers count in their
-    own processes).
+    ``totals`` comes from the stored records (inline, process-pool and
+    sharded runs alike); the engine delta comes from this process's
+    metrics registry, so it is printed only when nonzero: process-pool
+    and shard workers count in their own processes, so the ``engine:``
+    line needs ``--workers 1``.
     """
     if totals["points"]:
         line = f"cost: {totals['points']} points in {totals['wall_s']:.1f}s"
@@ -852,7 +832,7 @@ def _cmd_sweep(args) -> int:
     before = obs.REGISTRY.snapshot()
     outcome = run_sweep(
         spec, store, progress=_sweep_progress, limit=args.limit,
-        **_pool_arguments(args),
+        workers=args.workers, shards=args.shards,
     )
     print(f"sweep '{spec.name}': {outcome.summary()}")
     _print_run_cost(
@@ -902,6 +882,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     from .sweeps import CATALOG, reproduce
+    from .sweeps.runner import record_totals
 
     if args.list_entries:
         width = max(len(name) for name in CATALOG)
@@ -935,7 +916,7 @@ def _cmd_reproduce(args) -> int:
     before = obs.REGISTRY.snapshot()
     outcomes = reproduce(
         names, store, limit=args.limit, progress=_sweep_progress,
-        **_pool_arguments(args),
+        workers=args.workers, shards=args.shards,
     )
     for outcome in outcomes:
         print(outcome.summary())
@@ -951,22 +932,14 @@ def _cmd_reproduce(args) -> int:
         + (f"; incomplete grids: {', '.join(incomplete)}"
            if incomplete else "")
     )
-    totals = {"points": 0, "wall_s": 0.0, "circuits": 0, "shots": 0}
-    for outcome in outcomes:
-        fresh = set(outcome.executed)
-        for record in outcome.records:
-            if record.get("fingerprint") not in fresh:
-                continue
-            totals["points"] += 1
-            totals["wall_s"] += float(record.get("wall_time_s", 0.0))
-            result = record.get("result", {})
-            if isinstance(result, dict):
-                for key in ("circuits", "shots"):
-                    value = result.get(key)
-                    if isinstance(value, (int, float)):
-                        totals[key] += int(value)
     _print_run_cost(
-        totals, obs.snapshot_delta(obs.REGISTRY.snapshot(), before)
+        record_totals(
+            record
+            for outcome in outcomes
+            for record in outcome.records
+            if record.get("fingerprint") in outcome.executed
+        ),
+        obs.snapshot_delta(obs.REGISTRY.snapshot(), before),
     )
     return 0
 

@@ -27,9 +27,8 @@ prove):
   timing fields (see :mod:`repro.dist.diff`).
 
 Shard workers are plain ``subprocess`` children (not
-``multiprocessing``), so sharding works even when the calling process
-is itself a daemonic pool worker — e.g. a catalog entry running under
-``run_sweep(..., executor="process")``.
+``multiprocessing``), so sharding works from any calling process — e.g.
+a ``dist_scaling`` point running on ``run_sweep``'s process pool.
 """
 
 from __future__ import annotations
@@ -235,28 +234,21 @@ def run_sharded(
     ]
     inline = 0
     if leftovers:
-        from ..sweeps.runner import _prepare_point, execute_point
+        from ..sweeps.runner import _run_inline
 
         logger.warning(
             "executing %d points inline (no shard completed them)",
             len(leftovers),
         )
-        cache: dict = {}
-        for point, _ in leftovers:
-            _prepare_point(point, cache)
-        for point, fingerprint in leftovers:
-            with obs.span(
-                "sweep.point",
-                fingerprint=fingerprint,
-                task=point.task,
-                label=point.label(),
-            ):
-                result, wall = execute_point(point, cache)
-            record = store.append(
-                point, result, wall_time_s=wall, fingerprint=fingerprint
+        inline = len(
+            _run_inline(
+                leftovers,
+                store,
+                lambda _done, _total, point, record: on_merged(
+                    point, record["fingerprint"], record
+                ),
             )
-            inline += 1
-            on_merged(point, fingerprint, record)
+        )
     _M_EXECUTIONS.inc(inline)
 
     stats = ShardStats(

@@ -67,8 +67,8 @@ def _self_times(
 ) -> dict[Any, float]:
     """Per-span self time: duration minus direct children's durations.
 
-    Clamped at zero — children running concurrently (thread pools) can
-    sum past their parent's wall clock.
+    Clamped at zero — children running concurrently (process-pool
+    points, serve's threads) can sum past their parent's wall clock.
     """
     out = {}
     for record in spans:

@@ -16,11 +16,11 @@ package turns those grids from ad-hoc loops into data:
   parameters, structure counts, Trotter quenches, the extension
   studies) as a deterministic ``point -> JSON result`` function.
 * :mod:`~repro.sweeps.runner` — :func:`run_sweep` executes pending
-  points serially, on a thread pool, or on a process pool
-  (``executor="process"``) with per-point deterministic seeding, one
-  shared engine per backend, progress callbacks, and wall-clock +
-  circuit/shot-ledger capture per point; stored results are
-  bit-identical across all three backends.
+  points inline (``workers=1``) or on a process pool (``workers=N``)
+  with per-point deterministic seeding, one shared engine per backend,
+  progress callbacks, and wall-clock + circuit/shot-ledger capture per
+  point; stored results are bit-identical either way (and with
+  ``shards=N``, see :mod:`repro.dist`).
 * :mod:`~repro.sweeps.aggregate` — groupby/mean/CI reductions and
   pivots from stored records back into the row/series shapes the
   figures print.
@@ -64,7 +64,7 @@ from .catalog import (
     run_entry,
 )
 from .render import Table, fmt, render_table
-from .runner import EXECUTORS, SweepReport, execute_point, run_sweep
+from .runner import SweepReport, execute_point, run_sweep
 from .spec import POINT_SCHEMA_VERSION, WORKLOAD_KINDS, Point, SweepSpec
 from .store import RESULT_SCHEMA_VERSION, ResultStore, load_records
 from .tasks import TASKS
@@ -80,7 +80,6 @@ __all__ = [
     "run_sweep",
     "execute_point",
     "SweepReport",
-    "EXECUTORS",
     "TASKS",
     "aggregate",
     "group_records",

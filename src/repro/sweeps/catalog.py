@@ -126,14 +126,14 @@ def run_entry(
     entry: CatalogEntry | str,
     store: ResultStore,
     workers: int = 1,
-    executor: str = "thread",
     limit: int | None = None,
     progress=None,
     shards: int = 1,
 ) -> EntryOutcome:
     """Execute one catalog entry's grid (plus followup) into ``store``.
 
-    ``shards > 1`` runs the grid through the sharded executor (see
+    ``workers > 1`` runs the grid on a process pool and ``shards > 1``
+    through shard worker subprocesses (see
     :func:`repro.sweeps.runner.run_sweep`); records are byte-identical
     either way.
     """
@@ -142,7 +142,7 @@ def run_entry(
     spec = entry.build()
     report = run_sweep(
         spec, store, workers=workers, progress=progress, limit=limit,
-        executor=executor, shards=shards,
+        shards=shards,
     )
     outcome = EntryOutcome(
         entry=entry,
@@ -161,7 +161,7 @@ def run_entry(
         if extra:
             second = run_sweep(
                 extra, store, workers=workers, progress=progress,
-                limit=remaining, executor=executor, shards=shards,
+                limit=remaining, shards=shards,
             )
             outcome.total += second.total
             outcome.executed += list(second.executed)
@@ -175,7 +175,6 @@ def reproduce(
     names: Iterable[str] | None = None,
     store: ResultStore | None = None,
     workers: int = 1,
-    executor: str = "thread",
     limit: int | None = None,
     progress=None,
     shards: int = 1,
@@ -193,7 +192,7 @@ def reproduce(
     remaining = limit
     for name in names:
         outcome = run_entry(
-            get_entry(name), store, workers=workers, executor=executor,
+            get_entry(name), store, workers=workers,
             limit=remaining, progress=progress, shards=shards,
         )
         outcomes.append(outcome)

@@ -5,29 +5,28 @@ The runner owns the experiment *mechanics* that used to live inside
 deterministic seeding, estimator wiring, the VQE loop — exposed at two
 levels:
 
-* :func:`execute_tuning` / :func:`execute_fixed_budget` work on live
-  ``Workload``/``DeviceModel`` objects; :func:`repro.analysis.run_tuning`
-  and :func:`repro.analysis.fixed_budget_runs` are thin delegates, so
-  every experiment in the repository runs through one code path.
+* :func:`execute_tuning` works on live ``Workload``/``DeviceModel``
+  objects; :func:`repro.analysis.run_tuning` is a thin delegate (and
+  :func:`repro.analysis.fixed_budget_runs` calls it once per scheme),
+  so every experiment in the repository runs through one code path.
 * :func:`execute_point` / :func:`run_sweep` work on declarative
   :class:`~repro.sweeps.spec.Point` grids: materialize the workload,
   run the tuning, and checkpoint a JSON record (result + wall clock +
   circuit/shot ledger) into a :class:`~repro.sweeps.store.ResultStore`.
 
 Every point is self-contained — its own freshly-seeded backend, its own
-(per-backend shared) engine — so points may execute in any order and on
-any number of worker threads without changing a single stored number:
-``workers=4`` produces bit-identical records to a serial run.  Workload
-materialization and warm-start parameter tuning happen serially before
-the pool starts, keeping their module-level caches race-free.
+(per-backend shared) engine — so points may execute in any order,
+inline or on any number of worker processes, without changing a single
+stored number: ``workers=4`` produces bit-identical records to a
+serial run.  Each point materializes its own workload and warm start,
+through a content-keyed cache that lives in the executing process.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -43,19 +42,15 @@ from .spec import Point, SweepSpec, canonical_json
 from .store import ResultStore
 
 __all__ = [
-    "EXECUTORS",
     "NAMED_WORKLOADS",
     "execute_tuning",
-    "execute_fixed_budget",
     "materialize_workload",
     "materialize_device",
     "execute_point",
     "SweepReport",
+    "record_totals",
     "run_sweep",
 ]
-
-#: Pool backends accepted by :func:`run_sweep`.
-EXECUTORS = ("thread", "process")
 
 logger = logging.getLogger("repro.sweeps")
 
@@ -110,34 +105,6 @@ def execute_tuning(
     return TuningRun(
         kind=spec.kind, result=result, global_fraction=fraction
     )
-
-
-def execute_fixed_budget(
-    kinds,
-    workload: Workload,
-    circuit_budget: int,
-    shots: int = 256,
-    seed: int = 0,
-    max_iterations: int = 100_000,
-    device: DeviceModel | None = None,
-    initial_params: np.ndarray | None = None,
-    **estimator_kwargs,
-) -> dict:
-    """Run several schemes under the same executed-circuit budget."""
-    return {
-        kind: execute_tuning(
-            kind,
-            workload,
-            max_iterations=max_iterations,
-            circuit_budget=circuit_budget,
-            shots=shots,
-            seed=seed,
-            device=device,
-            initial_params=initial_params,
-            **estimator_kwargs,
-        )
-        for kind in kinds
-    }
 
 
 # --------------------------------------------------------- materialization
@@ -368,6 +335,26 @@ def execute_tuning_point(point: Point, workload_cache: dict) -> dict:
 # ------------------------------------------------------------ the sweep
 
 
+def record_totals(records: Iterable[dict]) -> dict:
+    """Summed cost of ``records``: points, wall seconds, circuits, shots.
+
+    Circuits and shots count where the task records them (tuning points
+    always do).  The CLI's end-of-run ``cost:`` line prints these totals
+    over the records one run executed.
+    """
+    totals = {"points": 0, "wall_s": 0.0, "circuits": 0, "shots": 0}
+    for record in records:
+        totals["points"] += 1
+        totals["wall_s"] += float(record.get("wall_time_s", 0.0))
+        result = record.get("result", {})
+        if isinstance(result, dict):
+            for key in ("circuits", "shots"):
+                value = result.get(key)
+                if isinstance(value, (int, float)):
+                    totals[key] += int(value)
+    return totals
+
+
 @dataclass
 class SweepReport:
     """What one :func:`run_sweep` call did."""
@@ -387,26 +374,12 @@ class SweepReport:
         return self.total - len(self.records)
 
     def executed_totals(self) -> dict:
-        """Summed cost of the points *this run* executed.
-
-        Aggregates the stored records' wall clocks and (where the task
-        records them — tuning points always do) circuit/shot ledgers:
-        the per-run ledger delta the CLI end-of-run summaries print.
-        """
-        totals = {"points": 0, "wall_s": 0.0, "circuits": 0, "shots": 0}
-        for fingerprint in self.executed:
-            record = self.records.get(fingerprint)
-            if record is None:
-                continue
-            totals["points"] += 1
-            totals["wall_s"] += float(record.get("wall_time_s", 0.0))
-            result = record.get("result", {})
-            if isinstance(result, dict):
-                for key in ("circuits", "shots"):
-                    value = result.get(key)
-                    if isinstance(value, (int, float)):
-                        totals[key] += int(value)
-        return totals
+        """:func:`record_totals` over the points *this run* executed."""
+        return record_totals(
+            self.records[fingerprint]
+            for fingerprint in self.executed
+            if fingerprint in self.records
+        )
 
     def summary(self) -> str:
         """One-line progress summary (the CLI's report line)."""
@@ -459,14 +432,13 @@ def _cost_progress(progress, pending: list[tuple[Point, str]]):
     }
     cost_total = float(sum(costs.values()))
     wants_state = _accepts_progress_state(progress)
-    lock = threading.Lock()
     cost_done = 0.0
     started = time.perf_counter()
 
     def wrapped(done: int, total: int, point: Point, record: dict) -> None:
         nonlocal cost_done
-        with lock:
-            cost_done += costs.get(record.get("fingerprint", ""), 0.0)
+        cost_done += costs.get(record.get("fingerprint", ""), 0.0)
+        if wants_state:
             state = SweepProgress(
                 points_done=done,
                 points_total=total,
@@ -474,7 +446,6 @@ def _cost_progress(progress, pending: list[tuple[Point, str]]):
                 cost_total=cost_total,
                 elapsed_s=time.perf_counter() - started,
             )
-        if wants_state:
             progress(done, total, point, record, state)
         else:
             progress(done, total, point, record)
@@ -503,7 +474,6 @@ def run_sweep(
     workers: int = 1,
     progress: Callable[[int, int, Point, dict], None] | None = None,
     limit: int | None = None,
-    executor: str = "thread",
     shards: int = 1,
 ) -> SweepReport:
     """Execute every grid point not already checkpointed in ``store``.
@@ -517,34 +487,33 @@ def run_sweep(
         after a crash and only the missing cells execute.  Every
         finished point is checkpointed immediately.
     workers:
-        ``1`` executes inline; more uses a pool.  Stored results are
-        bit-identical either way — each point is self-contained and
-        deterministically seeded.
+        ``1`` executes inline, one point after another; more ships
+        each pending point to a :class:`ProcessPoolExecutor` worker as
+        a picklable payload (worker processes keep their own workload
+        caches) and checkpoints in this process as results complete.
+        Stored results are bit-identical either way — each point is
+        self-contained and deterministically seeded.
     progress:
-        Called as ``progress(done, pending_total, point, record)`` after
-        each executed point (from worker threads when ``workers>1`` on
-        the thread backend; from the parent on the process backend).
-        A callback accepting a fifth positional argument additionally
-        receives a :class:`repro.dist.costs.SweepProgress` carrying the
+        Called in this process as
+        ``progress(done, pending_total, point, record)`` after each
+        checkpointed point.  A callback accepting a fifth positional
+        argument additionally receives a
+        :class:`repro.dist.costs.SweepProgress` carrying the
         cost-weighted completion fraction and ETA — the honest signal
         on mixed grids where point counts mislead.
     limit:
         Execute at most this many pending points this call (useful for
         drip-feeding or deliberately "interrupting" a sweep).
-    executor:
-        ``"thread"`` (default) or ``"process"``.  The process backend
-        ships each pending point to a :class:`ProcessPoolExecutor`
-        worker as a picklable payload and checkpoints/notifies in the
-        parent as results complete; worker processes keep their own
-        workload caches.  Results are bit-identical across backends.
     shards:
         ``> 1`` runs the pending points through
         :func:`repro.dist.shard.run_sharded`: shard worker
         subprocesses coordinate via a journaled claim queue (with
         work-stealing), append to per-shard stores, and the
         coordinator merges — records byte-identical to a serial run
-        up to the volatile timing fields.  ``workers``/``executor``
-        apply within this process only when sharding is off.
+        up to the volatile timing fields.  Slower than the process
+        pool (each shard starts its own interpreter) but the only path
+        that survives a killed worker; ``workers`` applies only when
+        sharding is off.
 
     Returns a :class:`SweepReport`; ``report.records`` maps fingerprint
     -> record for every grid point present in the store after the run.
@@ -553,10 +522,6 @@ def run_sweep(
         raise ValueError("workers must be >= 1")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from {EXECUTORS}"
-        )
     points = list(spec.points() if isinstance(spec, SweepSpec) else spec)
     fingerprints = [point.fingerprint() for point in points]
     seen: set[str] = set()
@@ -574,8 +539,8 @@ def run_sweep(
     report = SweepReport(total=len(seen), skipped=skipped)
     logger.info(
         "sweep start: %d pending of %d points (%d already complete, "
-        "executor=%s, workers=%d, shards=%d)",
-        len(pending), len(seen), skipped, executor, workers, shards,
+        "workers=%d, shards=%d)",
+        len(pending), len(seen), skipped, workers, shards,
     )
 
     progress = _cost_progress(progress, pending)
@@ -586,10 +551,10 @@ def run_sweep(
             pending, store, shards=shards, progress=progress
         )
         report.shard_stats = dict(shard_stats)
-    elif executor == "process" and workers > 1 and len(pending) > 1:
+    elif workers > 1 and len(pending) > 1:
         executed = _run_process_pool(pending, store, workers, progress)
     else:
-        executed = _run_thread_pool(pending, store, workers, progress)
+        executed = _run_inline(pending, store, progress)
 
     logger.info("sweep done: executed %d points", len(executed))
     report.executed = [fingerprint for fingerprint, _ in executed]
@@ -601,25 +566,20 @@ def run_sweep(
     return report
 
 
-def _run_thread_pool(
+def _run_inline(
     pending: list[tuple[Point, str]],
     store: ResultStore,
-    workers: int,
     progress,
 ) -> list[tuple[str, dict]]:
-    # Serial prepare phase: workload construction and warm-start tuning
-    # are cached (dict / lru_cache) — populate those caches before any
-    # worker threads race on them.
+    """Execute and checkpoint ``pending`` one after another, in process.
+
+    The one in-process point loop: :func:`run_sweep` runs ``workers=1``
+    grids through it, and :func:`repro.dist.shard.run_sharded` runs the
+    points no shard completed.
+    """
     workload_cache: dict = {}
-    for point, _ in pending:
-        _prepare_point(point, workload_cache)
-
-    done = 0
-    done_lock = threading.Lock()
-
-    def run_one(item: tuple[Point, str]) -> tuple[str, dict]:
-        nonlocal done
-        point, fingerprint = item
+    executed: list[tuple[str, dict]] = []
+    for point, fingerprint in pending:
         with obs.span(
             "sweep.point",
             fingerprint=fingerprint,
@@ -634,17 +594,10 @@ def _run_thread_pool(
         record = store.append(
             point, result, wall_time_s=wall, fingerprint=fingerprint
         )
-        with done_lock:
-            done += 1
-            count = done
+        executed.append((fingerprint, record))
         if progress is not None:
-            progress(count, len(pending), point, record)
-        return fingerprint, record
-
-    if workers == 1 or len(pending) <= 1:
-        return [run_one(item) for item in pending]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, pending))
+            progress(len(executed), len(pending), point, record)
+    return executed
 
 
 def _run_process_pool(
@@ -653,8 +606,6 @@ def _run_process_pool(
     workers: int,
     progress,
 ) -> list[tuple[str, dict]]:
-    from concurrent.futures import as_completed
-
     executed: list[tuple[str, dict]] = []
     by_fingerprint = dict((f, p) for p, f in pending)
     first_error: Exception | None = None
@@ -695,8 +646,7 @@ def _run_process_pool(
             )
             executed.append((fingerprint, record))
             if progress is not None:
-                # Count successful checkpoints only, matching the
-                # thread backend's locked counter.
+                # Count successful checkpoints only.
                 progress(len(executed), len(pending), point, record)
     if first_error is not None:
         raise first_error

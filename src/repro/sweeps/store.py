@@ -38,9 +38,11 @@ def load_records(path) -> dict:
 class ResultStore(Journal):
     """The checkpoint file behind one (or many) sweeps.
 
-    Thread-safe: runner workers append concurrently under an internal
-    lock.  The in-memory index mirrors the file, so membership checks
-    (``fingerprint in store``) are O(1) without re-reading.
+    The sweep runner appends from the thread that called it:
+    process-pool workers hand their results back to that thread, and
+    shard workers write their own shard stores, which the coordinator
+    merges.  The in-memory index mirrors the file, so membership
+    checks (``fingerprint in store``) are O(1) without re-reading.
     """
 
     def __init__(self, path):
@@ -54,9 +56,6 @@ class ResultStore(Journal):
     def fingerprints(self) -> set[str]:
         """Every stored point fingerprint (alias of :meth:`keys`)."""
         return self.keys()
-
-    # Historical protocol name, still the one atomic-append primitive.
-    _append_line = Journal.append_record
 
     def append(
         self,

@@ -4,13 +4,13 @@ Every figure/table in the paper decomposes into grid cells of a small
 number of *task* shapes — a VQE tuning run, an energy evaluation at
 near-optimal parameters, a subset-structure count, a mitigation
 comparison on fixed circuits, ...  This module is the registry mapping
-``point.task`` names to executors, so the sweep runner (thread- or
+``point.task`` names to executors, so the sweep runner (inline or
 process-pooled, checkpointed, resumable) can execute any benchmark's
 grid without knowing what the cells compute.
 
 Executors must be **deterministic pure functions of the point**: every
 random draw is seeded from point fields, so a cell's stored record is
-bit-identical across runs, worker counts, and pool backends.  The
+bit-identical across runs, worker counts, and shard counts.  The
 executors below reproduce the legacy ad-hoc benchmark loops *exactly*
 (same constructions, same seeds, same call order); the golden-parity
 suite in ``tests/sweeps/test_catalog_parity.py`` pins that equivalence

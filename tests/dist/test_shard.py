@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +66,34 @@ def test_killed_shard_loses_nothing(tmp_path, serial_store, monkeypatch):
     report = run_sweep(_grid(), store, shards=2)
     assert diff_stores(serial_store, store) == []
     assert len(report.executed) == 3
+
+
+def test_every_shard_dead_runs_leftovers_inline(
+    tmp_path, serial_store, monkeypatch
+):
+    # Every shard exits at once without executing a point; the
+    # coordinator's final pass runs the whole grid inline and still
+    # drives the progress callback once per point.
+    monkeypatch.setattr(
+        "repro.dist.shard._spawn_shard",
+        lambda payload_path: subprocess.Popen(
+            [sys.executable, "-c", "pass"]
+        ),
+    )
+    seen = []
+    store = ResultStore(tmp_path / "dead.jsonl")
+    report = run_sweep(
+        _grid(),
+        store,
+        shards=2,
+        progress=lambda done, total, point, record: seen.append(
+            (done, total)
+        ),
+    )
+    assert diff_stores(serial_store, store) == []
+    assert report.shard_stats["inline"] == 3
+    assert report.shard_stats["executions"] == 3
+    assert seen == [(1, 3), (2, 3), (3, 3)]
 
 
 def test_stale_and_replayed_claims_never_skip_points(tmp_path):

@@ -9,8 +9,8 @@ author) programs against: the experiment API, the backend registry
 and the base backend it extends, the execution engine, the workload
 registry, readout characterization, matrix mitigation, JigSaw and
 VarSaw with their reconstruction and count containers, Pauli strings,
-Hamiltonians and their exact solver, and the sweep spec/runner/catalog
-layer.
+Hamiltonians and their exact solver, the analysis experiment helpers,
+and the sweep spec/runner/catalog layer.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
 
 #: The enforced surface: whole packages and individual modules.
 SCOPED = [
+    "repro/analysis/experiments.py",
     "repro/api",
     "repro/backends",
     "repro/core/varsaw.py",

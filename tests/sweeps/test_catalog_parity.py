@@ -49,9 +49,7 @@ def test_every_golden_has_an_entry_and_vice_versa():
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_entry_rows_match_legacy_output(name, parity_store):
     entry = CATALOG[name]
-    outcome = run_entry(
-        entry, parity_store, workers=4, executor="process"
-    )
+    outcome = run_entry(entry, parity_store, workers=4)
     assert outcome.complete, outcome.summary()
     text = "".join(table.render() + "\n" for table in outcome.tables())
     golden = (GOLDEN_DIR / f"{name}.txt").read_text()

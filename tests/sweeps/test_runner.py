@@ -89,22 +89,29 @@ class TestRunSweep:
     def test_workers_produce_identical_stored_results(self, tmp_path):
         serial = run_sweep(SPEC, ResultStore(tmp_path / "w1.jsonl"),
                            workers=1)
-        threaded = run_sweep(SPEC, ResultStore(tmp_path / "w4.jsonl"),
-                             workers=4)
-        assert stored_results(serial) == stored_results(threaded)
+        pooled = run_sweep(SPEC, ResultStore(tmp_path / "w4.jsonl"),
+                           workers=4)
+        assert stored_results(serial) == stored_results(pooled)
 
-    def test_progress_callback_sees_every_execution(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_callback_sees_every_execution(self, tmp_path, workers):
         seen = []
+
+        def progress(done, total, point, record, state):
+            seen.append((done, total, point.fingerprint(), state))
+
         run_sweep(
             SPEC,
             ResultStore(tmp_path / "s.jsonl"),
-            progress=lambda done, total, point, record: seen.append(
-                (done, total, point.fingerprint())
-            ),
+            workers=workers,
+            progress=progress,
         )
-        assert len(seen) == 4
-        assert {done for done, _, _ in seen} == {1, 2, 3, 4}
-        assert all(total == 4 for _, total, _ in seen)
+        assert [done for done, _, _, _ in seen] == [1, 2, 3, 4]
+        assert all(total == 4 for _, total, _, _ in seen)
+        assert all(
+            state.points_done == done for done, _, _, state in seen
+        )
+        assert len({fingerprint for _, _, fingerprint, _ in seen}) == 4
 
     def test_rerun_executes_nothing(self, tmp_path):
         store = ResultStore(tmp_path / "s.jsonl")

@@ -1,9 +1,9 @@
-"""Pool-backend parity: serial / thread / process stores are identical.
+"""Process-pool parity: inline and process-pool stores are identical.
 
-The acceptance bar for the process-pool backend: for a grid sample that
-spans the new workload kinds (molecule + QAOA tuning, a Trotter quench
-task, a structure count), the fingerprint -> result mapping stored by
-``workers=1``, a 4-thread pool, and a 4-process pool must be
+The acceptance bar for the process pool: for a grid sample that spans
+the workload kinds (molecule + QAOA tuning, a Trotter quench task, a
+structure count), the fingerprint -> result mapping stored by
+``workers=1`` (inline) and by 2- and 4-process pools must be
 bit-identical — per-point deterministic seeding means the pool is pure
 mechanics.
 """
@@ -51,15 +51,9 @@ def reference(tmp_path_factory):
     return stored_results(store)
 
 
-def test_thread_pool_matches_serial(reference, tmp_path):
-    store = ResultStore(tmp_path / "threads.jsonl")
-    run_sweep(SAMPLE, store, workers=4, executor="thread")
-    assert stored_results(store) == reference
-
-
 def test_process_pool_matches_serial(reference, tmp_path):
     store = ResultStore(tmp_path / "processes.jsonl")
-    report = run_sweep(SAMPLE, store, workers=4, executor="process")
+    report = run_sweep(SAMPLE, store, workers=4)
     assert len(report.executed) == len(SAMPLE)
     assert stored_results(store) == reference
 
@@ -68,7 +62,7 @@ def test_process_pool_results_are_bit_identical_json(reference, tmp_path):
     """Beyond dict equality: the canonical JSON encodings match, so a
     resumed store file aggregates to identical bytes."""
     store = ResultStore(tmp_path / "bits.jsonl")
-    run_sweep(SAMPLE, store, workers=2, executor="process")
+    run_sweep(SAMPLE, store, workers=2)
     for fingerprint, result in stored_results(store).items():
         assert json.dumps(result, sort_keys=True) == json.dumps(
             reference[fingerprint], sort_keys=True
@@ -78,23 +72,14 @@ def test_process_pool_results_are_bit_identical_json(reference, tmp_path):
 def test_process_pool_resumes_by_skipping(reference, tmp_path):
     """A killed process-pool run resumes: completed points skipped."""
     store = ResultStore(tmp_path / "resume.jsonl")
-    first = run_sweep(SAMPLE, store, workers=4, executor="process",
-                      limit=2)
+    first = run_sweep(SAMPLE, store, workers=4, limit=2)
     assert len(first.executed) == 2
     # Fresh store object (fresh process), same file: resume.
     resumed = ResultStore(store.path)
-    second = run_sweep(SAMPLE, resumed, workers=4, executor="process")
+    second = run_sweep(SAMPLE, resumed, workers=4)
     assert len(second.executed) == 2
     assert set(second.executed).isdisjoint(first.executed)
     assert stored_results(resumed) == reference
-    # And a third pass executes nothing across both backends.
-    assert run_sweep(SAMPLE, resumed, executor="thread").executed == []
-    assert run_sweep(
-        SAMPLE, resumed, workers=2, executor="process"
-    ).executed == []
-
-
-def test_unknown_executor_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        run_sweep(SAMPLE, ResultStore(tmp_path / "x.jsonl"),
-                  executor="fork-bomb")
+    # And a third pass executes nothing, inline or pooled.
+    assert run_sweep(SAMPLE, resumed).executed == []
+    assert run_sweep(SAMPLE, resumed, workers=2).executed == []

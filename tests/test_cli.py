@@ -1,8 +1,11 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sweeps import ResultStore
 
 
 class TestParser:
@@ -23,6 +26,14 @@ class TestParser:
     def test_engine_runs_inline_so_there_is_no_workers_flag(self, command):
         with pytest.raises(SystemExit):
             build_parser().parse_args([*command, "--workers", "2"])
+
+    @pytest.mark.parametrize("command", [["sweep", "grid.json"],
+                                         ["reproduce"]])
+    def test_workers_is_the_only_pool_flag(self, command):
+        args = build_parser().parse_args([*command, "--workers", "2"])
+        assert args.workers == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--processes", "2"])
 
     def test_cache_size_zero_turns_off_the_state_cache_too(self):
         from repro.cli import _engine_config
@@ -219,6 +230,88 @@ class TestSweepCommand:
         assert "1 still pending" in capsys.readouterr().out
 
 
+class TestCostLine:
+    """The end-of-run ``cost:`` line sums the records a run executed."""
+
+    SPEC = """{
+        "name": "cost-grid",
+        "base": {"workload": {"key": "H2-4"}, "shots": 16,
+                 "max_iterations": 2},
+        "axes": {"scheme": ["baseline", "varsaw"], "seed": [0, 1]}
+    }"""
+
+    @staticmethod
+    def printed_cost(out):
+        """``(points, circuits, shots)`` from the cost line, or None."""
+        lines = [line for line in out.splitlines() if line.startswith("cost:")]
+        if not lines:
+            return None
+        (line,) = lines
+        match = re.fullmatch(
+            r"cost: (\d+) points in [\d.]+s"
+            r"(?:, (\d+) circuits, (\d+) shots)?",
+            line,
+        )
+        assert match, line
+        return int(match[1]), int(match[2] or 0), int(match[3] or 0)
+
+    @staticmethod
+    def executed_cost(out_path, before):
+        """``(points, circuits, shots)`` summed over records not in
+        ``before`` (the fingerprints stored before the run)."""
+        fresh = [
+            record for record in ResultStore(out_path).records()
+            if record["fingerprint"] not in before
+        ]
+        return (
+            len(fresh),
+            sum(record["result"].get("circuits", 0) for record in fresh),
+            sum(record["result"].get("shots", 0) for record in fresh),
+        )
+
+    def test_sweep_cost_sums_the_executed_records(self, tmp_path, capsys):
+        spec = tmp_path / "grid.json"
+        spec.write_text(self.SPEC)
+        out_path = tmp_path / "store.jsonl"
+        assert main([
+            "sweep", str(spec), "--out", str(out_path), "--limit", "2",
+        ]) == 0
+        first = self.executed_cost(out_path, set())
+        assert first[0] == 2 and first[1] > 0 and first[2] > 0
+        assert self.printed_cost(capsys.readouterr().out) == first
+
+        before = ResultStore(out_path).keys()
+        assert main([
+            "sweep", str(spec), "--out", str(out_path), "--resume",
+        ]) == 0
+        second = self.executed_cost(out_path, before)
+        assert second[0] == 2
+        assert self.printed_cost(capsys.readouterr().out) == second
+
+        assert main([
+            "sweep", str(spec), "--out", str(out_path), "--resume",
+        ]) == 0
+        assert self.printed_cost(capsys.readouterr().out) is None
+
+    def test_reproduce_cost_sums_the_executed_records(
+        self, tmp_path, capsys
+    ):
+        out_path = tmp_path / "repro.jsonl"
+        assert main([
+            "reproduce", "--only", "fig8", "--out", str(out_path),
+            "--no-tables",
+        ]) == 0
+        assert self.printed_cost(capsys.readouterr().out) == (
+            self.executed_cost(out_path, set())
+        )
+
+        assert main([
+            "reproduce", "--only", "fig8", "--out", str(out_path),
+            "--resume", "--no-tables",
+        ]) == 0
+        assert self.printed_cost(capsys.readouterr().out) is None
+
+
 class TestReproduce:
     def test_list_entries(self, capsys):
         assert main(["reproduce", "--list"]) == 0
@@ -239,7 +332,7 @@ class TestReproduce:
         out_path = tmp_path / "repro.jsonl"
         assert main([
             "reproduce", "--only", "fig8,fig6_fig7",
-            "--out", str(out_path), "--processes", "2",
+            "--out", str(out_path), "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "executed 6 points" in out
