@@ -6,8 +6,9 @@ The repository's one construction path for estimators:
   values that validate eagerly, round-trip through dicts, and carry a
   stable content fingerprint (:mod:`repro.api.spec`).
 * :func:`register_estimator` — the self-registration decorator each
-  estimator family applies to its spec class; the registry grows the
-  addressable kinds from the legacy six to every family in the
+  estimator family applies to its spec class; the registry
+  (:data:`ESTIMATORS`, a :class:`~repro.api.spec.KindRegistry`) grows
+  the addressable kinds from the legacy six to every family in the
   repository, and to out-of-tree estimators on import
   (:mod:`repro.api.registry`).
 * :class:`Session` — owns device + backend + seed + one shared
@@ -35,6 +36,7 @@ drivers all construct estimators through this package.
 from __future__ import annotations
 
 from .registry import (
+    ESTIMATORS,
     estimator_kinds,
     make_spec,
     register_estimator,
@@ -46,6 +48,7 @@ from .session import LedgerSnapshot, Session
 from .spec import EstimatorSpec, canonical_spec_json
 
 __all__ = [
+    "ESTIMATORS",
     "EstimatorSpec",
     "LedgerSnapshot",
     "Session",

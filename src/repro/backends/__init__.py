@@ -2,11 +2,11 @@
 
 Every estimator in the library executes circuits through *one* backend
 object (historically always :class:`repro.noise.SimulatorBackend`).
-This package makes that seam pluggable, mirroring the
-:mod:`repro.api` estimator registry exactly: each backend kind is a
-frozen, validated, serializable :class:`BackendSpec` that claims a name
-with :func:`register_backend`, and every layer — `Session`, sweep
-Points, the CLI — selects backends by that name.
+This package makes that seam pluggable with the same registry the
+:mod:`repro.api` estimators use: each backend kind is a frozen,
+validated, serializable :class:`BackendSpec` that claims a name in
+:data:`BACKENDS` with :func:`register_backend`, and every layer —
+`Session`, sweep Points, the CLI — selects backends by that name.
 
 Built-in kinds:
 
@@ -18,6 +18,8 @@ Built-in kinds:
 * ``density`` — exact density-matrix evaluation with local per-gate
   noise channels and analytic (zero-shot-noise) expectations
   (:class:`DensityBackend`).
+* ``remote`` — dense simulation on worker processes
+  (:mod:`repro.dist.remote`).
 
 Typical use::
 
@@ -29,7 +31,7 @@ Typical use::
 
     from repro.backends import backend_kinds, make_backend
 
-    print(backend_kinds())              # ('dense', 'clifford', 'density')
+    print(backend_kinds())  # ('dense', 'clifford', 'density', 'remote')
     backend = make_backend({"kind": "density", "analytic": True})
 
 Out-of-tree backends subclass :class:`~repro.noise.SimulatorBackend`
@@ -43,6 +45,7 @@ from .clifford import CliffordBackend, CliffordBackendSpec
 from .dense import DenseBackendSpec
 from .density import DensityBackend, DensityBackendSpec
 from .registry import (
+    BACKENDS,
     backend_class,
     backend_kinds,
     backend_spec_from_dict,
@@ -54,6 +57,7 @@ from .registry import (
 from .spec import BackendSpec
 
 __all__ = [
+    "BACKENDS",
     "BackendSpec",
     "CliffordBackend",
     "CliffordBackendSpec",

@@ -12,9 +12,14 @@ Execution backends self-register by decorating their spec dataclass::
         def create(self, device=None, seed=None):
             return MyBackend(device, seed=seed, knob=self.knob)
 
-The built-in kinds (``dense``, ``clifford``, ``density``) live next to
-their backend classes in this package; :func:`_ensure_builtin` imports
-those modules on first lookup so the registry is complete however
+:data:`BACKENDS` is an instance of the same
+:class:`~repro.api.spec.KindRegistry` as the estimator registry
+(:data:`repro.api.registry.ESTIMATORS`); the public functions below are
+its bound methods, plus :func:`resolve_backend_spec` and
+:func:`make_backend` built on top.  The built-in kinds (``dense``,
+``clifford``, ``density``) live next to their backend classes in this
+package and ``remote`` in :mod:`repro.dist`; the registry imports
+those modules on its first lookup, so it is complete however
 :mod:`repro.backends` is reached.  Out-of-tree backends register the
 same way — importing the defining module makes the kind addressable by
 name everywhere (:class:`~repro.api.Session`, sweep Points, the CLI's
@@ -23,16 +28,17 @@ name everywhere (:class:`~repro.api.Session`, sweep Points, the CLI's
 
 from __future__ import annotations
 
-import importlib
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
+from ..api.spec import KindRegistry
 from .spec import BackendSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..noise import DeviceModel, SimulatorBackend
 
 __all__ = [
+    "BACKENDS",
     "backend_class",
     "backend_kinds",
     "backend_spec_from_dict",
@@ -42,111 +48,24 @@ __all__ = [
     "resolve_backend_spec",
 ]
 
-#: kind name -> registered spec class (insertion-ordered).
-_REGISTRY: dict[str, type[BackendSpec]] = {}
-
-#: Canonical listing order for the built-in kinds; out-of-tree kinds
-#: list after these, in registration order.
-_BUILTIN_ORDER = ("dense", "clifford", "density", "remote")
-
-#: Modules whose import registers the built-in backends.  The
-#: ``remote`` kind lives in :mod:`repro.dist` (the distributed
-#: execution subsystem) but registers here like any other kind.
-_BUILTIN_MODULES = (
-    "repro.backends.dense",
-    "repro.backends.clifford",
-    "repro.backends.density",
-    "repro.dist.remote",
+#: The execution-backend family's registry.
+BACKENDS: KindRegistry[BackendSpec] = KindRegistry(
+    BackendSpec,
+    "backend",
+    builtin=("dense", "clifford", "density", "remote"),
+    modules=(
+        "repro.backends.dense",
+        "repro.backends.clifford",
+        "repro.backends.density",
+        "repro.dist.remote",
+    ),
 )
 
-
-def register_backend(
-    kind: str,
-) -> Callable[[type[BackendSpec]], type[BackendSpec]]:
-    """Class decorator registering a :class:`BackendSpec` subclass.
-
-    Sets ``cls.kind = kind`` and makes the kind addressable by name
-    through :func:`make_backend_spec`, :class:`~repro.api.Session`,
-    sweep Points, and the CLI.  Re-registering a kind to a *different*
-    class raises (re-decorating the same class, e.g. on module reload,
-    is a no-op).
-    """
-    if not kind or not isinstance(kind, str):
-        raise ValueError("backend kind must be a non-empty string")
-
-    def wrap(cls: type[BackendSpec]) -> type[BackendSpec]:
-        if not (isinstance(cls, type) and issubclass(cls, BackendSpec)):
-            raise TypeError(
-                f"@register_backend({kind!r}) needs a BackendSpec "
-                f"subclass; got {cls!r}"
-            )
-        existing = _REGISTRY.get(kind)
-        if existing is not None and existing is not cls:
-            raise ValueError(
-                f"backend kind {kind!r} is already registered to "
-                f"{existing.__qualname__}"
-            )
-        cls.kind = kind
-        _REGISTRY[kind] = cls
-        return cls
-
-    return wrap
-
-
-def _ensure_builtin() -> None:
-    """Import the modules hosting the built-in registrations (idempotent)."""
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
-
-
-def backend_kinds() -> tuple[str, ...]:
-    """Every registered kind name, built-ins first in canonical order."""
-    _ensure_builtin()
-    builtin_rank = {kind: i for i, kind in enumerate(_BUILTIN_ORDER)}
-    registered = list(_REGISTRY)
-    return tuple(
-        sorted(
-            registered,
-            key=lambda kind: (
-                builtin_rank.get(kind, len(builtin_rank)),
-                registered.index(kind),
-            ),
-        )
-    )
-
-
-def backend_class(kind: str) -> type[BackendSpec]:
-    """The spec class registered under ``kind`` (``ValueError`` if none)."""
-    _ensure_builtin()
-    if kind not in _REGISTRY:
-        raise ValueError(
-            f"unknown backend kind {kind!r}; "
-            f"choose from {', '.join(backend_kinds())}"
-        )
-    return _REGISTRY[kind]
-
-
-def make_backend_spec(kind: str, **params: Any) -> BackendSpec:
-    """Build ``kind``'s validated spec from keyword parameters.
-
-    Unknown or misspelled parameters raise a ``ValueError`` naming the
-    offending key and the kind's accepted fields; out-of-range values
-    raise from the spec's eager :meth:`~BackendSpec.validate`.
-    """
-    cls = backend_class(kind)
-    return cls(**cls.check_params(params))
-
-
-def backend_spec_from_dict(data: Mapping[str, Any]) -> BackendSpec:
-    """Rebuild a spec from a plain-dict payload carrying a ``kind``."""
-    payload = dict(data)
-    kind = payload.pop("kind", None)
-    if not isinstance(kind, str) or not kind:
-        raise ValueError(
-            f"backend payload needs a 'kind' naming a registered "
-            f"backend; got {dict(data)!r}"
-        )
-    return make_backend_spec(kind, **payload)
+register_backend = BACKENDS.register
+backend_kinds = BACKENDS.kinds
+backend_class = BACKENDS.get
+make_backend_spec = BACKENDS.make
+backend_spec_from_dict = BACKENDS.from_dict
 
 
 def resolve_backend_spec(

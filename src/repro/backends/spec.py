@@ -3,8 +3,8 @@
 A :class:`BackendSpec` is the declarative description of one execution
 backend — which simulation strategy turns circuits into noisy outcome
 distributions, and how its knobs are set — as a frozen dataclass of
-plain JSON values, mirroring :class:`repro.api.EstimatorSpec` exactly
-(both share :class:`repro.api.spec.SpecRecord`):
+plain JSON values.  It is a :class:`repro.api.spec.SpecRecord`, the
+base :class:`repro.api.EstimatorSpec` shares, so it:
 
 * **validates eagerly** — a bad field fails at spec build time with
   the offending key and the kind's accepted fields;
@@ -22,14 +22,15 @@ plain JSON values, mirroring :class:`repro.api.EstimatorSpec` exactly
 
 Concrete spec classes live next to their backend classes in
 :mod:`repro.backends` and self-register with
-:func:`repro.backends.register_backend`.
+:func:`repro.backends.register_backend` in
+:data:`repro.backends.registry.BACKENDS`, an instance of the same
+:class:`~repro.api.spec.KindRegistry` the estimator registry uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import TYPE_CHECKING
 
 from ..api.spec import SpecRecord
 
@@ -50,8 +51,6 @@ class BackendSpec(SpecRecord):
     and :meth:`create` for the actual construction.
     """
 
-    _spec_noun: ClassVar[str] = "backend"
-
     def create(
         self,
         device: "DeviceModel | None" = None,
@@ -65,9 +64,3 @@ class BackendSpec(SpecRecord):
         discipline).
         """
         raise NotImplementedError
-
-    @classmethod
-    def _registry_lookup(cls, data: Mapping[str, Any]) -> "BackendSpec":
-        from .registry import backend_spec_from_dict
-
-        return backend_spec_from_dict(data)

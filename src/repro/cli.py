@@ -35,8 +35,8 @@ import sys
 
 from . import obs
 from .analysis import sparkline
-from .api import Session, estimator_kinds, spec_class
-from .backends import backend_class, backend_kinds
+from .api import ESTIMATORS, Session
+from .backends import BACKENDS, backend_kinds
 from .core import count_jigsaw_subsets, count_varsaw_subsets
 from .engine import EngineConfig
 from .hamiltonian import MOLECULES, build_hamiltonian, molecule_keys
@@ -479,10 +479,10 @@ def _print_engine_stats(session) -> None:
     )
 
 
-def _print_registry_listing(kinds, cls_for) -> None:
+def _print_registry_listing(registry) -> None:
     """Shared kind/spec/defaults listing for 'kinds' and 'backends'."""
-    for kind in kinds:
-        cls = cls_for(kind)
+    for kind in registry.kinds():
+        cls = registry.get(kind)
         doc = (cls.__doc__ or "").strip().splitlines()
         summary = doc[0] if doc else ""
         print(f"{kind}  ({cls.__name__})")
@@ -495,7 +495,7 @@ def _print_registry_listing(kinds, cls_for) -> None:
 
 def _cmd_kinds(_args) -> int:
     """Every registered estimator kind, its spec, and its defaults."""
-    _print_registry_listing(estimator_kinds(), spec_class)
+    _print_registry_listing(ESTIMATORS)
     print(
         "\nSelect with 'repro run --scheme <kind>' or a sweep Point's "
         "scheme/estimator payload; extend with "
@@ -506,7 +506,7 @@ def _cmd_kinds(_args) -> int:
 
 def _cmd_backends(_args) -> int:
     """Every registered execution backend and its typed parameters."""
-    _print_registry_listing(backend_kinds(), backend_class)
+    _print_registry_listing(BACKENDS)
     print(
         "\nSelect with 'repro run --backend <kind>', "
         "Session(backend=<kind>), or a sweep Point's backend field; "

@@ -36,7 +36,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from ..api import register_estimator
-from ..api.spec import check_int
+from ..api.spec import check_int, check_number
 from ..circuits import Circuit
 from ..sim import PMF
 from .varsaw import VarSawEstimator, VarSawSpec
@@ -75,10 +75,10 @@ class DriftDetector:
     """
 
     def __init__(self, threshold: float, allowance: float = 0.0):
-        if not threshold > 0:
+        check_number("threshold", threshold)
+        if threshold <= 0:
             raise ValueError(f"threshold must be > 0; got {threshold!r}")
-        if allowance < 0:
-            raise ValueError(f"allowance must be >= 0; got {allowance!r}")
+        check_number("allowance", allowance, minimum=0)
         self.threshold = float(threshold)
         self.allowance = float(allowance)
         self.reference: PMF | None = None
@@ -169,6 +169,8 @@ class DriftAwareVarSawEstimator(VarSawEstimator):
         return handle.result().to_pmf()
 
     def evaluate(self, params: np.ndarray) -> float:
+        """Probe for drift (re-calibrating on alarm), then evaluate as
+        VarSaw."""
         probe = self._probe()
         if self.detector.update(probe):
             # The probe distribution has drifted away from the last
@@ -197,26 +199,19 @@ class DriftAdaptiveSpec(VarSawSpec):
     _PINNED_MODE: ClassVar[str | None] = "adaptive"
 
     def validate(self) -> None:
+        """VarSaw's checks plus the probe and detector knobs."""
         super().validate()
         check_int("probe_shots", self.probe_shots, minimum=1)
-        if not (
-            isinstance(self.detector_threshold, (int, float))
-            and self.detector_threshold > 0
-        ):
+        check_number("detector_threshold", self.detector_threshold)
+        if self.detector_threshold <= 0:
             raise ValueError(
                 f"detector_threshold must be > 0; "
                 f"got {self.detector_threshold!r}"
             )
-        if not (
-            isinstance(self.drift_allowance, (int, float))
-            and self.drift_allowance >= 0
-        ):
-            raise ValueError(
-                f"drift_allowance must be >= 0; "
-                f"got {self.drift_allowance!r}"
-            )
+        check_number("drift_allowance", self.drift_allowance, minimum=0)
 
     def build(self, workload, backend, engine=None, **overrides):
+        """A :class:`DriftAwareVarSawEstimator` with these knobs."""
         kwargs = self._constructor_kwargs(workload, backend, engine)
         kwargs.update(
             probe_shots=self.probe_shots,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..api import register_estimator
-from ..api.spec import check_fraction, check_int
+from ..api.spec import check_fraction, check_int, check_number
 from ..mitigation.reconstruction import bayesian_reconstruct_batch
 from ..sim import PMF
 from ..vqe.expectation import energy_from_group_pmfs
@@ -100,6 +100,7 @@ class PhasePolicy:
         self.end = end_fraction
 
     def active(self, evaluation_index: int) -> bool:
+        """Whether evaluation ``evaluation_index`` falls in the window."""
         position = min(
             1.0, evaluation_index / self.expected_evaluations
         )
@@ -143,6 +144,8 @@ class SelectiveVarSawEstimator(VarSawEstimator):
     # ------------------------------------------------------------- execution
 
     def evaluate(self, params: np.ndarray) -> float:
+        """Energy at ``params``: unmitigated outside the active phase,
+        else VarSaw with only the selected groups reconstructed."""
         t = self._evaluation_index
         if self.phase_policy is not None and not self.phase_policy.active(t):
             # Outside the mitigation phase: plain noisy evaluation, but
@@ -218,6 +221,8 @@ class SelectiveVarSawEstimator(VarSawEstimator):
 
     @property
     def circuits_per_subset_pass(self) -> int:
+        """Subset circuits a mitigated evaluation runs: those some
+        selected group needs."""
         return len(self._active_subsets)
 
 
@@ -233,8 +238,7 @@ class CalibrationGate:
     """
 
     def __init__(self, error_threshold: float = 0.01):
-        if error_threshold < 0:
-            raise ValueError("error_threshold must be non-negative")
+        check_number("error_threshold", error_threshold, minimum=0)
         self.error_threshold = float(error_threshold)
 
     def keep_indices(self, plan, readout, mapping=None) -> list[int]:
@@ -298,6 +302,7 @@ class SelectiveSpec(VarSawSpec):
     phase_end: float = 1.0
 
     def validate(self) -> None:
+        """VarSaw's checks plus the selector and phase-window knobs."""
         super().validate()
         if self.mass_fraction is not None:
             check_fraction("mass_fraction", self.mass_fraction)
@@ -312,6 +317,8 @@ class SelectiveSpec(VarSawSpec):
             )
 
     def build(self, workload, backend, engine=None, **overrides):
+        """A :class:`SelectiveVarSawEstimator` with the configured
+        term selector and phase policy."""
         kwargs = self._constructor_kwargs(workload, backend, engine)
         if self.mass_fraction is not None:
             kwargs["term_selector"] = TermSelector(self.mass_fraction)
@@ -337,21 +344,13 @@ class CalibrationGatedSpec(VarSawSpec):
     error_threshold: float = 0.01
 
     def validate(self) -> None:
+        """VarSaw's checks plus a finite ``error_threshold >= 0``."""
         super().validate()
-        if isinstance(self.error_threshold, bool) or not isinstance(
-            self.error_threshold, (int, float)
-        ):
-            raise ValueError(
-                f"error_threshold must be a number; "
-                f"got {self.error_threshold!r}"
-            )
-        if self.error_threshold < 0:
-            raise ValueError(
-                f"error_threshold must be non-negative; "
-                f"got {self.error_threshold!r}"
-            )
+        check_number("error_threshold", self.error_threshold, minimum=0)
 
     def build(self, workload, backend, engine=None, **overrides):
+        """A :class:`CalibrationGatedVarSawEstimator` gated at
+        ``error_threshold``."""
         kwargs = self._constructor_kwargs(workload, backend, engine)
         kwargs["gate"] = CalibrationGate(
             error_threshold=self.error_threshold

@@ -16,6 +16,7 @@ from .device import (
 )
 from .drift import (
     SCHEDULE_KINDS,
+    SCHEDULES,
     ConstantDrift,
     DriftingDeviceModel,
     DriftSchedule,
@@ -47,6 +48,7 @@ __all__ = [
     "SineDrift",
     "RandomWalkDrift",
     "DriftingDeviceModel",
+    "SCHEDULES",
     "SCHEDULE_KINDS",
     "make_schedule",
     "schedule_from_dict",

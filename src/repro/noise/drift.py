@@ -21,27 +21,29 @@ This module models that scenario deterministically:
   once per charged circuit, so the same spec always replays the same
   noise trajectory — bit for bit, across processes and executors.
 
-Schedules deliberately know nothing about the rest of the repo (this
-module must stay importable from :mod:`repro.noise` without touching
-:mod:`repro.api`), so the canonical-JSON fingerprint helpers are local.
+Schedules are the third :class:`~repro.api.spec.SpecRecord` family,
+next to estimator and backend specs: they register by kind in
+:data:`SCHEDULES` (a :class:`~repro.api.spec.KindRegistry`), validate
+eagerly, round-trip through dicts (``DriftSchedule.from_dict``,
+:func:`schedule_from_dict`), support ``replace()``, and fingerprint
+through the shared canonical-JSON encoder.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Any, ClassVar, Mapping
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
+from ..api.spec import KindRegistry, SpecRecord, check_int, check_number
 from .device import DeviceModel
 from .gate_noise import DepolarizingGateNoise
 from .readout import QubitReadoutError, ReadoutErrorModel
 
 __all__ = [
-    "DRIFT_SCHEMA_VERSION",
+    "SCHEDULES",
     "SCHEDULE_KINDS",
     "DriftSchedule",
     "ConstantDrift",
@@ -54,29 +56,9 @@ __all__ = [
     "schedule_from_dict",
 ]
 
-#: Bumped whenever a schedule field changes meaning; part of every
-#: fingerprint, so cache keys never silently mix incompatible schemas.
-DRIFT_SCHEMA_VERSION = 1
-
-#: Registered schedule kinds (name -> dataclass), in definition order.
-SCHEDULE_KINDS: dict[str, type["DriftSchedule"]] = {}
-
-
-def _canonical_json(value: Any) -> str:
-    """Deterministic JSON: sorted keys, compact separators, exact floats."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _register_schedule(cls):
-    """Class decorator: register a schedule under its ``kind``."""
-    if not cls.kind or cls.kind in SCHEDULE_KINDS:
-        raise ValueError(f"bad or duplicate schedule kind {cls.kind!r}")
-    SCHEDULE_KINDS[cls.kind] = cls
-    return cls
-
 
 @dataclass(frozen=True)
-class DriftSchedule:
+class DriftSchedule(SpecRecord):
     """Base class: a deterministic noise trajectory over logical time.
 
     Subclasses define :meth:`_shape` — a dimensionless displacement
@@ -88,26 +70,14 @@ class DriftSchedule:
     physical.
     """
 
-    kind: ClassVar[str] = ""
-
     #: Circuits per epoch.  Noise is constant within an epoch: the
     #: engine's PMF cache stays warm between rate changes, and a whole
     #: batch submitted at one clock reading sees one noise state.
     period: int = 32
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
         """Eager validation (subclasses extend, then call super)."""
-        if (
-            not isinstance(self.period, int)
-            or isinstance(self.period, bool)
-            or self.period < 1
-        ):
-            raise ValueError(
-                f"period must be a positive integer; got {self.period!r}"
-            )
+        check_int("period", self.period, minimum=1)
 
     # ------------------------------------------------------- trajectory
 
@@ -134,23 +104,20 @@ class DriftSchedule:
         """
         return np.full(n_qubits, self.gate_factor(epoch))
 
-    # ---------------------------------------------------- serialization
 
-    def to_dict(self) -> dict:
-        """JSON form of the schedule, carrying its ``kind``."""
-        data = asdict(self)
-        data["kind"] = self.kind
-        return data
+#: The drift-schedule family's registry; the built-ins below list in
+#: definition order.
+SCHEDULES: KindRegistry[DriftSchedule] = KindRegistry(
+    DriftSchedule, "drift schedule"
+)
 
-    def fingerprint(self) -> str:
-        """Content digest, stable across processes and dict orderings."""
-        payload = {"v": DRIFT_SCHEMA_VERSION, "schedule": self.to_dict()}
-        h = hashlib.blake2b(digest_size=16)
-        h.update(_canonical_json(payload).encode())
-        return h.hexdigest()
+#: Registered schedule kinds (name -> class), in registration order.
+SCHEDULE_KINDS = SCHEDULES.classes
+
+schedule_from_dict = SCHEDULES.from_dict
 
 
-@_register_schedule
+@SCHEDULES.register("constant")
 @dataclass(frozen=True)
 class ConstantDrift(DriftSchedule):
     """No drift: factors are exactly 1.0 forever.
@@ -159,13 +126,11 @@ class ConstantDrift(DriftSchedule):
     byte-identical to the static path) without changing any noise.
     """
 
-    kind: ClassVar[str] = "constant"
-
     def _shape(self, epoch: int) -> float:
         return 0.0
 
 
-@_register_schedule
+@SCHEDULES.register("step")
 @dataclass(frozen=True)
 class StepDrift(DriftSchedule):
     """A sudden re-calibration-worthy jump at epoch ``at``.
@@ -174,42 +139,38 @@ class StepDrift(DriftSchedule):
     the canonical "device fell out of calibration mid-run" event.
     """
 
-    kind: ClassVar[str] = "step"
-
     magnitude: float = 1.0
     at: int = 1
 
     def validate(self) -> None:
+        """Check ``magnitude >= 0`` and a non-negative step epoch."""
         super().validate()
-        _check_magnitude(self.magnitude)
-        if not isinstance(self.at, int) or self.at < 0:
-            raise ValueError(f"at must be a nonnegative int; got {self.at!r}")
+        check_number("magnitude", self.magnitude, minimum=0)
+        check_int("at", self.at, minimum=0)
 
     def _shape(self, epoch: int) -> float:
         return self.magnitude if epoch >= self.at else 0.0
 
 
-@_register_schedule
+@SCHEDULES.register("linear")
 @dataclass(frozen=True)
 class LinearDrift(DriftSchedule):
     """A linear ramp reaching ``magnitude`` after ``ramp`` epochs."""
-
-    kind: ClassVar[str] = "linear"
 
     magnitude: float = 1.0
     ramp: int = 8
 
     def validate(self) -> None:
+        """Check ``magnitude >= 0`` and a ramp of at least one epoch."""
         super().validate()
-        _check_magnitude(self.magnitude)
-        if not isinstance(self.ramp, int) or self.ramp < 1:
-            raise ValueError(f"ramp must be a positive int; got {self.ramp!r}")
+        check_number("magnitude", self.magnitude, minimum=0)
+        check_int("ramp", self.ramp, minimum=1)
 
     def _shape(self, epoch: int) -> float:
         return self.magnitude * min(1.0, epoch / self.ramp)
 
 
-@_register_schedule
+@SCHEDULES.register("sine")
 @dataclass(frozen=True)
 class SineDrift(DriftSchedule):
     """A sinusoidal oscillation with ``wavelength`` epochs per cycle.
@@ -219,25 +180,21 @@ class SineDrift(DriftSchedule):
     calibrated (floored at 0 by the shared clamp).
     """
 
-    kind: ClassVar[str] = "sine"
-
     magnitude: float = 0.5
     wavelength: int = 8
 
     def validate(self) -> None:
+        """Check ``magnitude >= 0`` and a wavelength of at least one epoch."""
         super().validate()
-        _check_magnitude(self.magnitude)
-        if not isinstance(self.wavelength, int) or self.wavelength < 1:
-            raise ValueError(
-                f"wavelength must be a positive int; got {self.wavelength!r}"
-            )
+        check_number("magnitude", self.magnitude, minimum=0)
+        check_int("wavelength", self.wavelength, minimum=1)
 
     def _shape(self, epoch: int) -> float:
         phase = 2.0 * math.pi * epoch / self.wavelength
         return self.magnitude * math.sin(phase)
 
 
-@_register_schedule
+@SCHEDULES.register("random_walk")
 @dataclass(frozen=True)
 class RandomWalkDrift(DriftSchedule):
     """Seeded Gaussian random walks, independent per qubit.
@@ -248,24 +205,14 @@ class RandomWalkDrift(DriftSchedule):
     replays the identical trajectory — no hidden mutable RNG.
     """
 
-    kind: ClassVar[str] = "random_walk"
-
     step_std: float = 0.1
     seed: int = 0
 
     def validate(self) -> None:
+        """Check ``step_std >= 0`` and a non-negative integer seed."""
         super().validate()
-        if not (
-            isinstance(self.step_std, (int, float))
-            and math.isfinite(self.step_std)
-            and self.step_std >= 0
-        ):
-            raise ValueError(
-                f"step_std must be a finite nonnegative number; "
-                f"got {self.step_std!r}"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an int; got {self.seed!r}")
+        check_number("step_std", self.step_std, minimum=0)
+        check_int("seed", self.seed, minimum=0)
 
     def _displacements(self, epoch: int, walkers: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -275,6 +222,7 @@ class RandomWalkDrift(DriftSchedule):
         return steps.sum(axis=0)
 
     def gate_factor(self, epoch: int) -> float:
+        """The dedicated gate walker's factor at ``epoch``."""
         # The dedicated gate walker is the last column; drawing all
         # columns keeps qubit walks independent of the walker count.
         return float(
@@ -282,45 +230,9 @@ class RandomWalkDrift(DriftSchedule):
         )
 
     def readout_factors(self, epoch: int, n_qubits: int) -> np.ndarray:
+        """Each qubit's own walk factor at ``epoch``."""
         walk = self._displacements(epoch, n_qubits + 1)[:n_qubits]
         return np.maximum(0.0, 1.0 + walk)
-
-
-def _check_magnitude(magnitude: Any) -> None:
-    if not (
-        isinstance(magnitude, (int, float))
-        and not isinstance(magnitude, bool)
-        and math.isfinite(magnitude)
-        and magnitude >= 0
-    ):
-        raise ValueError(
-            f"magnitude must be a finite nonnegative number; "
-            f"got {magnitude!r}"
-        )
-
-
-def schedule_from_dict(data: Mapping[str, Any]) -> DriftSchedule:
-    """Rebuild a schedule from :meth:`DriftSchedule.to_dict` output.
-
-    Unknown kinds and unknown fields raise eagerly with the accepted
-    choices — a misspelled knob fails at spec build, not mid-sweep.
-    """
-    payload = dict(data)
-    kind = payload.pop("kind", None)
-    if kind not in SCHEDULE_KINDS:
-        raise ValueError(
-            f"unknown drift schedule kind {kind!r}; "
-            f"choose from {sorted(SCHEDULE_KINDS)}"
-        )
-    cls = SCHEDULE_KINDS[kind]
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown fields {unknown} for drift schedule {kind!r}; "
-            f"accepted: {sorted(allowed)}"
-        )
-    return cls(**payload)
 
 
 def make_schedule(
@@ -334,22 +246,15 @@ def make_schedule(
     Maps the single ``magnitude`` knob onto each kind's natural
     parameter (``random_walk`` reads it as the per-epoch step
     standard deviation); shape parameters (step epoch, ramp length,
-    wavelength) keep their defaults.
+    wavelength) keep their defaults.  Unknown kinds raise with the
+    registered choices.
     """
-    if kind == "constant":
-        return ConstantDrift(period=period)
-    if kind == "step":
-        return StepDrift(period=period, magnitude=magnitude)
-    if kind == "linear":
-        return LinearDrift(period=period, magnitude=magnitude)
-    if kind == "sine":
-        return SineDrift(period=period, magnitude=magnitude)
+    params: dict[str, Any] = {"period": period}
     if kind == "random_walk":
-        return RandomWalkDrift(period=period, step_std=magnitude, seed=seed)
-    raise ValueError(
-        f"unknown drift schedule kind {kind!r}; "
-        f"choose from {sorted(SCHEDULE_KINDS)}"
-    )
+        params.update(step_std=magnitude, seed=seed)
+    elif kind != "constant":
+        params["magnitude"] = magnitude
+    return SCHEDULES.make(kind, **params)
 
 
 class DriftingDeviceModel(DeviceModel):
@@ -462,19 +367,23 @@ class DriftingDeviceModel(DeviceModel):
                 scale=base_gate.scale,
             )
 
+    # These three read-only views replace attributes a static
+    # DeviceModel sets in __init__, which mypy reports as an override.
     @property
-    def name(self) -> str:
+    def name(self) -> str:  # type: ignore[override]
         """Base device name tagged with the schedule kind."""
         return f"{self.base.name}+drift:{self.schedule.kind}"
 
     @property
-    def readout(self) -> ReadoutErrorModel:
+    def readout(self) -> ReadoutErrorModel:  # type: ignore[override]
         """The readout error model at the current epoch."""
         self._refresh()
         return self._readout
 
     @property
-    def gate_noise(self) -> DepolarizingGateNoise:
+    def gate_noise(  # type: ignore[override]
+        self,
+    ) -> DepolarizingGateNoise:
         """The gate noise channel at the current epoch."""
         self._refresh()
         return self._gate_noise

@@ -133,12 +133,10 @@ class JobSpec:
 
     def _validate_estimator_payload(self) -> None:
         """Fail misspelled estimator knobs at submission, not mid-batch."""
-        from ..api import spec_class
+        from ..api import make_spec
 
-        payload = dict(self.estimator)
-        kind = payload.pop("kind", None) or self.scheme
-        cls = spec_class(kind)
-        cls(**cls.check_params(payload))
+        kind, params = self.estimator_args()
+        make_spec(kind, **params)
 
     def _validate_backend(self) -> None:
         """Fail unknown backend kinds/knobs at submission, not mid-batch."""

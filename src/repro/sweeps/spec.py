@@ -11,10 +11,11 @@ A :class:`SweepSpec` is a named grid: a ``base`` point template plus
 yields the cross product.  The spec round-trips through JSON, which is
 what the ``repro sweep`` CLI consumes.
 
-Fingerprints are blake2b digests of a canonical JSON encoding of the
-point plus :data:`POINT_SCHEMA_VERSION` — stable across processes,
-dict orderings, and sweep-axis orderings, and deliberately invalidated
-when the point schema itself changes meaning.
+Fingerprints are blake2b digests of the canonical JSON encoding
+(:func:`repro.api.spec.canonical_spec_json`, the one encoder behind
+every fingerprint) of the point plus :data:`POINT_SCHEMA_VERSION` —
+stable across processes, dict orderings, and sweep-axis orderings, and
+deliberately invalidated when the point schema itself changes meaning.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator, Mapping
+
+from ..api.spec import canonical_spec_json as canonical_json
 
 __all__ = [
     "BACKEND_AWARE_TASKS",
@@ -77,27 +80,6 @@ WORKLOAD_TASKS = frozenset(
 #: the stored results — point validation rejects the combination
 #: instead.
 BACKEND_AWARE_TASKS = frozenset({"tuning", "backend_matrix"})
-
-
-def _canonical(value):
-    """Normalize a value tree for canonical JSON encoding."""
-    if isinstance(value, Mapping):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise TypeError(
-        f"point fields must be JSON-serializable scalars/lists/dicts; "
-        f"got {type(value).__name__}"
-    )
-
-
-def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, compact separators, exact floats."""
-    return json.dumps(
-        _canonical(value), sort_keys=True, separators=(",", ":")
-    )
 
 
 @dataclass(frozen=True)

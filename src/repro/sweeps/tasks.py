@@ -1071,12 +1071,9 @@ def _dist_scaling(point: Point, workload_cache: dict) -> dict:
         report = run_sweep(inner, store, shards=shards)
         elapsed = time.perf_counter() - start
         stats = dict(report.shard_stats)
-        if stats:
-            executions = int(stats.get("executions", 0)) + int(
-                stats.get("inline", 0)
-            )
-        else:
-            executions = len(report.executed)
+        # run_sharded's count already includes the coordinator's
+        # inline pass over points no shard completed.
+        executions = int(stats.get("executions", len(report.executed)))
         points = len(inner)
         return {
             "shards": shards,

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.api import (
+    ESTIMATORS,
     EstimatorSpec,
     estimator_kinds,
     make_spec,
@@ -13,7 +14,6 @@ from repro.api import (
     spec_class,
     spec_from_dict,
 )
-from repro.api import registry as registry_module
 from repro.core import (
     CalibrationGatedSpec,
     SelectiveSpec,
@@ -76,7 +76,7 @@ class TestRegistration:
             assert spec.knob == 5
             assert spec.kind == "unit_test_kind"
         finally:
-            del registry_module._REGISTRY["unit_test_kind"]
+            del ESTIMATORS.classes["unit_test_kind"]
 
     def test_duplicate_kind_rejected(self):
         with pytest.raises(ValueError, match="already registered"):

@@ -132,6 +132,9 @@ class TestValidation:
             ("selective", {"phase_start": 0.9, "phase_end": 0.1}),
             ("calibration_gated", {"error_threshold": -0.1}),
             ("calibration_gated", {"error_threshold": True}),
+            ("drift_adaptive", {"detector_threshold": True}),
+            ("drift_adaptive", {"drift_allowance": False}),
+            ("calibration_gated", {"error_threshold": float("nan")}),
         ],
     )
     def test_out_of_range_values_fail_eagerly(self, kind, params):

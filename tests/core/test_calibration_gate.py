@@ -83,6 +83,12 @@ class TestCalibrationGate:
         with pytest.raises(ValueError):
             CalibrationGate(error_threshold=-0.1)
 
+    def test_nan_threshold_rejected(self):
+        # e >= nan is never true, so a NaN gate would silently keep no
+        # subset at all.
+        with pytest.raises(ValueError, match="finite number"):
+            CalibrationGate(error_threshold=float("nan"))
+
 
 class TestGatedEstimator:
     def test_skips_recorded_and_plan_pruned(self, split_quality_device):

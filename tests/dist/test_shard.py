@@ -13,6 +13,7 @@ from repro.dist.diff import diff_stores, store_digest
 from repro.dist.shard import shard_aux_path
 from repro.dist.shardworker import run_shard
 from repro.sweeps import ResultStore, run_sweep
+from repro.sweeps.runner import execute_point
 from repro.sweeps.spec import Point
 
 
@@ -94,6 +95,31 @@ def test_every_shard_dead_runs_leftovers_inline(
     assert report.shard_stats["inline"] == 3
     assert report.shard_stats["executions"] == 3
     assert seen == [(1, 3), (2, 3), (3, 3)]
+
+
+def test_dist_scaling_counts_inline_leftovers_once(monkeypatch):
+    # The shard stats' executions already include the coordinator's
+    # inline pass, so a grid that ran entirely inline executed each of
+    # its points exactly once: no phantom duplicates.
+    monkeypatch.setattr(
+        "repro.dist.shard._spawn_shard",
+        lambda payload_path: subprocess.Popen(
+            [sys.executable, "-c", "pass"]
+        ),
+    )
+    point = Point(
+        task="dist_scaling",
+        options={
+            "shards": 2,
+            "tuning_seeds": 1,
+            "tuning_iterations": 2,
+            "trotter_steps": [1, 2],
+        },
+    )
+    result, _ = execute_point(point)
+    assert result["points"] == result["records"] == 3
+    assert result["executions"] == 3
+    assert result["duplicates"] == 0
 
 
 def test_stale_and_replayed_claims_never_skip_points(tmp_path):

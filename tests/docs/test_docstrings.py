@@ -7,10 +7,11 @@ function/method in the packages below must carry a docstring.  The
 scope is the surface a new contributor (or an out-of-tree extension
 author) programs against: the experiment API, the backend registry
 and the base backend it extends, the execution engine, the workload
-registry, readout characterization, matrix mitigation, JigSaw and
-VarSaw with their reconstruction and count containers, Pauli strings,
-Hamiltonians and their exact solver, the analysis experiment helpers,
-and the sweep spec/runner/catalog layer.
+registry, readout characterization and calibration drift, matrix
+mitigation, JigSaw and VarSaw with their reconstruction, count
+containers and the selective, calibration-gated and drift-adaptive
+extensions, Pauli strings, Hamiltonians and their exact solver, the
+analysis experiment helpers, and the sweep spec/runner/catalog layer.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ SCOPED = [
     "repro/analysis/experiments.py",
     "repro/api",
     "repro/backends",
+    "repro/core/recalibrate.py",
+    "repro/core/selective.py",
     "repro/core/varsaw.py",
     "repro/dist",
     "repro/engine",
@@ -40,6 +43,7 @@ SCOPED = [
     "repro/mitigation/single_circuit.py",
     "repro/noise/backend.py",
     "repro/noise/characterization.py",
+    "repro/noise/drift.py",
     "repro/obs",
     "repro/pauli/pauli.py",
     "repro/serve",

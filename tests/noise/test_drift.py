@@ -94,6 +94,16 @@ class TestSchedules:
             RandomWalkDrift(step_std=-0.1)
         with pytest.raises(ValueError):
             RandomWalkDrift(step_std=float("nan"))
+        with pytest.raises(ValueError):
+            StepDrift(at=True)
+        with pytest.raises(ValueError):
+            LinearDrift(ramp=True)
+        with pytest.raises(ValueError):
+            SineDrift(wavelength=True)
+        with pytest.raises(ValueError):
+            RandomWalkDrift(step_std=True)
+        with pytest.raises(ValueError):
+            RandomWalkDrift(seed=-1)
 
     def test_dict_round_trip(self):
         for schedule in (
@@ -110,7 +120,7 @@ class TestSchedules:
     def test_from_dict_rejects_unknown_kind_and_fields(self):
         with pytest.raises(ValueError, match="unknown drift schedule"):
             schedule_from_dict({"kind": "quadratic"})
-        with pytest.raises(ValueError, match="unknown fields"):
+        with pytest.raises(ValueError, match="unknown parameter 'magnitdue'"):
             schedule_from_dict({"kind": "step", "magnitdue": 1.0})
 
     def test_make_schedule_maps_cli_knobs(self):

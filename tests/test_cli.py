@@ -68,6 +68,19 @@ class TestCommands:
         assert "error_threshold" in out
         assert "register_estimator" in out
 
+    def test_backends_lists_every_registered_backend(self, capsys):
+        from repro.backends import BACKENDS
+
+        assert main(["backends"]) == 0
+        out = capsys.readouterr().out
+        for kind in BACKENDS.kinds():
+            cls = BACKENDS.get(kind)
+            assert f"{kind}  ({cls.__name__})" in out
+        # Typed knobs and their defaults are shown.
+        assert "--  analytic = True" in out
+        assert "--  fallback = 'dense'" in out
+        assert "register_backend" in out
+
     def test_run_new_scheme_with_knobs(self, capsys):
         code = main(
             ["run", "H2-4", "--scheme", "selective",
