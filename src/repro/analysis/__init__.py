@@ -10,19 +10,16 @@ from .experiments import (
 )
 from .metrics import (
     arithmetic_mean,
-    cost_reduction_ratio,
     energy_error,
     geometric_mean,
     percent_inaccuracy_mitigated,
 )
-from .plotting import ascii_plot, sparkline
-from .statistics import TrialSummary, bootstrap_ci, summarize_trials
+from .plotting import sparkline
 from .scale import is_full_scale, scaled
 
 __all__ = [
     "percent_inaccuracy_mitigated",
     "energy_error",
-    "cost_reduction_ratio",
     "geometric_mean",
     "arithmetic_mean",
     "is_full_scale",
@@ -33,9 +30,5 @@ __all__ = [
     "mean_energy_at_params",
     "run_tuning",
     "fixed_budget_runs",
-    "ascii_plot",
     "sparkline",
-    "TrialSummary",
-    "bootstrap_ci",
-    "summarize_trials",
 ]

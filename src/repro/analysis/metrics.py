@@ -2,8 +2,7 @@
 
 The paper's accuracy metric is *percent inaccuracy mitigated*: how much of
 the gap between a reference scheme's energy and the ideal energy a
-mitigated scheme closes (Figs. 14, 15; Tables 3, 4).  Cost metrics are
-circuit-count ratios (Fig. 12).
+mitigated scheme closes (Figs. 14, 15; Tables 3, 4).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import math
 __all__ = [
     "percent_inaccuracy_mitigated",
     "energy_error",
-    "cost_reduction_ratio",
     "geometric_mean",
     "arithmetic_mean",
 ]
@@ -39,13 +37,6 @@ def percent_inaccuracy_mitigated(
     if err_ref == 0.0:
         return 0.0
     return 100.0 * (err_ref - err_mit) / err_ref
-
-
-def cost_reduction_ratio(reference_cost: float, reduced_cost: float) -> float:
-    """How many times cheaper the reduced scheme is (Fig. 12 green line)."""
-    if reduced_cost <= 0:
-        raise ValueError("reduced cost must be positive")
-    return reference_cost / reduced_cost
 
 
 def geometric_mean(values) -> float:

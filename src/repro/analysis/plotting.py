@@ -1,13 +1,13 @@
-"""ASCII plotting for tuning traces.
+"""Terminal sparklines for tuning traces.
 
 Offline environments (including this reproduction's benchmarks) have no
-matplotlib; a terminal line plot is enough to see the paper's
+matplotlib; one line of glyphs is enough to see the paper's
 energy-vs-iteration figures take shape.
 """
 
 from __future__ import annotations
 
-__all__ = ["ascii_plot", "sparkline"]
+__all__ = ["sparkline"]
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -30,57 +30,3 @@ def sparkline(values) -> str:
         ]
         for v in values
     )
-
-
-def ascii_plot(
-    series: dict[str, list[float]],
-    width: int = 72,
-    height: int = 16,
-) -> str:
-    """Render named series as a character grid with a y-axis.
-
-    Each series gets a distinct marker; x is the in-series index scaled
-    to ``width``.  Designed for best-so-far energy traces, so lower is
-    expected to be better — the y axis is printed top (max) to bottom
-    (min).
-    """
-    if not series:
-        raise ValueError("no series")
-    if width < 8 or height < 4:
-        raise ValueError("plot too small")
-    markers = "*+xo#@%&"
-    all_values = [v for vs in series.values() for v in vs]
-    if not all_values:
-        raise ValueError("all series empty")
-    low, high = min(all_values), max(all_values)
-    if high == low:
-        high = low + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for (name, values), marker in zip(series.items(), markers):
-        if not values:
-            continue
-        for i, value in enumerate(values):
-            x = (
-                int(i * (width - 1) / (len(values) - 1))
-                if len(values) > 1
-                else 0
-            )
-            y = int((high - value) / (high - low) * (height - 1))
-            grid[y][x] = marker
-    label_width = max(len(f"{high:.3g}"), len(f"{low:.3g}"))
-    lines = []
-    for row_index, row in enumerate(grid):
-        if row_index == 0:
-            label = f"{high:.3g}".rjust(label_width)
-        elif row_index == height - 1:
-            label = f"{low:.3g}".rjust(label_width)
-        else:
-            label = " " * label_width
-        lines.append(f"{label} |{''.join(row)}")
-    legend = "   ".join(
-        f"{marker} {name}"
-        for (name, _), marker in zip(series.items(), markers)
-    )
-    lines.append(" " * label_width + " +" + "-" * width)
-    lines.append(" " * label_width + "  " + legend)
-    return "\n".join(lines)

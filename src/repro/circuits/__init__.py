@@ -10,11 +10,9 @@ Public surface:
 """
 
 from .circuit import Circuit, Instruction
-from .drawer import draw
 from .gates import FIXED_GATES, GATE_ARITY, ROTATION_GATES, gate_matrix, is_rotation, rotation_matrix
 from .parameter import Parameter, ParameterVector
-from .qasm import from_qasm, to_qasm
-from .transpile import cancel_adjacent, merge_rotations, transpile
+from .transpile import cancel_adjacent
 
 __all__ = [
     "Circuit",
@@ -27,10 +25,5 @@ __all__ = [
     "FIXED_GATES",
     "GATE_ARITY",
     "ROTATION_GATES",
-    "to_qasm",
-    "from_qasm",
-    "draw",
-    "transpile",
     "cancel_adjacent",
-    "merge_rotations",
 ]

@@ -1,37 +1,19 @@
-"""Lightweight circuit optimization passes.
+"""A lightweight circuit optimization pass.
 
-Real toolchains lower circuits before execution; the subset of passes a
-VarSaw workflow actually benefits from is small and local:
-
-* :func:`cancel_adjacent` — drop self-inverse gate pairs (H H, X X,
-  CX CX, ...) acting back-to-back on the same qubits;
-* :func:`merge_rotations` — fuse consecutive same-axis rotations on one
-  qubit into a single gate (and drop ~zero-angle results);
-* :func:`transpile` — fixed-point iteration of both.
-
-Measurement-basis suffixes appended per group often create exactly these
-patterns (e.g. an ansatz ending in RZ followed by a basis RZ).  The
-passes preserve the circuit unitary up to global phase — wrapping a
-rotation angle mod 2π negates an SU(2) rotation, which no probability
-or expectation value can observe (pinned by the hypothesis suite in
-``tests/properties``); execution reaches them through plan compilation
-(:mod:`repro.sim.plan` cancels the bit-exact subset of self-inverse
-pairs before precomputing its gate schedule), and callers may also
-apply :func:`transpile` directly ahead of any backend.
+Real toolchains lower circuits before execution; the pass a VarSaw
+workflow benefits from is small and local: :func:`cancel_adjacent`
+drops self-inverse gate pairs (H H, X X, CX CX, ...) that only gates on
+other qubits separate.  Measurement-basis suffixes appended per group
+often create exactly this pattern.  Execution reaches the pass through
+plan compilation: :mod:`repro.sim.plan` cancels the bit-exact subset of
+self-inverse pairs before precomputing its gate schedule.
 """
 
 from __future__ import annotations
 
-import math
-
 from .circuit import Circuit, Instruction
 
-__all__ = [
-    "cancel_adjacent",
-    "merge_rotations",
-    "transpile",
-    "BITEXACT_SELF_INVERSE",
-]
+__all__ = ["cancel_adjacent", "BITEXACT_SELF_INVERSE"]
 
 #: Gates that square to the identity.
 _SELF_INVERSE = {"h", "x", "y", "z", "cx", "cz", "swap", "i"}
@@ -42,18 +24,6 @@ _SELF_INVERSE = {"h", "x", "y", "z", "cx", "cz", "swap", "i"}
 #: excluded: (1/√2)·(1/√2) rounds, so H·H ≠ I bitwise.  The plan
 #: compiler (:mod:`repro.sim.plan`) restricts cancellation to this set.
 BITEXACT_SELF_INVERSE = frozenset({"i", "x", "y", "z", "cx", "cz", "swap"})
-
-#: Rotation gates whose angles add when composed on the same qubit.
-_ADDITIVE = {"rx", "ry", "rz", "p"}
-
-_TWO_PI = 2.0 * math.pi
-
-
-def _rebuild(circuit: Circuit, instructions: list[Instruction]) -> Circuit:
-    out = Circuit(circuit.n_qubits, circuit.name)
-    out.instructions = instructions
-    out.measured_qubits = set(circuit.measured_qubits)
-    return out
 
 
 def cancel_adjacent(
@@ -86,43 +56,7 @@ def cancel_adjacent(
             if matched:
                 continue
         stack.append(ins)
-    return _rebuild(circuit, stack)
-
-
-def merge_rotations(circuit: Circuit, atol: float = 1e-12) -> Circuit:
-    """Fuse consecutive same-axis rotations on the same qubit.
-
-    Only bound (numeric) rotations merge; a symbolic parameter blocks the
-    fusion.  Angles are reduced mod 2π and near-zero results dropped;
-    for rx/ry/rz a 2π wrap flips an unobservable global phase.
-    """
-    out: list[Instruction] = []
-    for ins in circuit.instructions:
-        if (
-            ins.name in _ADDITIVE
-            and ins.is_bound()
-            and out
-            and out[-1].name == ins.name
-            and out[-1].qubits == ins.qubits
-            and out[-1].is_bound()
-        ):
-            angle = (out[-1].param + ins.param) % _TWO_PI
-            if angle > math.pi:
-                angle -= _TWO_PI
-            out.pop()
-            if abs(angle) > atol:
-                out.append(Instruction(ins.name, ins.qubits, angle))
-            continue
-        out.append(ins)
-    return _rebuild(circuit, out)
-
-
-def transpile(circuit: Circuit, max_passes: int = 10) -> Circuit:
-    """Run both passes to a fixed point (bounded by ``max_passes``)."""
-    current = circuit
-    for _ in range(max_passes):
-        reduced = merge_rotations(cancel_adjacent(current))
-        if len(reduced) == len(current):
-            return reduced
-        current = reduced
-    return current
+    out = Circuit(circuit.n_qubits, circuit.name)
+    out.instructions = stack
+    out.measured_qubits = set(circuit.measured_qubits)
+    return out

@@ -23,7 +23,7 @@ from .placement import (
     noise_aware_layout,
     noise_aware_path_layout,
 )
-from .routing import RoutedCircuit, decompose_swaps, route_circuit
+from .routing import RoutedCircuit, route_circuit
 
 __all__ = [
     "CouplingMap",
@@ -33,5 +33,4 @@ __all__ = [
     "best_measurement_placement",
     "route_circuit",
     "RoutedCircuit",
-    "decompose_swaps",
 ]

@@ -16,7 +16,7 @@ from ..circuits import Circuit
 from .coupling import CouplingMap
 from .placement import Layout
 
-__all__ = ["RoutedCircuit", "route_circuit", "decompose_swaps"]
+__all__ = ["RoutedCircuit", "route_circuit"]
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,3 @@ def route_circuit(
         final_layout=layout,
         swaps_inserted=swaps,
     )
-
-
-def decompose_swaps(circuit: Circuit) -> Circuit:
-    """Replace every SWAP with its 3-CX expansion (native-gate costing)."""
-    out = Circuit(circuit.n_qubits, name=circuit.name)
-    for inst in circuit.instructions:
-        if inst.name == "swap":
-            a, b = inst.qubits
-            out.cx(a, b)
-            out.cx(b, a)
-            out.cx(a, b)
-        else:
-            out.append(inst.name, inst.qubits, inst.param)
-    out.measure(sorted(circuit.measured_qubits))
-    return out

@@ -11,7 +11,7 @@ from .reconstruction import (
 )
 from .single_circuit import JigsawResult, jigsaw_mitigate
 from .zne import linear_extrapolate, richardson_extrapolate, zne_energy
-from .subsets import jigsaw_subsets_per_term, sliding_windows, term_subsets
+from .subsets import sliding_windows
 
 __all__ = [
     "JigSawEstimator",
@@ -25,8 +25,6 @@ __all__ = [
     "bayesian_reconstruct_batch",
     "subset_index_map",
     "sliding_windows",
-    "term_subsets",
-    "jigsaw_subsets_per_term",
     "JigsawResult",
     "jigsaw_mitigate",
     "richardson_extrapolate",

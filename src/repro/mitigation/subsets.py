@@ -14,8 +14,6 @@ from ..pauli import PauliString
 
 __all__ = [
     "sliding_windows",
-    "term_subsets",
-    "jigsaw_subsets_per_term",
     "count_term_subsets",
 ]
 
@@ -50,28 +48,13 @@ def sliding_windows(n_qubits: int, size: int) -> list[tuple[int, ...]]:
     ]
 
 
-def term_subsets(term: PauliString, size: int = 2) -> list[PauliString]:
-    """The subset Paulis of one term: its restriction to each window.
-
-    All-'I' restrictions are dropped (no measurement required).  The
-    returned strings are full-width with 'I' outside the window, e.g.
-    'ZZIZ' with window size 2 -> ['ZZII', 'IZII'·→ dropped dupes handled
-    upstream, 'IIIZ'] per Fig. 6 Eq. 3.
-    """
-    subsets = []
-    for window in sliding_windows(term.n_qubits, size):
-        restricted = term.restricted_to(window)
-        if not restricted.is_identity():
-            subsets.append(restricted)
-    return subsets
-
-
 def count_term_subsets(term: PauliString, size: int = 2) -> int:
-    """``len(term_subsets(term, size))`` without building the strings.
+    """How many of ``term``'s window restrictions are not all-'I'.
 
-    Counting-only fast path for the Fig. 12 sweep: the 34-qubit Cr2
-    workload generates ~600k subsets, which never need materializing just
-    to be counted.
+    Those are the JigSaw subsets one term needs (Fig. 6 Eq. 3), counted
+    without building the strings: the 34-qubit Cr2 workload of the
+    Fig. 12 sweep generates ~600k subsets, which never need
+    materializing just to be counted.
     """
     label = term.label
     n = term.n_qubits
@@ -82,17 +65,3 @@ def count_term_subsets(term: PauliString, size: int = 2) -> int:
         if any(c != "I" for c in label[start : start + size]):
             count += 1
     return count
-
-
-def jigsaw_subsets_per_term(terms, size: int = 2) -> list[PauliString]:
-    """JigSaw's raw subset list: per-term windows with no cross-term sharing.
-
-    This is the quantity counted as 'JigSaw subsets' in Fig. 12 — the
-    application-agnostic approach generates (up to) ``Q - 1`` subsets for
-    *each* post-commutation Pauli string independently.
-    """
-    out: list[PauliString] = []
-    for term in terms:
-        term = term if isinstance(term, PauliString) else PauliString(term)
-        out.extend(term_subsets(term, size))
-    return out

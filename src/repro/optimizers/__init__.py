@@ -1,17 +1,14 @@
-"""Classical tuners: SPSA, ImFil, Nelder-Mead, parameter-shift."""
+"""Classical tuners: SPSA, ImFil, Nelder-Mead."""
 
 from .base import ObjectiveFn, Optimizer, OptimizerResult
 from .imfil import ImFil
 from .nelder_mead import NelderMead
-from .parameter_shift import ParameterShift, parameter_shift_gradient
 from .spsa import SPSA
 
 __all__ = [
     "SPSA",
     "ImFil",
     "NelderMead",
-    "ParameterShift",
-    "parameter_shift_gradient",
     "Optimizer",
     "OptimizerResult",
     "ObjectiveFn",

@@ -1,14 +1,13 @@
-"""Pauli string algebra, QWC + general-commutation grouping, graphs."""
+"""Pauli strings, QWC + general-commutation grouping, Fig. 7 parents."""
 
-from .algebra import multiply, phase_product
 from .gc_grouping import (
     anticommutation_graph,
     color_general_commuting,
     diagonalized_groups,
     group_general_commuting,
 )
-from .graph import all_strings, commutation_digraph, measuring_parents
-from .grouping import MeasurementGroup, cover_reduce, greedy_cover, group_qwc
+from .graph import all_strings, measuring_parents
+from .grouping import MeasurementGroup, cover_reduce, group_qwc
 from .pauli import PAULI_CHARS, PAULI_MATRICES, PauliString
 from .symplectic import PauliTable, decode, encode
 
@@ -19,15 +18,11 @@ __all__ = [
     "MeasurementGroup",
     "group_qwc",
     "cover_reduce",
-    "greedy_cover",
     "group_general_commuting",
     "color_general_commuting",
     "diagonalized_groups",
     "anticommutation_graph",
-    "multiply",
-    "phase_product",
     "all_strings",
-    "commutation_digraph",
     "measuring_parents",
     "PauliTable",
     "encode",

@@ -11,15 +11,9 @@ from __future__ import annotations
 
 import itertools
 
-import networkx as nx
-
 from .pauli import PauliString
 
-__all__ = [
-    "commutation_digraph",
-    "measuring_parents",
-    "all_strings",
-]
+__all__ = ["measuring_parents", "all_strings"]
 
 
 def all_strings(n_qubits: int, alphabet: str = "IXZ") -> list[PauliString]:
@@ -31,19 +25,6 @@ def all_strings(n_qubits: int, alphabet: str = "IXZ") -> list[PauliString]:
         PauliString("".join(chars))
         for chars in itertools.product(alphabet, repeat=n_qubits)
     ]
-
-
-def commutation_digraph(paulis) -> nx.DiGraph:
-    """Directed graph with an edge P -> Q iff Q can measure P (P != Q)."""
-    items = [
-        p if isinstance(p, PauliString) else PauliString(p) for p in paulis
-    ]
-    graph = nx.DiGraph()
-    graph.add_nodes_from(items)
-    for p, q in itertools.permutations(items, 2):
-        if p.can_be_measured_by(q):
-            graph.add_edge(p, q)
-    return graph
 
 
 def measuring_parents(

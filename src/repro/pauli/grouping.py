@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .pauli import PauliString
 
-__all__ = ["MeasurementGroup", "group_qwc", "greedy_cover", "cover_reduce"]
+__all__ = ["MeasurementGroup", "group_qwc", "cover_reduce"]
 
 
 @dataclass
@@ -149,24 +149,3 @@ def cover_reduce(paulis, n_qubits: int) -> list[MeasurementGroup]:
         for item in items:
             index[item] = index.get(item, 0) | bit
     return groups
-
-
-def greedy_cover(paulis, n_qubits: int) -> dict[PauliString, PauliString]:
-    """Map each string to the group basis that measures it.
-
-    Convenience over :func:`group_qwc`: returns ``{term: basis_string}`` so
-    expectation estimation knows which circuit's counts to read each term
-    from.  Identity terms map to the all-I string (no circuit needed).
-    """
-    groups = group_qwc(paulis, n_qubits)
-    mapping: dict[PauliString, PauliString] = {}
-    for group in groups:
-        basis = group.basis_string()
-        for member in group.members:
-            mapping[member] = basis
-    identity = PauliString.identity(n_qubits)
-    for p in paulis:
-        p = p if isinstance(p, PauliString) else PauliString(p)
-        if p.is_identity():
-            mapping[p] = identity
-    return mapping

@@ -122,11 +122,5 @@ class PauliTable:
         form = xi @ zi.T + zi @ xi.T
         return form % 2 == 0
 
-    # ------------------------------------------------------------------ algebra
-
-    def multiply_rows(self, i: int, j: int) -> PauliString:
-        """The Pauli part of row_i * row_j (phase dropped)."""
-        return decode(self.x[i] ^ self.x[j], self.z[i] ^ self.z[j])
-
     def __repr__(self) -> str:
         return f"<PauliTable: {len(self)} paulis x {self.n_qubits} qubits>"

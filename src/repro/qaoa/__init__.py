@@ -10,10 +10,8 @@ spatial-only, spatial+temporal) runs unchanged on QAOA.
 
 from .ansatz import QAOAAnsatz
 from .problems import (
-    best_cut_brute_force,
     cut_value,
     maxcut_hamiltonian,
-    number_partition_hamiltonian,
     random_regular_maxcut,
     ring_maxcut,
 )
@@ -22,10 +20,8 @@ from .workload import make_qaoa_workload
 __all__ = [
     "QAOAAnsatz",
     "maxcut_hamiltonian",
-    "number_partition_hamiltonian",
     "ring_maxcut",
     "random_regular_maxcut",
     "cut_value",
-    "best_cut_brute_force",
     "make_qaoa_workload",
 ]

@@ -7,9 +7,8 @@ diagonal Hamiltonian
     H = Σ_{(i,j) ∈ E}  w_ij/2 · (Z_i Z_j − 1)
 
 whose ground energy is ``−(max cut)``: minimizing H maximizes the cut.
-Number partitioning squares a linear form and lands in the same ZZ-only
-shape.  Both produce :class:`~repro.hamiltonian.Hamiltonian` instances,
-so everything downstream (grouping, subsets, VarSaw) works unchanged.
+It is a :class:`~repro.hamiltonian.Hamiltonian` like any other, so
+everything downstream (grouping, subsets, VarSaw) works unchanged.
 
 Unlike molecular Hamiltonians these are single-basis (all-Z) problems —
 the paper's Section 7.3 predicts VarSaw's *spatial* benefit is small for
@@ -18,21 +17,16 @@ them and the *temporal* benefit survives; the QAOA benches measure that.
 
 from __future__ import annotations
 
-import itertools
-
 import networkx as nx
-import numpy as np
 
 from ..hamiltonian import Hamiltonian
 from ..pauli import PauliString
 
 __all__ = [
     "maxcut_hamiltonian",
-    "number_partition_hamiltonian",
     "ring_maxcut",
     "random_regular_maxcut",
     "cut_value",
-    "best_cut_brute_force",
 ]
 
 
@@ -63,28 +57,6 @@ def maxcut_hamiltonian(graph: nx.Graph, name: str = "") -> Hamiltonian:
         offset -= weight / 2.0
     terms.append((offset, PauliString.identity(n)))
     return Hamiltonian(terms, name=name or f"maxcut-{n}")
-
-
-def number_partition_hamiltonian(
-    numbers, name: str = ""
-) -> Hamiltonian:
-    """Partition ``numbers`` into two sets with minimal difference.
-
-    Encodes ``H = (Σ_i a_i Z_i)^2 = Σ a_i² + 2 Σ_{i<j} a_i a_j Z_i Z_j``;
-    the ground energy is the squared residual of the best partition
-    (0 for perfectly balanceable sets).
-    """
-    values = [float(a) for a in numbers]
-    n = len(values)
-    if n < 2:
-        raise ValueError("need at least 2 numbers")
-    terms: list[tuple[float, PauliString]] = [
-        (sum(a * a for a in values), PauliString.identity(n))
-    ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms.append((2.0 * values[i] * values[j], _zz_string(n, i, j)))
-    return Hamiltonian(terms, name=name or f"partition-{n}")
 
 
 def ring_maxcut(n_qubits: int) -> Hamiltonian:
@@ -122,17 +94,3 @@ def cut_value(graph: nx.Graph, assignment) -> float:
         if assignment[i] != assignment[j]:
             total += float(data.get("weight", 1.0))
     return total
-
-
-def best_cut_brute_force(graph: nx.Graph) -> tuple[float, tuple[int, ...]]:
-    """Exhaustive MaxCut for small graphs: (best value, one argmax)."""
-    n = graph.number_of_nodes()
-    if n > 20:
-        raise ValueError("brute force capped at 20 nodes")
-    best = -np.inf
-    best_bits: tuple[int, ...] = ()
-    for bits in itertools.product((0, 1), repeat=n):
-        value = cut_value(graph, bits)
-        if value > best:
-            best, best_bits = value, bits
-    return best, best_bits

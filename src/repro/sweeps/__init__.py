@@ -21,9 +21,9 @@ package turns those grids from ad-hoc loops into data:
   progress callbacks, and wall-clock + circuit/shot-ledger capture per
   point; stored results are bit-identical either way (and with
   ``shards=N``, see :mod:`repro.dist`).
-* :mod:`~repro.sweeps.aggregate` — groupby/mean/CI reductions and
-  pivots from stored records back into the row/series shapes the
-  figures print.
+* :mod:`~repro.sweeps.aggregate` — record selection and mean pivots
+  from stored records back into the row/series shapes the figures
+  print.
 * :mod:`~repro.sweeps.catalog` — all 27 paper grids (plus extension
   grids) registered as
   :class:`CatalogEntry`\\ s (spec builder + record-to-table reshaper);
@@ -53,7 +53,7 @@ Typical use::
 
 from __future__ import annotations
 
-from .aggregate import aggregate, get_path, group_records, pivot, select
+from .aggregate import get_path, pivot, select
 from .catalog import (
     CATALOG,
     CatalogEntry,
@@ -66,7 +66,7 @@ from .catalog import (
 from .render import Table, fmt, render_table
 from .runner import SweepReport, execute_point, run_sweep
 from .spec import POINT_SCHEMA_VERSION, WORKLOAD_KINDS, Point, SweepSpec
-from .store import RESULT_SCHEMA_VERSION, ResultStore, load_records
+from .store import RESULT_SCHEMA_VERSION, ResultStore
 from .tasks import TASKS
 
 __all__ = [
@@ -76,13 +76,10 @@ __all__ = [
     "WORKLOAD_KINDS",
     "ResultStore",
     "RESULT_SCHEMA_VERSION",
-    "load_records",
     "run_sweep",
     "execute_point",
     "SweepReport",
     "TASKS",
-    "aggregate",
-    "group_records",
     "pivot",
     "select",
     "get_path",

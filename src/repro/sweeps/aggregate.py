@@ -4,17 +4,12 @@ Records are the JSON dicts a :class:`~repro.sweeps.store.ResultStore`
 holds; fields are addressed by dotted paths into that nested structure
 (``"point.scheme"``, ``"point.device.scale"``, ``"result.energy"``).
 
-Three layers:
-
 * :func:`select` / :func:`get_path` — filter and field access.
-* :func:`group_records` / :func:`aggregate` — groupby + mean/min/max
-  (with a bootstrap CI via :func:`repro.analysis.summarize_trials` when
-  a group holds several trials).
-* :func:`pivot` — the row x column x value table the paper's figures
-  print (noise scale x scheme, workload x scheme, ...).
+* :func:`pivot` — the row x column table of mean values the paper's
+  figures print (noise scale x scheme, workload x scheme, ...).
 
 A single-record cell reduces to exactly its stored float, so a table
-aggregated from a resumed store is bit-identical to one from an
+pivoted from a resumed store is bit-identical to one from an
 uninterrupted run.
 """
 
@@ -22,19 +17,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from ..analysis.statistics import summarize_trials
-
-__all__ = ["get_path", "select", "group_records", "aggregate", "pivot"]
+__all__ = ["get_path", "select", "pivot"]
 
 _MISSING = object()
-
-#: Supported reductions for :func:`aggregate`/:func:`pivot`.
-REDUCERS = {
-    "mean": lambda values: sum(values) / len(values),
-    "min": min,
-    "max": max,
-    "sum": sum,
-}
 
 
 def get_path(record: Mapping, path: str, default=_MISSING):
@@ -70,72 +55,18 @@ def select(records: Iterable[Mapping], **criteria) -> list[Mapping]:
     ]
 
 
-def group_records(
-    records: Iterable[Mapping], by: Iterable[str]
-) -> dict[tuple, list[Mapping]]:
-    """Group records by a tuple of dotted-path field values.
-
-    Insertion-ordered by first appearance, so grids built in sweep
-    order print in sweep order.
-    """
-    by = list(by)
-    groups: dict[tuple, list[Mapping]] = {}
-    for record in records:
-        key = tuple(get_path(record, path) for path in by)
-        groups.setdefault(key, []).append(record)
-    return groups
-
-
-def aggregate(
-    records: Iterable[Mapping],
-    by: Iterable[str],
-    value: str = "result.energy",
-    reduce: str = "mean",
-    confidence: float = 0.95,
-) -> list[dict]:
-    """Groupby + reduce, one output row per group.
-
-    Each row carries the group key fields, ``n`` (trials), the reduced
-    value under the reducer's name, and — for multi-trial groups under
-    ``mean`` — ``std``/``ci_low``/``ci_high`` from the seeded bootstrap.
-    """
-    by = list(by)
-    if reduce not in REDUCERS:
-        raise ValueError(
-            f"unknown reducer {reduce!r}; choose from {sorted(REDUCERS)}"
-        )
-    rows = []
-    for key, group in group_records(records, by).items():
-        values = [float(get_path(record, value)) for record in group]
-        row = dict(zip(by, key))
-        row["n"] = len(values)
-        row[reduce] = REDUCERS[reduce](values)
-        if reduce == "mean" and len(values) > 1:
-            summary = summarize_trials(values, confidence=confidence)
-            row["std"] = summary.std
-            row["ci_low"] = summary.ci_low
-            row["ci_high"] = summary.ci_high
-        rows.append(row)
-    return rows
-
-
 def pivot(
     records: Iterable[Mapping],
     rows: str,
     cols: str,
     value: str = "result.energy",
-    reduce: str = "mean",
 ) -> tuple[list, list, dict]:
-    """Row x column table of reduced values.
+    """Row x column table of mean values.
 
     Returns ``(row_labels, col_labels, cells)`` with ``cells`` keyed by
     ``(row_label, col_label)``; missing combinations are simply absent.
     Label order is first-appearance order over the records.
     """
-    if reduce not in REDUCERS:
-        raise ValueError(
-            f"unknown reducer {reduce!r}; choose from {sorted(REDUCERS)}"
-        )
     row_labels: list = []
     col_labels: list = []
     buckets: dict[tuple, list[float]] = {}
@@ -150,6 +81,6 @@ def pivot(
             float(get_path(record, value))
         )
     cells = {
-        key: REDUCERS[reduce](values) for key, values in buckets.items()
+        key: sum(values) / len(values) for key, values in buckets.items()
     }
     return row_labels, col_labels, cells

@@ -23,16 +23,11 @@ from typing import Mapping
 from ..io.journal import Journal, LoadReport
 from .spec import Point
 
-__all__ = ["RESULT_SCHEMA_VERSION", "LoadReport", "ResultStore", "load_records"]
+__all__ = ["RESULT_SCHEMA_VERSION", "LoadReport", "ResultStore"]
 
 #: Bumped when the record layout changes incompatibly; loading skips
 #: records written under a different version.
 RESULT_SCHEMA_VERSION = 1
-
-
-def load_records(path) -> dict:
-    """Fingerprint -> record mapping from a store file (missing -> {})."""
-    return ResultStore(path).load().records
 
 
 class ResultStore(Journal):

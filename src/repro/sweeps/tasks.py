@@ -87,13 +87,6 @@ def materialize_hamiltonian(description: Mapping):
     return materialize_workload(description).hamiltonian
 
 
-def _device_or_default(point: Point, workload):
-    from .runner import materialize_device
-
-    device = materialize_device(point.device)
-    return device if device is not None else workload.device
-
-
 def _floats(values) -> list[float]:
     return [float(v) for v in values]
 

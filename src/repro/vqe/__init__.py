@@ -14,11 +14,6 @@ from .expectation import (
     term_expectation,
 )
 from .runner import VQEResult, initial_parameters, run_vqe
-from .shot_allocation import (
-    allocate_shots,
-    uniform_allocation,
-    weighted_allocation,
-)
 
 __all__ = [
     "EstimatorBase",
@@ -34,7 +29,4 @@ __all__ = [
     "VQEResult",
     "run_vqe",
     "initial_parameters",
-    "allocate_shots",
-    "uniform_allocation",
-    "weighted_allocation",
 ]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     arithmetic_mean,
-    cost_reduction_ratio,
     energy_error,
     geometric_mean,
     percent_inaccuracy_mitigated,
@@ -36,13 +35,6 @@ class TestPercentInaccuracyMitigated:
 class TestOtherMetrics:
     def test_energy_error(self):
         assert energy_error(-9.0, -10.0) == 1.0
-
-    def test_cost_reduction(self):
-        assert cost_reduction_ratio(100, 4) == 25.0
-
-    def test_cost_reduction_zero_rejected(self):
-        with pytest.raises(ValueError):
-            cost_reduction_ratio(10, 0)
 
     def test_geometric_mean(self):
         assert geometric_mean([1, 100]) == pytest.approx(10.0)

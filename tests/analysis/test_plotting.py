@@ -1,8 +1,8 @@
-"""Unit tests for ASCII plotting."""
+"""Unit tests for the sparkline glyphs."""
 
 import pytest
 
-from repro.analysis import ascii_plot, sparkline
+from repro.analysis import sparkline
 
 
 class TestSparkline:
@@ -19,36 +19,3 @@ class TestSparkline:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             sparkline([])
-
-
-class TestAsciiPlot:
-    def test_basic_structure(self):
-        text = ascii_plot({"a": [1, 2, 3], "b": [3, 2, 1]}, width=20, height=6)
-        lines = text.splitlines()
-        assert len(lines) == 6 + 2  # grid + axis + legend
-        assert "a" in lines[-1] and "b" in lines[-1]
-
-    def test_extremes_labeled(self):
-        text = ascii_plot({"s": [0.0, 10.0]}, width=10, height=4)
-        assert "10" in text
-        assert "0" in text
-
-    def test_markers_distinct(self):
-        text = ascii_plot({"a": [1, 2], "b": [2, 1]}, width=10, height=4)
-        assert "*" in text and "+" in text
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_plot({})
-        with pytest.raises(ValueError):
-            ascii_plot({"a": [1.0]}, width=2, height=2)
-        with pytest.raises(ValueError):
-            ascii_plot({"a": []})
-
-    def test_single_point_series(self):
-        text = ascii_plot({"a": [5.0], "b": [1.0, 2.0]}, width=10, height=4)
-        assert "*" in text
-
-    def test_flat_series_does_not_crash(self):
-        text = ascii_plot({"a": [2.0, 2.0, 2.0]}, width=10, height=4)
-        assert "*" in text

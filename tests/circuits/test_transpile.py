@@ -1,15 +1,8 @@
-"""Unit tests for the transpiler passes."""
+"""Unit tests for the self-inverse cancellation pass."""
 
 import numpy as np
-import pytest
 
-from repro.circuits import (
-    Circuit,
-    Parameter,
-    cancel_adjacent,
-    merge_rotations,
-    transpile,
-)
+from repro.circuits import Circuit, cancel_adjacent
 from repro.sim import probabilities, run_statevector
 
 
@@ -111,87 +104,3 @@ class TestCancelAdjacent:
         qc.h(0)
         qc.measure(1)
         assert cancel_adjacent(qc).measured_qubits == {1}
-
-
-class TestMergeRotations:
-    def test_same_axis_merges(self):
-        qc = Circuit(1)
-        qc.rz(0.3, 0)
-        qc.rz(0.4, 0)
-        merged = merge_rotations(qc)
-        assert len(merged) == 1
-        assert merged.instructions[0].param == pytest.approx(0.7)
-
-    def test_opposite_angles_vanish(self):
-        qc = Circuit(1)
-        qc.ry(0.5, 0)
-        qc.ry(-0.5, 0)
-        assert len(merge_rotations(qc)) == 0
-
-    def test_angle_wraps_mod_2pi(self):
-        qc = Circuit(1)
-        qc.rz(3.5, 0)
-        qc.rz(3.5, 0)
-        merged = merge_rotations(qc)
-        assert abs(merged.instructions[0].param) <= np.pi + 1e-9
-
-    def test_different_axes_do_not_merge(self):
-        qc = Circuit(1)
-        qc.rx(0.3, 0)
-        qc.rz(0.3, 0)
-        assert len(merge_rotations(qc)) == 2
-
-    def test_different_qubits_do_not_merge(self):
-        qc = Circuit(2)
-        qc.rz(0.3, 0)
-        qc.rz(0.3, 1)
-        assert len(merge_rotations(qc)) == 2
-
-    def test_symbolic_blocks_merge(self):
-        qc = Circuit(1)
-        qc.rz(Parameter("a"), 0)
-        qc.rz(0.3, 0)
-        assert len(merge_rotations(qc)) == 2
-
-
-class TestTranspileFixedPoint:
-    def test_combined_reduction(self):
-        # RZ(+a) H H RZ(-a) reduces to nothing.
-        qc = Circuit(1)
-        qc.rz(0.4, 0)
-        qc.h(0)
-        qc.h(0)
-        qc.rz(-0.4, 0)
-        assert len(transpile(qc)) == 0
-
-    def test_unitary_preserved_random_circuits(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            qc = Circuit(3)
-            for _ in range(20):
-                choice = rng.integers(0, 5)
-                q = int(rng.integers(0, 3))
-                if choice == 0:
-                    qc.h(q)
-                elif choice == 1:
-                    qc.rz(float(rng.normal()), q)
-                elif choice == 2:
-                    qc.ry(float(rng.normal()), q)
-                elif choice == 3:
-                    q2 = int((q + 1) % 3)
-                    qc.cx(q, q2)
-                else:
-                    qc.x(q)
-            optimized = transpile(qc)
-            assert len(optimized) <= len(qc)
-            assert same_distribution(qc, optimized)
-
-    def test_reduces_ansatz_plus_inverse_suffix(self):
-        """An ansatz followed by an inverse fragment shrinks."""
-        qc = Circuit(2)
-        qc.ry(0.2, 0)
-        qc.cx(0, 1)
-        qc.cx(0, 1)
-        qc.ry(-0.2, 0)
-        qc.h(1)
-        assert len(transpile(qc)) == 1

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.mitigation import jigsaw_subsets_per_term, sliding_windows, term_subsets
+from repro.mitigation import sliding_windows
 from repro.mitigation.subsets import count_term_subsets
 from repro.pauli import PauliString
+
+from .subsets_reference import term_subsets
 
 
 class TestSlidingWindows:
@@ -45,18 +47,3 @@ class TestTermSubsets:
     def test_count_wide_window(self):
         assert count_term_subsets(PauliString("ZZ"), 5) == 1
         assert count_term_subsets(PauliString("II"), 5) == 0
-
-
-class TestJigsawPerTerm:
-    def test_fig6_jigsaw_total_21(self, fig6_paulis):
-        """The 7 C_Comm strings yield exactly 21 subsets (Eq. 3)."""
-        from repro.pauli import cover_reduce
-
-        reps = [g.members[0] for g in cover_reduce(fig6_paulis, 4)]
-        assert len(jigsaw_subsets_per_term(reps, 2)) == 21
-
-    def test_no_cross_term_sharing(self):
-        """Identical subsets from different terms are both counted."""
-        subsets = jigsaw_subsets_per_term(["ZZII", "ZZZZ"], 2)
-        labels = [s.label for s in subsets]
-        assert labels.count("ZZII") == 2

@@ -1,14 +1,15 @@
-"""Pauli products and phases.
+"""Pauli products with their phases, one character at a time: the oracle.
 
-Used by the exact solvers and by property-based tests that check
-commutation predicates against the actual operator algebra.
+The Clifford tableau multiplies Pauli images as ``i^k X^x Z^z`` bit
+forms, and nothing in the library calls a character-table product.
+This one is kept test-only, as an independent reference: the Pauli
+tests check it against dense matrices, and the Clifford property tests
+check conjugation against it.
 """
 
 from __future__ import annotations
 
-from .pauli import PauliString
-
-__all__ = ["multiply", "phase_product"]
+from repro.pauli import PauliString
 
 # Single-qubit products: (a, b) -> (phase, c) with a*b = phase * c,
 # phase in {1, i, -1, -i} encoded as a power of i.
@@ -33,8 +34,3 @@ def phase_product(a: PauliString, b: PauliString) -> tuple[complex, PauliString]
         power = (power + p) % 4
         chars.append(c)
     return _PHASES[power], PauliString("".join(chars))
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """The Pauli part of the product, discarding the phase."""
-    return phase_product(a, b)[1]

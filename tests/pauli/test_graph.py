@@ -1,11 +1,6 @@
-"""Unit tests for the commutation graph (Fig. 7)."""
+"""Unit tests for the commutation graph's arrows (Fig. 7)."""
 
-from repro.pauli import (
-    PauliString,
-    all_strings,
-    commutation_digraph,
-    measuring_parents,
-)
+from repro.pauli import PauliString, all_strings, measuring_parents
 
 
 class TestAllStrings:
@@ -41,19 +36,6 @@ class TestFig7ArrowCounts:
 
 
 class TestDigraph:
-    def test_edges_follow_measured_by(self):
-        graph = commutation_digraph(["II", "IZ", "ZZ"])
-        assert graph.has_edge(PauliString("IZ"), PauliString("ZZ"))
-        assert not graph.has_edge(PauliString("ZZ"), PauliString("IZ"))
-
-    def test_out_degree_matches_parent_count(self):
-        universe = all_strings(2, "IXZ")
-        graph = commutation_digraph(universe)
-        for node in universe:
-            assert graph.out_degree(node) == len(
-                measuring_parents(node, universe)
-            )
-
     def test_more_identities_more_parents(self):
         """I-heavy strings have larger commuting families (Section 3.2)."""
         universe = all_strings(3, "IXZ")

@@ -6,7 +6,6 @@ from repro.pauli import (
     MeasurementGroup,
     PauliString,
     cover_reduce,
-    greedy_cover,
     group_qwc,
 )
 
@@ -123,14 +122,3 @@ class TestCoverReduce:
         groups = cover_reduce(fig6_paulis, 4)
         members = sorted(m for g in groups for m in g.members)
         assert members == sorted(set(fig6_paulis))
-
-
-class TestGreedyCover:
-    def test_maps_each_term_to_a_measuring_basis(self, fig6_paulis):
-        mapping = greedy_cover(fig6_paulis, 4)
-        for term in fig6_paulis:
-            assert term.can_be_measured_by(mapping[term])
-
-    def test_identity_maps_to_identity(self):
-        mapping = greedy_cover([PauliString("II")], 2)
-        assert mapping[PauliString("II")] == PauliString("II")

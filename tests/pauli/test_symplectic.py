@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pauli import PauliString, PauliTable, decode, encode, multiply
+from repro.pauli import PauliString, PauliTable, decode, encode
 
 
 class TestEncodeDecode:
@@ -95,15 +95,6 @@ class TestPauliTable:
                 assert matrix[i, j] == PauliString(la).commutes_with(
                     PauliString(lb)
                 )
-
-    def test_multiply_rows_matches_algebra(self):
-        table = self.make()
-        for i in range(3):
-            for j in range(3):
-                expected = multiply(
-                    PauliString(self.LABELS[i]), PauliString(self.LABELS[j])
-                )
-                assert table.multiply_rows(i, j) == expected
 
     def test_large_batch_performance_shape(self):
         """34-qubit, 1000-row batch processes without issue."""

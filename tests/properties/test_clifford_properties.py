@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from repro.circuits import Circuit
 from repro.clifford import CliffordTableau, diagonalize_commuting
-from repro.pauli import PauliString, phase_product
+from repro.pauli import PauliString
+
+from ..pauli.algebra_reference import phase_product
 
 GATES_1Q = ("h", "s", "sdg", "x", "y", "z", "sx")
 GATES_2Q = ("cx", "cz", "swap")

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import reduce_assignments, varsaw_subset_plan
-from repro.mitigation import term_subsets
 from repro.pauli import PauliString, cover_reduce, group_qwc
+
+from ..mitigation.subsets_reference import term_subsets
 
 
 def pauli_sets(n_qubits=4, max_terms=12):

@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pauli import PauliString, phase_product
+from repro.pauli import PauliString
+
+from ..pauli.algebra_reference import phase_product
 
 pauli_labels = st.text(alphabet="IXYZ", min_size=1, max_size=6)
 

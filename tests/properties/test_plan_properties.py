@@ -1,11 +1,11 @@
-"""Property-based tests for compiled plans and the transpiler.
+"""Property-based tests for compiled plans and gate cancellation.
 
 The correctness contract pinned here is the one
 :mod:`repro.sim.plan` documents: for any bound circuit over the full
 gate set, the compiled plan's outcome probabilities are **bit-identical**
 to the historical gate-by-gate ``tensordot`` interpreter, and
-:func:`repro.circuits.transpile` preserves the circuit unitary — in
-particular across the commuting-cancellation pattern its old
+:func:`repro.circuits.cancel_adjacent` preserves the circuit unitary —
+in particular across the commuting-cancellation pattern its old
 stack-top-only scan missed.
 """
 
@@ -17,8 +17,8 @@ from repro.circuits import (
     GATE_ARITY,
     ROTATION_GATES,
     Circuit,
+    cancel_adjacent,
     gate_matrix,
-    transpile,
 )
 from repro.sim import probabilities
 from repro.sim.plan import compile_plan
@@ -101,24 +101,17 @@ class TestTranspileUnitaryEquivalence:
     @given(full_gateset_circuits(max_qubits=4, max_gates=20))
     @settings(max_examples=80, deadline=None)
     def test_transpiled_circuit_has_the_same_unitary(self, qc):
-        # Equivalence is up to one global phase for the whole unitary:
-        # merge_rotations wraps angles mod 2π, and an SU(2) rotation by
-        # θ ± 2π is -R(θ).  The phase is fixed from the first nonzero
-        # amplitude and must then align every column.
-        optimized = transpile(qc)
+        # Every self-inverse gate may cancel here, H included, which
+        # the plan compiler's bit-exact subset leaves alone; H·H only
+        # rounds to the identity, hence the tolerance.
+        optimized = cancel_adjacent(qc)
         assert len(optimized) <= len(qc)
         dim = 2**qc.n_qubits
-        phase = None
         for column in range(dim):
             basis = np.zeros(dim, dtype=complex)
             basis[column] = 1.0
-            expected = interpret(qc, basis)
             got = interpret(optimized, basis)
-            if phase is None:
-                anchor = int(np.argmax(np.abs(expected)))
-                phase = got[anchor] / expected[anchor]
-                assert np.isclose(abs(phase), 1.0, atol=1e-9)
-            assert np.allclose(got, phase * expected, atol=1e-9)
+            assert np.allclose(got, interpret(qc, basis), atol=1e-9)
 
     @given(
         st.sampled_from(sorted({"h", "x", "y", "z"})),
@@ -134,6 +127,6 @@ class TestTranspileUnitaryEquivalence:
         qc.append(name, (q,))
         qc.x((q + 1 + other) % 3)
         qc.append(name, (q,))
-        optimized = transpile(qc)
+        optimized = cancel_adjacent(qc)
         assert len(optimized) == 1
         assert optimized.instructions[0].name == "x"

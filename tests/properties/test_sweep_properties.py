@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sweeps import Point, ResultStore, SweepSpec
-from repro.sweeps.store import RESULT_SCHEMA_VERSION, load_records
+from repro.sweeps.store import RESULT_SCHEMA_VERSION
 
 # ------------------------------------------------------------ strategies
 
@@ -149,7 +149,7 @@ def test_load_is_order_insensitive_and_duplicate_tolerant(
     tmp = tmp_path_factory.mktemp("store")
     clean = tmp / "clean.jsonl"
     clean.write_text("\n".join(lines) + "\n")
-    reference = load_records(clean)
+    reference = ResultStore(clean).load().records
 
     mangled_lines = lines + [rng.choice(lines)]  # a duplicate
     rng.shuffle(mangled_lines)
@@ -172,7 +172,7 @@ def test_torn_tail_loses_at_most_the_last_record(
     path = tmp / "torn.jsonl"
     text = "\n".join(lines) + "\n"
     path.write_bytes(text.encode()[:-torn_bytes])
-    records = load_records(path)
+    records = ResultStore(path).load().records
     expected = {
         json.loads(line)["fingerprint"] for line in lines
     }
@@ -207,8 +207,8 @@ def test_merge_is_idempotent_and_order_insensitive(
     # And a reload from disk sees exactly the same records.
     assert {
         fp: record["result"]
-        for fp, record in load_records(target.path).items()
+        for fp, record in ResultStore(target.path).load().records.items()
     } == {
         fp: record["result"]
-        for fp, record in load_records(source_path).items()
+        for fp, record in ResultStore(source_path).load().records.items()
     }

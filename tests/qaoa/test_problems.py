@@ -1,18 +1,32 @@
 """Unit tests for QAOA problem Hamiltonians."""
 
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.hamiltonian import ground_state_energy
 from repro.qaoa import (
-    best_cut_brute_force,
     cut_value,
     maxcut_hamiltonian,
-    number_partition_hamiltonian,
     random_regular_maxcut,
     ring_maxcut,
 )
+
+
+def best_cut_brute_force(graph: nx.Graph) -> tuple[float, tuple[int, ...]]:
+    """Exhaustive MaxCut for small graphs: (best value, one argmax)."""
+    n = graph.number_of_nodes()
+    if n > 20:
+        raise ValueError("brute force capped at 20 nodes")
+    best = -np.inf
+    best_bits: tuple[int, ...] = ()
+    for bits in itertools.product((0, 1), repeat=n):
+        value = cut_value(graph, bits)
+        if value > best:
+            best, best_bits = value, bits
+    return best, best_bits
 
 
 class TestMaxCutHamiltonian:
@@ -106,24 +120,3 @@ class TestCutUtilities:
         graph = nx.random_regular_graph(3, 8, seed=5)
         best, bits = best_cut_brute_force(graph)
         assert cut_value(graph, bits) == pytest.approx(best)
-
-
-class TestNumberPartition:
-    def test_balanced_set_reaches_zero(self):
-        # {1, 2, 3} splits as {1, 2} vs {3}: residual 0.
-        ham = number_partition_hamiltonian([1, 2, 3])
-        assert ground_state_energy(ham) == pytest.approx(0.0)
-
-    def test_unbalanceable_set_has_positive_floor(self):
-        ham = number_partition_hamiltonian([1, 1, 3])
-        # best split {1,1} vs {3}: residual 1, squared 1.
-        assert ground_state_energy(ham) == pytest.approx(1.0)
-
-    def test_too_few_numbers_rejected(self):
-        with pytest.raises(ValueError):
-            number_partition_hamiltonian([5])
-
-    def test_all_terms_diagonal(self):
-        ham = number_partition_hamiltonian([2, 3, 5, 7])
-        for _, pauli in ham.non_identity_terms():
-            assert set(pauli.label) <= {"I", "Z"}

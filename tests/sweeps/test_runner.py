@@ -6,7 +6,6 @@ from repro.sweeps import (
     Point,
     ResultStore,
     SweepSpec,
-    aggregate,
     execute_point,
     pivot,
     run_sweep,
@@ -64,14 +63,12 @@ class TestRunSweep:
 
         # The resumed store is bit-identical to the uninterrupted run,
         assert stored_results(second) == stored_results(reference)
-        # and so is every aggregate derived from it.
-        resumed_rows = aggregate(
-            second.records.values(), by=["point.scheme"]
+        # and so is every table derived from it (each cell a mean over
+        # both seeds).
+        by = ("point.scheme", "point.workload.key")
+        assert pivot(second.records.values(), *by) == pivot(
+            reference.records.values(), *by
         )
-        reference_rows = aggregate(
-            reference.records.values(), by=["point.scheme"]
-        )
-        assert resumed_rows == reference_rows
 
     def test_resume_after_torn_tail_reexecutes_only_lost_points(
         self, tmp_path
@@ -214,15 +211,6 @@ class TestAggregate:
         )
         return list(run_sweep(SPEC, store).records.values())
 
-    def test_mean_over_seeds_with_ci(self, records):
-        rows = aggregate(records, by=["point.scheme"])
-        assert [row["point.scheme"] for row in rows] == [
-            "baseline", "varsaw",
-        ]
-        for row in rows:
-            assert row["n"] == 2
-            assert row["ci_low"] <= row["mean"] <= row["ci_high"]
-
     def test_pivot_matches_record_values(self, records):
         rows, cols, cells = pivot(
             records, "point.scheme", "point.seed"
@@ -232,3 +220,8 @@ class TestAggregate:
         for record in records:
             key = (record["point"]["scheme"], record["point"]["seed"])
             assert cells[key] == record["result"]["energy"]
+        # A cell holding several records (here both seeds) is their mean.
+        _, _, means = pivot(records, "point.scheme", "point.workload.key")
+        for scheme in rows:
+            energies = [cells[scheme, seed] for seed in cols]
+            assert means[scheme, "H2-4"] == sum(energies) / len(energies)

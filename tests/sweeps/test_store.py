@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.sweeps import (
-    RESULT_SCHEMA_VERSION,
-    Point,
-    ResultStore,
-    load_records,
-)
+from repro.sweeps import RESULT_SCHEMA_VERSION, Point, ResultStore
 
 
 def point(seed=0, **overrides):
@@ -46,7 +41,7 @@ class TestAppendLoad:
         energy = -109.86452370012345
         store = ResultStore(tmp_path / "s.jsonl")
         store.append(point(), {"energy": energy}, wall_time_s=0.0)
-        loaded = load_records(tmp_path / "s.jsonl")
+        loaded = ResultStore(tmp_path / "s.jsonl").load().records
         assert loaded[point().fingerprint()]["result"]["energy"] == energy
 
     def test_first_record_wins(self, tmp_path):
@@ -59,7 +54,7 @@ class TestAppendLoad:
         assert len((tmp_path / "s.jsonl").read_text().splitlines()) == 1
 
     def test_missing_file_loads_empty(self, tmp_path):
-        assert load_records(tmp_path / "missing.jsonl") == {}
+        assert ResultStore(tmp_path / "missing.jsonl").load().records == {}
 
 
 class TestCrashTolerance:
@@ -127,7 +122,7 @@ class TestMerge:
         # a's own seed=1 record survived the merge untouched.
         assert a.get(point(1).fingerprint())["result"]["energy"] == 1.0
         # And the merge is durable, not just in-memory.
-        assert len(load_records(tmp_path / "a.jsonl")) == 4
+        assert len(ResultStore(tmp_path / "a.jsonl").load().records) == 4
 
     def test_merge_is_idempotent(self, tmp_path):
         a = ResultStore(tmp_path / "a.jsonl")
