@@ -25,13 +25,13 @@ import numpy as np
 from ..ansatz import EfficientSU2
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_bool, check_choice, check_int
-from ..engine import body_fingerprint
 from ..hamiltonian import Hamiltonian
 from ..mitigation.reconstruction import bayesian_reconstruct_batch
 from ..mitigation.subsets import checked_subset_shots
 from ..noise import SimulatorBackend
 from ..pauli import PauliString
 from ..sim import PMF
+from ..sim.plan import compile_plan
 from ..vqe.estimator import EstimatorBase
 from ..vqe.expectation import energy_from_group_pmfs
 from .spatial import SubsetPlan, varsaw_subset_plan
@@ -95,19 +95,18 @@ class VarSawEstimator(EstimatorBase):
     def _adopt_plan(self, plan: SubsetPlan) -> None:
         """Install ``plan`` together with everything derived from it.
 
-        Each subset's basis-change suffix, support and suffix digest,
-        and each measurement group's compatible subset indices (by
+        Each subset's compiled basis-change suffix and support, and
+        each measurement group's compatible subset indices (by
         position — two groups may share a Z-filled basis but stay
         distinct circuits), are built here in one place, so a subclass
         that swaps in another plan cannot leave any of them stale.
         """
         self.plan: SubsetPlan = plan
         subsets = range(plan.num_subsets)
-        self._subset_rotations = [plan.rotation_circuit(i) for i in subsets]
-        self._subset_supports = [plan.support(i) for i in subsets]
-        self._subset_digests = [
-            body_fingerprint(rotation) for rotation in self._subset_rotations
+        self._subset_rotations = [
+            compile_plan(plan.rotation_circuit(i)) for i in subsets
         ]
+        self._subset_supports = [plan.support(i) for i in subsets]
         self._compatible: list[list[int]] = [
             plan.compatible_with(basis) for basis in self.bases
         ]
@@ -123,7 +122,6 @@ class VarSawEstimator(EstimatorBase):
             self.subset_shots,
             map_to_best=True,
             gate_load=self._gate_load,
-            suffix_digest=self._subset_digests[index],
         )
 
     def _submit_global(self, batch, state: np.ndarray, basis: PauliString):
@@ -217,20 +215,6 @@ class VarSawEstimator(EstimatorBase):
     def global_fraction(self) -> float:
         """Observed fraction of evaluations that executed Globals."""
         return self.scheduler.global_fraction
-
-    def reset_temporal_state(self) -> None:
-        """Forget priors and scheduler state (for fresh trials)."""
-        self._prior = None
-        self._evaluation_index = 0
-        self.scheduler = GlobalScheduler(
-            mode=self.scheduler.mode,
-            initial_period=min(
-                self.scheduler.max_period,
-                max(self.scheduler.min_period, 2),
-            ),
-            min_period=self.scheduler.min_period,
-            max_period=self.scheduler.max_period,
-        )
 
 
 # ------------------------------------------------------------ registry

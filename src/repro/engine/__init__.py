@@ -12,8 +12,11 @@ charging the backend's ``circuits_run``/``shots_run`` ledger per
 Typical use::
 
     from repro.engine import EngineConfig, ExecutionEngine
+    from repro.sim import compile_plan
 
     engine = ExecutionEngine(backend, EngineConfig(cache_size=512))
+    rotation = compile_plan(basis.basis_rotation())  # once, then reused
+    state = engine.prepare_state(ansatz.bind(params))
     batch = engine.new_batch()
     handle = batch.submit_state(state, rotation, range(n), shots=512)
     batch.run()

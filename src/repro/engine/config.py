@@ -28,7 +28,9 @@ class EngineConfig:
     state_cache_size:
         Maximum memoized prepared-statevector entries (ansatz states
         reused across measurement bases and repeated parameters);
-        ``0`` disables.
+        ``0`` disables.  The cache is also bounded by an automatic byte
+        budget: room for 16 full-width states (``16 * 2**n_qubits``
+        bytes each), floored at 16 MiB.
     cache_bytes:
         Approximate byte budget for the PMF cache.  ``None`` (default)
         scales the budget with the backend's device width: room for
@@ -36,16 +38,16 @@ class EngineConfig:
         at 16 MiB so narrow workloads are effectively entry-bounded
         only.  ``0`` removes the byte bound; a positive value is an
         explicit budget.
-    state_cache_bytes:
-        Same, for the statevector cache (``16 * 2**n_qubits`` bytes per
-        entry, auto budget of 16 entries, same 16 MiB floor).
     plan_cache_size:
-        Maximum compiled :class:`~repro.sim.plan.CircuitPlan` entries,
-        keyed by circuit *structure* fingerprint (one plan serves every
-        parameter binding of a structure).  ``0`` retains no plan:
-        every lookup compiles afresh, and prepared-state specs run
-        through the backend's ``pmf_from_state`` one at a time instead
-        of through cached suffix plans — what the throughput
+        Maximum compiled :class:`~repro.sim.plan.CircuitPlan` entries
+        for circuit bodies (ansatz states and circuit specs), keyed by
+        circuit *structure* fingerprint (one plan serves every
+        parameter binding of a structure).  Measurement suffixes never
+        enter it: each prepared-state spec carries a suffix plan its
+        estimator compiled once.  ``0`` retains no plan: every lookup
+        compiles afresh, and prepared-state specs run through the
+        backend's ``pmf_from_state`` one at a time instead of one
+        evolution per (state, suffix) body — what the throughput
         benchmark's "direct" row measures.
     """
 
@@ -53,7 +55,6 @@ class EngineConfig:
     state_cache_size: int = 64
     plan_cache_size: int = 64
     cache_bytes: int | None = None
-    state_cache_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if self.cache_size < 0:
@@ -62,7 +63,5 @@ class EngineConfig:
             raise ValueError("state_cache_size must be >= 0")
         if self.plan_cache_size < 0:
             raise ValueError("plan_cache_size must be >= 0")
-        for name in ("cache_bytes", "state_cache_bytes"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0 or None (auto)")
+        if self.cache_bytes is not None and self.cache_bytes < 0:
+            raise ValueError("cache_bytes must be >= 0 or None (auto)")

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -91,27 +90,13 @@ _M_BATCH_SECONDS = _METRICS.histogram(
     "repro_engine_batch_seconds", "Wall-clock seconds per engine batch"
 )
 
-#: Auto byte-budget shape: room for this many full-width payloads ...
+#: Auto byte-budget shape: room for this many full-width payloads
+#: (``8 * 2**n_qubits`` bytes per PMF, ``16 * 2**n_qubits`` per state) ...
 _AUTO_PMF_ENTRIES = 32
 _AUTO_STATE_ENTRIES = 16
 #: ... but never a budget smaller than this (narrow workloads stay
 #: effectively entry-bounded).
 _AUTO_FLOOR_BYTES = 16 * 2**20
-
-
-def _resolve_byte_budget(
-    configured: int | None, entry_bytes: int, entries: int
-) -> int:
-    """Turn a config byte knob into a concrete LRU budget.
-
-    ``None`` means auto: scale with the device width (``entry_bytes`` is
-    the full-width payload size, ``8|16 * 2**n_qubits``), floored at
-    :data:`_AUTO_FLOOR_BYTES`.  ``0`` disables the byte bound; positive
-    values pass through.
-    """
-    if configured is not None:
-        return int(configured)
-    return max(_AUTO_FLOOR_BYTES, entry_bytes * entries)
 
 
 @dataclass(frozen=True)
@@ -218,18 +203,16 @@ class Batch:
     def submit_state(
         self,
         state: np.ndarray,
-        suffix: Circuit | None,
+        suffix: CircuitPlan | None,
         measured_qubits,
         shots: int,
         map_to_best: bool = False,
         gate_load: tuple[int, int] = (0, 0),
-        suffix_digest: str | None = None,
     ) -> JobHandle:
         """Queue a prepared state + basis suffix (a :class:`StateSpec`).
 
-        ``suffix_digest`` is the suffix's precomputed
-        :func:`~repro.engine.spec.body_fingerprint`, for callers that
-        submit the same suffix every evaluation.
+        ``suffix`` is a parameter-free compiled plan, built once by the
+        caller with :func:`~repro.sim.plan.compile_plan`.
         """
         digest = self._state_digests.get(id(state))
         if digest is None:
@@ -244,7 +227,6 @@ class Batch:
                 map_to_best=map_to_best,
                 gate_load=gate_load,
                 digest=digest,
-                suffix_digest=suffix_digest,
             )
         )
 
@@ -279,22 +261,22 @@ class ExecutionEngine:
         n_qubits = getattr(
             getattr(backend, "device", None), "n_qubits", 0
         )
-        self._pmf_cache = LRUCache(
-            self.config.cache_size,
-            max_bytes=_resolve_byte_budget(
-                self.config.cache_bytes, 8 * 2**n_qubits, _AUTO_PMF_ENTRIES
-            ),
-        )
+        pmf_bytes = self.config.cache_bytes
+        if pmf_bytes is None:
+            pmf_bytes = max(
+                _AUTO_FLOOR_BYTES, 8 * 2**n_qubits * _AUTO_PMF_ENTRIES
+            )
+        self._pmf_cache = LRUCache(self.config.cache_size, max_bytes=pmf_bytes)
+        # The state cache always takes the automatic byte budget.
         self._state_cache = LRUCache(
             self.config.state_cache_size,
-            max_bytes=_resolve_byte_budget(
-                self.config.state_cache_bytes,
-                16 * 2**n_qubits,
-                _AUTO_STATE_ENTRIES,
+            max_bytes=max(
+                _AUTO_FLOOR_BYTES, 16 * 2**n_qubits * _AUTO_STATE_ENTRIES
             ),
         )
-        # Compiled-plan cache, keyed by structure fingerprint; the
-        # backend's simulation hooks reach it through _plan_for.
+        # Compiled-plan cache for circuit bodies (ansatz states and
+        # circuit specs), keyed by structure fingerprint; the backend's
+        # simulation hooks reach it through _plan_for.
         self._plan_cache = LRUCache(self.config.plan_cache_size)
         self._job_counter = 0
         self._batches_run = 0
@@ -321,19 +303,15 @@ class ExecutionEngine:
 
     # ------------------------------------------------------ state preparation
 
-    def _plan_for(
-        self, circuit: Circuit, key: str | None = None
-    ) -> CircuitPlan:
+    def _plan_for(self, circuit: Circuit) -> CircuitPlan:
         """The compiled plan for ``circuit`` (plan cache).
 
         The ``plan_for`` the engine hands the backend's simulation
-        hooks, keyed by :func:`structure_fingerprint`; a state spec's
-        suffix is keyed by its ``suffix_digest`` instead, so it is
-        never re-hashed.  With ``plan_cache_size=0`` every call
-        compiles afresh and no plan is retained.
+        hooks, keyed by :func:`structure_fingerprint`.  With
+        ``plan_cache_size=0`` every call compiles afresh and no plan is
+        retained.
         """
-        if key is None:
-            key = structure_fingerprint(circuit)
+        key = structure_fingerprint(circuit)
         plan = self._plan_cache.get(key)
         if plan is None:
             plan = compile_plan(circuit)
@@ -393,11 +371,12 @@ class ExecutionEngine:
         Global and its subsets differ only in measured qubits — and one
         circuit per body goes to the backend's
         ``circuit_probabilities_batch`` hook, in a single call.  State
-        specs group by (state ``digest``, ``suffix_digest``), and the
-        backend's ``state_rows`` evolves each such body through its
-        cached suffix plan.  The noise finisher advances all rows at
-        once.  With ``plan_cache_size=0`` state specs instead run
-        through the backend's ``pmf_from_state``, each finished alone.
+        specs group by (state ``digest``, suffix ``structure_key``), and
+        the backend's ``state_rows`` evolves each such body once
+        through the spec's own compiled suffix plan.  The noise
+        finisher advances all rows at once.  With ``plan_cache_size=0``
+        state specs instead run through the backend's
+        ``pmf_from_state``, each finished alone.
         """
         backend = self.backend
         bodies: dict[str, list] = {}
@@ -411,7 +390,7 @@ class ExecutionEngine:
                 )
             elif self.config.plan_cache_size:
                 state_bodies.setdefault(
-                    (spec.digest, spec.suffix_digest), []
+                    (spec.digest, spec.suffix_key), []
                 ).append((len(state_keys), spec))
                 state_keys.append(key)
             else:
@@ -439,14 +418,13 @@ class ExecutionEngine:
         # State rows keep the batch's miss order (the PMF cache's
         # insertion order), whatever order their bodies evolve in.
         state_rows: list = [None] * len(state_keys)
-        for (_, suffix_digest), group in state_bodies.items():
+        for group in state_bodies.values():
             first = group[0][1]
             body_rows = backend.state_rows(
                 first.state,
                 first.suffix,
                 [(spec.measured_qubits, spec.map_to_best, spec.gate_load)
                  for _, spec in group],
-                partial(self._plan_for, key=suffix_digest),
             )
             for (position, _), row in zip(group, body_rows):
                 state_rows[position] = row
@@ -542,12 +520,6 @@ class ExecutionEngine:
             state_cache=self._state_cache.stats,
             plan_cache=self._plan_cache.stats,
         )
-
-    def clear_caches(self) -> None:
-        """Drop every memoized PMF, prepared state, and compiled plan."""
-        self._pmf_cache.clear()
-        self._state_cache.clear()
-        self._plan_cache.clear()
 
     def __repr__(self) -> str:
         s = self.stats

@@ -2,7 +2,7 @@
 
 A *spec* is everything needed to reproduce one device execution: either a
 full bound circuit (:class:`CircuitSpec`) or a prepared ansatz state plus
-a measurement-basis suffix (:class:`StateSpec` — the backend's
+a compiled measurement-basis suffix (:class:`StateSpec` — the backend's
 ``state_rows`` fast path).  Specs are immutable once submitted.
 
 Each spec exposes a :meth:`fingerprint`: a digest over the exact content
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..circuits import Circuit
+from ..sim.plan import CircuitPlan
 
 __all__ = [
     "CircuitSpec",
@@ -71,8 +72,7 @@ def body_fingerprint(circuit: Circuit) -> str:
     """:func:`circuit_fingerprint` without the measured qubits.
 
     Circuits sharing a body (a JigSaw Global and its subsets) evolve
-    to the same ideal probabilities; only their readout differs.  It
-    is also a :class:`StateSpec`'s ``suffix_digest``.
+    to the same ideal probabilities; only their readout differs.
     """
     h = _hasher()
     _feed_body(h, circuit)
@@ -164,29 +164,30 @@ class CircuitSpec:
 class StateSpec:
     """One prepared-state execution request (``backend.state_rows``).
 
+    ``suffix`` is the measurement-basis change as a parameter-free
+    compiled plan (or ``None``): estimators compile each suffix once,
+    at construction, with :func:`~repro.sim.plan.compile_plan`, so the
+    engine never hashes or compiles one per submission.  A plan without
+    slots is fixed by its gates and qubits, so its ``structure_key`` is
+    a content key: the fingerprint and the engine's grouping read it.
     ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
     preparation, charged to depolarizing noise on top of the suffix.
     ``state`` must hold ``2**n`` amplitudes, ``suffix`` (if any) must
     act on the same ``n`` qubits, and ``measured_qubits`` must be
     distinct qubits of that register — all checked here, so a bad spec
     fails at submit time instead of failing its whole batch.
-    ``digest`` is a precomputed :func:`state_digest` of ``state`` and
-    ``suffix_digest`` a precomputed :func:`body_fingerprint` of
-    ``suffix`` (optimizations for batches whose specs share a state,
-    and estimators that submit the same suffixes every evaluation);
-    when given, each MUST match its content.  Either one left out is
-    computed here, so every spec carries both: its fingerprint and the
-    engine's suffix-plan lookup read them.
+    ``digest`` is a precomputed :func:`state_digest` of ``state`` (an
+    optimization for batches whose specs share a state); when given it
+    MUST match the state, and when left out it is computed here.
     """
 
     state: np.ndarray = field(repr=False)
-    suffix: Circuit | None
+    suffix: CircuitPlan | None
     measured_qubits: tuple[int, ...]
     shots: int
     map_to_best: bool = False
     gate_load: tuple[int, int] = (0, 0)
     digest: str | None = field(default=None, repr=False)
-    suffix_digest: str | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -209,11 +210,24 @@ class StateSpec:
             raise ValueError(
                 f"state has {size} amplitudes, not a power of two"
             )
-        if self.suffix is not None and self.suffix.n_qubits != n_qubits:
-            raise ValueError(
-                f"suffix acts on {self.suffix.n_qubits} qubits but the "
-                f"state has a {n_qubits}-qubit register"
-            )
+        if self.suffix is not None:
+            if not isinstance(self.suffix, CircuitPlan):
+                raise TypeError(
+                    f"suffix must be a CircuitPlan, not "
+                    f"{type(self.suffix).__name__}; compile the suffix "
+                    "once with compile_plan"
+                )
+            if self.suffix.num_slots:
+                raise ValueError(
+                    f"suffix plan has {self.suffix.num_slots} rotation "
+                    "slots; compile the suffix once with compile_plan "
+                    "from a circuit without rotation gates"
+                )
+            if self.suffix.n_qubits != n_qubits:
+                raise ValueError(
+                    f"suffix acts on {self.suffix.n_qubits} qubits but the "
+                    f"state has a {n_qubits}-qubit register"
+                )
         for i, q in enumerate(self.measured_qubits):
             if not 0 <= q < n_qubits:
                 raise ValueError(
@@ -224,15 +238,16 @@ class StateSpec:
                 raise ValueError(f"measured qubit {q} is listed twice")
         if self.digest is None:
             object.__setattr__(self, "digest", state_digest(self.state))
-        if self.suffix_digest is None and self.suffix is not None:
-            object.__setattr__(
-                self, "suffix_digest", body_fingerprint(self.suffix)
-            )
+
+    @property
+    def suffix_key(self) -> str | None:
+        """The suffix plan's ``structure_key`` (``None``: no suffix)."""
+        return None if self.suffix is None else self.suffix.structure_key
 
     def fingerprint(self) -> str:
         """Content digest over state bytes + suffix + measurement."""
         h = _hasher()
-        h.update(f"s:{self.digest}|{self.suffix_digest}".encode())
+        h.update(f"s:{self.digest}|{self.suffix_key}".encode())
         h.update(
             f"|m:{','.join(map(str, sorted(self.measured_qubits)))}"
             f"|b:{int(self.map_to_best)}"

@@ -125,11 +125,6 @@ class SimulatorBackend:
 
     # ------------------------------------------------------------ accounting
 
-    def reset_counters(self) -> None:
-        """Zero the circuit/shot ledger (the device clock is untouched)."""
-        self.circuits_run = 0
-        self.shots_run = 0
-
     def charge(self, shots: int) -> None:
         """Record one executed circuit of ``shots`` shots on the ledger.
 
@@ -228,44 +223,42 @@ class SimulatorBackend:
     def pmf_from_state(
         self,
         state: np.ndarray,
-        suffix: Circuit | None,
+        suffix: CircuitPlan | None,
         measured_qubits,
         map_to_best: bool = False,
         gate_load: tuple[int, int] = (0, 0),
     ) -> PMF:
         """Exact noisy PMF of a prepared state + basis suffix (uncharged).
 
-        :meth:`state_rows` with :func:`~repro.sim.plan.compile_plan`,
-        finished as a batch of one.
+        ``suffix`` is a parameter-free compiled plan, as a
+        :class:`~repro.engine.StateSpec` carries it: :meth:`state_rows`
+        with one readout, finished as a batch of one.
         """
         rows = self.state_rows(
-            state, suffix, [(measured_qubits, map_to_best, gate_load)],
-            compile_plan,
+            state, suffix, [(measured_qubits, map_to_best, gate_load)]
         )
         return self.exact_pmfs_from_probs_batch(rows)[0]
 
     def state_rows(
         self,
         state: np.ndarray,
-        suffix: Circuit | None,
+        suffix: CircuitPlan | None,
         readouts,
-        plan_for: PlanFor,
     ) -> list[tuple]:
         """The finisher rows of one prepared state + basis suffix.
 
-        Evolves ``state`` through ``plan_for(suffix)`` once (when there
-        is a suffix); each ``(measured_qubits, map_to_best, gate_load)``
-        readout then gets its own row, with the suffix's gates added to
-        ``gate_load`` (the state preparation's (one-qubit, two-qubit)
-        gate count) so the depolarizing weight reflects the *full*
-        circuit.  The engine passes its plan-cache lookup and batches
-        the rows of every (state, suffix) body.
+        Evolves ``state`` once through ``suffix``, a parameter-free
+        compiled plan (when there is one); each ``(measured_qubits,
+        map_to_best, gate_load)`` readout then gets its own row, with
+        the suffix's gates added to ``gate_load`` (the state
+        preparation's (one-qubit, two-qubit) gate count) so the
+        depolarizing weight reflects the *full* circuit.  The engine
+        batches the rows of every (state, suffix) body.
         """
         s1 = s2 = 0
         if suffix is not None:
-            plan = plan_for(suffix)
-            state = plan.run(plan.slot_values(suffix), initial_state=state)
-            s1, s2 = plan.gate_load
+            state = suffix.run((), initial_state=state)
+            s1, s2 = suffix.gate_load
         probs = probabilities(state)
         n = int(np.log2(state.shape[0]))
         return [

@@ -23,12 +23,12 @@ import numpy as np
 from ..ansatz import EfficientSU2
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_int
-from ..circuits import Circuit
-from ..engine import body_fingerprint, ensure_engine
+from ..engine import ensure_engine
 from ..hamiltonian import Hamiltonian
 from ..noise import SimulatorBackend
 from ..pauli import PauliString
 from ..sim import PMF
+from ..sim.plan import CircuitPlan, compile_plan
 from .expectation import assign_terms_to_groups, energy_from_group_pmfs
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 
 
 class EstimatorBase:
-    """Shared plumbing: grouping, cached basis rotations, state preparation."""
+    """Shared plumbing: grouping, compiled suffixes, state preparation."""
 
     def __init__(
         self,
@@ -65,13 +65,11 @@ class EstimatorBase:
         self.shots = shots
         self._gate_load = ansatz.gate_load  # each read walks a circuit
         self.bases, self.group_terms = assign_terms_to_groups(hamiltonian)
-        self._rotations: dict[PauliString, Circuit] = {
-            basis: basis.basis_rotation() for basis in set(self.bases)
-        }
-        # Each suffix is hashed once per estimator, not per submission.
-        self._rotation_digests: dict[PauliString, str] = {
-            basis: body_fingerprint(rotation)
-            for basis, rotation in self._rotations.items()
+        # Each basis-change suffix compiles once per estimator, not
+        # per submission.
+        self._rotations: dict[PauliString, CircuitPlan] = {
+            basis: compile_plan(basis.basis_rotation())
+            for basis in set(self.bases)
         }
 
     @property
@@ -116,7 +114,6 @@ class EstimatorBase:
             shots,
             map_to_best=map_to_best,
             gate_load=self._gate_load,
-            suffix_digest=self._rotation_digests[basis],
         )
 
     # Cost bookkeeping delegates to the backend's ledger.

@@ -23,10 +23,10 @@ import numpy as np
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_choice, check_int
 from ..clifford import DiagonalizedGroup
-from ..engine import body_fingerprint
 from ..hamiltonian import Hamiltonian
 from ..noise import SimulatorBackend
 from ..pauli import diagonalized_groups
+from ..sim.plan import compile_plan
 from .estimator import EstimatorBase
 
 __all__ = ["GeneralCommutationEstimator", "GeneralCommutationSpec"]
@@ -54,9 +54,8 @@ class GeneralCommutationEstimator(EstimatorBase):
         for coeff, term in hamiltonian.non_identity_terms():
             coeff_of[term] = coeff_of.get(term, 0.0) + coeff
         self._coeff_of = coeff_of
-        self._suffix_digests = [
-            body_fingerprint(group.circuit) for group in self.gc_groups
-        ]
+        # Each family's Clifford suffix compiles once per estimator.
+        self._suffixes = [compile_plan(g.circuit) for g in self.gc_groups]
 
     @property
     def num_groups(self) -> int:
@@ -74,14 +73,13 @@ class GeneralCommutationEstimator(EstimatorBase):
         handles = [
             batch.submit_state(
                 state,
-                group.circuit,
+                suffix,
                 range(self.n_qubits),
                 self.shots,
                 map_to_best=False,
                 gate_load=self._gate_load,
-                suffix_digest=digest,
             )
-            for group, digest in zip(self.gc_groups, self._suffix_digests)
+            for suffix in self._suffixes
         ]
         batch.run()
         energy = self.hamiltonian.identity_coefficient

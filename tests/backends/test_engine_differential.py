@@ -11,7 +11,9 @@ without a basis suffix.  Every backend must agree with ``dense``:
 * ``density`` within 1e-12 with gate noise off on both sides;
 
 and every PMF the engine hands out must equal that backend's own
-``exact_pmf``/``pmf_from_state`` on the spec alone, bit for bit.
+``exact_pmf``/``pmf_from_state`` on the spec alone, bit for bit, with
+the expected side's suffix plans compiled apart from the submitted
+ones.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.engine import EngineConfig
 from repro.engine.engine import ExecutionEngine
 from repro.mitigation import sliding_windows
 from repro.noise import ibmq_mumbai_like
+from repro.sim import CircuitPlan, compile_plan
 
 N_QUBITS = 5
 SHOTS = 256
@@ -56,12 +59,13 @@ def measured(body: Circuit, qubits) -> Circuit:
     return circuit
 
 
-def basis_suffix() -> Circuit:
+def basis_suffix() -> CircuitPlan:
+    """A freshly compiled basis-change suffix plan."""
     suffix = Circuit(N_QUBITS)
     suffix.h(0)
     suffix.sdg(2)
     suffix.h(2)
-    return suffix
+    return compile_plan(suffix)
 
 
 def circuit_specs() -> list[tuple[Circuit, bool, bool]]:
@@ -87,10 +91,11 @@ def run_mixed_batch(backend):
     engine = ExecutionEngine(backend, EngineConfig())
     state = engine.prepare_state(ansatz_body())
     load = backend.noise_gate_load(ansatz_body())
+    submitted = basis_suffix()
     state_specs = [
         (None, (0, 1, 2, 3, 4), False),
-        (basis_suffix(), (0, 2), True),
-        (basis_suffix(), (1,), False),
+        (submitted, (0, 2), True),
+        (submitted, (1,), False),
     ]
     batch = engine.new_batch()
     handles = [
@@ -106,8 +111,11 @@ def run_mixed_batch(backend):
         backend.exact_pmf(circuit, map_to_best)
         for circuit, map_to_best, _ in circuit_specs()
     ]
+    alone = basis_suffix()
     expected += [
-        backend.pmf_from_state(state, suffix, qubits, best, load)
+        backend.pmf_from_state(
+            state, None if suffix is None else alone, qubits, best, load
+        )
         for suffix, qubits, best in state_specs
     ]
     flags = [clifford for _, _, clifford in circuit_specs()]

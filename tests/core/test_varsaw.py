@@ -115,19 +115,6 @@ class TestTemporalDynamics:
         est.evaluate(params)
         assert est._prior is not prior_after_first  # updated each eval
 
-    def test_reset_temporal_state(self, h2, h2_ansatz):
-        backend = SimulatorBackend(seed=0)
-        est = make_varsaw(h2, h2_ansatz, backend, global_mode="adaptive")
-        params = np.zeros(h2_ansatz.num_parameters)
-        est.evaluate(params)
-        est.reset_temporal_state()
-        assert est._prior is None
-        assert est.scheduler.evaluations_seen == 0
-        # Next evaluation runs globals again.
-        before = backend.circuits_run
-        est.evaluate(params)
-        assert backend.circuits_run - before > est.circuits_per_subset_pass
-
 
 class TestConstruction:
     def test_plan_matches_spatial_module(self, h2, h2_ansatz):

@@ -140,18 +140,19 @@ class TestEngineByteBudgets:
         )
 
     def test_explicit_budget_overrides_auto(self, backend):
-        engine = ExecutionEngine(
-            backend,
-            EngineConfig(cache_bytes=4096, state_cache_bytes=0),
-        )
+        engine = ExecutionEngine(backend, EngineConfig(cache_bytes=4096))
         assert engine._pmf_cache.max_bytes == 4096
-        assert engine._state_cache.max_bytes == 0
+        # The state cache always keeps its automatic budget.
+        n = backend.device.n_qubits
+        assert engine._state_cache.max_bytes == max(
+            16 * 2**20, 16 * 2**n * 16
+        )
+        unbounded = ExecutionEngine(backend, EngineConfig(cache_bytes=0))
+        assert unbounded._pmf_cache.max_bytes == 0
 
     def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cache_bytes"):
             EngineConfig(cache_bytes=-1)
-        with pytest.raises(ValueError):
-            EngineConfig(state_cache_bytes=-2)
 
     def test_stats_surface_byte_budgets(self, backend):
         engine = ExecutionEngine(backend, EngineConfig(cache_bytes=1 << 20))

@@ -16,6 +16,7 @@ from repro.backends import CliffordBackend
 from repro.noise import SimulatorBackend
 from repro.obs import REGISTRY, snapshot_delta
 from repro.pauli import PauliString
+from repro.sim import compile_plan
 
 
 def ghz(n=3):
@@ -255,13 +256,34 @@ class TestSpecs:
             )
 
     def test_state_spec_suffix_width_mismatch_rejected(self):
-        suffix = PauliString("XX").basis_rotation()
+        suffix = compile_plan(PauliString("XX").basis_rotation())
         with pytest.raises(
             ValueError, match="suffix acts on 2 qubits .* 3-qubit"
         ):
             StateSpec(
                 state=np.eye(8, dtype=complex)[0],
                 suffix=suffix,
+                measured_qubits=(0, 1),
+                shots=10,
+            )
+
+    def test_state_spec_raw_circuit_suffix_rejected(self):
+        with pytest.raises(TypeError, match="compile_plan"):
+            StateSpec(
+                state=np.eye(8, dtype=complex)[0],
+                suffix=PauliString("XYZ").basis_rotation(),
+                measured_qubits=(0, 1),
+                shots=10,
+            )
+
+    def test_state_spec_slotted_suffix_rejected(self):
+        rotated = Circuit(3)
+        rotated.h(0)
+        rotated.ry(0.25, 1)
+        with pytest.raises(ValueError, match="1 rotation slots.*compile_plan"):
+            StateSpec(
+                state=np.eye(8, dtype=complex)[0],
+                suffix=compile_plan(rotated),
                 measured_qubits=(0, 1),
                 shots=10,
             )
@@ -273,13 +295,19 @@ class TestSpecs:
         state = engine.prepare_state(ghz())
         batch = engine.new_batch()
         good = batch.submit_state(
-            state, PauliString("XYZ").basis_rotation(), (0, 1, 2), 10
+            state,
+            compile_plan(PauliString("XYZ").basis_rotation()),
+            (0, 1, 2),
+            10,
         )
         with pytest.raises(ValueError, match="not a power of two"):
             batch.submit_state(state[:6], None, (0,), shots=10)
         with pytest.raises(ValueError, match="suffix acts on 2 qubits"):
             batch.submit_state(
-                state, PauliString("XX").basis_rotation(), (0, 1), 10
+                state,
+                compile_plan(PauliString("XX").basis_rotation()),
+                (0, 1),
+                10,
             )
         batch.run()
         assert good.done() and good.pmf().qubits == (0, 1, 2)
@@ -366,7 +394,6 @@ class TestConfigValidation:
             "state_cache_size",
             "plan_cache_size",
             "cache_bytes",
-            "state_cache_bytes",
         ):
             with pytest.raises(ValueError, match=name):
                 EngineConfig(**{name: -1})
@@ -379,5 +406,4 @@ class TestConfigValidation:
             "state_cache_size",
             "plan_cache_size",
             "cache_bytes",
-            "state_cache_bytes",
         ]

@@ -62,13 +62,6 @@ class TestPlanCache:
         batch.run()
         assert engine.stats.plan_cache.misses == 2
 
-    def test_clear_caches_drops_plans(self, backend):
-        engine = ExecutionEngine(backend, EngineConfig())
-        run_trace(engine, [0.1])
-        assert engine.stats.plan_cache.size == 1
-        engine.clear_caches()
-        assert engine.stats.plan_cache.size == 0
-
     def test_plan_cache_size_zero_retains_no_plan(self, backend):
         engine = ExecutionEngine(
             backend, EngineConfig(plan_cache_size=0)

@@ -60,11 +60,6 @@ class TestAccounting:
         assert ideal_backend.circuits_run == 2
         assert ideal_backend.shots_run == 30
 
-    def test_reset(self, ideal_backend):
-        run(ideal_backend, bell(), shots=10)
-        ideal_backend.reset_counters()
-        assert ideal_backend.circuits_run == 0
-
     def test_prepare_state_not_charged(self, ideal_backend):
         qc = Circuit(2)
         qc.h(0)
@@ -133,7 +128,7 @@ class TestNoiseApplication:
         pmf_full = backend.exact_pmf(full)
         (state,) = backend.prepare_states([prep], compile_plan)
         pmf_cached = backend.pmf_from_state(
-            state, suffix, [0, 1], False, (3, 1)
+            state, compile_plan(suffix), [0, 1], False, (3, 1)
         )
         assert np.allclose(pmf_full.probs, pmf_cached.probs)
 
