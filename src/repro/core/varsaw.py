@@ -31,7 +31,7 @@ from ..mitigation.subsets import checked_subset_shots
 from ..noise import SimulatorBackend
 from ..pauli import PauliString
 from ..sim import PMF
-from ..sim.plan import compile_plan
+from ..sim.plan import CircuitPlan, compile_plan
 from ..vqe.estimator import EstimatorBase
 from ..vqe.expectation import energy_from_group_pmfs
 from .spatial import SubsetPlan, varsaw_subset_plan
@@ -95,17 +95,16 @@ class VarSawEstimator(EstimatorBase):
     def _adopt_plan(self, plan: SubsetPlan) -> None:
         """Install ``plan`` together with everything derived from it.
 
-        Each subset's compiled basis-change suffix and support, and
-        each measurement group's compatible subset indices (by
-        position — two groups may share a Z-filled basis but stay
-        distinct circuits), are built here in one place, so a subclass
+        Each subset's suffix slot (compiled on first submission) and
+        support, and each measurement group's compatible subset indices
+        (by position — two groups may share a Z-filled basis but stay
+        distinct circuits), are set here in one place, so a subclass
         that swaps in another plan cannot leave any of them stale.
         """
         self.plan: SubsetPlan = plan
         subsets = range(plan.num_subsets)
-        self._subset_rotations = [
-            compile_plan(plan.rotation_circuit(i)) for i in subsets
-        ]
+        self._subset_rotations: list[CircuitPlan | None]
+        self._subset_rotations = [None] * plan.num_subsets
         self._subset_supports = [plan.support(i) for i in subsets]
         self._compatible: list[list[int]] = [
             plan.compatible_with(basis) for basis in self.bases
@@ -115,6 +114,10 @@ class VarSawEstimator(EstimatorBase):
 
     def _submit_subset(self, batch, state: np.ndarray, index: int):
         """Queue one reduced subset circuit; return its job handle."""
+        if self._subset_rotations[index] is None:
+            self._subset_rotations[index] = compile_plan(
+                self.plan.rotation_circuit(index)
+            )
         return batch.submit_state(
             state,
             self._subset_rotations[index],

@@ -177,12 +177,6 @@ class LRUCache:
             self.bytes -= self._sizes.pop(evicted_key)
             self.evictions += 1
 
-    def clear(self) -> None:
-        """Drop all entries (counters are preserved)."""
-        self._data.clear()
-        self._sizes.clear()
-        self.bytes = 0
-
     @property
     def stats(self) -> CacheStats:
         """A point-in-time :class:`CacheStats` snapshot."""

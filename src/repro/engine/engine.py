@@ -361,7 +361,7 @@ class ExecutionEngine:
 
     # -------------------------------------------------------------- execution
 
-    def _simulate(self, misses: list[tuple[tuple, object]]) -> list:
+    def _simulate(self, misses: list, device_fp: str) -> list:
         """Exact PMFs of a batch's cache misses: ``(key, pmf)`` pairs.
 
         Specs group by the body they evolve, and each body evolves
@@ -374,9 +374,10 @@ class ExecutionEngine:
         specs group by (state ``digest``, suffix ``structure_key``), and
         the backend's ``state_rows`` evolves each such body once
         through the spec's own compiled suffix plan.  The noise
-        finisher advances all rows at once.  With ``plan_cache_size=0``
-        state specs instead run through the backend's
-        ``pmf_from_state``, each finished alone.
+        finisher advances all rows at once, keyed by ``device_fp`` so
+        it reuses its stages while the noise state holds.  With
+        ``plan_cache_size=0`` state specs instead run through the
+        backend's ``pmf_from_state``, each finished alone.
         """
         backend = self.backend
         bodies: dict[str, list] = {}
@@ -431,7 +432,7 @@ class ExecutionEngine:
         keys += state_keys
         rows += state_rows
         if rows:
-            pmfs = backend.exact_pmfs_from_probs_batch(rows)
+            pmfs = backend.exact_pmfs_from_probs_batch(rows, device_fp)
             fresh.extend(zip(keys, pmfs))
         return fresh
 
@@ -470,7 +471,7 @@ class ExecutionEngine:
             # committed only once every PMF exists, so a failing batch
             # leaves no trace in them.
             with _obs_span("engine.simulate", simulations=len(misses)):
-                fresh = self._simulate(misses) if misses else []
+                fresh = self._simulate(misses, device_fp) if misses else []
             for key, pmf in fresh:
                 resolved[key] = pmf
                 self._pmf_cache.put(key, pmf)

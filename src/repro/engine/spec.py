@@ -86,7 +86,8 @@ def device_fingerprint(backend) -> str:
     over one device must never share memoized PMFs), per-qubit readout
     rates, crosstalk, gate-noise rates/scales, and the backend's noise
     kill-switches — but *not* its RNG state, which only affects
-    sampling.
+    sampling.  It keys the engine's PMF cache and the noise finisher's
+    compiled stages.
     """
     device = backend.device
     h = _hasher()
@@ -166,7 +167,7 @@ class StateSpec:
 
     ``suffix`` is the measurement-basis change as a parameter-free
     compiled plan (or ``None``): estimators compile each suffix once,
-    at construction, with :func:`~repro.sim.plan.compile_plan`, so the
+    on first use, with :func:`~repro.sim.plan.compile_plan`, so the
     engine never hashes or compiles one per submission.  A plan without
     slots is fixed by its gates and qubits, so its ``structure_key`` is
     a content key: the fingerprint and the engine's grouping read it.

@@ -100,7 +100,8 @@ class SimulatorBackend:
     beyond the device and the kill-switches must expose it via a
     ``pmf_fingerprint_extra() -> str`` method (see
     :func:`repro.engine.device_fingerprint`) so memoized PMFs are never
-    shared across configurations.
+    shared across configurations (it keys the finisher's stages too); an
+    override of :meth:`exact_pmfs_from_probs_batch` forwards ``noise_key``.
     """
 
     #: Registry kind name (see :mod:`repro.backends`); subclasses
@@ -122,6 +123,8 @@ class SimulatorBackend:
         self.gate_noise_enabled = gate_noise_enabled
         self.circuits_run = 0
         self.shots_run = 0
+        # (noise key, {shape: stage}) of the last keyed finisher call.
+        self._stages: tuple[str | None, dict] = (None, {})
 
     # ------------------------------------------------------------ accounting
 
@@ -272,7 +275,7 @@ class SimulatorBackend:
             for measured, map_to_best, gate_load in readouts
         ]
 
-    def exact_pmfs_from_probs_batch(self, rows) -> list[PMF]:
+    def exact_pmfs_from_probs_batch(self, rows, noise_key=None) -> list[PMF]:
         """The noise finisher: exact noisy PMFs of ideal probability rows.
 
         ``rows`` is a list of ``(probs, n_qubits, measured, map_to_best,
@@ -282,37 +285,83 @@ class SimulatorBackend:
         marginalized onto ``measured`` and pushed through the readout
         channel (with crosstalk and the ``map_to_best`` line mapping),
         renormalized after every step.  Rows sharing ``(n_qubits,
-        measured, map_to_best)`` advance through each stage as single
+        measured, map_to_best)`` advance through each step as single
         whole-group NumPy calls whose per-row bits do not depend on the
         rest of the batch (elementwise ops broadcast per row; axis
-        reductions keep one pairwise order; the readout matrix product
-        hits one GEMM kernel, with the one-measured-qubit case looped
-        because a batched GEMV would round differently).
+        reductions keep one pairwise order; each readout step is the
+        GEMM ``np.tensordot`` issued, on the same operand, with the
+        one-measured-qubit case looped because a batched GEMV would
+        round differently), driven by that shape's :meth:`_stage`.
+        The stages of the last ``noise_key`` given are reused until
+        another key comes; the engine passes its
+        :func:`~repro.engine.device_fingerprint`, so whatever moves its
+        PMF cache key moves this one.  A call without a key keeps none.
         ``tests/noise/scalar_reference.py`` freezes the one-row
         pipeline this must equal bit for bit.
         """
+        key, stages = self._stages  # one read: a concurrent swap is unseen
+        if noise_key is None or noise_key != key:
+            stages = {}
+            if noise_key is not None:
+                self._stages = (noise_key, stages)
+        survival = None
+        if self.gate_noise_enabled:
+            gn = self.device.gate_noise
+            survival = [
+                1.0 - min(1.0, e * gn.scale)
+                for e in (gn.error_1q, gn.error_2q)
+            ]
         out: list[PMF | None] = [None] * len(rows)
         groups: dict[tuple, list[int]] = {}
         for i, (_, n, measured, map_to_best, _) in enumerate(rows):
             groups.setdefault((n, measured, map_to_best), []).append(i)
-        for (n, measured, map_to_best), indices in groups.items():
+        for shape, indices in groups.items():
+            stage = stages.get(shape)
+            if stage is None:
+                stage = stages[shape] = self._stage(stages, *shape)
             pmfs = self._finish_group(
-                [rows[i] for i in indices], n, measured, map_to_best
+                [rows[i] for i in indices], stage, survival
             )
             for i, pmf in zip(indices, pmfs):
                 out[i] = pmf
         return out  # type: ignore[return-value]
 
-    def _finish_group(
-        self,
-        rows: list,
-        n: int,
-        measured: tuple[int, ...],
-        map_to_best: bool,
-    ) -> list[PMF]:
-        """One same-shape group of :meth:`exact_pmfs_from_probs_batch`."""
+    def _stage(self, stages: dict, n: int, measured, map_to_best) -> tuple:
+        """What finishing one shape needs apart from its rows.
+
+        Its width's uniform PMF (kept in ``stages`` under ``n``), the
+        axes the marginal sums away and, with readout on, each measured
+        qubit's confusion matrix with the transpose that turns the last
+        readout product into the operand ``np.tensordot`` would hand
+        ``np.dot`` (the same data, shape and strides, so the same GEMM).
+        """
         if not measured:
             raise ValueError("no measured qubits")
+        uniform = stages.get(n)
+        if uniform is None:
+            uniform = stages[n] = PMF.uniform(n).probs
+        drop = tuple(ax + 1 for ax in range(n) if ax not in measured)
+        if not self.readout_enabled:
+            return n, measured, uniform, drop, None
+        m = len(measured)
+        mapping = self.physical_mapping(list(measured), map_to_best)
+        readout = self.device.readout
+        matrices = [
+            readout.effective_error(mapping[q], m).confusion_matrix()
+            for q in measured
+        ]
+        # Axis 0 holds the rows.  Step a contracts the operand that
+        # tensordot builds, axes (qubit a, rows, qubits 1..a-1, a+1..m),
+        # and its product keeps that order: the next perm starts there.
+        perms = [
+            (a, *range(1, a), 0, *range(a + 1, m + 1))
+            for a in range(1, m + 1)
+        ]
+        return n, measured, uniform, drop, (matrices, perms)
+
+    def _finish_group(self, rows: list, stage: tuple, survival) -> list[PMF]:
+        """One same-shape group of :meth:`exact_pmfs_from_probs_batch`."""
+        n, measured, uniform, drop, readout = stage
         batch = len(rows)
         probs = np.stack([np.asarray(row[0], dtype=float) for row in rows])
         if probs.min() < -1e-12:
@@ -322,12 +371,12 @@ class SimulatorBackend:
         if totals.min() <= 0:
             raise ValueError("probabilities sum to zero")
         probs = probs / totals[:, None]
-        if self.gate_noise_enabled:
+        if survival is not None:
+            s1, s2 = survival
             lams = np.array(
-                [self._depolarizing_weight(*row[4]) for row in rows]
+                [1.0 - s1**g1 * s2**g2 for *_, (g1, g2) in rows]
             )
             if np.any(lams > 0):
-                uniform = PMF.uniform(n).probs
                 mixed = (1.0 - lams)[:, None] * probs + lams[:, None] * (
                     uniform[None, :]
                 )
@@ -335,46 +384,32 @@ class SimulatorBackend:
                 # Rows with zero depolarizing weight skip the mix (and
                 # its renormalization) entirely, as a lone row would.
                 probs = np.where((lams > 0)[:, None], mixed, probs)
-        drop = tuple(ax for ax in range(n) if ax not in measured)
         if drop:
-            tensor = probs.reshape((batch,) + (2,) * n)
-            probs = tensor.sum(axis=tuple(d + 1 for d in drop))
+            probs = probs.reshape((batch,) + (2,) * n).sum(axis=drop)
         m = len(measured)
         probs = probs.reshape(batch, 2**m)
         probs = probs / probs.sum(axis=1)[:, None]
-        if self.readout_enabled:
-            mapping = self.physical_mapping(list(measured), map_to_best)
-            readout = self.device.readout
-            matrices = [
-                readout.effective_error(
-                    mapping[logical], m
-                ).confusion_matrix()
-                for logical in measured
-            ]
+        if readout is not None:
+            matrices, perms = readout
             if m == 1:
-                matrix = matrices[0]
+                (matrix,) = matrices
                 probs = np.stack([
-                    np.tensordot(matrix, probs[i], axes=([1], [0]))
-                    for i in range(batch)
+                    np.dot(matrix, row.reshape(2, 1)).reshape(2)
+                    for row in probs
                 ])
             else:
                 tensor = probs.reshape((batch,) + (2,) * m)
-                for axis, matrix in enumerate(matrices):
-                    tensor = np.moveaxis(
-                        np.tensordot(matrix, tensor, axes=([1], [axis + 1])),
-                        0,
-                        axis + 1,
-                    )
-                probs = tensor.reshape(batch, 2**m)
+                step = (2, batch) + (2,) * (m - 1)
+                for matrix, perm in zip(matrices, perms):
+                    tensor = np.dot(
+                        matrix, tensor.transpose(perm).reshape(2, -1)
+                    ).reshape(step)
+                probs = tensor.transpose(*range(1, m + 1), 0).reshape(
+                    batch, 2**m
+                )
             probs = np.clip(probs, 0.0, None)
             probs = probs / probs.sum(axis=1)[:, None]
         return [PMF._trusted(probs[i], measured) for i in range(batch)]
-
-    def _depolarizing_weight(self, g1: int, g2: int) -> float:
-        gn = self.device.gate_noise
-        e1 = min(1.0, gn.error_1q * gn.scale)
-        e2 = min(1.0, gn.error_2q * gn.scale)
-        return 1.0 - (1.0 - e1) ** g1 * (1.0 - e2) ** g2
 
     # ---------------------------------------------------------------- mapping
 

@@ -65,12 +65,9 @@ class EstimatorBase:
         self.shots = shots
         self._gate_load = ansatz.gate_load  # each read walks a circuit
         self.bases, self.group_terms = assign_terms_to_groups(hamiltonian)
-        # Each basis-change suffix compiles once per estimator, not
-        # per submission.
-        self._rotations: dict[PauliString, CircuitPlan] = {
-            basis: compile_plan(basis.basis_rotation())
-            for basis in set(self.bases)
-        }
+        # Each basis-change suffix compiles once per estimator, the
+        # first time it is submitted.
+        self._rotations: dict[PauliString, CircuitPlan] = {}
 
     @property
     def n_qubits(self) -> int:
@@ -107,6 +104,8 @@ class EstimatorBase:
         map_to_best: bool = False,
     ):
         """Queue ``state`` rotated into ``basis``; return the job handle."""
+        if basis not in self._rotations:
+            self._rotations[basis] = compile_plan(basis.basis_rotation())
         return batch.submit_state(
             state,
             self._rotations[basis],

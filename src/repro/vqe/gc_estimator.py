@@ -26,7 +26,7 @@ from ..clifford import DiagonalizedGroup
 from ..hamiltonian import Hamiltonian
 from ..noise import SimulatorBackend
 from ..pauli import diagonalized_groups
-from ..sim.plan import compile_plan
+from ..sim.plan import CircuitPlan, compile_plan
 from .estimator import EstimatorBase
 
 __all__ = ["GeneralCommutationEstimator", "GeneralCommutationSpec"]
@@ -54,8 +54,9 @@ class GeneralCommutationEstimator(EstimatorBase):
         for coeff, term in hamiltonian.non_identity_terms():
             coeff_of[term] = coeff_of.get(term, 0.0) + coeff
         self._coeff_of = coeff_of
-        # Each family's Clifford suffix compiles once per estimator.
-        self._suffixes = [compile_plan(g.circuit) for g in self.gc_groups]
+        # Each family's Clifford suffix compiles once per estimator,
+        # on the first evaluation.
+        self._suffixes: list[CircuitPlan] = []
 
     @property
     def num_groups(self) -> int:
@@ -68,6 +69,10 @@ class GeneralCommutationEstimator(EstimatorBase):
         return sum(g.entangling_gates for g in self.gc_groups)
 
     def evaluate(self, params: np.ndarray) -> float:
+        if not self._suffixes:
+            self._suffixes = [
+                compile_plan(g.circuit) for g in self.gc_groups
+            ]
         state = self.prepare_state(params)
         batch = self.engine.new_batch()
         handles = [

@@ -1,11 +1,13 @@
 """Drift state must partition every PMF-cache and session key.
 
 Regression suite for the calibration-drift cache audit: the engine's
-memoized PMFs, the serve coalescer's shared sessions, and the device
-fingerprint itself must all treat two drift clock states as two
-devices — even when their concrete noise rates happen to coincide.
+memoized PMFs, the noise finisher's compiled stages, the serve
+coalescer's shared sessions, and the device fingerprint itself must all
+treat two drift clock states as two devices — even when their concrete
+noise rates happen to coincide.
 """
 
+import numpy as np
 import pytest
 
 from repro.circuits import Circuit
@@ -14,11 +16,13 @@ from repro.engine.spec import device_fingerprint
 from repro.noise import (
     ConstantDrift,
     DriftingDeviceModel,
+    LinearDrift,
     SimulatorBackend,
     StepDrift,
     ibm_lagos_like,
 )
 from repro.serve import JobSpec
+from repro.sim import compile_plan
 
 
 def ghz(n_qubits=4):
@@ -106,6 +110,48 @@ class TestEnginePmfCache:
         run_once(engine, circuit)
         run_once(engine, circuit)
         assert engine.stats.pmf_cache.hits >= 1
+
+
+class TestFinisherStages:
+    def test_batches_across_epoch_boundaries_match_unmemoized_pmfs(self):
+        # Three specs per batch over period 4: epochs 0, 0, 1, 2, 3, 3,
+        # so the finisher reuses its stages inside an epoch and must
+        # drop them at every boundary.
+        device = DriftingDeviceModel(
+            ibm_lagos_like(), LinearDrift(period=4, magnitude=1.5)
+        )
+        backend = SimulatorBackend(device, seed=3)
+        engine = ExecutionEngine(backend)
+        rotation = Circuit(4)
+        rotation.h(1)
+        rotation.sdg(2)
+        rotation.h(2)
+        suffix = compile_plan(rotation)
+        readouts = [
+            (suffix, (0, 1, 2, 3), False),
+            (suffix, (1, 3), True),
+            (None, (2,), True),
+        ]
+        epochs = []
+        for step in range(6):
+            circuit = ghz()
+            circuit.ry(0.3 * step, 3)
+            state = engine.prepare_state(circuit)
+            expected = [
+                backend.pmf_from_state(state, plan, measured, best, (7, 3))
+                for plan, measured, best in readouts
+            ]
+            epochs.append(device.epoch)
+            batch = engine.new_batch()
+            handles = [
+                batch.submit_state(state, plan, measured, 64, best, (7, 3))
+                for plan, measured, best in readouts
+            ]
+            batch.run()
+            for handle, pmf in zip(handles, expected):
+                assert handle.pmf().qubits == pmf.qubits
+                assert np.array_equal(handle.pmf().probs, pmf.probs)
+        assert epochs == [0, 0, 1, 2, 3, 3]
 
 
 class TestServeSessionKeys:

@@ -7,7 +7,7 @@ from repro.backends.clifford import CliffordBackend
 from repro.backends.density import DensityBackend
 from repro.engine import EngineConfig
 from repro.engine.engine import ExecutionEngine
-from repro.engine.spec import CircuitSpec, StateSpec
+from repro.engine.spec import CircuitSpec, StateSpec, device_fingerprint
 from repro.circuits import Circuit
 from repro.noise import SimulatorBackend
 from repro.sim.plan import CircuitPlan, compile_plan
@@ -152,11 +152,13 @@ class TestCapabilityGating:
 
     def test_finisher_override_serves_every_path(self, noisy_device):
         class CountingFinisher(SimulatorBackend):
-            def exact_pmfs_from_probs_batch(self, rows):
-                calls.append(len(rows))
-                return super().exact_pmfs_from_probs_batch(rows)
+            def exact_pmfs_from_probs_batch(self, rows, noise_key=None):
+                calls.append((len(rows), noise_key))
+                return super().exact_pmfs_from_probs_batch(
+                    rows, noise_key=noise_key
+                )
 
-        calls: list[int] = []
+        calls: list[tuple] = []
         backend = CountingFinisher(noisy_device, seed=7)
         backend.exact_pmf(ansatz(0.1))
         engine = ExecutionEngine(backend, EngineConfig())
@@ -167,8 +169,11 @@ class TestCapabilityGating:
             StateSpec(state, None, (0, 1), 64),
         ])
         backend.pmf_from_state(state, None, (2,))
-        # exact_pmf, then the whole batch in one call, then one state.
-        assert calls == [1, 3, 1]
+        # exact_pmf, then the whole batch in one call under the engine's
+        # noise key, then one state; the one-off calls pass no key.
+        assert calls == [
+            (1, None), (3, device_fingerprint(backend)), (1, None)
+        ]
 
 
 class TestVectorizedFinisher:

@@ -8,13 +8,19 @@ on that row alone, bit for bit, whatever else shares the batch: 1-6
 qubits, random sorted measured subsets (single qubits included), the
 best-line readout mapping on and off, gate loads including ``(0, 0)``,
 both noise switches, several noise scales, and a device read at a
-drifted epoch.
+drifted epoch.  One backend driven through several batches under the
+engine's noise key must stay bitwise too, whatever changes the noise
+state between them: its compiled stages may serve only the noise state
+they were compiled in.
 """
+
+import copy
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.spec import device_fingerprint
 from repro.noise import (
     DeviceModel,
     DriftingDeviceModel,
@@ -61,10 +67,15 @@ _GATE_LOADS = st.one_of(
 )
 
 
+def shape_pools():
+    return st.lists(row_shapes(), min_size=1, max_size=3)
+
+
 @st.composite
-def batches(draw):
-    """1-8 rows over 1-3 shapes, so groups of several rows occur."""
-    shapes = draw(st.lists(row_shapes(), min_size=1, max_size=3))
+def batches(draw, shapes=None):
+    """1-8 rows over 1-3 shapes (or ``shapes``), so groups occur."""
+    if shapes is None:
+        shapes = draw(shape_pools())
     rows = []
     for _ in range(draw(st.integers(1, 8))):
         n, measured, map_to_best = draw(st.sampled_from(shapes))
@@ -78,8 +89,8 @@ def batches(draw):
     return rows
 
 
-def assert_rows_match_reference(backend, rows):
-    pmfs = backend.exact_pmfs_from_probs_batch(rows)
+def assert_rows_match_reference(backend, rows, noise_key=None):
+    pmfs = backend.exact_pmfs_from_probs_batch(rows, noise_key=noise_key)
     assert len(pmfs) == len(rows)
     for row, pmf in zip(rows, pmfs):
         expected = reference_pmf(
@@ -120,6 +131,62 @@ def test_a_batch_of_one_matches_frozen_scalar_bitwise(shape, load, seed):
     assert_rows_match_reference(
         backend, [(probs, n, measured, map_to_best, load)]
     )
+
+
+def _advance_clock(backend, draw):
+    advance = getattr(backend.device, "advance_clock", None)
+    if advance is not None:
+        advance(draw(st.integers(0, 9)))
+
+
+def _toggle_readout(backend, draw):
+    backend.readout_enabled = not backend.readout_enabled
+
+
+def _toggle_gate_noise(backend, draw):
+    backend.gate_noise_enabled = not backend.gate_noise_enabled
+
+
+def _scale_gate_noise_in_place(backend, draw):
+    backend.device.gate_noise.scale = 10.0
+
+
+def _swap_device(backend, draw):
+    # A copy: the changes above edit devices in place.
+    backend.device = copy.deepcopy(draw(st.sampled_from(DEVICES)))
+
+
+NOISE_CHANGES = [
+    _advance_clock,
+    _toggle_readout,
+    _toggle_gate_noise,
+    _scale_gate_noise_in_place,
+    _swap_device,
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shapes=shape_pools(),
+    steps=st.integers(2, 6),
+    data=st.data(),
+)
+def test_a_warm_stage_memo_follows_every_noise_change(shapes, steps, data):
+    """Batches over one shape pool, one noise change between each two."""
+    backend = SimulatorBackend(
+        DriftingDeviceModel(
+            ibmq_mumbai_like(), LinearDrift(period=4, magnitude=1.5)
+        ),
+        seed=0,
+    )
+    for step in range(steps):
+        if step:
+            change = data.draw(st.sampled_from(NOISE_CHANGES))
+            change(backend, data.draw)
+        rows = data.draw(batches(shapes))
+        assert_rows_match_reference(
+            backend, rows, noise_key=device_fingerprint(backend)
+        )
 
 
 def test_a_readout_model_subclass_runs_the_batch_finisher():
