@@ -219,15 +219,6 @@ class Circuit:
     def num_two_qubit_gates(self) -> int:
         return sum(1 for ins in self.instructions if len(ins.qubits) == 2)
 
-    def depth(self) -> int:
-        """Circuit depth: longest chain of gates over shared qubits."""
-        level = [0] * self.n_qubits
-        for ins in self.instructions:
-            d = 1 + max(level[q] for q in ins.qubits)
-            for q in ins.qubits:
-                level[q] = d
-        return max(level) if level else 0
-
     def __len__(self) -> int:
         return len(self.instructions)
 

@@ -387,7 +387,8 @@ def _add_engine_arguments(parser) -> None:
     )
     parser.add_argument(
         "--cache-size", type=_int_at_least(0), default=None,
-        help="PMF memoization entries; 0 disables all caching",
+        help="PMF memoization entries; 0 memoizes nothing (no PMFs, "
+        "states or compiled plans)",
     )
     parser.add_argument(
         "--cache-bytes", type=_int_at_least(0), default=None,
@@ -442,14 +443,12 @@ def _scheme_params(args) -> dict:
 def _engine_config(args) -> EngineConfig:
     """The engine flags the user set, over the config defaults.
 
-    ``--cache-size 0`` turns off the statevector cache along with the
-    PMF cache, so an uncached run memoizes nothing.
+    ``--cache-size 0`` gives ``EngineConfig(cache_size=0)``, which
+    memoizes nothing: no PMFs, statevectors or compiled plans.
     """
     knobs = {}
     if args.cache_size is not None:
         knobs["cache_size"] = args.cache_size
-        if args.cache_size == 0:
-            knobs["state_cache_size"] = 0
     if args.cache_bytes is not None:
         knobs["cache_bytes"] = args.cache_bytes
     return EngineConfig(**knobs)

@@ -210,11 +210,6 @@ class VarSawEstimator(EstimatorBase):
         return self.plan.num_subsets
 
     @property
-    def circuits_per_global_pass(self) -> int:
-        """Global circuits an evaluation that runs Globals adds."""
-        return self.num_groups
-
-    @property
     def global_fraction(self) -> float:
         """Observed fraction of evaluations that executed Globals."""
         return self.scheduler.global_fraction

@@ -31,6 +31,9 @@ PMF/state caches instead of each holding a private copy.  Both caches
 are bounded by entry count *and* an approximate byte budget that scales
 with the device width (see :class:`EngineConfig.cache_bytes`), closing
 the old failure mode where 256 cached 20-qubit PMFs pinned GiBs.
+``EngineConfig(cache_size=0)`` memoizes nothing — no PMFs, states or
+compiled plans — and still runs every batch through the one batched
+path.
 """
 
 from __future__ import annotations

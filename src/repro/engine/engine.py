@@ -90,6 +90,8 @@ _M_BATCH_SECONDS = _METRICS.histogram(
     "repro_engine_batch_seconds", "Wall-clock seconds per engine batch"
 )
 
+#: Entries the state and plan caches keep unless ``cache_size=0``.
+_MEMO_ENTRIES = 64
 #: Auto byte-budget shape: room for this many full-width payloads
 #: (``8 * 2**n_qubits`` bytes per PMF, ``16 * 2**n_qubits`` per state) ...
 _AUTO_PMF_ENTRIES = 32
@@ -267,9 +269,10 @@ class ExecutionEngine:
                 _AUTO_FLOOR_BYTES, 8 * 2**n_qubits * _AUTO_PMF_ENTRIES
             )
         self._pmf_cache = LRUCache(self.config.cache_size, max_bytes=pmf_bytes)
+        memo = _MEMO_ENTRIES if self.config.cache_size else 0
         # The state cache always takes the automatic byte budget.
         self._state_cache = LRUCache(
-            self.config.state_cache_size,
+            memo,
             max_bytes=max(
                 _AUTO_FLOOR_BYTES, 16 * 2**n_qubits * _AUTO_STATE_ENTRIES
             ),
@@ -277,7 +280,7 @@ class ExecutionEngine:
         # Compiled-plan cache for circuit bodies (ansatz states and
         # circuit specs), keyed by structure fingerprint; the backend's
         # simulation hooks reach it through _plan_for.
-        self._plan_cache = LRUCache(self.config.plan_cache_size)
+        self._plan_cache = LRUCache(memo)
         self._job_counter = 0
         self._batches_run = 0
         self._simulations = 0
@@ -308,7 +311,7 @@ class ExecutionEngine:
 
         The ``plan_for`` the engine hands the backend's simulation
         hooks, keyed by :func:`structure_fingerprint`.  With
-        ``plan_cache_size=0`` every call compiles afresh and no plan is
+        ``cache_size=0`` every call compiles afresh and no plan is
         retained.
         """
         key = structure_fingerprint(circuit)
@@ -375,30 +378,22 @@ class ExecutionEngine:
         the backend's ``state_rows`` evolves each such body once
         through the spec's own compiled suffix plan.  The noise
         finisher advances all rows at once, keyed by ``device_fp`` so
-        it reuses its stages while the noise state holds.  With
-        ``plan_cache_size=0`` state specs instead run through the
-        backend's ``pmf_from_state``, each finished alone.
+        it reuses its stages while the noise state holds.
         """
         backend = self.backend
         bodies: dict[str, list] = {}
         state_keys: list[tuple] = []
         state_bodies: dict[tuple, list[tuple[int, StateSpec]]] = {}
-        fresh = []
         for key, spec in misses:
             if isinstance(spec, CircuitSpec):
                 bodies.setdefault(body_fingerprint(spec.circuit), []).append(
                     (key, spec)
                 )
-            elif self.config.plan_cache_size:
+            else:
                 state_bodies.setdefault(
                     (spec.digest, spec.suffix_key), []
                 ).append((len(state_keys), spec))
                 state_keys.append(key)
-            else:
-                fresh.append((key, backend.pmf_from_state(
-                    spec.state, spec.suffix, spec.measured_qubits,
-                    spec.map_to_best, spec.gate_load,
-                )))
         keys, rows = [], []
         if bodies:
             groups = list(bodies.values())
@@ -431,10 +426,9 @@ class ExecutionEngine:
                 state_rows[position] = row
         keys += state_keys
         rows += state_rows
-        if rows:
-            pmfs = backend.exact_pmfs_from_probs_batch(rows, device_fp)
-            fresh.extend(zip(keys, pmfs))
-        return fresh
+        return list(zip(keys, backend.exact_pmfs_from_probs_batch(
+            rows, device_fp
+        )))
 
     def _execute(self, jobs: list[JobHandle]) -> None:
         if not jobs:

@@ -69,11 +69,6 @@ class Hamiltonian:
         """Total Pauli terms including identity (Table 2's 'Pauli terms')."""
         return len(self.terms)
 
-    @property
-    def pauli_strings(self) -> list[PauliString]:
-        """The term strings, in term order."""
-        return [p for _, p in self.terms]
-
     def non_identity_terms(self) -> list[tuple[float, PauliString]]:
         """The ``(coefficient, string)`` pairs without the identity term."""
         return [(c, p) for c, p in self.terms if not p.is_identity()]

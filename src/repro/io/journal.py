@@ -205,24 +205,6 @@ class Journal:
                 self._index[key] = record
         return len(fresh)
 
-    def merge_from(self, other) -> int:
-        """Append every record from ``other`` not already present here.
-
-        ``other`` may be a path or another :class:`Journal` (of the
-        same record shape).  Returns the number of records merged in.
-        """
-        if not isinstance(other, Journal):
-            other = Journal(
-                other,
-                self.schema_version,
-                key_field=self.key_field,
-                required_fields=self.required_fields,
-            )
-        return sum(
-            self.append_record(key, record)
-            for key, record in other._index.items()
-        )
-
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} {self.path} "

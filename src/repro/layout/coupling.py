@@ -41,7 +41,6 @@ class CouplingMap:
                 raise ValueError(f"self-loop on qubit {a}")
             graph.add_edge(int(a), int(b))
         self.graph = graph
-        self._distance: dict[int, dict[int, int]] | None = None
 
     # ------------------------------------------------------------ topologies
 
@@ -108,20 +107,6 @@ class CouplingMap:
         self._check(b)
         return self.graph.has_edge(a, b)
 
-    def is_connected(self) -> bool:
-        return nx.is_connected(self.graph)
-
-    def distance(self, a: int, b: int) -> int:
-        """Hop count between two physical qubits (precomputed, cached)."""
-        self._check(a)
-        self._check(b)
-        if self._distance is None:
-            self._distance = dict(nx.all_pairs_shortest_path_length(self.graph))
-        try:
-            return self._distance[a][b]
-        except KeyError:
-            raise ValueError(f"qubits {a} and {b} are disconnected") from None
-
     def shortest_path(self, a: int, b: int) -> list[int]:
         self._check(a)
         self._check(b)
@@ -129,15 +114,6 @@ class CouplingMap:
             return nx.shortest_path(self.graph, a, b)
         except nx.NetworkXNoPath:
             raise ValueError(f"qubits {a} and {b} are disconnected") from None
-
-    def connected_subset(self, qubits) -> bool:
-        """Do the given physical qubits induce a connected subgraph?"""
-        qubits = list(qubits)
-        for q in qubits:
-            self._check(q)
-        if not qubits:
-            return False
-        return nx.is_connected(self.graph.subgraph(qubits))
 
     def _check(self, q: int) -> None:
         if not 0 <= q < self.n_qubits:

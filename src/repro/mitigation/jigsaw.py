@@ -94,12 +94,6 @@ class JigSawEstimator(EstimatorBase):
             [[h.result().to_pmf() for h in locals_] for _, locals_ in handles],
         )
 
-    def mitigated_group_pmf(
-        self, state: np.ndarray, basis: PauliString
-    ) -> PMF:
-        """Global + subset runs + Bayesian reconstruction for one group."""
-        return self._mitigated_pmfs(state, [basis])[0]
-
     @property
     def circuits_per_evaluation(self) -> int:
         """Globals plus subsets for every group (the Fig. 8 cost model)."""

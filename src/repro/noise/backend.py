@@ -101,7 +101,8 @@ class SimulatorBackend:
     ``pmf_fingerprint_extra() -> str`` method (see
     :func:`repro.engine.device_fingerprint`) so memoized PMFs are never
     shared across configurations (it keys the finisher's stages too); an
-    override of :meth:`exact_pmfs_from_probs_batch` forwards ``noise_key``.
+    override of :meth:`exact_pmfs_from_probs_batch` forwards
+    ``noise_key``, or drops it and keeps nothing.
     """
 
     #: Registry kind name (see :mod:`repro.backends`); subclasses

@@ -314,12 +314,6 @@ class DriftingDeviceModel(DeviceModel):
             raise ValueError("cannot advance the clock backwards")
         self._clock += int(circuits)
 
-    def reset_clock(self, clock: int = 0) -> None:
-        """Rewind/set logical time (fresh trials replaying a trajectory)."""
-        if not isinstance(clock, int) or clock < 0:
-            raise ValueError(f"clock must be a nonnegative int; got {clock!r}")
-        self._clock = clock
-
     @property
     def epoch(self) -> int:
         """The schedule epoch the current clock falls in."""

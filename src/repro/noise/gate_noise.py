@@ -16,14 +16,16 @@ sampling semantics our statevector backend relies on.
 
 from __future__ import annotations
 
-from ..circuits import Circuit
-from ..sim import PMF
-
 __all__ = ["DepolarizingGateNoise"]
 
 
 class DepolarizingGateNoise:
-    """Circuit-size-dependent depolarizing mix toward the uniform PMF."""
+    """Circuit-size-dependent depolarizing mix toward the uniform PMF.
+
+    The rates only: the backend's noise finisher
+    (:meth:`~repro.noise.SimulatorBackend.exact_pmfs_from_probs_batch`)
+    applies the mix, with each row's gate load.
+    """
 
     def __init__(
         self,
@@ -42,19 +44,3 @@ class DepolarizingGateNoise:
 
     def with_scale(self, scale: float) -> "DepolarizingGateNoise":
         return DepolarizingGateNoise(self.error_1q, self.error_2q, scale)
-
-    def depolarizing_weight(self, circuit: Circuit) -> float:
-        """The uniform-mixture weight ``lam`` for ``circuit``."""
-        g2 = circuit.num_two_qubit_gates
-        g1 = circuit.num_gates - g2
-        e1 = min(1.0, self.error_1q * self.scale)
-        e2 = min(1.0, self.error_2q * self.scale)
-        survival = (1.0 - e1) ** g1 * (1.0 - e2) ** g2
-        return 1.0 - survival
-
-    def apply(self, pmf: PMF, circuit: Circuit) -> PMF:
-        """Mix ``pmf`` toward uniform according to the circuit's gate count."""
-        lam = self.depolarizing_weight(circuit)
-        if lam <= 0.0:
-            return pmf
-        return pmf.mix(PMF.uniform(pmf.n_qubits, pmf.qubits), lam)

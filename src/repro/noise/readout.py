@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sim import PMF
-
 __all__ = ["QubitReadoutError", "ReadoutErrorModel"]
 
 
@@ -60,6 +58,10 @@ class QubitReadoutError:
 
 class ReadoutErrorModel:
     """Per-physical-qubit readout errors plus measurement crosstalk.
+
+    The parameters only: the backend's noise finisher
+    (:meth:`~repro.noise.SimulatorBackend.exact_pmfs_from_probs_batch`)
+    pushes PMFs through the confusion matrices this model gives.
 
     Parameters
     ----------
@@ -127,22 +129,3 @@ class ReadoutErrorModel:
             key=lambda q: self.qubit_errors[q].mean_error,
         )
         return order[:k]
-
-    def apply(self, pmf: PMF, physical_map: dict[int, int]) -> PMF:
-        """Push an ideal PMF through the readout channel.
-
-        ``physical_map`` sends each of the PMF's logical qubit labels to the
-        physical qubit whose confusion matrix applies.  Crosstalk inflation
-        uses the number of qubits in the PMF (all measured simultaneously).
-        """
-        m = pmf.n_qubits
-        tensor = pmf.probs.reshape((2,) * m)
-        for axis, logical in enumerate(pmf.qubits):
-            if logical not in physical_map:
-                raise ValueError(f"no physical mapping for qubit {logical}")
-            err = self.effective_error(physical_map[logical], m)
-            matrix = err.confusion_matrix()
-            tensor = np.moveaxis(
-                np.tensordot(matrix, tensor, axes=([1], [axis])), 0, axis
-            )
-        return PMF(tensor.reshape(-1), pmf.qubits)

@@ -79,10 +79,6 @@ class PauliTable:
     def n_qubits(self) -> int:
         return self.x.shape[1]
 
-    def weights(self) -> np.ndarray:
-        """Non-identity site count of each row."""
-        return (self.x | self.z).sum(axis=1)
-
     def commutes_with(self, other: PauliString) -> np.ndarray:
         """Vector of full-commutation flags against one Pauli.
 
@@ -93,33 +89,6 @@ class PauliTable:
         if ox.shape[0] != self.n_qubits:
             raise ValueError("width mismatch")
         form = (self.x & oz).sum(axis=1) + (self.z & ox).sum(axis=1)
-        return form % 2 == 0
-
-    def qubit_wise_commutes_with(self, other: PauliString) -> np.ndarray:
-        """Vector of QWC flags against one Pauli.
-
-        Sites conflict when both are non-identity and differ in (x, z).
-        """
-        ox, oz = encode(other)
-        both = (self.x | self.z) & (ox | oz)
-        differ = (self.x ^ ox) | (self.z ^ oz)
-        return ~np.any(both & differ, axis=1)
-
-    def measured_by(self, basis: PauliString) -> np.ndarray:
-        """Vector of flags: can each row be measured in ``basis``?
-
-        Requires the basis to match each row exactly on the row's support.
-        """
-        bx, bz = encode(basis)
-        support = self.x | self.z
-        matches = (self.x == bx) & (self.z == bz)
-        return ~np.any(support & ~matches, axis=1)
-
-    def pairwise_commutation(self) -> np.ndarray:
-        """Boolean matrix ``C[i, j]`` = rows i and j fully commute."""
-        xi = self.x.astype(np.uint8)
-        zi = self.z.astype(np.uint8)
-        form = xi @ zi.T + zi @ xi.T
         return form % 2 == 0
 
     def __repr__(self) -> str:

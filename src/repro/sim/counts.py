@@ -118,16 +118,6 @@ class Counts:
         # fire; normalization is identical.
         return PMF._normalized(self.vector.astype(float), self.qubits)
 
-    def merge(self, other: "Counts") -> "Counts":
-        """Combine counts from another run of the same circuit.
-
-        Analytic (float-valued) counts merge losslessly: the sum of an
-        integer and a float vector is a float vector.
-        """
-        if other.qubits != self.qubits:
-            raise ValueError("cannot merge counts over different qubits")
-        return Counts._adopt(self.vector + other.vector, self.qubits)
-
     def most_frequent(self) -> str:
         """The modal bitstring (the lowest index among ties)."""
         if not self.vector.any():

@@ -94,21 +94,11 @@ class DensityMatrix:
         matrix[0, 0] = 1.0
         return cls(matrix)
 
-    @classmethod
-    def from_statevector(cls, state: np.ndarray) -> DensityMatrix:
-        """The pure state ``|psi><psi|`` of a statevector."""
-        state = np.asarray(state, dtype=complex)
-        return cls(np.outer(state, state.conj()))
-
     # ------------------------------------------------------------- properties
 
     def trace(self) -> float:
         """Tr(rho), real part: 1 for a normalized state."""
         return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        """Tr(rho^2): 1 for pure states, 1/2^n for maximally mixed."""
-        return float(np.trace(self.matrix @ self.matrix).real)
 
     def probabilities(self) -> np.ndarray:
         """Computational-basis outcome probabilities (the diagonal)."""
@@ -158,17 +148,6 @@ class DensityMatrix:
         ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
         qubits = self._checked((qubit,), ops)
         self._evolve(_superop(ops), qubits)
-
-    def partial_trace(self, keep) -> DensityMatrix:
-        """Reduced state on ``keep`` (in the given order)."""
-        keep = self._checked(keep)
-        n = self.n_qubits
-        # Kept row then column axes first; the traced-out pairs last.
-        perm, _ = axis_permutation(keep + tuple(n + q for q in keep), 2 * n)
-        kept, dropped = 2 ** len(keep), 2 ** (n - len(keep))
-        tensor = self.matrix.reshape((2,) * (2 * n)).transpose(perm)
-        tensor = tensor.reshape(kept, kept, dropped, dropped)
-        return DensityMatrix(np.einsum("abcc->ab", tensor))
 
 
 def run_density_matrix(

@@ -112,14 +112,6 @@ class PMF:
     def n_qubits(self) -> int:
         return len(self.qubits)
 
-    def prob_of(self, bitstring: str) -> float:
-        """Probability of a bitstring written qubit-label order, e.g. '011'."""
-        if len(bitstring) != self.n_qubits:
-            raise ValueError(
-                f"bitstring length {len(bitstring)} != {self.n_qubits}"
-            )
-        return float(self.probs[int(bitstring, 2)])
-
     def as_dict(self, cutoff: float = 0.0) -> dict[str, float]:
         """Bitstring -> probability mapping, dropping entries <= ``cutoff``."""
         n = self.n_qubits
@@ -161,35 +153,11 @@ class PMF:
         self._check_compatible(other)
         return float(0.5 * np.abs(self.probs - other.probs).sum())
 
-    def hellinger(self, other: "PMF") -> float:
-        """Hellinger distance to ``other`` (same qubit labels)."""
-        self._check_compatible(other)
-        return float(
-            np.sqrt(
-                0.5
-                * np.sum((np.sqrt(self.probs) - np.sqrt(other.probs)) ** 2)
-            )
-        )
-
-    def fidelity(self, other: "PMF") -> float:
-        """Classical (Bhattacharyya) fidelity with ``other``."""
-        self._check_compatible(other)
-        return float(np.sum(np.sqrt(self.probs * other.probs)) ** 2)
-
     def _check_compatible(self, other: "PMF") -> None:
         if self.qubits != other.qubits:
             raise ValueError(
                 f"PMFs over different qubits: {self.qubits} vs {other.qubits}"
             )
-
-    # -------------------------------------------------------------- sampling
-
-    def sample_counts(self, shots: int, rng: np.random.Generator) -> "PMF":
-        """Draw ``shots`` multinomial samples and return the empirical PMF."""
-        if shots < 1:
-            raise ValueError("shots must be positive")
-        counts = rng.multinomial(shots, self.probs)
-        return PMF(counts.astype(float), self.qubits)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -201,10 +169,6 @@ class PMF:
         return PMF(
             (1.0 - weight) * self.probs + weight * other.probs, self.qubits
         )
-
-    def relabel(self, qubits) -> "PMF":
-        """Return the same distribution with new qubit labels."""
-        return PMF(self.probs.copy(), tuple(qubits))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PMF):

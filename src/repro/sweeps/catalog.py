@@ -23,6 +23,7 @@ single checkpointed pipeline.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -1509,14 +1510,21 @@ def _tables_ext_engine_throughput(records: list) -> list[Table]:
     )]
 
 
-_ENGINE_SECONDS = re.compile(r"\b\d+\.\d{3}\b")
-_ENGINE_SPEEDUP = re.compile(r"\b\d+\.\d{2}x")
+_SECONDS = re.compile(r"\b\d+\.\d{3}\b")
+_SPEEDUP = re.compile(r"\b\d+\.\d{2}x")
 
 
-def _normalize_engine(text: str) -> str:
-    """Mask the volatile wall-clock/speedup cells before comparison."""
-    text = _ENGINE_SECONDS.sub("#.###", text)
-    text = _ENGINE_SPEEDUP.sub("#.##x", text)
+def _mask_timings(text: str, speedup: bool = False) -> str:
+    """Mask the volatile wall-clock cells before golden comparison.
+
+    Every ``#.###`` cell floats (seconds, and the rates and ratios
+    printed to three places), and with ``speedup`` every ``#.##x``
+    ratio too; record identity and every count stay pinned.  Runs of
+    dashes and spaces collapse, so column widths may move.
+    """
+    text = _SECONDS.sub("#.###", text)
+    if speedup:
+        text = _SPEEDUP.sub("#.##x", text)
     text = re.sub(r"-{3,}", "---", text)
     text = re.sub(r" +", " ", text)
     return "\n".join(line.rstrip() for line in text.splitlines())
@@ -1528,7 +1536,7 @@ _register(CatalogEntry(
     title="Execution-engine throughput on a repeated-parameter trace",
     build=_build_ext_engine_throughput,
     tables=_tables_ext_engine_throughput,
-    normalize=_normalize_engine,
+    normalize=functools.partial(_mask_timings, speedup=True),
 ))
 
 
@@ -2299,24 +2307,13 @@ def _tables_ext_backend_matrix(records: list) -> list[Table]:
     )]
 
 
-_BACKEND_SECONDS = re.compile(r"\b\d+\.\d{3}\b")
-
-
-def _normalize_backend_matrix(text: str) -> str:
-    """Mask the volatile wall-clock cells before golden comparison."""
-    text = _BACKEND_SECONDS.sub("#.###", text)
-    text = re.sub(r"-{3,}", "---", text)
-    text = re.sub(r" +", " ", text)
-    return "\n".join(line.rstrip() for line in text.splitlines())
-
-
 _register(CatalogEntry(
     name="ext_backend_matrix",
     figure="Extension (backends)",
     title="Pluggable execution backends on one stabilizer workload",
     build=_build_ext_backend_matrix,
     tables=_tables_ext_backend_matrix,
-    normalize=_normalize_backend_matrix,
+    normalize=_mask_timings,
 ))
 
 
@@ -2376,24 +2373,13 @@ def _tables_ext_serve_throughput(records: list) -> list[Table]:
     )]
 
 
-_SERVE_SECONDS = re.compile(r"\b\d+\.\d{3}\b")
-
-
-def _normalize_serve(text: str) -> str:
-    """Mask the volatile wall-clock/throughput cells before comparison."""
-    text = _SERVE_SECONDS.sub("#.###", text)
-    text = re.sub(r"-{3,}", "---", text)
-    text = re.sub(r" +", " ", text)
-    return "\n".join(line.rstrip() for line in text.splitlines())
-
-
 _register(CatalogEntry(
     name="ext_serve_throughput",
     figure="Extension (serve)",
     title="Multi-tenant estimation service with request coalescing",
     build=_build_ext_serve_throughput,
     tables=_tables_ext_serve_throughput,
-    normalize=_normalize_serve,
+    normalize=_mask_timings,
 ))
 
 
@@ -2451,20 +2437,11 @@ def _tables_ext_dist_scaling(records: list) -> list[Table]:
     )]
 
 
-def _normalize_dist(text: str) -> str:
-    """Mask the volatile wall-clock/speedup cells before comparison.
-
-    Record identity, execution counts, and duplicate/steal tallies stay
-    pinned; only the timing columns (the ``#.###`` cells) float.
-    """
-    return _normalize_serve(text)
-
-
 _register(CatalogEntry(
     name="ext_dist_scaling",
     figure="Extension (dist)",
     title="Sharded sweeps with work-stealing: records match serial",
     build=_build_ext_dist_scaling,
     tables=_tables_ext_dist_scaling,
-    normalize=_normalize_dist,
+    normalize=_mask_timings,
 ))

@@ -461,15 +461,6 @@ class SweepSpec:
             report=data.get("report"),
         )
 
-    def to_json(self) -> str:
-        """Pretty-printed JSON text of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        """Parse a grid from JSON text."""
-        return cls.from_dict(json.loads(text))
-
     @classmethod
     def from_json_file(cls, path) -> "SweepSpec":
         """Load a grid from a JSON spec file (the CLI's input)."""

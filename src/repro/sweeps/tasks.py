@@ -811,28 +811,45 @@ def _engine_replay(point: Point, workload_cache: dict) -> dict:
     """
     from ..api import Session
     from ..engine import EngineConfig
-    from ..noise import ibmq_mumbai_like
+    from ..noise import SimulatorBackend, ibmq_mumbai_like
     from ..vqe import initial_parameters
     from ..workloads import make_workload
+
+    class UnbatchedBackend(SimulatorBackend):
+        """The direct row's per-spec reference: nothing is shared.
+
+        Each readout of a prepared state evolves the state alone, and
+        each row is finished alone with no noise key, so no finisher
+        stage outlives its row.
+        """
+
+        def state_rows(self, state, suffix, readouts):
+            rows = []
+            for readout in readouts:
+                rows += super().state_rows(state, suffix, [readout])
+            return rows
+
+        def exact_pmfs_from_probs_batch(self, rows, noise_key=None):
+            pmfs = []
+            for row in rows:
+                pmfs += super().exact_pmfs_from_probs_batch([row])
+            return pmfs
 
     options = dict(point.options)
     trace_points = options.get("trace_points", 12)
     trace_repeats = options.get("trace_repeats", 3)
-    config_kwargs = {}
-    if not options.get("cache", True):
-        # The "direct" row: no PMF/state memoization AND no retained
-        # compiled plans (plan_cache_size=0), so the speedup column
-        # measures everything the engine adds.
-        config_kwargs.update(
-            cache_size=0, state_cache_size=0, plan_cache_size=0
-        )
-
+    device = ibmq_mumbai_like(scale=2.0)
     workload = make_workload("H2-4")
-    session = Session(
-        ibmq_mumbai_like(scale=2.0),
-        seed=7,
-        engine=EngineConfig(**config_kwargs),
-    )
+    if options.get("cache", True):
+        session = Session(device, seed=7, engine=EngineConfig())
+    else:
+        # The "direct" row: no memoization of any kind (cache_size=0)
+        # over a backend that shares no work between specs, so the
+        # speedup column measures everything the engine adds.
+        session = Session(
+            backend=UnbatchedBackend(device, seed=7),
+            engine=EngineConfig(cache_size=0),
+        )
     estimator = session.estimator("varsaw", workload, shots=256)
     rng = np.random.default_rng(21)
     theta = initial_parameters(workload.ansatz.num_parameters, seed=21)

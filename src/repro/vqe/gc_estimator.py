@@ -63,11 +63,6 @@ class GeneralCommutationEstimator(EstimatorBase):
         """Measurement circuits per iteration under GC grouping."""
         return len(self.gc_groups)
 
-    @property
-    def rotation_entangling_gates(self) -> int:
-        """Total two-qubit gates across all measurement suffixes."""
-        return sum(g.entangling_gates for g in self.gc_groups)
-
     def evaluate(self, params: np.ndarray) -> float:
         if not self._suffixes:
             self._suffixes = [

@@ -34,9 +34,18 @@ class TestStructure:
         assert first_block != second_block
 
     def test_reps_scale_depth(self):
+        def depth(circuit):
+            """Longest chain of gates over shared qubits."""
+            level = [0] * circuit.n_qubits
+            for ins in circuit.instructions:
+                d = 1 + max(level[q] for q in ins.qubits)
+                for q in ins.qubits:
+                    level[q] = d
+            return max(level)
+
         shallow = EfficientSU2(4, reps=1)
         deep = EfficientSU2(4, reps=8)
-        assert deep.circuit.depth() > shallow.circuit.depth()
+        assert depth(deep.circuit) > depth(shallow.circuit)
 
     def test_invalid_entanglement(self):
         with pytest.raises(ValueError):

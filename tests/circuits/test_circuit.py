@@ -134,19 +134,6 @@ class TestComposeAndCopy:
 
 
 class TestInspection:
-    def test_depth_parallel_gates(self):
-        qc = Circuit(2)
-        qc.h(0)
-        qc.h(1)
-        assert qc.depth() == 1
-
-    def test_depth_serial_chain(self):
-        qc = Circuit(2)
-        qc.h(0)
-        qc.cx(0, 1)
-        qc.h(1)
-        assert qc.depth() == 3
-
     def test_two_qubit_gate_count(self):
         qc = Circuit(3)
         qc.h(0)

@@ -75,7 +75,7 @@ class TestSelectiveEstimator:
         params = np.zeros(ansatz.num_parameters)
         est.evaluate(params)
         assert backend.circuits_run == (
-            est.plan.num_subsets + est.circuits_per_global_pass
+            est.plan.num_subsets + est.num_groups
         )
 
     def test_partial_selection_runs_fewer_subsets(self, setup):

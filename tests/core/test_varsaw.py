@@ -29,7 +29,7 @@ class TestCostAccounting:
         est = make_varsaw(h2, h2_ansatz, backend)
         est.evaluate(np.zeros(h2_ansatz.num_parameters))
         assert backend.circuits_run == (
-            est.circuits_per_subset_pass + est.circuits_per_global_pass
+            est.circuits_per_subset_pass + est.num_groups
         )
 
     def test_non_global_evaluations_run_subsets_only(self, h2, h2_ansatz):
@@ -48,7 +48,7 @@ class TestCostAccounting:
         for _ in range(3):
             est.evaluate(params)
         assert backend.circuits_run == 3 * (
-            est.circuits_per_subset_pass + est.circuits_per_global_pass
+            est.circuits_per_subset_pass + est.num_groups
         )
 
     def test_varsaw_cheaper_than_jigsaw_per_iteration(self, h2, h2_ansatz):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dist.claims import ClaimQueue
+from repro.dist.shard import _merge_ready
 from repro.sweeps import ResultStore
 from repro.sweeps.spec import Point
 
@@ -26,10 +27,13 @@ from repro.sweeps.spec import Point
 _GARBAGE = ['{"torn', "not json at all", '["a list line"]', '{}']
 
 
+def _points(n: int) -> list[Point]:
+    return [Point(task="synthetic", options={"i": i}) for i in range(n)]
+
+
 def _serial_store(tmp_path, n: int) -> ResultStore:
     store = ResultStore(tmp_path / "serial.jsonl")
-    for i in range(n):
-        point = Point(task="synthetic", options={"i": i})
+    for i, point in enumerate(_points(n)):
         store.append(
             point, {"value": i * 1.5}, wall_time_s=0.001 * i
         )
@@ -72,8 +76,14 @@ def test_scattered_journals_merge_to_serial(tmp_path_factory, data,
         path.write_text(content)
         shard_paths.append(path)
     merged = ResultStore(tmp_path / "merged.jsonl")
-    for path in shard_paths:
-        merged.merge_from(path)
+    items = [(point, point.fingerprint()) for point in _points(n)]
+    seen: list[str] = []
+    _merge_ready(
+        items, merged, shard_paths,
+        lambda point, fingerprint, record: seen.append(fingerprint),
+    )
+    # Every point merges exactly once, from whichever shard has it.
+    assert sorted(seen) == sorted(fingerprint for _, fingerprint in items)
     # Byte-for-byte: identical records in, identical records out —
     # including the volatile fields, because every copy is verbatim.
     assert {r["fingerprint"]: r for r in merged.records()} == {

@@ -368,7 +368,7 @@ class TestEnsureEngine:
         assert first is not ensure_engine(None, backend)
 
     def test_config_builds_engine(self, backend):
-        config = EngineConfig(plan_cache_size=4)
+        config = EngineConfig(cache_size=4)
         engine = ensure_engine(config, backend)
         assert engine.config is config
         assert engine.backend is backend
@@ -389,12 +389,7 @@ class TestEnsureEngine:
 
 class TestConfigValidation:
     def test_invalid_values_rejected(self):
-        for name in (
-            "cache_size",
-            "state_cache_size",
-            "plan_cache_size",
-            "cache_bytes",
-        ):
+        for name in ("cache_size", "cache_bytes"):
             with pytest.raises(ValueError, match=name):
                 EngineConfig(**{name: -1})
 
@@ -403,7 +398,5 @@ class TestConfigValidation:
 
         assert [f.name for f in fields(EngineConfig)] == [
             "cache_size",
-            "state_cache_size",
-            "plan_cache_size",
             "cache_bytes",
         ]

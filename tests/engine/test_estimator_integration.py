@@ -72,7 +72,7 @@ class TestCostLedgerParity:
         else:  # varsaw variants: first evaluation always runs Globals
             expected = (
                 estimator.circuits_per_subset_pass
-                + estimator.circuits_per_global_pass
+                + estimator.num_groups
             )
         assert backend.circuits_run == expected
         assert backend.shots_run == 64 * expected

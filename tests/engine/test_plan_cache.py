@@ -62,10 +62,8 @@ class TestPlanCache:
         batch.run()
         assert engine.stats.plan_cache.misses == 2
 
-    def test_plan_cache_size_zero_retains_no_plan(self, backend):
-        engine = ExecutionEngine(
-            backend, EngineConfig(plan_cache_size=0)
-        )
+    def test_cache_size_zero_retains_no_plan(self, backend):
+        engine = ExecutionEngine(backend, EngineConfig(cache_size=0))
         run_trace(engine, [0.1, 0.2])
         run_trace(engine, [0.3])
         stats = engine.stats.plan_cache
@@ -78,19 +76,13 @@ class TestPlanPathBitIdentity:
     def test_plan_path_matches_scalar_path_bitwise(self, noisy_device):
         thetas = [0.1, 0.7, -1.3, 0.7]
 
-        def run(plan_cache_size):
+        def run(cache_size):
             backend = SimulatorBackend(noisy_device, seed=7)
-            engine = ExecutionEngine(
-                backend,
-                EngineConfig(
-                    cache_size=0,
-                    state_cache_size=0,
-                    plan_cache_size=plan_cache_size,
-                ),
-            )
+            engine = ExecutionEngine(backend, EngineConfig(cache_size))
             return run_trace(engine, thetas)
 
-        planned = run(64)
+        # Plans kept and reused against every lookup compiling afresh.
+        planned = run(256)
         scalar = run(0)
         for a, b in zip(planned, scalar):
             assert np.array_equal(a.pmf().probs, b.pmf().probs)

@@ -1,21 +1,19 @@
 """Cross-validation between independent implementations of the same physics.
 
-The fast backend applies noise analytically on probability vectors; these
-tests validate it against brute-force Monte Carlo (per-shot bit flipping)
-and against the density-matrix reference simulator.
+The fast backend's noise finisher applies noise analytically on
+probability vectors; these tests validate it against brute-force Monte
+Carlo (per-shot bit flipping) and against the density-matrix reference
+simulator.
 """
 
 import numpy as np
 import pytest
 
 from repro.circuits import Circuit
-from repro.noise import (
-    QubitReadoutError,
-    ReadoutErrorModel,
-    SimulatorBackend,
-    ibmq_mumbai_like,
-)
-from repro.sim import PMF, probabilities, run_density_matrix, run_statevector
+from repro.noise import QubitReadoutError, SimulatorBackend, ibmq_mumbai_like
+from repro.sim import PMF, run_density_matrix, run_statevector
+
+from ..noise.finisher_rows import finish, readout_backend
 
 
 class TestReadoutChannelVsMonteCarlo:
@@ -26,9 +24,8 @@ class TestReadoutChannelVsMonteCarlo:
             QubitReadoutError(0.05, 0.12),
             QubitReadoutError(0.02, 0.30),
         ]
-        model = ReadoutErrorModel(errors, crosstalk_strength=0.0)
         ideal = PMF([0.45, 0.05, 0.15, 0.35], qubits=(0, 1))
-        analytic = model.apply(ideal, {0: 0, 1: 1})
+        analytic = finish(readout_backend(errors), ideal.probs)
 
         shots = 400_000
         outcomes = rng.choice(4, size=shots, p=ideal.probs)
@@ -46,16 +43,13 @@ class TestReadoutChannelVsMonteCarlo:
         assert np.abs(analytic.probs - empirical).max() < 0.005
 
     def test_crosstalk_inflation_matches_direct_scaling(self):
-        """The crosstalk factor applied inside ``apply`` equals scaling
-        the per-qubit error rates by hand."""
+        """The crosstalk factor the finisher applies equals scaling the
+        per-qubit error rates by hand."""
         base = QubitReadoutError(0.04, 0.08)
-        model = ReadoutErrorModel([base, base], crosstalk_strength=0.25)
-        ideal = PMF([1.0, 0.0, 0.0, 0.0], qubits=(0, 1))
-        noisy = model.apply(ideal, {0: 0, 1: 1})
+        ideal = [1.0, 0.0, 0.0, 0.0]
+        noisy = finish(readout_backend([base, base], 0.25), ideal)
         inflated = base.scaled(1.25)
-        manual = ReadoutErrorModel(
-            [inflated, inflated], crosstalk_strength=0.0
-        ).apply(ideal, {0: 0, 1: 1})
+        manual = finish(readout_backend([inflated, inflated]), ideal)
         assert np.allclose(noisy.probs, manual.probs)
 
 
@@ -101,7 +95,7 @@ class TestExpectationPaths:
 
         from repro.sim import DensityMatrix
 
-        rho = DensityMatrix.from_statevector(state)
+        rho = DensityMatrix(np.outer(state, state.conj()))
         via_density = rho.expectation(h2.to_sparse_matrix().toarray())
 
         from repro.vqe import IdealEstimator

@@ -58,7 +58,7 @@ class TestFixedBudgetEconomics:
             circuit_budget=budget,
             seed=6,
         )
-        per_eval = est.circuits_per_subset_pass + est.circuits_per_global_pass
+        per_eval = est.circuits_per_subset_pass + est.num_groups
         assert result.circuits_executed <= budget + 2 * per_eval
 
 

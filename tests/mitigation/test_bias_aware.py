@@ -59,8 +59,8 @@ class TestFlipPmfBits:
     def test_flip_moves_mass_to_complement(self):
         pmf = PMF(np.array([0.7, 0.1, 0.2, 0.0]))
         flipped = flip_pmf_bits(pmf)
-        assert flipped.prob_of("11") == pytest.approx(0.7)
-        assert flipped.prob_of("01") == pytest.approx(0.2)
+        assert flipped.probs[0b11] == pytest.approx(0.7)
+        assert flipped.probs[0b01] == pytest.approx(0.2)
 
     def test_double_flip_is_identity(self):
         rng = np.random.default_rng(3)
@@ -96,7 +96,7 @@ class TestInvertAndMeasure:
         qc.x(0)
         qc.measure_all()
         pmf = invert_and_measure(SimulatorBackend(device, seed=2), qc, 4096)
-        assert pmf.prob_of("10") == pytest.approx(1.0)
+        assert pmf.probs[0b10] == pytest.approx(1.0)
 
     def test_charges_two_circuits(self):
         backend = SimulatorBackend(biased_device(2), seed=4)
@@ -122,4 +122,4 @@ class TestInvertAndMeasure:
         qc.measure([0, 2])
         pmf = invert_and_measure(SimulatorBackend(device, seed=6), qc, 20_000)
         assert pmf.n_qubits == 2
-        assert pmf.prob_of("11") > 0.85
+        assert pmf.probs[0b11] > 0.85

@@ -48,11 +48,11 @@ class TestCostAccounting:
             )
 
     def test_mitigated_group_pmf_runs_one_group(self, h2, h2_ansatz):
-        """The single-group entry point charges 1 global + the subsets."""
+        """Mitigating one group charges 1 global + the subsets."""
         backend = SimulatorBackend(seed=0)
         est = JigSawEstimator(h2, h2_ansatz, backend, shots=16, window=2)
         state = est.prepare_state(np.zeros(h2_ansatz.num_parameters))
-        pmf = est.mitigated_group_pmf(state, est.bases[0])
+        (pmf,) = est._mitigated_pmfs(state, [est.bases[0]])
         assert pmf.n_qubits == h2.n_qubits
         assert pmf.probs.sum() == pytest.approx(1.0)
         assert backend.circuits_run == 1 + len(est.windows)

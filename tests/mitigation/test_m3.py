@@ -71,7 +71,7 @@ class TestMitigation:
         counts = run(backend, qc, 1024)
         mitigator = M3Mitigator.from_device(backend, [0, 1], 2)
         pmf = mitigator.mitigate_counts(counts)
-        assert pmf.prob_of("10") == pytest.approx(1.0)
+        assert pmf.probs[0b10] == pytest.approx(1.0)
 
     def test_subspace_never_leaks_probability(self):
         backend = SimulatorBackend(ibmq_mumbai_like(scale=2.0), seed=9)
@@ -161,4 +161,4 @@ class TestDegenerateSystems:
         counts = Counts({"1": 1000}, (0,))
         pmf = mitigator.mitigate_counts(counts)
         # With only '1' observed, all mass stays on '1'.
-        assert pmf.prob_of("1") == pytest.approx(1.0)
+        assert pmf.probs[1] == pytest.approx(1.0)

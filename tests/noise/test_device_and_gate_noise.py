@@ -1,5 +1,6 @@
 """Unit tests for device presets and the depolarizing gate-noise channel."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -14,32 +15,51 @@ from repro.noise import (
 )
 from repro.sim import PMF
 
+from .finisher_rows import finish, gate_noise_backend
+
 
 class TestDepolarizingGateNoise:
+    """The global depolarizing mix, as the noise finisher applies it."""
+
     def test_weight_grows_with_gates(self):
         noise = DepolarizingGateNoise(error_1q=0.001, error_2q=0.01)
+        backend = gate_noise_backend(2, noise)
         small = Circuit(2)
         small.h(0)
         big = Circuit(2)
         for _ in range(10):
             big.cx(0, 1)
-        assert noise.depolarizing_weight(big) > noise.depolarizing_weight(small)
+        # Mass left on the ideal outcome falls as the weight grows.
+        kept = [
+            finish(
+                backend, [1.0, 0.0, 0.0, 0.0],
+                gate_load=backend.noise_gate_load(qc),
+            ).probs[0]
+            for qc in (small, big)
+        ]
+        assert kept[1] < kept[0] < 1.0
 
     def test_zero_error_identity(self):
         noise = DepolarizingGateNoise(error_1q=0.0, error_2q=0.0)
+        backend = gate_noise_backend(2, noise)
         qc = Circuit(2)
         qc.h(0)
         qc.cx(0, 1)
         pmf = PMF([0.5, 0, 0, 0.5])
-        assert noise.apply(pmf, qc) == pmf
+        noisy = finish(
+            backend, pmf.probs, gate_load=backend.noise_gate_load(qc)
+        )
+        assert noisy == pmf
 
     def test_apply_mixes_toward_uniform(self):
         noise = DepolarizingGateNoise(error_1q=0.0, error_2q=0.5)
-        qc = Circuit(1)  # width irrelevant; use 2q count via cx on wider
+        backend = gate_noise_backend(2, noise)
         qc2 = Circuit(2)
         qc2.cx(0, 1)
-        pmf = PMF([1.0, 0.0, 0.0, 0.0])
-        noisy = noise.apply(pmf, qc2)
+        noisy = finish(
+            backend, [1.0, 0.0, 0.0, 0.0],
+            gate_load=backend.noise_gate_load(qc2),
+        )
         assert np.allclose(noisy.probs, [0.625, 0.125, 0.125, 0.125])
 
     def test_invalid_rates(self):
@@ -50,11 +70,14 @@ class TestDepolarizingGateNoise:
 
     def test_with_scale(self):
         noise = DepolarizingGateNoise(error_1q=0.01, error_2q=0.0)
+        backend = gate_noise_backend(1, noise.with_scale(2.0))
         qc = Circuit(1)
         qc.h(0)
-        assert noise.with_scale(2.0).depolarizing_weight(qc) == pytest.approx(
-            0.02
+        noisy = finish(
+            backend, [1.0, 0.0], gate_load=backend.noise_gate_load(qc)
         )
+        # One qubit: the mix moves half the weight onto |1>.
+        assert 2 * noisy.probs[1] == pytest.approx(0.02)
 
 
 class TestDevicePresets:
@@ -112,7 +135,7 @@ class TestDeviceTopology:
         device = ibmq_mumbai_like()
         coupling = device.coupling_map
         assert coupling.n_qubits == 27
-        assert coupling.is_connected()
+        assert nx.is_connected(coupling.graph)
         assert all(len(coupling.neighbors(q)) <= 3 for q in range(27))
 
     def test_lagos_and_jakarta_share_the_h_shape(self):

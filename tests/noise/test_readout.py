@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.noise import QubitReadoutError, ReadoutErrorModel
-from repro.sim import PMF
+
+from .finisher_rows import finish, readout_backend
 
 
 class TestQubitReadoutError:
@@ -71,38 +72,35 @@ class TestReadoutErrorModel:
         assert model.scale == 1.0
 
     def test_apply_single_qubit_flip_rates(self):
-        model = ReadoutErrorModel(
-            [QubitReadoutError(0.1, 0.3)], crosstalk_strength=0.0
-        )
-        ideal = PMF([1.0, 0.0], qubits=(0,))
-        noisy = model.apply(ideal, {0: 0})
-        assert np.allclose(noisy.probs, [0.9, 0.1])
-        ideal1 = PMF([0.0, 1.0], qubits=(0,))
-        noisy1 = model.apply(ideal1, {0: 0})
-        assert np.allclose(noisy1.probs, [0.3, 0.7])
+        backend = readout_backend([QubitReadoutError(0.1, 0.3)])
+        assert np.allclose(finish(backend, [1.0, 0.0]).probs, [0.9, 0.1])
+        assert np.allclose(finish(backend, [0.0, 1.0]).probs, [0.3, 0.7])
 
     def test_apply_uses_physical_mapping(self):
-        model = self.make(crosstalk=0.0)
-        ideal = PMF([1.0, 0.0], qubits=(0,))
-        # Map logical 0 onto the noisiest physical qubit (1).
-        noisy = model.apply(ideal, {0: 1})
+        backend = readout_backend(self.make(crosstalk=0.0).qubit_errors)
+        # Read qubit 1 alone: it goes through the noisiest line (1).
+        noisy = finish(backend, [1.0, 0.0, 0.0, 0.0], measured=(1,))
         assert np.isclose(noisy.probs[1], 0.05)
 
     def test_apply_missing_mapping_raises(self):
-        model = self.make()
+        backend = readout_backend(self.make().qubit_errors)
+        # A fourth qubit has no readout line on the 3-qubit device.
         with pytest.raises(ValueError):
-            model.apply(PMF([1.0, 0.0], qubits=(0,)), {})
+            finish(backend, [1.0] + [0.0] * 15, measured=(3,))
 
     def test_apply_preserves_normalization(self):
-        model = self.make()
-        pmf = PMF([0.1, 0.2, 0.3, 0.4], qubits=(0, 1))
-        noisy = model.apply(pmf, {0: 0, 1: 1})
+        backend = readout_backend(self.make().qubit_errors, 0.1)
+        noisy = finish(backend, [0.1, 0.2, 0.3, 0.4])
         assert np.isclose(noisy.probs.sum(), 1.0)
 
     def test_zero_scale_is_noiseless(self):
         model = self.make(scale=0.0)
-        pmf = PMF([0.1, 0.9], qubits=(0,))
-        assert np.allclose(model.apply(pmf, {0: 1}).probs, pmf.probs)
+        backend = readout_backend(
+            model.qubit_errors, model.crosstalk_strength, model.scale
+        )
+        # Qubit 0 in |0>, qubit 1 read through line 1.
+        noisy = finish(backend, [0.1, 0.9, 0.0, 0.0], measured=(1,))
+        assert np.allclose(noisy.probs, [0.1, 0.9])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit
-from repro.noise import QubitReadoutError, ReadoutErrorModel
+from repro.noise import QubitReadoutError
 from repro.sim import PMF, probabilities, run_statevector
+
+from ..noise.finisher_rows import finish, readout_backend
 
 
 @st.composite
@@ -44,6 +46,8 @@ class TestUnitarity:
 
 
 class TestReadoutChannel:
+    """The noise finisher's readout channel, gate noise off."""
+
     @given(
         st.floats(0.0, 0.4),
         st.floats(0.0, 0.4),
@@ -51,13 +55,12 @@ class TestReadoutChannel:
     )
     @settings(max_examples=60)
     def test_channel_is_stochastic(self, p01, p10, crosstalk):
-        model = ReadoutErrorModel(
+        backend = readout_backend(
             [QubitReadoutError(p01, p10)] * 2, crosstalk_strength=crosstalk
         )
         rng = np.random.default_rng(0)
         raw = rng.random(4) + 1e-6
-        pmf = PMF(raw, qubits=(0, 1))
-        noisy = model.apply(pmf, {0: 0, 1: 1})
+        noisy = finish(backend, raw)
         assert np.isclose(noisy.probs.sum(), 1.0)
         assert np.all(noisy.probs >= 0)
 
@@ -65,11 +68,9 @@ class TestReadoutChannel:
     @settings(max_examples=60)
     def test_channel_contracts_tvd(self, p01, p10):
         """A stochastic channel never increases TVD between two PMFs."""
-        model = ReadoutErrorModel(
-            [QubitReadoutError(p01, p10)], crosstalk_strength=0.0
-        )
+        backend = readout_backend([QubitReadoutError(p01, p10)])
         a = PMF([0.9, 0.1], qubits=(0,))
         b = PMF([0.2, 0.8], qubits=(0,))
-        na = model.apply(a, {0: 0})
-        nb = model.apply(b, {0: 0})
+        na = finish(backend, a.probs)
+        nb = finish(backend, b.probs)
         assert na.tvd(nb) <= a.tvd(b) + 1e-12

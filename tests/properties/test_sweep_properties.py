@@ -19,6 +19,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dist.shard import _merge_ready
 from repro.sweeps import Point, ResultStore, SweepSpec
 from repro.sweeps.store import RESULT_SCHEMA_VERSION
 
@@ -197,12 +198,25 @@ def test_merge_is_idempotent_and_order_insensitive(
     other_path = tmp / "other.jsonl"
     other_path.write_text("\n".join(shuffled_lines) + "\n")
 
+    # The sharded coordinator's merge, one shard journal at a time.
+    items = [
+        (Point(task="synthetic"), fp) for fp in sorted(source.fingerprints())
+    ]
+
+    def merge(path) -> int:
+        merged = []
+        _merge_ready(
+            items, target, [path],
+            lambda _point, fingerprint, _record: merged.append(fingerprint),
+        )
+        return len(merged)
+
     target = ResultStore(tmp / "target.jsonl")
-    first = target.merge_from(source)
+    first = merge(source_path)
     assert first == len(lines)
     # Merging again — from either ordering — adds nothing.
-    assert target.merge_from(source) == 0
-    assert target.merge_from(ResultStore(other_path)) == 0
+    assert merge(source_path) == 0
+    assert merge(other_path) == 0
     assert target.fingerprints() == source.fingerprints()
     # And a reload from disk sees exactly the same records.
     assert {

@@ -60,16 +60,6 @@ class TestConversion:
 
 
 class TestMergeAndMode:
-    def test_merge_adds(self):
-        a = Counts({"0": 2}, qubits=(0,))
-        b = Counts({"0": 3, "1": 1}, qubits=(0,))
-        merged = a.merge(b)
-        assert merged["0"] == 5 and merged["1"] == 1
-
-    def test_merge_qubit_mismatch(self):
-        with pytest.raises(ValueError):
-            Counts({"0": 1}, qubits=(0,)).merge(Counts({"0": 1}, qubits=(1,)))
-
     def test_most_frequent(self):
         counts = Counts({"01": 5, "10": 9}, qubits=(0, 1))
         assert counts.most_frequent() == "10"

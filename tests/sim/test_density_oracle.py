@@ -107,5 +107,6 @@ class TestClosedFormDepolarizing:
         start = random_mixed_state(2, seed=5)
         rho = DensityMatrix(start)
         rho._evolve(_depolarizing(1.0), (0,))
-        rest = DensityMatrix(start).partial_trace([1]).matrix
+        # Qubit 1's reduced state: trace qubit 0 out of rho[a b, c d].
+        rest = np.einsum("abad->bd", start.reshape(2, 2, 2, 2))
         assert np.allclose(rho.matrix, np.kron(np.eye(2) / 2, rest))

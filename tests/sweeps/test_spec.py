@@ -1,5 +1,7 @@
 """Spec construction, grid expansion, and fingerprint stability."""
 
+import json
+
 import pytest
 
 from repro.sweeps import Point, SweepSpec
@@ -156,7 +158,7 @@ class TestSweepSpec:
         spec = self.make_spec(
             report={"rows": "point.seed", "cols": "point.scheme"}
         )
-        clone = SweepSpec.from_json(spec.to_json())
+        clone = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
         assert [p.fingerprint() for p in clone.points()] == [
             p.fingerprint() for p in spec.points()
@@ -165,7 +167,7 @@ class TestSweepSpec:
     def test_json_file_roundtrip(self, tmp_path):
         spec = self.make_spec()
         path = tmp_path / "spec.json"
-        path.write_text(spec.to_json())
+        path.write_text(json.dumps(spec.to_dict(), indent=2))
         assert SweepSpec.from_json_file(path) == spec
 
 

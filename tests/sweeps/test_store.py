@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.dist.shard import _merge_ready
 from repro.sweeps import RESULT_SCHEMA_VERSION, Point, ResultStore
 
 
@@ -110,13 +111,25 @@ class TestCrashTolerance:
 
 
 class TestMerge:
+    """The sharded coordinator's merge of shard stores into the main one."""
+
+    @staticmethod
+    def merge(store, paths, seeds) -> int:
+        merged = []
+        _merge_ready(
+            [(point(seed), point(seed).fingerprint()) for seed in seeds],
+            store, paths,
+            lambda _point, fingerprint, _record: merged.append(fingerprint),
+        )
+        return len(merged)
+
     def test_merge_from_path_skips_known_fingerprints(self, tmp_path):
         a = ResultStore(tmp_path / "a.jsonl")
         b = ResultStore(tmp_path / "b.jsonl")
         fill(a, seeds=[0, 1])
         fill(b, seeds=[1, 2, 3])
 
-        merged = a.merge_from(tmp_path / "b.jsonl")
+        merged = self.merge(a, [tmp_path / "b.jsonl"], seeds=range(4))
         assert merged == 2
         assert len(a) == 4
         # a's own seed=1 record survived the merge untouched.
@@ -129,5 +142,5 @@ class TestMerge:
         b = ResultStore(tmp_path / "b.jsonl")
         fill(a, seeds=[0])
         fill(b, seeds=[0, 1])
-        assert a.merge_from(b) == 1
-        assert a.merge_from(b) == 0
+        assert self.merge(a, [b.path], seeds=[0, 1]) == 1
+        assert self.merge(a, [b.path], seeds=[0, 1]) == 0

@@ -37,12 +37,21 @@ class TestParser:
 
     def test_cache_size_zero_turns_off_the_state_cache_too(self):
         from repro.cli import _engine_config
+        from repro.engine import EngineConfig, ExecutionEngine
+        from repro.noise import SimulatorBackend
+        from repro.workloads import make_workload
 
         args = build_parser().parse_args(["run", "H2-4", "--cache-size", "0"])
         config = _engine_config(args)
-        assert (config.cache_size, config.state_cache_size) == (0, 0)
+        assert config == EngineConfig(cache_size=0)
         default = _engine_config(build_parser().parse_args(["run", "H2-4"]))
-        assert default.state_cache_size > 0
+        assert default == EngineConfig()
+        ansatz = make_workload("H2-4").ansatz
+        circuit = ansatz.bind([0.1] * ansatz.num_parameters)
+        for config, kept in ((config, 0), (default, 1)):
+            engine = ExecutionEngine(SimulatorBackend(), config)
+            engine.prepare_state(circuit)
+            assert engine.stats.state_cache.size == kept
 
 
 class TestCommands:

@@ -84,7 +84,7 @@ class TestCostStructure:
         )
         # H2's Hamiltonian has XXYY-type terms: merging them into one
         # family requires entangling rotations.
-        assert gc.rotation_entangling_gates > 0
+        assert sum(g.entangling_gates for g in gc.gc_groups) > 0
 
     def test_backend_ledger_charged_per_group(self, h2_setup):
         workload, params = h2_setup

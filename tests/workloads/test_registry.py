@@ -43,9 +43,9 @@ class TestMakeWorkload:
         w = make_workload("H2-4")
         twin = clone(w)
         assert twin.hamiltonian.terms == w.hamiltonian.terms
-        masks = [(p.x_mask, p.z_mask) for p in w.hamiltonian.pauli_strings]
+        masks = [(p.x_mask, p.z_mask) for _, p in w.hamiltonian.terms]
         assert [
-            (p.x_mask, p.z_mask) for p in twin.hamiltonian.pauli_strings
+            (p.x_mask, p.z_mask) for _, p in twin.hamiltonian.terms
         ] == masks
         assert twin.ideal_energy == w.ideal_energy
 
