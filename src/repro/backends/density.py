@@ -18,9 +18,13 @@ quality rather than throughput:
   noisy expectation with zero shot variance, and consumes no RNG.
   Set ``analytic=False`` to restore sampling.
 
-:mod:`repro.sim.density` evolution is O(4^n) per gate and channel,
-for validation and small systems.  The engine runs it once per circuit
-body per batch, so a JigSaw Global and its subsets share one evolution.
+:mod:`repro.sim.density` evolution is O(4^n) per op, for validation and
+small systems: one GEMM and one copy of rho per gate (its noise channel
+folded in), with each distinct superoperator built once per circuit.
+The engine hands over one circuit per body per batch, so a JigSaw
+Global and its subsets share one evolution, and
+:meth:`DensityBackend.circuit_probabilities_batch` calls
+``run_density_matrix`` by its module-level name once per body.
 """
 
 from __future__ import annotations

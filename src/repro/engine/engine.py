@@ -46,7 +46,6 @@ from .config import EngineConfig
 from .spec import (
     CircuitSpec,
     StateSpec,
-    body_fingerprint,
     circuit_fingerprint,
     device_fingerprint,
     state_digest,
@@ -183,10 +182,12 @@ class Batch:
         self._jobs: list[JobHandle] = []
         self._ran = False
         # Whole-iteration batches submit many specs over one prepared
-        # state; hash each distinct array once.  Keyed by id(): safe
-        # here because the specs keep their arrays alive for the
-        # batch's lifetime.
+        # state, and JigSaw batches many copies of one bound circuit;
+        # hash each distinct array, and each distinct instruction list,
+        # once.  Keyed by id(): safe here because the specs keep their
+        # arrays and frozen Instructions alive for the batch's lifetime.
         self._state_digests: dict[int, str] = {}
+        self._bodies: dict[tuple, str] = {}
 
     def submit(self, spec) -> JobHandle:
         """Queue a :class:`CircuitSpec`/:class:`StateSpec`; get a handle."""
@@ -199,8 +200,17 @@ class Batch:
     def submit_circuit(
         self, circuit: Circuit, shots: int, map_to_best: bool = False
     ) -> JobHandle:
-        """Queue a full bound circuit (a :class:`CircuitSpec`)."""
-        return self.submit(CircuitSpec(circuit, shots, map_to_best))
+        """Queue a full bound circuit (a :class:`CircuitSpec`).
+
+        A circuit holding the same instructions as one already in the
+        batch (``copy()`` shares them) reuses its body digest.
+        """
+        key = (circuit.n_qubits, tuple(map(id, circuit.instructions)))
+        spec = CircuitSpec(
+            circuit, shots, map_to_best, body=self._bodies.get(key)
+        )
+        self._bodies[key] = spec.body
+        return self.submit(spec)
 
     def submit_state(
         self,
@@ -370,8 +380,8 @@ class ExecutionEngine:
         Specs group by the body they evolve, and each body evolves
         once; every spec then contributes an ideal probability row with
         its own measured qubits, readout mapping and gate load.
-        Circuit specs group by :func:`body_fingerprint` — a JigSaw
-        Global and its subsets differ only in measured qubits — and one
+        Circuit specs group by their ``body`` digest — a JigSaw Global
+        and its subsets differ only in measured qubits — and one
         circuit per body goes to the backend's
         ``circuit_probabilities_batch`` hook, in a single call.  State
         specs group by (state ``digest``, suffix ``structure_key``), and
@@ -386,9 +396,7 @@ class ExecutionEngine:
         state_bodies: dict[tuple, list[tuple[int, StateSpec]]] = {}
         for key, spec in misses:
             if isinstance(spec, CircuitSpec):
-                bodies.setdefault(body_fingerprint(spec.circuit), []).append(
-                    (key, spec)
-                )
+                bodies.setdefault(spec.body, []).append((key, spec))
             else:
                 state_bodies.setdefault(
                     (spec.digest, spec.suffix_key), []

@@ -8,7 +8,11 @@ a compiled measurement-basis suffix (:class:`StateSpec` — the backend's
 Each spec exposes a :meth:`fingerprint`: a digest over the exact content
 that determines its noisy outcome distribution — circuit structure,
 statevector bytes, measured qubits, readout mapping mode, and the gate
-load charged to depolarizing noise.  Shots are deliberately *excluded*:
+load charged to depolarizing noise.  Each spec carries the digest of
+the body it evolves (a circuit spec its gates' :func:`body_fingerprint`,
+a state spec its statevector's :func:`state_digest`), computed once, and
+its fingerprint adds the measurement to that digest.  Shots are
+deliberately *excluded*:
 two specs that differ only in shot count share one exact PMF, so they
 dedup to a single simulation while still sampling (and being charged)
 separately.  The engine mixes a device/noise-flag fingerprint into its
@@ -141,23 +145,35 @@ class CircuitSpec:
 
     ``map_to_best=True`` places the measured qubits on the device's
     best readout lines (what JigSaw does for subset circuits).
+    ``body`` is the circuit's :func:`body_fingerprint`, the one walk
+    over its gates: the fingerprint and the engine's grouping by body
+    read it.  Batches pass it for a circuit whose instructions they
+    have already hashed (a JigSaw Global and its subsets are copies of
+    one bound circuit); when given it MUST match the circuit, and when
+    left out it is computed here.
     """
 
     circuit: Circuit
     shots: int
     map_to_best: bool = False
+    body: str | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError("shots must be positive")
         if not self.circuit.measured_qubits:
             raise ValueError("circuit measures no qubits")
+        if self.body is None:
+            object.__setattr__(self, "body", body_fingerprint(self.circuit))
 
     def fingerprint(self) -> str:
-        """Content digest over circuit structure + readout mapping."""
+        """Content digest over the body + measured qubits + mapping."""
         h = _hasher()
-        _feed_circuit(h, self.circuit)
-        h.update(f"|b:{int(self.map_to_best)}".encode())
+        h.update(
+            f"c:{self.body}"
+            f"|m:{','.join(map(str, sorted(self.circuit.measured_qubits)))}"
+            f"|b:{int(self.map_to_best)}".encode()
+        )
         return h.hexdigest()
 
 

@@ -8,7 +8,7 @@ Wraps a MaxCut (or any diagonal-Hamiltonian) problem into the same
 
 from __future__ import annotations
 
-from ..hamiltonian import Hamiltonian, ground_state_energy
+from ..hamiltonian import Hamiltonian
 from ..noise import DeviceModel, ibmq_mumbai_like
 from ..workloads.registry import Workload
 from .ansatz import QAOAAnsatz
@@ -56,5 +56,4 @@ def make_qaoa_workload(
         hamiltonian=hamiltonian,
         ansatz=ansatz,
         device=device,
-        ideal_energy=ground_state_energy(hamiltonian),
     )

@@ -10,15 +10,20 @@ Qiskit Aer's density-matrix method models the paper's noisy simulations.
 Rho evolves as a ``(2,)*2n`` tensor, never via a full-register operator:
 each op is a superoperator (``U ⊗ U*``, ``sum K ⊗ K*``, or closed-form
 depolarizing) contracted into its qubits' row and column axes, which
-:func:`~repro.sim.plan.axis_permutation` moves to the front.  That is
-O(4^n) per op: for validation and small systems, not VQA loops.
+:func:`~repro.sim.plan.axis_permutation` moves to the front.
+:meth:`DensityMatrix._evolve` is the one contraction kernel: one copy
+into the GEMM operand per op, after which rho stays a transposed view
+until :attr:`DensityMatrix.matrix` is read.  :func:`run_density_matrix`
+folds each distinct fixed gate with its noise channel once per call,
+and every rotation's in one stacked product.  That is O(4^n) per op:
+for validation and small systems, not VQA loops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..circuits import Circuit, gate_matrix
+from ..circuits import ROTATION_GATES, Circuit, gate_matrix
 from .plan import axis_permutation
 
 __all__ = [
@@ -71,7 +76,8 @@ class DensityMatrix:
     """An n-qubit mixed state, ``2^n x 2^n`` complex matrix.
 
     Bit ordering matches the rest of the library: qubit 0 is the most
-    significant bit of the row/column index.
+    significant bit of the row/column index.  Rho is stored as a
+    ``(2,)*2n`` tensor, which evolution leaves a transposed view.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -81,8 +87,20 @@ class DensityMatrix:
         n = int(np.log2(matrix.shape[0]))
         if 2**n != matrix.shape[0]:
             raise ValueError("dimension must be a power of two")
-        self.matrix = matrix
         self.n_qubits = n
+        self._tensor = matrix.reshape((2,) * (2 * n))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Rho as a ``2^n x 2^n`` array.
+
+        The first read after evolution copies the transposed tensor
+        into this layout once and keeps it, so later reads are views.
+        """
+        dim = 2**self.n_qubits
+        matrix = self._tensor.reshape(dim, dim)
+        self._tensor = matrix.reshape(self._tensor.shape)
+        return matrix
 
     # ------------------------------------------------------------ constructors
 
@@ -128,14 +146,21 @@ class DensityMatrix:
         return qubits
 
     def _evolve(self, superop: np.ndarray, qubits: tuple[int, ...]) -> None:
-        """Contract ``superop`` into ``qubits``' row, then column, axes."""
+        """Contract ``superop`` into ``qubits``' row, then column, axes.
+
+        Rho stays the transposed view the previous op left, so the
+        reshape below is the op's one copy (none when the axes already
+        line up).  The GEMM sees the operand a contiguous rho would
+        give, so the result is bit-identical to copying rho back to a
+        ``2^n x 2^n`` matrix after every op, as
+        ``tests/sim/test_density_bitwise.py`` pins.
+        """
         n = self.n_qubits
         axes = qubits + tuple(n + q for q in qubits)
         perm, inv = axis_permutation(axes, 2 * n)
-        tensor = self.matrix.reshape((2,) * (2 * n))
+        tensor = self._tensor
         out = superop @ tensor.transpose(perm).reshape(len(superop), -1)
-        shape = self.matrix.shape
-        self.matrix = out.reshape(tensor.shape).transpose(inv).reshape(shape)
+        self._tensor = out.reshape(tensor.shape).transpose(inv)
 
     def apply_unitary(self, matrix: np.ndarray, qubits) -> None:
         """In-place ``rho -> U rho U†``: ``U`` on rows, ``U*`` on columns."""
@@ -160,6 +185,10 @@ def run_density_matrix(
 
     After every gate, a depolarizing channel of the matching error rate
     acts on each touched qubit; optional amplitude damping follows.
+    Each gate's superoperator comes folded with that channel: built
+    once per distinct fixed gate, and for all rotations in one stacked
+    ``U ⊗ U*`` and one broadcast product.  Nothing outlives the call,
+    so the rates and damping of each call are the only ones it sees.
     """
     if not circuit.is_bound():
         raise ValueError("circuit must be bound")
@@ -177,9 +206,27 @@ def run_density_matrix(
         1: damp @ _depolarizing(gate_error_1q),
         2: _on_pair(damp @ _depolarizing(gate_error_2q)),
     }
-    for ins in circuit.instructions:
-        superop = noise[len(ins.qubits)]
-        if ins.name != "i":
-            superop = superop @ _superop([gate_matrix(ins.name, ins.param)])
+    instructions = circuit.instructions
+    unitaries = np.array([
+        gate_matrix(ins.name, ins.param)
+        for ins in instructions
+        if ins.name in ROTATION_GATES
+    ], dtype=complex).reshape(-1, 2, 2)
+    # Every rotation's U ⊗ U* at once, as _superop builds each one (the
+    # reshape keeps the stack 3-D for a circuit without rotations).
+    rotations = iter(noise[1] @ np.einsum(
+        "bij,bkl->bikjl", unitaries, unitaries.conj()
+    ).reshape(-1, 4, 4))
+    fixed: dict[str, np.ndarray] = {}
+    for ins in instructions:
+        if ins.name in ROTATION_GATES:
+            superop = next(rotations)
+        else:
+            superop = fixed.get(ins.name)
+            if superop is None:
+                superop = noise[len(ins.qubits)]
+                if ins.name != "i":
+                    superop = superop @ _superop([gate_matrix(ins.name)])
+                fixed[ins.name] = superop
         rho._evolve(superop, ins.qubits)
     return rho

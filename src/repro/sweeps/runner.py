@@ -115,16 +115,14 @@ def _paper_tfim_workload(
 ) -> Workload:
     """Fig. 16's bespoke workload: the paper's 5-qubit, 3-term TFIM."""
     from ..ansatz import EfficientSU2
-    from ..hamiltonian import ground_state_energy, paper_tfim
+    from ..hamiltonian import paper_tfim
     from ..noise import ibmq_mumbai_like
 
-    hamiltonian = paper_tfim()
     return Workload(
         key="TFIM-5x3",
-        hamiltonian=hamiltonian,
+        hamiltonian=paper_tfim(),
         ansatz=EfficientSU2(5, reps=reps, entanglement=entanglement),
         device=ibmq_mumbai_like(),
-        ideal_energy=ground_state_energy(hamiltonian),
     )
 
 

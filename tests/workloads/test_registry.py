@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+import repro.workloads.registry as registry_module
 from repro.api import Session
 from repro.core import (
     CalibrationGatedVarSawEstimator,
@@ -12,14 +13,16 @@ from repro.core import (
     SelectiveVarSawEstimator,
     VarSawEstimator,
 )
+from repro.hamiltonian import build_hamiltonian, ground_state_energy
 from repro.mitigation import JigSawEstimator
 from repro.noise import ibm_lagos_like
+from repro.qaoa import make_qaoa_workload
 from repro.vqe import (
     BaselineEstimator,
     GeneralCommutationEstimator,
     IdealEstimator,
 )
-from repro.workloads import ESTIMATOR_KINDS, make_workload
+from repro.workloads import ESTIMATOR_KINDS, make_spin_workload, make_workload
 
 
 class TestMakeWorkload:
@@ -61,6 +64,66 @@ class TestMakeWorkload:
     def test_unknown_molecule(self):
         with pytest.raises(KeyError):
             make_workload("Xe-99")
+
+
+@pytest.fixture
+def ground_state_calls(monkeypatch):
+    """Every Hamiltonian a workload solves for its ideal energy."""
+    calls = []
+
+    def counting(hamiltonian):
+        calls.append(hamiltonian)
+        return ground_state_energy(hamiltonian)
+
+    monkeypatch.setattr(registry_module, "ground_state_energy", counting)
+    return calls
+
+
+class TestLazyIdealEnergy:
+    def test_h2o_12_solves_on_first_read_only(self, ground_state_calls):
+        w = make_workload("H2O-12")
+        assert ground_state_calls == []
+        energy = w.ideal_energy
+        assert len(ground_state_calls) == 1
+        assert w.ideal_energy == energy
+        assert len(ground_state_calls) == 1
+        assert energy == ground_state_energy(build_hamiltonian("H2O-12"))
+
+    def test_a_known_value_is_never_solved_for(self, ground_state_calls):
+        assert make_workload("H2-4").ideal_energy == 10.46
+        given = make_workload("LiH-6")
+        given.ideal_energy = -1.5
+        assert given.ideal_energy == -1.5
+        assert ground_state_calls == []
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_spin_workload("tfim", 4),
+            lambda: make_qaoa_workload("ring", 4),
+        ],
+        ids=["spin", "qaoa"],
+    )
+    def test_values_match_an_eager_solve(self, ground_state_calls, build):
+        w = build()
+        assert ground_state_calls == []
+        assert w.ideal_energy == ground_state_energy(w.hamiltonian)
+        assert len(ground_state_calls) == 1
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_keep_a_solved_value(self, ground_state_calls, clone):
+        w = make_spin_workload("heisenberg", 4)
+        unsolved = clone(w)
+        energy = w.ideal_energy
+        solved = clone(w)
+        assert solved.ideal_energy == energy
+        assert len(ground_state_calls) == 1
+        assert unsolved.ideal_energy == energy
+        assert len(ground_state_calls) == 2
 
 
 class TestMakeEstimator:
