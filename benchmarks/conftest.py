@@ -1,9 +1,9 @@
 """Shared helpers for the paper-reproduction benchmarks.
 
-Each benchmark file regenerates one table or figure from the VarSaw paper:
-it runs the experiment (at quick scale by default, paper scale under
-``REPRO_SCALE=full``), prints the same rows/series the paper reports, and
-asserts the qualitative shape (who wins, orderings, crossovers).
+``bench_catalog.py`` runs one test per catalog entry: it prints the
+entry's tables and checks the paper's claims on its records.  This
+module archives what the tests print (``benchmark_results.txt``, golden
+recording) and writes one ``BENCH_<entry>.json`` cost record per entry.
 
 ``pytest benchmarks/ --benchmark-only`` runs everything; pytest-benchmark
 records one timed round per experiment (experiments are minutes-long at
@@ -15,14 +15,16 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import re
 import threading
 import time
 
 import pytest
 
+# A failing paper claim reports its operands, as test asserts do; the
+# catalog must be registered before anything imports ``repro``.
+pytest.register_assert_rewrite("repro.sweeps.catalog")
+
 from repro.obs import REGISTRY, snapshot_delta
-from repro.sweeps.render import Table, fmt, render_table
 
 try:
     import fcntl
@@ -43,7 +45,8 @@ _RESULTS_LOCK = threading.Lock()
 
 
 def _append_results(text: str) -> None:
-    """Append one table as a single locked write (never interleaved)."""
+    """Append one entry's tables as a single locked write (never
+    interleaved)."""
     try:
         with _RESULTS_LOCK:
             with RESULTS_FILE.open("a") as handle:
@@ -59,34 +62,12 @@ def _append_results(text: str) -> None:
         pass
 
 
-#: Every Table printed during the session, in print order — the
-#: structured capture the parity tooling reads instead of scraping
-#: stdout.  Each element is ``(entry_name, Table)``.
-CAPTURED_TABLES: list[tuple[str, Table]] = []
-
-#: When set, every printed table is also appended (rendered) to
+#: When set, each entry's printed tables also replace
 #: ``$REPRO_GOLDEN_DIR/<entry>.txt`` — the recording mode that produced
 #: ``tests/golden/``.  Re-record with::
 #:
 #:     REPRO_GOLDEN_DIR=tests/golden python -m pytest benchmarks/
 _GOLDEN_DIR = os.environ.get("REPRO_GOLDEN_DIR")
-
-_ENTRY_RE = re.compile(r"^(fig\d+(?:_fig\d+)?|table\d+|sec\d+)")
-
-
-def current_entry_name() -> str:
-    """Catalog-entry name for the currently-running benchmark file.
-
-    ``bench_fig6_fig7_commutation.py -> fig6_fig7``,
-    ``bench_table5_noise_sweep.py -> table5``,
-    ``bench_ext_qaoa.py -> ext_qaoa`` — the same names
-    :mod:`repro.sweeps.catalog` registers.
-    """
-    test = os.environ.get("PYTEST_CURRENT_TEST", "")
-    stem = pathlib.PurePath(test.split("::")[0]).stem
-    stem = stem.removeprefix("bench_")
-    match = _ENTRY_RE.match(stem)
-    return match.group(1) if match else stem
 
 
 def pytest_sessionstart(session):
@@ -101,26 +82,6 @@ def pytest_sessionstart(session):
         RESULTS_FILE.write_text("")
     except OSError:
         pass
-
-
-def pytest_collection_modifyitems(session, config, items):
-    """Golden recording: truncate exactly the collected entries' files.
-
-    Per-file truncation (rather than wiping the directory) keeps a
-    single-benchmark re-record from destroying every other snapshot.
-    """
-    if not _GOLDEN_DIR or os.environ.get("PYTEST_XDIST_WORKER"):
-        return
-    golden = pathlib.Path(_GOLDEN_DIR)
-    golden.mkdir(parents=True, exist_ok=True)
-    entries = set()
-    for item in items:
-        stem = pathlib.PurePath(str(item.fspath)).stem
-        stem = stem.removeprefix("bench_")
-        match = _ENTRY_RE.match(stem)
-        entries.add(match.group(1) if match else stem)
-    for entry in entries:
-        (golden / f"{entry}.txt").unlink(missing_ok=True)
 
 
 #: Per-entry accumulated BENCH payloads: wall clock plus engine metric
@@ -146,13 +107,6 @@ def _bench_dir() -> pathlib.Path:
     return RESULTS_FILE.parent
 
 
-def _entry_for_item(item) -> str:
-    stem = pathlib.PurePath(str(item.fspath)).stem
-    stem = stem.removeprefix("bench_")
-    match = _ENTRY_RE.match(stem)
-    return match.group(1) if match else stem
-
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
     """Wrap each benchmark call with wall-clock + engine metric deltas.
@@ -166,7 +120,7 @@ def pytest_runtest_call(item):
     yield
     wall = time.perf_counter() - started
     delta = snapshot_delta(REGISTRY.snapshot(), before)
-    entry = _entry_for_item(item)
+    entry = item.callspec.params["name"]
     with _RESULTS_LOCK:
         stats = _BENCH_STATS.setdefault(
             entry, {"tests": 0, "wall_s": 0.0}
@@ -206,8 +160,9 @@ def pytest_sessionfinish(session, exitstatus):
 def record_entry_stat(entry: str, **values) -> None:
     """Merge extra fields into an entry's ``BENCH_<entry>.json`` payload.
 
-    Bench tests use this for derived quantities the metric counters
-    can't express (e.g. the engine-vs-direct speedup ratio CI gates on).
+    The harness's wall-clock checks use this for derived quantities the
+    metric counters can't express (e.g. the engine-vs-direct speedup
+    ratio CI gates on).
     """
     with _RESULTS_LOCK:
         stats = _BENCH_STATS.setdefault(
@@ -216,47 +171,18 @@ def record_entry_stat(entry: str, **values) -> None:
         stats.update(values)
 
 
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, iterations=1, rounds=1)
+def print_tables(entry: str, tables) -> None:
+    """Print an entry's :class:`~repro.sweeps.render.Table`\\ s.
 
-
-@pytest.fixture
-def once(benchmark):
-    """Fixture form of :func:`run_once`."""
-
-    def runner(fn):
-        return run_once(benchmark, fn)
-
-    return runner
-
-
-def print_table(title: str, headers: list[str], rows: list[list]) -> Table:
-    """Print an aligned table and return it as structured rows.
-
-    The text goes to stdout and RESULTS_FILE (as before); the returned
-    :class:`~repro.sweeps.render.Table` — also collected into
-    :data:`CAPTURED_TABLES` — is what parity tooling consumes, so no
-    stdout scraping is ever needed.  Under ``REPRO_GOLDEN_DIR`` the
-    rendered text is additionally appended to that directory's
-    ``<entry>.txt`` (golden recording).
+    The text goes to stdout and ``RESULTS_FILE``; under
+    ``REPRO_GOLDEN_DIR`` it also replaces that directory's
+    ``<entry>.txt`` (golden recording), so re-recording one entry with
+    ``-k`` rewrites exactly that entry's golden.
     """
-    table = Table(title=title, headers=list(headers), rows=list(rows))
-    text = render_table(title, headers, rows)
-    print(text)
-    _append_results(text + "\n")
-    CAPTURED_TABLES.append((current_entry_name(), table))
+    text = "".join(table.render() + "\n" for table in tables)
+    print(text, end="")
+    _append_results(text)
     if _GOLDEN_DIR:
-        path = pathlib.Path(_GOLDEN_DIR) / f"{current_entry_name()}.txt"
-        with _RESULTS_LOCK:
-            with path.open("a") as handle:
-                handle.write(text + "\n")
-    return table
-
-
-def print_tables(tables) -> list[Table]:
-    """Print a sequence of :class:`Table`\\ s (the catalog-shim idiom)."""
-    return [
-        print_table(table.title, table.headers, table.rows)
-        for table in tables
-    ]
+        golden = pathlib.Path(_GOLDEN_DIR)
+        golden.mkdir(parents=True, exist_ok=True)
+        (golden / f"{entry}.txt").write_text(text)

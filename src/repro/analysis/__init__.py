@@ -3,10 +3,8 @@
 from .experiments import (
     TuningRun,
     energy_at_params,
-    fixed_budget_runs,
     mean_energy_at_params,
     optimal_parameters,
-    run_tuning,
 )
 from .metrics import (
     arithmetic_mean,
@@ -28,7 +26,5 @@ __all__ = [
     "optimal_parameters",
     "energy_at_params",
     "mean_energy_at_params",
-    "run_tuning",
-    "fixed_budget_runs",
     "sparkline",
 ]

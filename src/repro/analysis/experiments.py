@@ -1,8 +1,10 @@
-"""Reusable experiment drivers for the paper's evaluation.
+"""Fixed-parameter experiment helpers for the paper's evaluation.
 
-Every benchmark regenerating a table or figure calls into this module, so
-experiment mechanics (seeding, budget accounting, trial averaging, optimal
-parameter caching) are implemented once and identically across figures.
+The sweep tasks (:mod:`repro.sweeps.tasks`) call into this module for
+what runs at fixed ansatz parameters: the cached noise-free optimum and
+single- or trial-averaged energy estimates.  Tuning runs go through
+:func:`repro.sweeps.runner.execute_tuning`, which returns the
+:class:`TuningRun` defined here.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ __all__ = [
     "energy_at_params",
     "mean_energy_at_params",
     "TuningRun",
-    "run_tuning",
-    "fixed_budget_runs",
 ]
 
 
@@ -121,74 +121,3 @@ class TuningRun:
     def iterations(self) -> int:
         """Optimizer iterations the tuning run performed."""
         return self.result.iterations
-
-
-def run_tuning(
-    kind: str,
-    workload: Workload,
-    max_iterations: int,
-    circuit_budget: int | None = None,
-    shots: int = 256,
-    seed: int = 0,
-    device: DeviceModel | None = None,
-    spsa_gain: float | None = 0.3,
-    initial_params: np.ndarray | None = None,
-    **estimator_kwargs,
-) -> TuningRun:
-    """Run one scheme's full VQE tuning loop.
-
-    ``spsa_gain`` fixes SPSA's step gain so budget experiments don't spend
-    circuits on gain calibration; pass ``None`` to auto-calibrate.
-    ``initial_params`` warm-starts the tuner (quick-scale benchmarks start
-    near the optimum so achievable accuracy, not the SPSA transient,
-    dominates the comparison).
-
-    The mechanics live in :func:`repro.sweeps.runner.execute_tuning` —
-    the same code path the declarative sweep runner uses.
-    """
-    from ..sweeps.runner import execute_tuning
-
-    return execute_tuning(
-        kind,
-        workload,
-        max_iterations=max_iterations,
-        circuit_budget=circuit_budget,
-        shots=shots,
-        seed=seed,
-        device=device,
-        spsa_gain=spsa_gain,
-        initial_params=initial_params,
-        **estimator_kwargs,
-    )
-
-
-def fixed_budget_runs(
-    kinds,
-    workload: Workload,
-    circuit_budget: int,
-    shots: int = 256,
-    seed: int = 0,
-    max_iterations: int = 100_000,
-    device: DeviceModel | None = None,
-    initial_params: np.ndarray | None = None,
-    **estimator_kwargs,
-) -> dict[str, TuningRun]:
-    """Run several schemes under the same executed-circuit budget.
-
-    One :func:`run_tuning` per kind, each on a fresh backend seeded
-    with ``seed``.
-    """
-    return {
-        kind: run_tuning(
-            kind,
-            workload,
-            max_iterations=max_iterations,
-            circuit_budget=circuit_budget,
-            shots=shots,
-            seed=seed,
-            device=device,
-            initial_params=initial_params,
-            **estimator_kwargs,
-        )
-        for kind in kinds
-    }

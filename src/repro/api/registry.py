@@ -9,7 +9,7 @@ Estimator families self-register by decorating their spec dataclass::
     class MySpec(EstimatorSpec):
         shots: int = 1024
 
-        def build(self, workload, backend, engine=None, **overrides):
+        def build(self, workload, backend, engine=None):
             return MyEstimator(...)
 
 :data:`ESTIMATORS` is the family's

@@ -130,25 +130,6 @@ def check_bool(name: str, value: Any) -> None:
         raise ValueError(f"{name} must be a bool; got {value!r}")
 
 
-def split_live_params(
-    params: Mapping[str, Any],
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Split raw keyword arguments into (spec params, live overrides).
-
-    A live object passed where a spec expects a JSON flag — today only
-    ``mbm``, which callers of
-    :func:`repro.sweeps.runner.execute_tuning` may pass as a ready
-    :class:`~repro.mitigation.MatrixMitigator` instead of a bool — has
-    no dict spelling; it bypasses the spec and is handed straight to
-    :meth:`EstimatorSpec.build` as an override.
-    """
-    params = dict(params)
-    overrides: dict[str, Any] = {}
-    if not isinstance(params.get("mbm", False), bool):
-        overrides["mbm"] = params.pop("mbm")
-    return params, overrides
-
-
 @dataclass(frozen=True)
 class SpecRecord:
     """Shared machinery for registry-addressable frozen spec records.
@@ -370,17 +351,12 @@ class EstimatorSpec(SpecRecord):
     """
 
     def build(
-        self, workload: Any, backend: Any, engine: Any = None,
-        **overrides: Any,
+        self, workload: Any, backend: Any, engine: Any = None
     ) -> Any:
         """Construct the live estimator for ``workload`` on ``backend``.
 
         ``engine`` is an :class:`~repro.engine.ExecutionEngine`,
         :class:`~repro.engine.EngineConfig`, or ``None`` (the backend's
-        shared engine).  ``overrides`` are raw constructor keyword
-        arguments layered over the spec's materialized parameters —
-        the escape hatch for live objects (e.g. a ready
-        :class:`~repro.mitigation.MatrixMitigator`) that have no JSON
-        spelling.
+        shared engine).
         """
         raise NotImplementedError

@@ -210,7 +210,7 @@ class DriftAdaptiveSpec(VarSawSpec):
             )
         check_number("drift_allowance", self.drift_allowance, minimum=0)
 
-    def build(self, workload, backend, engine=None, **overrides):
+    def build(self, workload, backend, engine=None):
         """A :class:`DriftAwareVarSawEstimator` with these knobs."""
         kwargs = self._constructor_kwargs(workload, backend, engine)
         kwargs.update(
@@ -218,7 +218,6 @@ class DriftAdaptiveSpec(VarSawSpec):
             detector_threshold=self.detector_threshold,
             drift_allowance=self.drift_allowance,
         )
-        kwargs.update(overrides)
         return DriftAwareVarSawEstimator(
             workload.hamiltonian, workload.ansatz, backend, **kwargs
         )

@@ -316,7 +316,7 @@ class SelectiveSpec(VarSawSpec):
                 f"{self.phase_start} > {self.phase_end}"
             )
 
-    def build(self, workload, backend, engine=None, **overrides):
+    def build(self, workload, backend, engine=None):
         """A :class:`SelectiveVarSawEstimator` with the configured
         term selector and phase policy."""
         kwargs = self._constructor_kwargs(workload, backend, engine)
@@ -328,7 +328,6 @@ class SelectiveSpec(VarSawSpec):
                 start_fraction=self.phase_start,
                 end_fraction=self.phase_end,
             )
-        kwargs.update(overrides)
         return SelectiveVarSawEstimator(
             workload.hamiltonian, workload.ansatz, backend, **kwargs
         )
@@ -348,14 +347,13 @@ class CalibrationGatedSpec(VarSawSpec):
         super().validate()
         check_number("error_threshold", self.error_threshold, minimum=0)
 
-    def build(self, workload, backend, engine=None, **overrides):
+    def build(self, workload, backend, engine=None):
         """A :class:`CalibrationGatedVarSawEstimator` gated at
         ``error_threshold``."""
         kwargs = self._constructor_kwargs(workload, backend, engine)
         kwargs["gate"] = CalibrationGate(
             error_threshold=self.error_threshold
         )
-        kwargs.update(overrides)
         return CalibrationGatedVarSawEstimator(
             workload.hamiltonian, workload.ansatz, backend, **kwargs
         )

@@ -283,10 +283,9 @@ class VarSawSpec(EstimatorSpec):
             )
         return kwargs
 
-    def build(self, workload, backend, engine=None, **overrides):
+    def build(self, workload, backend, engine=None):
         """A :class:`VarSawEstimator` over ``workload``."""
         kwargs = self._constructor_kwargs(workload, backend, engine)
-        kwargs.update(overrides)
         return VarSawEstimator(
             workload.hamiltonian, workload.ansatz, backend, **kwargs
         )

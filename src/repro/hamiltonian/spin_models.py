@@ -5,7 +5,7 @@ Section 7.3 of the paper names "time-evolving Hamiltonian simulations
 applications for VarSaw, because their Pauli terms spread across multiple
 measurement bases (so both the spatial and temporal optimizations bite).
 These constructors make those workloads first-class citizens alongside
-the molecular suite; ``benchmarks/bench_ext_spin_models.py`` evaluates
+the molecular suite; the ``ext_spin_models`` catalog entry evaluates
 VarSaw on them.
 """
 

@@ -116,7 +116,7 @@ class JigSawSpec(EstimatorSpec):
         if self.subset_shots is not None:
             check_int("subset_shots", self.subset_shots, minimum=1)
 
-    def build(self, workload, backend, engine=None, **overrides):
+    def build(self, workload, backend, engine=None):
         """A :class:`JigSawEstimator` over ``workload``."""
         return JigSawEstimator(
             workload.hamiltonian,
@@ -126,5 +126,4 @@ class JigSawSpec(EstimatorSpec):
             window=self.window,
             subset_shots=self.subset_shots,
             engine=engine,
-            **overrides,
         )

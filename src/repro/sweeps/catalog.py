@@ -13,12 +13,16 @@ plus the extension studies) is registered here as a
   suite in ``tests/sweeps/test_catalog_parity.py``;
 * ``followup(spec, records)`` (rare) yields data-dependent second-stage
   points — e.g. Fig. 13's ideal trace, whose iteration count is the
-  maximum over the budgeted noisy runs.
+  maximum over the budgeted noisy runs;
+* ``claims`` are the paper's claims on the entry's records: plain
+  functions that assert (who wins, orderings, ratio floors), never read
+  a wall-clock field, and may return one summary line.  The parity
+  suite checks every claim on its shared store.
 
-``benchmarks/bench_*.py`` are thin shims over these entries, and the
-``repro reproduce`` CLI runs any subset of the catalog against one
-shared, resumable result store — the whole paper regenerates through a
-single checkpointed pipeline.
+``benchmarks/bench_catalog.py`` is one parametrized harness over these
+entries (tables, timing, claims), and the ``repro reproduce`` CLI runs
+any subset of the catalog against one shared, resumable result store —
+the whole paper regenerates through a single checkpointed pipeline.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
+from ..analysis import energy_error, geometric_mean, is_full_scale
 from ..analysis.scale import scaled
 from .aggregate import select
 from .render import Table, fmt
@@ -63,6 +68,9 @@ class CatalogEntry:
     #: for entries whose printed tables contain volatile wall-clock
     #: columns).
     normalize: Callable[[str], str] | None = None
+    #: The paper's claims on the entry's records: each asserts, never
+    #: reads a wall-clock field, and may return one summary line.
+    claims: tuple[Callable[[list[dict]], str | None], ...] = ()
 
 
 CATALOG: dict[str, CatalogEntry] = {}
@@ -287,12 +295,34 @@ def _tables_fig6_fig7(records: list) -> list[Table]:
     ]
 
 
+def fig6_worked_example(records: list) -> str:
+    """Fig. 6: 10 Hamiltonian terms, 7 circuits after trivial
+    commutation, 21 JigSaw subsets, 9 VarSaw subsets."""
+    stats = select(records, point__task="structure")[0]["result"]
+    assert stats["paulis"] == 10
+    assert stats["cover_groups"] == 7
+    assert stats["jigsaw"] == 21
+    assert stats["varsaw"] == 9
+    return "C_VarSaw members: " + " + ".join(stats["subset_labels"])
+
+
+def fig7_commutation_graph(records: list) -> None:
+    """Fig. 7: 26 / 8 / 2 / 0 commuting parents among the 27
+    three-qubit {I,X,Z} strings."""
+    counts = {
+        r["point"]["options"]["label"]: r["result"]["parents"]
+        for r in select(records, point__task="commuting_parents")
+    }
+    assert counts == {"III": 26, "IIZ": 8, "IZZ": 2, "ZZZ": 0}
+
+
 _register(CatalogEntry(
     name="fig6_fig7",
     figure="Figs. 6 & 7",
     title="Commutation worked example and commutativity graph",
     build=_build_fig6_fig7,
     tables=_tables_fig6_fig7,
+    claims=(fig6_worked_example, fig7_commutation_graph),
 ))
 
 
@@ -326,12 +356,39 @@ def _tables_fig8(records: list) -> list[Table]:
     return [Table("Fig. 8: circuits per VQA iteration", headers, rows)]
 
 
+def fig8_cost_scaling(records: list) -> None:
+    """Traditional VQA ~Q^4, JigSaw+VQA ~Q^5, and VarSaw at sparsities
+    k = 1 ... 0.001 between them (~Q..Q^4)."""
+    from ..core import jigsaw_cost, traditional_cost, varsaw_cost
+
+    for q in FIG8_QUBITS:
+        # JigSaw is the costliest curve everywhere.
+        assert jigsaw_cost(q) >= traditional_cost(q)
+        # Sparsity strictly orders the VarSaw family.
+        costs = [varsaw_cost(q, k) for k in FIG8_SPARSITIES]
+        assert costs == sorted(costs, reverse=True)
+    # VarSaw k=1 overlaps Traditional at scale (the figure's overlap).
+    assert varsaw_cost(1000, 1.0) / traditional_cost(1000) < 1.01
+    # VarSaw is at least O(Q) below JigSaw.
+    assert jigsaw_cost(1000) / varsaw_cost(1000, 1.0) > 500
+    # High sparsity beats even the baseline (Section 3.3).
+    assert varsaw_cost(100, 0.001) < traditional_cost(100)
+    # Asymptotic slopes on the log-log plot.
+    slope = (
+        (jigsaw_cost(1000) / jigsaw_cost(500)) ** (1 / 1)  # ratio at 2x Q
+    )
+    assert 2**5 * 0.8 < slope < 2**5 * 1.2  # ~Q^5
+    slope_trad = traditional_cost(1000) / traditional_cost(500)
+    assert abs(slope_trad - 2**4) < 0.5  # ~Q^4
+
+
 _register(CatalogEntry(
     name="fig8",
     figure="Fig. 8",
     title="Circuits per VQA iteration vs qubit count",
     build=_build_fig8,
     tables=_tables_fig8,
+    claims=(fig8_cost_scaling,),
 ))
 
 
@@ -388,12 +445,53 @@ def _tables_fig9(records: list) -> list[Table]:
     )]
 
 
+def fig9_sparsity_extremes(records: list) -> None:
+    """Noise-free, Max-Sparsity gets stuck and No-Sparsity reaches much
+    lower energy; noisy, Max-Sparsity is competitive (or better) and
+    completes many more iterations for the same budget."""
+
+    def run(preset: str, kind: str) -> dict:
+        record, = [
+            r for r in records
+            if r["point"]["device"]["preset"] == preset
+            and r["point"]["scheme"] == kind
+        ]
+        return record["result"]
+
+    free = {kind: run("ideal", kind) for kind in FIG9_KINDS}
+    noisy = {kind: run("ibmq_mumbai_like", kind) for kind in FIG9_KINDS}
+    ideal_energy = records[0]["result"]["ideal_energy"]
+
+    # Max-Sparsity completes more iterations in both settings (it skips
+    # the per-iteration Globals).
+    for setting in (free, noisy):
+        assert (
+            setting["varsaw_max_sparsity"]["iterations"]
+            > setting["varsaw_no_sparsity"]["iterations"]
+        )
+    # Noise-free: No-Sparsity reaches at-least-as-low energy (the frozen
+    # Global hurts Max-Sparsity).
+    assert (
+        free["varsaw_no_sparsity"]["energy"]
+        <= free["varsaw_max_sparsity"]["energy"] + 0.05
+    )
+    # Noisy: Max-Sparsity is competitive — within a small margin or better
+    # (the paper observes it marginally winning).
+    gap = (
+        noisy["varsaw_max_sparsity"]["energy"]
+        - noisy["varsaw_no_sparsity"]["energy"]
+    )
+    spread = abs(ideal_energy) * 0.1 + 1.0
+    assert gap < spread
+
+
 _register(CatalogEntry(
     name="fig9",
     figure="Fig. 9",
     title="Global-sparsity extremes, noise-free vs noisy (CH4-6)",
     build=_build_fig9,
     tables=_tables_fig9,
+    claims=(fig9_sparsity_extremes,),
 ))
 
 
@@ -414,7 +512,7 @@ def _build_fig12() -> SweepSpec:
 
 
 def fig12_rows(records: list) -> list[dict]:
-    """Fig. 12 row dicts from stored records (shared with the shim)."""
+    """Fig. 12 row dicts from stored records (shared with the claim)."""
     rows = []
     for record in records:
         result = record["result"]
@@ -443,12 +541,39 @@ def _tables_fig12(records: list) -> list[Table]:
     )]
 
 
+def fig12_subset_reduction(records: list) -> str:
+    """JigSaw ~5.5x the baseline Pauli circuits, VarSaw ~0.2x; the
+    VarSaw:JigSaw reduction is ~25x on average and >1000x for Cr2-34."""
+    rows = fig12_rows(records)
+    mean_ratio = geometric_mean([r["ratio"] for r in rows])
+
+    by_key = {r["key"]: r for r in rows}
+    # JigSaw's relative overhead grows with qubit count...
+    assert by_key["H2-4"]["jig_rel"] < by_key["CH4-8"]["jig_rel"]
+    assert by_key["CH4-8"]["jig_rel"] < by_key["C2H4-20"]["jig_rel"]
+    # ...while VarSaw's relative subset count shrinks.
+    assert by_key["CH4-6"]["var_rel"] > by_key["H6-10"]["var_rel"]
+    assert by_key["H6-10"]["var_rel"] > by_key["C2H4-20"]["var_rel"]
+    # Reduction ratio grows with size; the largest system exceeds 100x
+    # (paper: >1000x for Cr2-34, which runs at full scale).
+    ratios = [r["ratio"] for r in rows]
+    assert ratios[-1] == max(ratios)
+    assert by_key["C2H4-20"]["ratio"] > 100
+    if "Cr2-34" in by_key:
+        assert by_key["Cr2-34"]["ratio"] > 1000
+    # Mean reduction is the paper's order of magnitude.
+    assert mean_ratio > 10
+    return (f"geometric-mean reduction ratio: {mean_ratio:.1f}x "
+            "(paper mean ~25x)")
+
+
 _register(CatalogEntry(
     name="fig12",
     figure="Fig. 12",
     title="Pauli-term reduction in measurement subsets vs JigSaw",
     build=_build_fig12,
     tables=_tables_fig12,
+    claims=(fig12_subset_reduction,),
 ))
 
 
@@ -510,6 +635,34 @@ def _tables_fig13(records: list) -> list[Table]:
     )]
 
 
+def fig13_ch4_energy_trace(records: list) -> str:
+    """At equal circuits VarSaw reaches the lowest energy of the noisy
+    schemes, close to Ideal; JigSaw completes a fraction of the
+    iterations."""
+    runs = {
+        r["point"]["scheme"]: r["result"] for r in records
+    }
+    trace = select(
+        records, point__scheme="varsaw"
+    )[0]["result"]["energy_history"]
+    step = max(1, len(trace) // 8)
+
+    # JigSaw completes the fewest iterations (its per-iteration cost is
+    # ~Qx higher); VarSaw completes the most of the mitigated schemes.
+    assert runs["varsaw"]["iterations"] > 3 * runs["jigsaw"]["iterations"]
+    assert runs["baseline"]["iterations"] > runs["jigsaw"]["iterations"]
+    # VarSaw achieves the best energy among the noisy schemes.
+    noisy_best = min(
+        runs[k]["energy"] for k in ("baseline", "jigsaw")
+    )
+    assert runs["varsaw"]["energy"] <= noisy_best + 0.05
+    # And the ideal is the floor.
+    assert runs["ideal"]["energy"] <= runs["varsaw"]["energy"] + 1e-9
+    return "VarSaw best-so-far trace (iter:energy): " + ", ".join(
+        f"{i}:{trace[i]:.2f}" for i in range(0, len(trace), step)
+    )
+
+
 _register(CatalogEntry(
     name="fig13",
     figure="Fig. 13",
@@ -517,6 +670,7 @@ _register(CatalogEntry(
     build=_build_fig13,
     tables=_tables_fig13,
     followup=_followup_fig13,
+    claims=(fig13_ch4_energy_trace,),
 ))
 
 
@@ -547,7 +701,7 @@ def _build_fig14() -> SweepSpec:
 
 
 def fig14_rows(records: list) -> list[dict]:
-    """Fig. 14's per-workload summary rows (shared with the shim)."""
+    """Fig. 14's per-workload summary rows (shared with the claim)."""
     rows = []
     for key in _keys_in_order(records):
         base = _one(records, point__workload__key=key,
@@ -584,12 +738,29 @@ def _tables_fig14(records: list) -> list[Table]:
     )]
 
 
+def fig14_accuracy_vs_baseline(records: list) -> str:
+    """VarSaw closes 13%-86% (mean 45%) of the noisy baseline's gap to
+    the Ideal, with Globals on ~0.01-0.1 of the evaluations."""
+    rows = fig14_rows(records)
+    mean = sum(r["mitigated"] for r in rows) / len(rows)
+
+    # VarSaw improves on the baseline for most workloads and on average.
+    improved = [r for r in rows if r["mitigated"] > 0]
+    assert len(improved) >= len(rows) - 1
+    assert mean > 10
+    # Globals are sparse: far fewer than one per evaluation.
+    for r in rows:
+        assert r["global_fraction"] < 0.6, r["key"]
+    return f"mean % mitigated: {mean:.0f}% (paper: 45%)"
+
+
 _register(CatalogEntry(
     name="fig14",
     figure="Fig. 14",
     title="% of noisy-VQE inaccuracy mitigated by VarSaw",
     build=_build_fig14,
     tables=_tables_fig14,
+    claims=(fig14_accuracy_vs_baseline,),
 ))
 
 
@@ -628,7 +799,7 @@ def _build_fig15() -> SweepSpec:
 
 
 def fig15_rows(records: list) -> list[dict]:
-    """Fig. 15 row dicts from stored records (shared with the shim)."""
+    """Fig. 15 row dicts from stored records (shared with the claim)."""
     rows = []
     for key in _keys_in_order(records):
         jig = _one(records, point__workload__key=key,
@@ -669,12 +840,36 @@ def _tables_fig15(records: list) -> list[Table]:
     )]
 
 
+def fig15_varsaw_vs_jigsaw_fixed_budget(records: list) -> str:
+    """At equal circuits VarSaw runs many more iterations and closes
+    21-92% (mean 55%) of JigSaw's remaining inaccuracy."""
+    rows = fig15_rows(records)
+    mean = sum(r["mitigated"] for r in rows) / len(rows)
+
+    for r in rows:
+        # The economic mechanism: VarSaw runs far more iterations.
+        assert (
+            r["varsaw"]["iterations"] > 2 * r["jigsaw"]["iterations"]
+        ), r["key"]
+    # And converts them into better energy on average (the paper's 55%
+    # comes from the full 2000-iteration regime; quick scale shows the
+    # same direction at smaller magnitude).
+    assert mean > 5
+    wins = [
+        r for r in rows
+        if r["varsaw"]["energy"] <= r["jigsaw"]["energy"]
+    ]
+    assert len(wins) >= len(rows) - 1
+    return f"mean % mitigated over JigSaw: {mean:.0f}% (paper: 55%)"
+
+
 _register(CatalogEntry(
     name="fig15",
     figure="Fig. 15",
     title="VQE accuracy of VarSaw over JigSaw at fixed budget",
     build=_build_fig15,
     tables=_tables_fig15,
+    claims=(fig15_varsaw_vs_jigsaw_fixed_budget,),
 ))
 
 
@@ -727,12 +922,29 @@ def _tables_fig16(records: list) -> list[Table]:
     )]
 
 
+def fig16_tfim_on_device_models(records: list) -> None:
+    """On Lagos- and Jakarta-like devices, sparse VarSaw completes ~4x
+    the iterations and improves the objective 1.5-3x."""
+    for name, device in FIG16_DEVICES:
+        runs = {
+            r["point"]["scheme"]: r["result"]
+            for r in select(records, point__device__preset=device["preset"])
+        }
+        sparse = runs["varsaw_max_sparsity"]
+        dense = runs["varsaw_no_sparsity"]
+        # Sparse VarSaw completes several times the iterations (paper: ~4x).
+        assert sparse["iterations"] > 1.5 * dense["iterations"], name
+        # And its objective is at least competitive.
+        assert sparse["energy"] <= dense["energy"] + 0.3, name
+
+
 _register(CatalogEntry(
     name="fig16",
     figure="Fig. 16",
     title="VarSaw temporal optimization on device models (TFIM-5)",
     build=_build_fig16,
     tables=_tables_fig16,
+    claims=(fig16_tfim_on_device_models,),
 ))
 
 
@@ -774,17 +986,33 @@ def _tables_fig17(records: list) -> list[Table]:
     )]
 
 
+def fig17_deep_ansatz(records: list) -> None:
+    """At p = 4 the sparse run still converges lower for the same
+    circuit budget, despite a slower per-iteration rate."""
+    runs = {
+        r["point"]["scheme"]: r["result"] for r in records
+    }
+    sparse = runs["varsaw_max_sparsity"]
+    dense = runs["varsaw_no_sparsity"]
+    # More iterations for the same budget...
+    assert sparse["iterations"] > 1.5 * dense["iterations"]
+    # ...and a final energy that is competitive or better.
+    assert sparse["energy"] <= dense["energy"] + 0.2
+
+
 _register(CatalogEntry(
     name="fig17",
     figure="Fig. 17",
     title="Global sparsity at ansatz depth p = 4 (LiH-6)",
     build=_build_fig17,
     tables=_tables_fig17,
+    claims=(fig17_deep_ansatz,),
 ))
 
 
 # ================================================================ fig18
 
+FIG18_KEYS = ["LiH-6", "H2O-6"]
 
 def _build_fig18() -> SweepSpec:
     warm = scaled(True, False)
@@ -798,9 +1026,7 @@ def _build_fig18() -> SweepSpec:
             "seed": 18,
             "warm_start_iterations": 300 if warm else None,
         },
-        cells=[
-            {"workload": {"key": key}} for key in ["LiH-6", "H2O-6"]
-        ],
+        cells=[{"workload": {"key": key}} for key in FIG18_KEYS],
         axes={"estimator": [{}, {"mbm": True}]},
     )
 
@@ -826,12 +1052,32 @@ def _tables_fig18(records: list) -> list[Table]:
     )]
 
 
+def fig18_varsaw_plus_mbm(records: list) -> None:
+    """MBM under VarSaw gains ~10% for H2O and is negligible for LiH:
+    it never hurts."""
+    for key in FIG18_KEYS:
+        plain, = select(
+            records, point__workload__key=key,
+            point__estimator={},
+        )
+        stacked, = select(
+            records, point__workload__key=key,
+            point__estimator={"mbm": True},
+        )
+        ideal = plain["result"]["ideal_energy"]
+        err_plain = abs(plain["result"]["energy"] - ideal)
+        err_stacked = abs(stacked["result"]["energy"] - ideal)
+        # MBM stacking never hurts beyond noise (paper: ~0-10% gain).
+        assert err_stacked <= err_plain * 1.25 + 0.05, key
+
+
 _register(CatalogEntry(
     name="fig18",
     figure="Fig. 18",
     title="Stacking VarSaw with matrix-based mitigation",
     build=_build_fig18,
     tables=_tables_fig18,
+    claims=(fig18_varsaw_plus_mbm,),
 ))
 
 
@@ -872,7 +1118,7 @@ def _build_fig19() -> SweepSpec:
 
 
 def fig19_rows(records: list) -> list[dict]:
-    """Fig. 19 row dicts from stored records (shared with the shim)."""
+    """Fig. 19 row dicts from stored records (shared with the claim)."""
     from ..core import count_varsaw_subsets
     from ..hamiltonian import build_hamiltonian
 
@@ -913,12 +1159,34 @@ def _tables_fig19(records: list) -> list[Table]:
     )]
 
 
+def fig19_subset_sizes(records: list) -> None:
+    """Accuracy gains vary little with window size while subset
+    circuits grow with it, so the 2-qubit window dominates."""
+    by_key: dict = {}
+    for r in fig19_rows(records):
+        by_key.setdefault(r["key"], []).append(r)
+    for key, entries in by_key.items():
+        entries.sort(key=lambda r: r["window"])
+        window2 = entries[0]
+        best_improvement = max(e["improvement"] for e in entries)
+        fewest_subsets = min(e["subsets"] for e in entries)
+        # Appendix A's conclusion: the 2-qubit window is the clear choice —
+        # its accuracy is within the (low) variance across window sizes
+        # while its circuit count is at (or near) the minimum.
+        assert window2["improvement"] >= 0.7 * best_improvement, key
+        assert window2["subsets"] <= 1.5 * fewest_subsets, key
+        # Mitigation is positive at every window size.
+        for e in entries:
+            assert e["improvement"] > 0, (key, e["window"])
+
+
 _register(CatalogEntry(
     name="fig19",
     figure="Fig. 19",
     title="Subset-size sweep at optimal parameters",
     build=_build_fig19,
     tables=_tables_fig19,
+    claims=(fig19_subset_sizes,),
 ))
 
 
@@ -952,7 +1220,7 @@ def _build_table1() -> SweepSpec:
 
 
 def table1_rows(records: list) -> list[dict]:
-    """Table 1 row dicts from stored records (shared with the shim)."""
+    """Table 1 row dicts from stored records (shared with the claim)."""
     rows = []
     for key in TABLE1_KEYS:
         ref_record = _one(records, point__workload__key=key,
@@ -986,17 +1254,34 @@ def _tables_table1(records: list) -> list[Table]:
     )]
 
 
+def table1_jigsaw_circuit_level(records: list) -> str:
+    """At optimal parameters JigSaw recovers most (>70%) of the
+    measurement-induced inaccuracy for LiH, H2O, H2 and CH4."""
+    rows = table1_rows(records)
+    for r in rows:
+        # JigSaw lands strictly closer to the reference than the noisy run.
+        assert energy_error(r["jigsaw"], r["ref"]) < energy_error(
+            r["noisy"], r["ref"]
+        ), r["key"]
+    # Meaningful recovery on average (paper: >70%).
+    mean_recovered = sum(r["recovered"] for r in rows) / len(rows)
+    assert mean_recovered > 40
+    return f"mean % inaccuracy recovered: {mean_recovered:.0f}%"
+
+
 _register(CatalogEntry(
     name="table1",
     figure="Table 1",
     title="JigSaw circuit-level mitigation at optimal parameters",
     build=_build_table1,
     tables=_tables_table1,
+    claims=(table1_jigsaw_circuit_level,),
 ))
 
 
 # ========================================================== table3 / 4
 
+TABLE4_DEPTHS = [1, 2, 4, 8]
 
 def _selective_cells(keys: list[str], variations, field_name: str):
     from ..hamiltonian import build_hamiltonian
@@ -1044,13 +1329,13 @@ def _build_table4() -> SweepSpec:
             "seed": 4,
             "max_iterations": 100_000,
         },
-        cells=_selective_cells(keys, [1, 2, 4, 8], "reps"),
+        cells=_selective_cells(keys, TABLE4_DEPTHS, "reps"),
         axes={"scheme": ["varsaw_no_sparsity", "varsaw"]},
     )
 
 
 def selective_table(records: list, field_name: str, variations) -> dict:
-    """Table 3/4 cells keyed ``(key, variation)`` (shared with shims)."""
+    """Table 3/4 cells keyed ``(key, variation)`` (shared with claims)."""
     table = {}
     for key in _keys_in_order(records):
         for variation in variations:
@@ -1103,13 +1388,51 @@ def _tables_table3(records: list) -> list[Table]:
 
 
 def _tables_table4(records: list) -> list[Table]:
-    depths = [1, 2, 4, 8]
     return [Table(
         "Table 4: % inaccuracy mitigated by selective Globals, "
         "per depth p (sparse/dense iterations in parentheses)",
-        ["Workload"] + [f"p = {p}" for p in depths],
-        _selective_rows(records, "reps", depths),
+        ["Workload"] + [f"p = {p}" for p in TABLE4_DEPTHS],
+        _selective_rows(records, "reps", TABLE4_DEPTHS),
     )]
+
+
+def table3_ansatz_types(records: list) -> None:
+    """Selective Globals mitigate a positive share (23%-96%) of the
+    no-sparsity inaccuracy for every molecule and ansatz type."""
+    from ..ansatz import ENTANGLEMENT_TYPES
+
+    table = selective_table(
+        records, "entanglement", list(ENTANGLEMENT_TYPES)
+    )
+    cells = list(table.values())
+    for cell in cells:
+        # The economics: selective execution completes far more
+        # iterations under the same budget...
+        assert cell["sparse_iters"] > 1.5 * cell["dense_iters"]
+        # ...without giving up energy beyond run-to-run noise.
+        assert cell["gap"] < 0.25
+    if is_full_scale():
+        # The paper's Table 3: positive mitigation in every cell.
+        values = [c["mitigated"] for c in cells]
+        assert sum(values) / len(values) > 0
+        assert sum(1 for v in values if v > 0) >= len(values) - 1
+
+
+def table4_ansatz_depths(records: list) -> None:
+    """Sparsity helps at every depth p but for one marginally negative
+    cell, with the benefit shrinking at larger p."""
+    table = selective_table(records, "reps", TABLE4_DEPTHS)
+    cells = list(table.values())
+    for cell in cells:
+        assert cell["sparse_iters"] > 1.5 * cell["dense_iters"]
+        assert cell["gap"] < 0.25
+    if is_full_scale():
+        # Paper's Table 4 shape: positive everywhere except (at most) one
+        # marginal cell.
+        values = [c["mitigated"] for c in cells]
+        assert sum(values) / len(values) > 0
+        negatives = [v for v in values if v <= 0]
+        assert len(negatives) <= max(1, len(values) // 6)
 
 
 _register(CatalogEntry(
@@ -1118,6 +1441,7 @@ _register(CatalogEntry(
     title="Selective-execution benefit across ansatz types",
     build=_build_table3,
     tables=_tables_table3,
+    claims=(table3_ansatz_types,),
 ))
 
 _register(CatalogEntry(
@@ -1126,6 +1450,7 @@ _register(CatalogEntry(
     title="Selective-execution benefit across ansatz depths",
     build=_build_table4,
     tables=_tables_table4,
+    claims=(table4_ansatz_depths,),
 ))
 
 
@@ -1163,7 +1488,7 @@ def _build_table5() -> SweepSpec:
 
 
 def table5_grid(records: list) -> dict:
-    """``{scale: {scheme: energy}}`` in grid order (shared with shim)."""
+    """``{scale: {scheme: energy}}`` in grid order (shared with claim)."""
     grid: dict = {}
     for record in records:
         scale = record["point"]["device"]["scale"]
@@ -1190,12 +1515,35 @@ def _tables_table5(records: list) -> list[Table]:
     )]
 
 
+def table5_noise_sweep(records: list) -> None:
+    """Max-Sparsity beats the baseline at every noise scale and tracks
+    No-Sparsity; sparsity's advantage disappears as noise vanishes."""
+    table = table5_grid(records)
+    scales = list(table)
+    wins = 0
+    for scale in scales:
+        runs = table[scale]
+        if runs["varsaw_max_sparsity"] <= runs["baseline"] + 1e-9:
+            wins += 1
+        # Max-Sparsity tracks No-Sparsity (within a scale-dependent band).
+        band = 0.3 + 0.4 * scale
+        assert (
+            runs["varsaw_max_sparsity"] - runs["varsaw_no_sparsity"] < band
+        ), scale
+    # Max-Sparsity beats the unmitigated baseline at (almost) every scale.
+    assert wins >= len(scales) - 1
+    # Energies degrade (rise) as noise grows for the baseline.
+    energies = [table[s]["baseline"] for s in sorted(scales)]
+    assert energies[0] < energies[-1]
+
+
 _register(CatalogEntry(
     name="table5",
     figure="Table 5",
     title="Global sparsity across noise scales (H2O-6)",
     build=_build_table5,
     tables=_tables_table5,
+    claims=(table5_noise_sweep,),
 ))
 
 
@@ -1223,7 +1571,7 @@ def _build_sec67() -> SweepSpec:
 
 
 def sec67_rows(records: list) -> list[dict]:
-    """Section 6.7 row dicts from stored records (shared with the shim)."""
+    """Section 6.7 row dicts from stored records (shared with the claim)."""
     rows = []
     for key in _keys_in_order(records):
         counts = _one(records, point__task="structure",
@@ -1259,12 +1607,41 @@ def _tables_sec67(records: list) -> list[Table]:
     )]
 
 
+def sec67_optimization_ablation(records: list) -> None:
+    """Spatial alone ~5x below JigSaw; temporal alone >10x below the
+    baseline; both ~25x below JigSaw and ~10x below the baseline."""
+    rows = sec67_rows(records)
+    for r in rows:
+        # Spatial alone already beats JigSaw substantially...
+        assert r["spatial"] < 0.5 * r["jigsaw"], r["key"]
+        # ...temporal stacks on top: full VarSaw under spatial-only...
+        assert r["full"] < r["spatial"], r["key"]
+        # ...and the paper's headline stack-up: full VarSaw is several
+        # times below JigSaw and at worst on par with the baseline (the
+        # "below baseline" margin widens with molecule size — see the
+        # largest-workload check below).
+        assert r["jigsaw"] / r["full"] > 4, r["key"]
+        assert r["full"] < 1.1 * r["baseline"], r["key"]
+        # Temporal-only (keep JigSaw's unreduced subsets, sparse globals)
+        # is still far above full VarSaw — temporal optimization is only
+        # really useful after spatial (the paper's Section 6.7 note).
+        jig_subsets = r["jigsaw"] - r["baseline"]
+        temporal_only = r["fraction"] * r["baseline"] + jig_subsets
+        assert temporal_only > r["full"], r["key"]
+    # Subsets shrink relative to the baseline as molecules grow, so the
+    # largest workload in the sweep lands strictly below the baseline —
+    # the >10x full-scale figure comes from the biggest systems.
+    largest = max(rows, key=lambda r: r["baseline"])
+    assert largest["full"] < largest["baseline"]
+
+
 _register(CatalogEntry(
     name="sec67",
     figure="Section 6.7",
     title="Isolated effect of each VarSaw optimization",
     build=_build_sec67,
     tables=_tables_sec67,
+    claims=(sec67_optimization_ablation,),
 ))
 
 
@@ -1303,12 +1680,34 @@ def _tables_ext_calibration_gating(records: list) -> list[Table]:
     )]
 
 
+def calibration_gate_threshold_sweep(records: list) -> None:
+    """§7.1: qubits with near-zero readout error need no mitigation, so
+    gating their windows saves circuits at (near) zero accuracy cost."""
+    by = {}
+    for record in records:
+        threshold = record["point"]["options"]["threshold"]
+        label = "off" if threshold is None else f"{threshold:g}"
+        by[label] = record["result"]
+    # A permissive threshold keeps everything (== VarSaw).
+    assert by["0.0001"]["skipped"] == 0
+    assert by["0.0001"]["circuits"] == by["off"]["circuits"]
+    # The intended operating point prunes the clean-line windows at
+    # near-zero accuracy cost.
+    assert by["0.01"]["skipped"] > 0
+    assert by["0.01"]["circuits"] < by["off"]["circuits"]
+    assert by["0.01"]["error"] < by["off"]["error"] + 0.15
+    # Gating everything degenerates toward the unmitigated baseline:
+    # maximal savings, and accuracy is allowed to suffer.
+    assert by["0.1"]["circuits"] <= by["0.01"]["circuits"]
+
+
 _register(CatalogEntry(
     name="ext_calibration_gating",
     figure="Extension (§7.1)",
     title="Calibration-gated subsetting threshold sweep",
     build=_build_ext_calibration_gating,
     tables=_tables_ext_calibration_gating,
+    claims=(calibration_gate_threshold_sweep,),
 ))
 
 
@@ -1387,12 +1786,48 @@ def _tables_ext_drift_frontier(records: list) -> list[Table]:
     )]
 
 
+def drift_policy_frontier(records: list) -> None:
+    """Online detection re-calibrates iff the noise drifts, and costs
+    between static scheduling and an oracle."""
+    by = {}
+    for record in records:
+        options = record["point"]["options"]
+        by[(options["magnitude"], options["policy"])] = record["result"]
+
+    # Detection: the online policy re-calibrates iff there is drift —
+    # no false alarms at zero drift, at least one alarm per step.
+    for policy in ("static", "oracle", "online"):
+        assert by[(0.0, policy)]["recalibrations"] == 0
+    for magnitude in (1.0, 2.0):
+        assert by[(magnitude, "online")]["recalibrations"] > 0
+        # Static scheduling has no detector at all.
+        assert by[(magnitude, "static")]["recalibrations"] == 0
+
+    # Cost ordering at every magnitude: static executes the fewest
+    # circuits, the oracle (fresh Globals every epoch) the most, and
+    # the online policy sits between — probes are cheaper than
+    # paranoid re-calibration.
+    for magnitude in (0.0, 1.0, 2.0):
+        static = by[(magnitude, "static")]["circuits"]
+        online = by[(magnitude, "online")]["circuits"]
+        oracle = by[(magnitude, "oracle")]["circuits"]
+        assert static < online < oracle
+
+    # Drift hurts every policy: heavier drift, larger mean error.
+    for policy in ("static", "oracle", "online"):
+        assert (
+            by[(2.0, policy)]["mean_error"]
+            > by[(0.0, policy)]["mean_error"]
+        )
+
+
 _register(CatalogEntry(
     name="ext_drift_frontier",
     figure="Extension (drift)",
     title="Re-calibration policy cost/accuracy frontier under drift",
     build=_build_ext_drift_frontier,
     tables=_tables_ext_drift_frontier,
+    claims=(drift_policy_frontier,),
 ))
 
 
@@ -1464,12 +1899,33 @@ def _tables_ext_drift_schedules(records: list) -> list[Table]:
     )]
 
 
+def online_policy_across_schedules(records: list) -> None:
+    """CUSUM detection stays silent without drift and alarms on every
+    drifting schedule kind, not only the step jump."""
+    by = {
+        record["point"]["options"]["schedule"]: record["result"]
+        for record in records
+    }
+    # The zero-drift schedule must not trip the detector; every
+    # drifting kind must.
+    assert by["constant"]["recalibrations"] == 0
+    for label in ("step", "linear", "sine", "random_walk"):
+        assert by[label]["recalibrations"] > 0
+        assert (
+            by[label]["peak_statistic"]
+            > by["constant"]["peak_statistic"]
+        )
+    # Oscillating drift keeps alarming as the rates swing.
+    assert by["sine"]["recalibrations"] >= by["step"]["recalibrations"]
+
+
 _register(CatalogEntry(
     name="ext_drift_schedules",
     figure="Extension (drift)",
     title="Online re-calibration across drift schedule kinds",
     build=_build_ext_drift_schedules,
     tables=_tables_ext_drift_schedules,
+    claims=(online_policy_across_schedules,),
 ))
 
 
@@ -1530,6 +1986,23 @@ def _mask_timings(text: str, speedup: bool = False) -> str:
     return "\n".join(line.rstrip() for line in text.splitlines())
 
 
+def engine_throughput_on_repeated_trace(records: list) -> None:
+    """The engine's cache absorbs a tuning trace's parameter revisits
+    with identical ledgers and energies."""
+    direct = select(records, point__options={"cache": False})[0]["result"]
+    engine = select(records, point__options={})[0]["result"]
+    # The paper's cost metric is untouched: identical ledgers...
+    assert engine["circuits"] == direct["circuits"]
+    assert engine["shots"] == direct["shots"]
+    # ...and identical energies (shared-RNG sampling order is preserved).
+    assert engine["energies"] == direct["energies"]
+    # The cache absorbs the revisits: fewer simulations than submissions,
+    # a positive hit rate, and (on any reasonable machine) a wall-clock win.
+    assert engine["hit_rate"] > 0.0
+    assert engine["simulations"] < engine["circuits"]
+    assert engine["simulations"] < direct["simulations"]
+
+
 _register(CatalogEntry(
     name="ext_engine_throughput",
     figure="Extension (engine)",
@@ -1537,6 +2010,7 @@ _register(CatalogEntry(
     build=_build_ext_engine_throughput,
     tables=_tables_ext_engine_throughput,
     normalize=functools.partial(_mask_timings, speedup=True),
+    claims=(engine_throughput_on_repeated_trace,),
 ))
 
 
@@ -1598,12 +2072,57 @@ def _tables_ext_gc_grouping(records: list) -> list[Table]:
     ]
 
 
+def gc_versus_qwc_grouping(records: list) -> None:
+    """§3.1: general commutation needs fewer circuits, but only at the
+    price of entangling measurement rotations."""
+    for record in select(records, point__task="gc_grouping"):
+        r = record["result"]
+        # GC always merges at least as well as QWC...
+        assert r["gc_groups"] <= r["qwc_groups"]
+        # ...but pays with entangling gates QWC never needs (the paper's
+        # stated reason for scoping VarSaw to trivial commutation).
+        if r["gc_groups"] < r["qwc_groups"]:
+            assert r["gc_rotation_cx"] > 0
+
+
+def gc_group_validity(records: list) -> None:
+    """Every GC group is internally commuting and diagonalizable."""
+    stats, = select(records, point__task="gc_validity")
+    assert stats["result"]["groups"] >= 1
+    assert stats["result"]["pairs_checked"] > 0
+
+
+def gc_versus_qwc_end_to_end(records: list) -> None:
+    """GC needs ~5x fewer circuits at comparable accuracy under
+    readout-dominated noise (§3.1's trade-off, measured)."""
+
+    def result(scheme):
+        record, = select(
+            records, point__task="gc_end_to_end",
+            point__options__regime="standard",
+            point__options__estimator=scheme,
+        )
+        return record["result"]
+
+    qwc = result("QWC baseline")
+    gc = result("GC estimator")
+    # GC runs several-fold fewer circuits...
+    assert gc["circuits"] * 2 < qwc["circuits"]
+    # ...at comparable accuracy in the readout-dominated regime.
+    assert gc["error"] < 2.5 * qwc["error"]
+
+
 _register(CatalogEntry(
     name="ext_gc_grouping",
     figure="Extension (§3.1)",
     title="Qubit-wise vs general commutation grouping",
     build=_build_ext_gc_grouping,
     tables=_tables_ext_gc_grouping,
+    claims=(
+        gc_versus_qwc_grouping,
+        gc_group_validity,
+        gc_versus_qwc_end_to_end,
+    ),
 ))
 
 
@@ -1659,12 +2178,46 @@ def _tables_ext_layout_routing(records: list) -> list[Table]:
     ]
 
 
+def subset_placement_readout_gain(records: list) -> None:
+    """Subsets gain by measuring on the best readout lines (Section 1,
+    benefit a)."""
+    rows = [
+        record["result"]
+        for record in select(records, point__task="readout_placement")
+    ]
+    for r in rows:
+        assert r["best"] <= r["default"]
+    # best-k mean error is monotone nondecreasing in the window size:
+    # wider subsets are forced onto progressively worse readout lines.
+    best_means = [r["best"] for r in rows]
+    assert best_means == sorted(best_means)
+
+
+def ansatz_routing_overhead(records: list) -> None:
+    """On heavy-hex, Table 3's full entanglement pays SWAPs that linear
+    entanglement avoids entirely."""
+    rows = [
+        record["result"]
+        for record in select(records, point__task="routing")
+    ]
+    by_type = {r["entanglement"]: r for r in rows}
+    # Linear entanglement routes SWAP-free on a line-containing topology;
+    # full entanglement cannot.
+    assert by_type["linear"]["swaps"] == 0
+    assert by_type["full"]["swaps"] > 0
+    # Full entanglement pays the largest native gate bill.
+    assert by_type["full"]["native_cx"] == max(
+        r["native_cx"] for r in rows
+    )
+
+
 _register(CatalogEntry(
     name="ext_layout_routing",
     figure="Extension (layout)",
     title="Layout & routing costs behind the paper's premises",
     build=_build_ext_layout_routing,
     tables=_tables_ext_layout_routing,
+    claims=(subset_placement_readout_gain, ansatz_routing_overhead),
 ))
 
 
@@ -1709,12 +2262,52 @@ def _tables_ext_mitigation_shootout(records: list) -> list[Table]:
     return tables
 
 
+def mitigation_shootout(records: list) -> None:
+    """Matrix inversion wins at small width, while JigSaw's subsetting
+    still recovers GHZ-8 where inversion amplifies sampling noise."""
+    stats = {
+        n: select(
+            records,
+            point__task="mitigation_shootout",
+            point__options__n_qubits=n,
+        )[0]["result"]
+        for n in SHOOTOUT_WIDTHS
+    }
+    for n, results in stats.items():
+        raw_tvd = results["raw"][0]
+        # JigSaw beats raw at every width — subsetting degrades
+        # gracefully where matrix inversion cannot.
+        assert results["JigSaw"][0] < 0.6 * raw_tvd
+        # Bias-aware averaging never makes the distribution worse
+        # (it halves the worst-case asymmetric bias).
+        assert results["bias-aware"][0] < raw_tvd * 1.1
+    # Matrix methods dominate at small width...
+    for n in (4, 6):
+        assert stats[n]["M3"][0] < 0.4 * stats[n]["raw"][0]
+        assert stats[n]["MBM"][0] < 0.4 * stats[n]["raw"][0]
+    # ...but amplify sampling noise catastrophically at GHZ-8 under 2x
+    # noise, while JigSaw still recovers most of the infidelity — the
+    # MICRO'21 motivation for subsetting, reproduced end to end.
+    assert stats[8]["JigSaw"][0] < stats[8]["M3"][0]
+    assert stats[8]["JigSaw"][0] < 0.5 * stats[8]["raw"][0]
+
+
+def mitigation_stacking(records: list) -> None:
+    """M3-corrected Globals inside JigSaw: Fig. 18's stacking, per circuit."""
+    stacking = select(
+        records, point__task="mitigation_stacking"
+    )[0]["result"]
+    # Fig. 18's shape: stacking helps or is negligible, never a blow-up.
+    assert stacking["jigsaw+m3 global"] < stacking["jigsaw"] * 1.1
+
+
 _register(CatalogEntry(
     name="ext_mitigation_shootout",
     figure="Extension (mitigation)",
     title="Measurement-mitigation shootout on fixed circuits",
     build=_build_ext_mitigation_shootout,
     tables=_tables_ext_mitigation_shootout,
+    claims=(mitigation_shootout, mitigation_stacking),
 ))
 
 
@@ -1786,12 +2379,42 @@ def _tables_ext_qaoa(records: list) -> list[Table]:
     ]
 
 
+def qaoa_spatial_structure(records: list) -> None:
+    """§7.3: a single-basis MaxCut Hamiltonian leaves little spatial
+    redundancy to harvest."""
+    stats = select(records, point__task="structure")[0]["result"]
+    # Every ZZ term lives in the single all-Z commuting family: the
+    # spatial opportunity is structurally smaller than in VQE (§7.3).
+    assert stats["qwc_families"] == 1
+    # Spatial reduction still prunes the sliding-window subsets well
+    # below the term count (shared 2-qubit windows merge).
+    assert stats["varsaw"] < stats["jigsaw"]
+
+
+def qaoa_temporal_benefit(records: list) -> None:
+    """§7.3: sparse Globals still buy more iterations at >= accuracy
+    for a fixed budget."""
+    runs = {
+        r["point"]["scheme"]: r["result"]
+        for r in select(records, point__task="tuning")
+    }
+    dense = runs["varsaw_no_sparsity"]
+    sparse = runs["varsaw_max_sparsity"]
+    # The temporal prediction: sparsity buys strictly more iterations...
+    assert (
+        sparse["iterations_completed"] > dense["iterations_completed"]
+    )
+    # ...and does not give up accuracy (small tolerance for tuner noise).
+    assert sparse["energy"] <= dense["energy"] + 0.35
+
+
 _register(CatalogEntry(
     name="ext_qaoa",
     figure="Extension (§7.3)",
     title="VarSaw on QAOA MaxCut",
     build=_build_ext_qaoa,
     tables=_tables_ext_qaoa,
+    claims=(qaoa_spatial_structure, qaoa_temporal_benefit),
 ))
 
 
@@ -1879,12 +2502,49 @@ def _tables_ext_selective_mitigation(records: list) -> list[Table]:
     ]
 
 
+def ext_term_selective_tradeoff(records: list) -> None:
+    """§7.3: mitigating only the heaviest terms trades subset circuits
+    for accuracy."""
+    ideal = select(
+        records, point__task="energy", point__scheme="ideal"
+    )[0]["result"]["energy"]
+    baseline = select(
+        records, point__task="energy", point__scheme="baseline"
+    )[0]["result"]["energy"]
+    rows = [
+        r["result"]
+        for r in select(records, point__task="term_selective")
+    ]
+    # Subset cost grows with selected mass...
+    costs = [r["subsets"] for r in rows]
+    assert costs == sorted(costs)
+    # ...full selection does at least as well as the unmitigated baseline
+    # and partial selection lands in between.
+    base_error = abs(baseline - ideal)
+    assert rows[-1]["error"] < base_error
+    assert rows[0]["subsets"] < rows[-1]["subsets"]
+
+
+def ext_phase_selective_run(records: list) -> None:
+    """Mitigate only the tuning endgame: cheaper than always-on, more
+    accurate at the end than never-on."""
+    out = {
+        r["point"]["options"]["policy"]: r["result"]
+        for r in select(records, point__task="phase_selective")
+    }
+    # Endgame-only mitigation is cheaper than always-on...
+    assert out["endgame"]["circuits"] < out["always"]["circuits"]
+    # ...at comparable accuracy.
+    assert out["endgame"]["energy"] <= out["always"]["energy"] + 0.3
+
+
 _register(CatalogEntry(
     name="ext_selective_mitigation",
     figure="Extension (§7.3)",
     title="Selective mitigation: cost vs accuracy",
     build=_build_ext_selective_mitigation,
     tables=_tables_ext_selective_mitigation,
+    claims=(ext_term_selective_tradeoff, ext_phase_selective_run),
 ))
 
 
@@ -1978,12 +2638,48 @@ def _tables_ext_spin_models(records: list) -> list[Table]:
     ]
 
 
+def ext_spin_model_spatial_reduction(records: list) -> None:
+    """§7.3: spin-model terms spread across bases, so subsets shrink,
+    most for multi-basis Heisenberg."""
+    rows = {
+        r["point"]["workload"]["model"]: r["result"]
+        for r in select(records, point__task="structure")
+    }
+    for model, r in rows.items():
+        assert r["varsaw"] < r["jigsaw"], model
+    # The multi-basis models (Heisenberg spans X/Y/Z) show the strongest
+    # redundancy, as Section 7.3 predicts.
+    heis = rows["heisenberg"]
+    assert heis["jigsaw"] / heis["varsaw"] > 2
+
+
+def ext_spin_model_temporal_economics(records: list) -> None:
+    """§7.3: sparse Globals buy iterations on TFIM, Heisenberg and XY
+    at a fixed budget."""
+    for model in ("tfim", "heisenberg", "xy"):
+        runs = {
+            r["point"]["scheme"]: r["result"]
+            for r in select(
+                records, point__task="tuning",
+                point__workload__model=model,
+            )
+        }
+        sparse = runs["varsaw_max_sparsity"]
+        dense = runs["varsaw_no_sparsity"]
+        assert sparse["iterations"] > 1.3 * dense["iterations"], model
+        assert sparse["energy"] <= dense["energy"] + 0.4, model
+
+
 _register(CatalogEntry(
     name="ext_spin_models",
     figure="Extension (§7.3)",
     title="VarSaw on spin-model Hamiltonians",
     build=_build_ext_spin_models,
     tables=_tables_ext_spin_models,
+    claims=(
+        ext_spin_model_spatial_reduction,
+        ext_spin_model_temporal_economics,
+    ),
 ))
 
 
@@ -2063,12 +2759,65 @@ def _tables_ext_trotter_mitigation(records: list) -> list[Table]:
     ]
 
 
+def quench_mitigation(records: list) -> None:
+    """§7.3: JigSaw recovers the readout bias of a TFIM quench's
+    magnetization at every evolution time."""
+    rows = [
+        r["result"]
+        for r in select(records, point__task="quench")
+    ]
+    improvements = 0
+    for r in rows:
+        noisy_err = abs(r["noisy"] - r["exact"])
+        mit_err = abs(r["jigsaw"] - r["exact"])
+        if mit_err < noisy_err:
+            improvements += 1
+    # Mitigation wins at every sampled time on this workload.
+    assert improvements == len(rows)
+
+
+def trotter_formula_quality(records: list) -> None:
+    """Product-formula error orders, as the library's docs claim."""
+    rows = [
+        r["result"]
+        for r in select(records, point__task="trotter_error")
+    ]
+    # Monotone convergence, and order 2 dominates order 1 throughout.
+    for a, b in zip(rows, rows[1:]):
+        assert b["order1"] < a["order1"]
+        assert b["order2"] < a["order2"]
+    for r in rows:
+        assert r["order2"] < r["order1"]
+    # Asymptotic rates: O(1/n) vs O(1/n^2) over the 8x step range.
+    assert rows[-1]["order1"] < rows[0]["order1"] / 4
+    assert rows[-1]["order2"] < rows[0]["order2"] / 30
+
+
+def sparse_global_sweep(records: list) -> None:
+    """VarSaw's temporal bet transplanted to the quench sweep.
+
+    Adjacent time points share Globals: running a fresh Global only
+    every 4th point costs a fraction of dense JigSaw at comparable
+    accuracy — the Section 7.3 extension, end to end.
+    """
+    by_period = {
+        r["point"]["options"]["period"]: r["result"]
+        for r in select(records, point__task="quench_sweep")
+    }
+    dense, sparse = by_period[1], by_period[4]
+    assert sparse["circuits"] < dense["circuits"]
+    assert sparse["globals"] == 2
+    # The staleness bet: comparable accuracy at lower cost.
+    assert sparse["error"] < dense["error"] + 0.05
+
+
 _register(CatalogEntry(
     name="ext_trotter_mitigation",
     figure="Extension (§7.3)",
     title="Measurement mitigation for Trotterized time evolution",
     build=_build_ext_trotter_mitigation,
     tables=_tables_ext_trotter_mitigation,
+    claims=(quench_mitigation, trotter_formula_quality, sparse_global_sweep),
 ))
 
 
@@ -2104,12 +2853,38 @@ def _tables_ext_tuner_comparison(records: list) -> list[Table]:
     )]
 
 
+def tuner_robustness(records: list) -> None:
+    """§5.1's noise-robust tuners (SPSA, ImFil) close most of the
+    start-to-ideal gap; Nelder-Mead improves but lags."""
+    stats = {
+        r["point"]["options"]["tuner"]: r["result"]
+        for r in records
+    }
+    ideal = records[0]["result"]["ideal_energy"]
+
+    def progress(row):
+        return (row["start"] - row["energy"]) / (row["start"] - ideal)
+
+    # The paper's tuners (SPSA, ImFil) are noise-robust by design and
+    # dig most of the way toward the ideal.
+    assert progress(stats["SPSA"]) > 0.5
+    assert progress(stats["ImFil"]) > 0.5
+    # Nelder-Mead improves but lags on noisy objectives — the well-known
+    # simplex-collapse-under-shot-noise effect, and the reason Section
+    # 5.1 picks SPSA/ImFil.  We assert the direction, not parity.
+    assert progress(stats["NelderMead"]) > 0.0
+    assert stats["NelderMead"]["energy"] >= min(
+        stats["SPSA"]["energy"], stats["ImFil"]["energy"]
+    ) - 0.2
+
+
 _register(CatalogEntry(
     name="ext_tuner_comparison",
     figure="Extension (§5.1)",
     title="Classical tuner ablation under VarSaw",
     build=_build_ext_tuner_comparison,
     tables=_tables_ext_tuner_comparison,
+    claims=(tuner_robustness,),
 ))
 
 
@@ -2146,7 +2921,7 @@ def _build_ext_zne_comparison() -> SweepSpec:
 
 
 def zne_energies(records: list) -> dict:
-    """Scheme-label -> energy, plus ``ideal`` (shared with the shim)."""
+    """Scheme-label -> energy, plus ``ideal`` (shared with the claim)."""
     ideal = _one(records, point__task="energy",
                  point__scheme="ideal")["result"]["energy"]
     return {
@@ -2181,12 +2956,31 @@ def _tables_ext_zne_comparison(records: list) -> list[Table]:
     )]
 
 
+def ext_zne_comparison(records: list) -> None:
+    """ZNE and VarSaw each beat the noisy baseline, and so does their
+    stack (§6.8's MBM stacking, with ZNE)."""
+    energies = zne_energies(records)
+    ideal = energies.pop("ideal")
+    errors = {k: abs(v - ideal) for k, v in energies.items()}
+    # Both mitigations individually beat the raw baseline.
+    assert errors["baseline+ZNE"] < errors["baseline"]
+    assert errors["varsaw"] < errors["baseline"]
+    # The stack also beats the raw baseline.  (It is NOT always better
+    # than VarSaw alone: when VarSaw saturates the measurement error,
+    # ZNE's extrapolation only amplifies residual shot noise — mirroring
+    # Fig. 18's 'negligible for LiH' observation for the MBM stack.)
+    assert errors["varsaw+ZNE"] < errors["baseline"]
+    # Mitigation overall removes most of the noise-induced error here.
+    assert min(errors.values()) < 0.5 * errors["baseline"]
+
+
 _register(CatalogEntry(
     name="ext_zne_comparison",
     figure="Extension (§6.8)",
     title="VarSaw vs / with zero-noise extrapolation",
     build=_build_ext_zne_comparison,
     tables=_tables_ext_zne_comparison,
+    claims=(ext_zne_comparison,),
 ))
 
 
@@ -2220,7 +3014,7 @@ def _build_ext_api_session() -> SweepSpec:
 
 
 def api_session_rows(records: list) -> dict:
-    """Payload kind -> tuning result (shared with the bench shim)."""
+    """Payload kind -> tuning result (shared with the claim)."""
     return {
         payload["kind"]: _one(records, point__estimator=payload)["result"]
         for payload in API_SESSION_SPECS
@@ -2242,12 +3036,36 @@ def _tables_ext_api_session(records: list) -> list[Table]:
     )]
 
 
+def ext_api_session(records: list) -> None:
+    """Every registered kind tunes through inline specs; GC spends
+    several-fold fewer circuits than VarSaw."""
+    rows = api_session_rows(records)
+    assert set(rows) == {
+        "varsaw", "gc", "selective", "calibration_gated"
+    }
+    for kind, result in rows.items():
+        assert result["circuits"] > 0, kind
+        assert result["error"] < 10.0, kind
+    # GC groups whole commuting families: far fewer circuits than the
+    # subset-based schemes.
+    assert rows["gc"]["circuits"] < rows["varsaw"]["circuits"] / 2
+    # Selective mitigation only prunes work relative to full VarSaw.
+    assert rows["selective"]["circuits"] <= rows["varsaw"]["circuits"]
+    # Mumbai-like readout is uniformly bad enough that the calibration
+    # gate keeps every subset: bit-identical to plain VarSaw.
+    assert rows["calibration_gated"]["energy"] == rows["varsaw"]["energy"]
+    assert (
+        rows["calibration_gated"]["circuits"] == rows["varsaw"]["circuits"]
+    )
+
+
 _register(CatalogEntry(
     name="ext_api_session",
     figure="Extension (API)",
     title="Typed estimator specs driving the sweep pipeline",
     build=_build_ext_api_session,
     tables=_tables_ext_api_session,
+    claims=(ext_api_session,),
 ))
 
 
@@ -2280,7 +3098,7 @@ def _build_ext_backend_matrix() -> SweepSpec:
 
 
 def backend_matrix_rows(records: list) -> dict:
-    """Backend kind -> task result (shared with the bench shim)."""
+    """Backend kind -> task result (shared with the claim)."""
     return {
         kind: _one(records, point__backend=kind)["result"]
         for kind in BACKEND_MATRIX_KINDS
@@ -2307,6 +3125,36 @@ def _tables_ext_backend_matrix(records: list) -> list[Table]:
     )]
 
 
+def ext_backend_matrix(records: list) -> None:
+    """Backend choice never changes the circuit/shot ledger; clifford
+    runs every circuit on the stabilizer path."""
+    rows = backend_matrix_rows(records)
+    assert set(rows) == {"dense", "clifford", "density"}
+    # Backend choice never changes the paper's cost metric: one charge
+    # per executed circuit, shots included, on every backend.
+    ledgers = {
+        (result["circuits"], result["shots"]) for result in rows.values()
+    }
+    assert len(ledgers) == 1, rows
+    # The clifford backend dispatched every circuit to the stabilizer
+    # path; nothing fell back to dense simulation.
+    assert rows["clifford"]["stabilizer_runs"] == rows["clifford"][
+        "circuits"
+    ]
+    assert rows["clifford"]["fallbacks"] == 0
+    assert rows["dense"]["stabilizer_runs"] == 0
+    # Analytic density counts carry no shot noise: the all-zeros weight
+    # is a plain probability in [0, 1], and the sampled backends agree
+    # with each other (same PMF up to float dust, same seeded RNG —
+    # tolerance of a couple of shots, not exact equality, so a numpy
+    # upgrade shifting the dust across one draw boundary cannot flake).
+    assert 0.0 <= rows["density"]["zero_weight"] <= 1.0
+    shots_per_run = rows["dense"]["shots"] / rows["dense"]["circuits"]
+    assert abs(
+        rows["dense"]["zero_weight"] - rows["clifford"]["zero_weight"]
+    ) <= 2.0 / shots_per_run
+
+
 _register(CatalogEntry(
     name="ext_backend_matrix",
     figure="Extension (backends)",
@@ -2314,6 +3162,7 @@ _register(CatalogEntry(
     build=_build_ext_backend_matrix,
     tables=_tables_ext_backend_matrix,
     normalize=_mask_timings,
+    claims=(ext_backend_matrix,),
 ))
 
 
@@ -2342,7 +3191,7 @@ def _build_ext_serve_throughput() -> SweepSpec:
 
 
 def serve_throughput_rows(records: list) -> dict:
-    """Tenant count -> task result (shared with the bench shim)."""
+    """Tenant count -> task result (shared with the claim)."""
     return {
         t: _one(records, point__options__tenants=t)["result"]
         for t in SERVE_TENANT_COUNTS
@@ -2373,6 +3222,29 @@ def _tables_ext_serve_throughput(records: list) -> list[Table]:
     )]
 
 
+def ext_serve_throughput(records: list) -> None:
+    """8 tenants submit 8x the jobs but execute the same distinct jobs,
+    and per-tenant charges sum to the engines' ledger."""
+    rows = serve_throughput_rows(records)
+    solo, fleet = rows[1], rows[8]
+    # A lone tenant has nobody to share with; a fleet of 8 submitting
+    # the same jobs shares almost everything.
+    assert solo["cross_tenant_dedup"] == 0
+    assert fleet["cross_tenant_dedup"] > 0
+    # Job-level dedup: 8x the submissions, identical executions.
+    assert fleet["submitted"] == 8 * solo["submitted"]
+    assert fleet["executed"] == solo["executed"]
+    # Every distinct job ran exactly once in both cells, so the
+    # engines' ledgers agree — the fleet paid nothing extra.
+    assert fleet["circuits"] == solo["circuits"]
+    assert fleet["shots"] == solo["shots"]
+    # Cost attribution is exact: per-tenant charges sum to the
+    # engines' total ledger in both cells.
+    assert solo["ledger_match"] and fleet["ledger_match"]
+    assert fleet["tenant_circuits"] == fleet["circuits"]
+    assert fleet["tenant_shots"] == fleet["shots"]
+
+
 _register(CatalogEntry(
     name="ext_serve_throughput",
     figure="Extension (serve)",
@@ -2380,6 +3252,7 @@ _register(CatalogEntry(
     build=_build_ext_serve_throughput,
     tables=_tables_ext_serve_throughput,
     normalize=_mask_timings,
+    claims=(ext_serve_throughput,),
 ))
 
 
@@ -2407,7 +3280,7 @@ def _build_ext_dist_scaling() -> SweepSpec:
 
 
 def dist_scaling_rows(records: list) -> dict:
-    """Shard count -> task result (shared with the bench shim)."""
+    """Shard count -> task result (shared with the claim)."""
     return {
         s: _one(records, point__options__shards=s)["result"]
         for s in DIST_SHARD_COUNTS
@@ -2437,6 +3310,21 @@ def _tables_ext_dist_scaling(records: list) -> list[Table]:
     )]
 
 
+def ext_dist_scaling(records: list) -> None:
+    """Four work-stealing shards store records identical to a serial
+    run's, each point exactly once."""
+    rows = dist_scaling_rows(records)
+    serial, sharded = rows[1], rows[4]
+    # The hard invariant: sharded records are byte-identical to the
+    # serial run's (canonically, volatile wall-clock fields excluded).
+    assert sharded["digest"] == serial["digest"]
+    # Every point recorded exactly once, no lost or duplicated work.
+    assert serial["records"] == serial["points"]
+    assert sharded["records"] == sharded["points"]
+    assert serial["duplicates"] == 0
+    assert sharded["duplicates"] == 0
+
+
 _register(CatalogEntry(
     name="ext_dist_scaling",
     figure="Extension (dist)",
@@ -2444,4 +3332,5 @@ _register(CatalogEntry(
     build=_build_ext_dist_scaling,
     tables=_tables_ext_dist_scaling,
     normalize=_mask_timings,
+    claims=(ext_dist_scaling,),
 ))

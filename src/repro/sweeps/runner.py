@@ -6,9 +6,7 @@ deterministic seeding, estimator wiring, the VQE loop — exposed at two
 levels:
 
 * :func:`execute_tuning` works on live ``Workload``/``DeviceModel``
-  objects; :func:`repro.analysis.run_tuning` is a thin delegate (and
-  :func:`repro.analysis.fixed_budget_runs` calls it once per scheme),
-  so every experiment in the repository runs through one code path.
+  objects; every tuning run in the repository goes through it.
 * :func:`execute_point` / :func:`run_sweep` work on declarative
   :class:`~repro.sweeps.spec.Point` grids: materialize the workload,
   run the tuning, and checkpoint a JSON record (result + wall clock +
@@ -81,18 +79,13 @@ def execute_tuning(
     """
     from ..analysis.experiments import TuningRun
 
-    from ..api.spec import split_live_params
-
     if backend is None:
         device = device if device is not None else workload.device
         backend = SimulatorBackend(device, seed=seed)
     engine = estimator_kwargs.pop("engine", None)
-    estimator_kwargs, overrides = split_live_params(estimator_kwargs)
     session = Session(backend=backend, engine=engine)
     spec = session.spec(kind, shots=shots, **estimator_kwargs)
-    estimator = spec.build(
-        workload, session.backend, engine=session.engine, **overrides
-    )
+    estimator = spec.build(workload, session.backend, engine=session.engine)
     result = run_vqe(
         estimator,
         optimizer=SPSA(a=spsa_gain, seed=seed),

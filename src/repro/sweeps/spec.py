@@ -109,7 +109,7 @@ class Point:
         ``None`` uses the workload's default device.
     seed:
         Trial seed — seeds the backend RNG and the SPSA tuner, exactly
-        as :func:`repro.analysis.run_tuning` does.
+        as :func:`repro.sweeps.runner.execute_tuning` does.
     shots / max_iterations / circuit_budget / spsa_gain:
         Passed through to the tuning run.
     warm_start_iterations:

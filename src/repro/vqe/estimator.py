@@ -187,14 +187,13 @@ class BaselineSpec(EstimatorSpec):
     def validate(self) -> None:
         check_int("shots", self.shots, minimum=1)
 
-    def build(self, workload, backend, engine=None, **overrides):
+    def build(self, workload, backend, engine=None):
         return BaselineEstimator(
             workload.hamiltonian,
             workload.ansatz,
             backend,
             shots=self.shots,
             engine=engine,
-            **overrides,
         )
 
 
@@ -203,11 +202,10 @@ class BaselineSpec(EstimatorSpec):
 class IdealSpec(EstimatorSpec):
     """Noise-free, infinite-shot exact reference (no parameters)."""
 
-    def build(self, workload, backend, engine=None, **overrides):
+    def build(self, workload, backend, engine=None):
         return IdealEstimator(
             workload.hamiltonian,
             workload.ansatz,
             backend,
             engine=engine,
-            **overrides,
         )

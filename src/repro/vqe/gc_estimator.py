@@ -10,8 +10,8 @@ The trade-off the paper cites for staying with QWC (Section 3.1) is now
 end-to-end measurable: GC needs several-fold fewer circuits per
 iteration, but each measurement suffix carries entangling gates whose
 noise the backend charges like any other gate — so under realistic gate
-error the accuracy can go either way.  ``bench_ext_gc_grouping`` and the
-unit tests pin down both sides.
+error the accuracy can go either way.  The ``ext_gc_grouping`` catalog
+entry's claims and the unit tests pin down both sides.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class GeneralCommutationSpec(EstimatorSpec):
         check_int("shots", self.shots, minimum=1)
         check_choice("method", self.method, ("color", "greedy"))
 
-    def build(self, workload, backend, engine=None, **overrides):
+    def build(self, workload, backend, engine=None):
         return GeneralCommutationEstimator(
             workload.hamiltonian,
             workload.ansatz,
@@ -124,5 +124,4 @@ class GeneralCommutationSpec(EstimatorSpec):
             shots=self.shots,
             method=self.method,
             engine=engine,
-            **overrides,
         )

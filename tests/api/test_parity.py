@@ -119,24 +119,6 @@ class TestMbmMaterialization:
         ours = session.estimator("varsaw", workload, shots=32, mbm=True)
         assert ours.evaluate(params) == legacy.evaluate(params)
 
-    def test_live_mbm_object_accepted_by_execute_tuning(self, workload):
-        """The sweep runner hands a ready mitigator straight to the
-        build; it tunes exactly like the ``mbm`` flag's own."""
-        from repro.sweeps.runner import execute_tuning
-
-        mitigator = MatrixMitigator.from_device(
-            SimulatorBackend(workload.device), range(workload.n_qubits)
-        )
-        live, flag = (
-            execute_tuning(
-                "varsaw", workload, max_iterations=2, shots=32, seed=2,
-                mbm=mbm,
-            ).result
-            for mbm in (mitigator, True)
-        )
-        assert live.energy_history == flag.energy_history
-        assert live.circuits_executed == flag.circuits_executed
-
 
 class TestSpecDrivenPointParity:
     def test_inline_spec_point_matches_scheme_point(self, tmp_path):

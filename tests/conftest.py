@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+# A failing paper claim reports its operands, as test asserts do; the
+# catalog must be registered before anything imports ``repro``.
+pytest.register_assert_rewrite("repro.sweeps.catalog")
+
 from repro.ansatz import EfficientSU2
 from repro.hamiltonian import Hamiltonian, build_hamiltonian
 from repro.noise import (

@@ -146,17 +146,17 @@ class TestSweepsThroughTheFullStack:
     def test_sweep_record_matches_direct_run_tuning(self, tmp_path):
         """A declarative point reproduces the imperative path bit for bit.
 
-        ``analysis.run_tuning`` and the sweep runner share one code path
-        (``sweeps.runner.execute_tuning``); a stored sweep record must
+        A direct ``sweeps.runner.execute_tuning`` call and the sweep
+        runner share one code path; a stored sweep record must
         therefore carry exactly the energy a direct call produces.
         """
-        from repro.analysis import run_tuning
         from repro.sweeps import Point, ResultStore, run_sweep
+        from repro.sweeps.runner import execute_tuning
         from repro.workloads import make_workload
 
         workload = make_workload("H2-4")
         device = ibmq_mumbai_like(scale=2.0)
-        direct = run_tuning(
+        direct = execute_tuning(
             "varsaw", workload, max_iterations=4, shots=64, seed=9,
             device=device,
         )

@@ -10,12 +10,16 @@ the numbers the paper reproduction reports.
 
 All entries share one session store (the ``repro reproduce``
 deployment shape) and execute on the process pool, which doubles as a
-continuous end-to-end exercise of the multi-process backend.
+continuous end-to-end exercise of the multi-process backend.  Every
+paper claim registered on an entry is then checked on that store's
+records, and again with every wall-clock field redrawn at random, so no
+claim can depend on host speed.
 """
 
 from __future__ import annotations
 
 import pathlib
+import random
 
 import pytest
 
@@ -23,6 +27,16 @@ from repro.analysis import is_full_scale
 from repro.sweeps import CATALOG, ResultStore, run_entry
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
+
+#: Every (entry name, claim) pair in the catalog.
+CLAIMS = [
+    (name, claim)
+    for name, entry in CATALOG.items()
+    for claim in entry.claims
+]
+
+#: The wall-clock fields of stored records: no claim may read them.
+WALL_CLOCK_FIELDS = {"seconds", "jobs_per_s", "wall_time_s"}
 
 pytestmark = pytest.mark.skipif(
     is_full_scale(),
@@ -68,3 +82,43 @@ def test_entry_resumes_to_zero_executions(name, parity_store):
     outcome = run_entry(CATALOG[name], parity_store)
     assert outcome.executed == []
     assert outcome.complete
+
+
+def test_every_entry_has_uniquely_named_claims():
+    assert all(entry.claims for entry in CATALOG.values())
+    names = [claim.__name__ for _, claim in CLAIMS]
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize(
+    "name, claim", CLAIMS,
+    ids=[f"{name}-{claim.__name__}" for name, claim in CLAIMS],
+)
+def test_entry_claim_holds(name, claim, parity_store):
+    """Each paper claim holds on the parity run's stored records."""
+    claim(run_entry(CATALOG[name], parity_store).records)
+
+
+def _redraw_wall_clock(value, rng: random.Random):
+    """A copy of ``value`` whose wall-clock fields are random draws."""
+    if isinstance(value, dict):
+        return {
+            key: rng.uniform(1e-3, 1e3) if key in WALL_CLOCK_FIELDS
+            else _redraw_wall_clock(item, rng)
+            for key, item in value.items()
+        }
+    if isinstance(value, list):
+        return [_redraw_wall_clock(item, rng) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_claims_hold_whatever_the_wall_clock(name, parity_store):
+    """Host speed cannot decide a claim: every claim holds with each
+    wall-clock field replaced by an independent seeded random draw."""
+    records = run_entry(CATALOG[name], parity_store).records
+    for seed in (0, 1):
+        redrawn = _redraw_wall_clock(records, random.Random(seed))
+        assert redrawn != records
+        for claim in CATALOG[name].claims:
+            claim(redrawn)
