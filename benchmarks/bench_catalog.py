@@ -16,8 +16,13 @@ import pytest
 from conftest import print_tables, record_entry_stat
 
 from repro.analysis import is_full_scale
-from repro.sweeps import ResultStore, entry_names, get_entry, run_entry, select
-from repro.sweeps.catalog import dist_scaling_rows
+from repro.sweeps import ResultStore, select
+from repro.sweeps.catalog import (
+    dist_scaling_rows,
+    entry_names,
+    get_entry,
+    run_entry,
+)
 
 
 def _engine_throughput_timing(records):

@@ -55,10 +55,8 @@ def main() -> None:
         )
         # Warm-start from a short noise-free tune so the budget race below
         # compares achievable accuracy rather than SPSA's early transient.
-        from repro.vqe import IdealEstimator
-
         warm = run_vqe(
-            IdealEstimator(ham, workload.ansatz),
+            Session().estimator("ideal", workload),
             max_iterations=300,
             seed=11,
         ).parameters

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..api import Session
+from ..api import EstimatorSpec, Session
 from ..noise import DeviceModel
 from ..vqe import VQEResult, run_vqe
 from ..workloads import Workload, make_workload
@@ -58,48 +58,29 @@ def optimal_parameters(
 
 
 def energy_at_params(
-    kind: str,
+    spec: EstimatorSpec,
     workload: Workload,
     params: np.ndarray,
     device: DeviceModel | None = None,
-    shots: int = 4096,
     seed: int = 0,
-    **estimator_kwargs,
 ) -> float:
-    """One scheme's energy estimate at fixed parameters (single trial).
-
-    ``kind`` may be a registered kind name, an
-    :class:`~repro.api.EstimatorSpec`, or a payload dict with a
-    ``'kind'`` key.
-    """
+    """One estimator's energy estimate at fixed parameters (single
+    trial)."""
     device = device if device is not None else workload.device
-    session = Session(device, seed=seed)
-    estimator = session.estimator(
-        kind, workload, shots=shots, **estimator_kwargs
-    )
+    estimator = Session(device, seed=seed).estimator(spec, workload)
     return estimator.evaluate(params)
 
 
 def mean_energy_at_params(
-    kind: str,
+    spec: EstimatorSpec,
     workload: Workload,
     params: np.ndarray,
     trials: int = 3,
     device: DeviceModel | None = None,
-    shots: int = 4096,
-    **estimator_kwargs,
 ) -> float:
     """Trial-averaged energy estimate at fixed parameters."""
     return arithmetic_mean(
-        energy_at_params(
-            kind,
-            workload,
-            params,
-            device=device,
-            shots=shots,
-            seed=trial,
-            **estimator_kwargs,
-        )
+        energy_at_params(spec, workload, params, device=device, seed=trial)
         for trial in range(trials)
     )
 

@@ -9,8 +9,8 @@ Estimator families self-register by decorating their spec dataclass::
     class MySpec(EstimatorSpec):
         shots: int = 1024
 
-        def build(self, workload, backend, engine=None):
-            return MyEstimator(...)
+        estimator_class = MyEstimator  # MyEstimator(h, ansatz, backend,
+                                       #             spec, engine)
 
 :data:`ESTIMATORS` is the family's
 :class:`~repro.api.spec.KindRegistry`, the same implementation behind
@@ -33,6 +33,7 @@ from .spec import EstimatorSpec, KindRegistry
 
 __all__ = [
     "ESTIMATORS",
+    "description_spec",
     "estimator_kinds",
     "make_spec",
     "register_estimator",
@@ -111,3 +112,19 @@ def resolve_spec(
         if value is not None and name in cls.field_names():
             payload.setdefault(name, value)
     return cls(**cls.check_params(payload))
+
+
+def description_spec(
+    scheme: str, payload: Mapping[str, Any], shots: int
+) -> EstimatorSpec:
+    """The spec a run description's ``scheme``/``estimator``/``shots`` name.
+
+    The one payload rule of sweep points (:class:`~repro.sweeps.Point`)
+    and serve jobs (:class:`~repro.serve.JobSpec`): the ``estimator``
+    payload's ``kind`` overrides ``scheme``, and its ``shots``
+    overrides the description's ``shots`` (a soft default, so a kind
+    without a ``shots`` field ignores it).
+    """
+    payload = dict(payload)
+    payload["kind"] = payload.get("kind") or scheme
+    return resolve_spec(payload, soft={"shots": shots})

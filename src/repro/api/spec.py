@@ -17,9 +17,11 @@ exploding on the misspelled ones), a spec
 * carries a **stable fingerprint** — a blake2b digest of the canonical
   JSON encoding, independent of field ordering and process;
 * **builds** — :meth:`EstimatorSpec.build` is the one construction path
-  from (workload, backend, engine) to a live estimator; every layer of
-  the repository (CLI, sweeps, analysis, benchmarks) goes through it,
-  usually via :meth:`repro.api.Session.estimator`.
+  from (workload, backend, engine) to a live estimator: it hands the
+  spec itself to the kind's estimator class, which reads every knob
+  from it.  Every layer of the repository (CLI, sweeps, serve,
+  analysis, benchmarks) goes through it, usually via
+  :meth:`repro.api.Session.estimator`.
 
 Concrete spec classes live next to their estimator families (e.g.
 :class:`repro.core.varsaw.VarSawSpec`) and self-register with
@@ -346,9 +348,15 @@ class EstimatorSpec(SpecRecord):
     knobs (all with defaults, all JSON-serializable scalars), decorated
     with :func:`repro.api.register_estimator` to claim a ``kind`` name
     in :data:`repro.api.registry.ESTIMATORS`.  They override
-    :meth:`validate` for eager parameter checking and :meth:`build` for
-    the actual construction.
+    :meth:`validate` for eager parameter checking and name the live
+    estimator class they describe in :attr:`estimator_class`.  The
+    spec is the only place a knob is declared, defaulted and checked:
+    the estimator reads its knobs from the spec it is given.
     """
+
+    #: The live estimator class; its constructor takes
+    #: ``(hamiltonian, ansatz, backend, spec, engine)``.
+    estimator_class: ClassVar[Callable[..., Any]]
 
     def build(
         self, workload: Any, backend: Any, engine: Any = None
@@ -359,4 +367,6 @@ class EstimatorSpec(SpecRecord):
         :class:`~repro.engine.EngineConfig`, or ``None`` (the backend's
         shared engine).
         """
-        raise NotImplementedError
+        return self.estimator_class(
+            workload.hamiltonian, workload.ansatz, backend, self, engine
+        )

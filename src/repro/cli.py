@@ -880,7 +880,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    from .sweeps import CATALOG, reproduce
+    from .sweeps.catalog import CATALOG, reproduce
     from .sweeps.runner import record_totals
 
     if args.list_entries:

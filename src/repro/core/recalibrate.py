@@ -31,7 +31,7 @@ readout response, which is exactly what the drift schedules in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -143,16 +143,12 @@ class DriftAwareVarSawEstimator(VarSawEstimator):
         hamiltonian,
         ansatz,
         backend,
-        shots: int = 1024,
-        probe_shots: int = 512,
-        detector_threshold: float = 0.25,
-        drift_allowance: float = 0.12,
-        **kwargs: Any,
+        spec: DriftAdaptiveSpec,
+        engine=None,
     ):
-        super().__init__(hamiltonian, ansatz, backend, shots, **kwargs)
-        self.probe_shots = probe_shots
+        super().__init__(hamiltonian, ansatz, backend, spec, engine)
         self.detector = DriftDetector(
-            detector_threshold, allowance=drift_allowance
+            spec.detector_threshold, allowance=spec.drift_allowance
         )
         self.recalibrations = 0
         probe = Circuit(self.n_qubits)
@@ -164,7 +160,9 @@ class DriftAwareVarSawEstimator(VarSawEstimator):
     def _probe(self) -> PMF:
         """Run one calibration probe; return its sampled PMF."""
         batch = self.engine.new_batch()
-        handle = batch.submit_circuit(self._probe_circuit, self.probe_shots)
+        handle = batch.submit_circuit(
+            self._probe_circuit, self.spec.probe_shots
+        )
         batch.run()
         return handle.result().to_pmf()
 
@@ -196,6 +194,8 @@ class DriftAdaptiveSpec(VarSawSpec):
     detector_threshold: float = 0.25
     drift_allowance: float = 0.12
 
+    estimator_class = DriftAwareVarSawEstimator
+
     _PINNED_MODE: ClassVar[str | None] = "adaptive"
 
     def validate(self) -> None:
@@ -209,15 +209,3 @@ class DriftAdaptiveSpec(VarSawSpec):
                 f"got {self.detector_threshold!r}"
             )
         check_number("drift_allowance", self.drift_allowance, minimum=0)
-
-    def build(self, workload, backend, engine=None):
-        """A :class:`DriftAwareVarSawEstimator` with these knobs."""
-        kwargs = self._constructor_kwargs(workload, backend, engine)
-        kwargs.update(
-            probe_shots=self.probe_shots,
-            detector_threshold=self.detector_threshold,
-            drift_allowance=self.drift_allowance,
-        )
-        return DriftAwareVarSawEstimator(
-            workload.hamiltonian, workload.ansatz, backend, **kwargs
-        )

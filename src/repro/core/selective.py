@@ -25,9 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..ansatz import EfficientSU2
 from ..api import register_estimator
 from ..api.spec import check_fraction, check_int, check_number
+from ..hamiltonian import Hamiltonian
 from ..mitigation.reconstruction import bayesian_reconstruct_batch
+from ..noise import SimulatorBackend
 from ..sim import PMF
 from ..vqe.expectation import energy_from_group_pmfs
 from .spatial import SubsetPlan
@@ -110,31 +113,43 @@ class PhasePolicy:
 class SelectiveVarSawEstimator(VarSawEstimator):
     """VarSaw with term- and phase-selective mitigation.
 
-    Parameters (beyond :class:`VarSawEstimator`'s):
+    Beyond :class:`VarSawEstimator`'s, :class:`SelectiveSpec`'s knobs
+    build two policies:
 
     term_selector:
         Which groups get reconstruction; unselected groups use their raw
         Global counts (and are skipped by the subset pass when no
-        selected group needs their subsets).
+        selected group needs their subsets).  ``None`` mitigates every
+        group.
     phase_policy:
         When mitigation is active at all; outside the phase the estimator
         behaves like the noisy baseline (cheapest possible iteration).
+        ``None`` keeps mitigation always on.
     """
 
     def __init__(
         self,
-        *args,
-        term_selector: TermSelector | None = None,
-        phase_policy: PhasePolicy | None = None,
-        **kwargs,
+        hamiltonian: Hamiltonian,
+        ansatz: EfficientSU2,
+        backend: SimulatorBackend,
+        spec: SelectiveSpec,
+        engine=None,
     ):
-        super().__init__(*args, **kwargs)
-        self.term_selector = term_selector
-        self.phase_policy = phase_policy
-        if term_selector is not None:
-            self.mitigated_groups = term_selector.select(self.group_terms)
-        else:
-            self.mitigated_groups = set(range(len(self.bases)))
+        super().__init__(hamiltonian, ansatz, backend, spec, engine)
+        self.term_selector = None
+        self.mitigated_groups = set(range(len(self.bases)))
+        if spec.mass_fraction is not None:
+            self.term_selector = TermSelector(spec.mass_fraction)
+            self.mitigated_groups = self.term_selector.select(
+                self.group_terms
+            )
+        self.phase_policy = None
+        if spec.phase_evaluations is not None:
+            self.phase_policy = PhasePolicy(
+                spec.phase_evaluations,
+                start_fraction=spec.phase_start,
+                end_fraction=spec.phase_end,
+            )
         # Subsets needed by at least one mitigated group.
         needed: set[int] = set()
         for g in self.mitigated_groups:
@@ -268,9 +283,16 @@ class CalibrationGatedVarSawEstimator(VarSawEstimator):
     saved.
     """
 
-    def __init__(self, *args, gate: CalibrationGate | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.gate = gate if gate is not None else CalibrationGate()
+    def __init__(
+        self,
+        hamiltonian: Hamiltonian,
+        ansatz: EfficientSU2,
+        backend: SimulatorBackend,
+        spec: CalibrationGatedSpec,
+        engine=None,
+    ):
+        super().__init__(hamiltonian, ansatz, backend, spec, engine)
+        self.gate = CalibrationGate(spec.error_threshold)
         kept = self.gate.keep_indices(
             self.plan, self.backend.device.readout
         )
@@ -301,6 +323,8 @@ class SelectiveSpec(VarSawSpec):
     phase_start: float = 0.0
     phase_end: float = 1.0
 
+    estimator_class = SelectiveVarSawEstimator
+
     def validate(self) -> None:
         """VarSaw's checks plus the selector and phase-window knobs."""
         super().validate()
@@ -316,22 +340,6 @@ class SelectiveSpec(VarSawSpec):
                 f"{self.phase_start} > {self.phase_end}"
             )
 
-    def build(self, workload, backend, engine=None):
-        """A :class:`SelectiveVarSawEstimator` with the configured
-        term selector and phase policy."""
-        kwargs = self._constructor_kwargs(workload, backend, engine)
-        if self.mass_fraction is not None:
-            kwargs["term_selector"] = TermSelector(self.mass_fraction)
-        if self.phase_evaluations is not None:
-            kwargs["phase_policy"] = PhasePolicy(
-                self.phase_evaluations,
-                start_fraction=self.phase_start,
-                end_fraction=self.phase_end,
-            )
-        return SelectiveVarSawEstimator(
-            workload.hamiltonian, workload.ansatz, backend, **kwargs
-        )
-
 
 @register_estimator("calibration_gated")
 @dataclass(frozen=True)
@@ -342,18 +350,9 @@ class CalibrationGatedSpec(VarSawSpec):
 
     error_threshold: float = 0.01
 
+    estimator_class = CalibrationGatedVarSawEstimator
+
     def validate(self) -> None:
         """VarSaw's checks plus a finite ``error_threshold >= 0``."""
         super().validate()
         check_number("error_threshold", self.error_threshold, minimum=0)
-
-    def build(self, workload, backend, engine=None):
-        """A :class:`CalibrationGatedVarSawEstimator` gated at
-        ``error_threshold``."""
-        kwargs = self._constructor_kwargs(workload, backend, engine)
-        kwargs["gate"] = CalibrationGate(
-            error_threshold=self.error_threshold
-        )
-        return CalibrationGatedVarSawEstimator(
-            workload.hamiltonian, workload.ansatz, backend, **kwargs
-        )

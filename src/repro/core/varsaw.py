@@ -18,7 +18,7 @@ comparison drives the scheduler's hill climbing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from ..ansatz import EfficientSU2
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_bool, check_choice, check_int
 from ..hamiltonian import Hamiltonian
+from ..mitigation.mbm import MatrixMitigator
 from ..mitigation.reconstruction import bayesian_reconstruct_batch
-from ..mitigation.subsets import checked_subset_shots
 from ..noise import SimulatorBackend
 from ..pauli import PauliString
 from ..sim import PMF
@@ -48,21 +48,10 @@ __all__ = [
 class VarSawEstimator(EstimatorBase):
     """Application-tailored measurement error mitigation for VQE.
 
-    Parameters
-    ----------
-    window:
-        Subset width (paper optimum: 2 — see Appendix A).
-    global_mode:
-        ``adaptive`` (the full VarSaw design), ``always`` (No-Sparsity),
-        or ``never`` (Max-Sparsity; Globals only on the first evaluation).
-    subset_shots:
-        Shots per subset circuit (at least 1; ``None`` means ``shots``).
-    initial_period / max_period:
-        Hill-climbing bounds for the adaptive scheduler.
-    mbm:
-        Optional :class:`~repro.mitigation.mbm.MatrixMitigator` applied to
-        every Global-PMF before reconstruction (the paper's VarSaw+MBM
-        stack, Fig. 18).
+    The knobs are :class:`VarSawSpec`'s.  With ``spec.mbm`` set, a
+    :class:`~repro.mitigation.MatrixMitigator` calibrated on the
+    backend's device is applied to every Global-PMF before
+    reconstruction (the paper's VarSaw+MBM stack, Fig. 18).
     """
 
     def __init__(
@@ -70,27 +59,26 @@ class VarSawEstimator(EstimatorBase):
         hamiltonian: Hamiltonian,
         ansatz: EfficientSU2,
         backend: SimulatorBackend,
-        shots: int = 1024,
-        window: int = 2,
-        subset_shots: int | None = None,
-        global_mode: str = "adaptive",
-        initial_period: int = 2,
-        max_period: int = 1024,
-        mbm=None,
+        spec: VarSawSpec,
         engine=None,
     ):
-        super().__init__(hamiltonian, ansatz, backend, shots, engine=engine)
-        self.window = window
-        self.subset_shots = checked_subset_shots(subset_shots, shots)
+        super().__init__(hamiltonian, ansatz, backend, spec, engine)
+        self.subset_shots = spec.subset_shots or spec.shots
         self.scheduler = GlobalScheduler(
-            mode=global_mode,
-            initial_period=initial_period,
-            max_period=max_period,
+            mode=spec.global_mode,
+            initial_period=spec.initial_period,
+            max_period=spec.max_period,
         )
-        self._adopt_plan(varsaw_subset_plan(hamiltonian, window))
+        self._adopt_plan(varsaw_subset_plan(hamiltonian, spec.window))
         self._prior: list[PMF] | None = None
         self._evaluation_index = 0
-        self.mbm = mbm
+        self.mbm = (
+            MatrixMitigator.from_device(
+                SimulatorBackend(backend.device), range(self.n_qubits)
+            )
+            if spec.mbm
+            else None
+        )
 
     def _adopt_plan(self, plan: SubsetPlan) -> None:
         """Install ``plan`` together with everything derived from it.
@@ -130,7 +118,7 @@ class VarSawEstimator(EstimatorBase):
     def _submit_global(self, batch, state: np.ndarray, basis: PauliString):
         """Queue one Global circuit; return its job handle."""
         return self._submit_basis(
-            batch, state, basis, range(self.n_qubits), self.shots
+            batch, state, basis, range(self.n_qubits), self.spec.shots
         )
 
     def _global_pmf(self, handle) -> PMF:
@@ -223,9 +211,15 @@ class VarSawEstimator(EstimatorBase):
 class VarSawSpec(EstimatorSpec):
     """The full VarSaw design (spatial subsets + adaptive Globals).
 
-    ``mbm`` is a flag, not an object: when true, :meth:`build`
-    materializes a :class:`~repro.mitigation.MatrixMitigator` from the
-    backend's device calibration (the paper's VarSaw+MBM stack).
+    ``window`` is the subset width (paper optimum: 2, Appendix A);
+    ``subset_shots`` the shots per subset circuit (``None`` means
+    ``shots``).  ``global_mode`` is ``adaptive`` (the full design),
+    ``always`` (No-Sparsity) or ``never`` (Max-Sparsity: Globals only
+    on the first evaluation); ``initial_period``/``max_period`` bound
+    the adaptive scheduler's hill climbing.  ``mbm`` is a flag, not an
+    object: when true, the estimator materializes a
+    :class:`~repro.mitigation.MatrixMitigator` from the backend's
+    device calibration (the paper's VarSaw+MBM stack).
     """
 
     shots: int = 1024
@@ -235,6 +229,8 @@ class VarSawSpec(EstimatorSpec):
     initial_period: int = 2
     max_period: int = 1024
     mbm: bool = False
+
+    estimator_class = VarSawEstimator
 
     #: Ablation kinds pin ``global_mode``; changing it there is an error
     #: rather than a silently contradictory spec.
@@ -260,35 +256,6 @@ class VarSawSpec(EstimatorSpec):
                 f"global_mode={self._PINNED_MODE!r}; use kind 'varsaw' "
                 f"to choose a different mode"
             )
-
-    def _constructor_kwargs(
-        self, workload: Any, backend: Any, engine: Any
-    ) -> dict[str, Any]:
-        """Materialized keyword arguments shared by the VarSaw family."""
-        kwargs: dict[str, Any] = dict(
-            shots=self.shots,
-            window=self.window,
-            subset_shots=self.subset_shots,
-            global_mode=self.global_mode,
-            initial_period=self.initial_period,
-            max_period=self.max_period,
-            engine=engine,
-        )
-        if self.mbm:
-            from ..mitigation import MatrixMitigator
-
-            kwargs["mbm"] = MatrixMitigator.from_device(
-                SimulatorBackend(backend.device),
-                range(workload.n_qubits),
-            )
-        return kwargs
-
-    def build(self, workload, backend, engine=None):
-        """A :class:`VarSawEstimator` over ``workload``."""
-        kwargs = self._constructor_kwargs(workload, backend, engine)
-        return VarSawEstimator(
-            workload.hamiltonian, workload.ansatz, backend, **kwargs
-        )
 
 
 @register_estimator("varsaw_no_sparsity")

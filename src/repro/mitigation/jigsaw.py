@@ -28,7 +28,7 @@ from ..sim import PMF
 from ..vqe.estimator import EstimatorBase
 from ..vqe.expectation import energy_from_group_pmfs
 from .reconstruction import bayesian_reconstruct_batch
-from .subsets import checked_subset_shots, sliding_windows
+from .subsets import sliding_windows
 
 __all__ = ["JigSawEstimator", "JigSawSpec"]
 
@@ -36,13 +36,8 @@ __all__ = ["JigSawEstimator", "JigSawSpec"]
 class JigSawEstimator(EstimatorBase):
     """Noisy VQA objective with per-circuit JigSaw mitigation.
 
-    Parameters
-    ----------
-    window:
-        Subset width ``m`` (paper default and Appendix A optimum: 2).
-    subset_shots:
-        Shots per subset circuit (at least 1); ``None`` means the
-        global's ``shots``.
+    The knobs are :class:`JigSawSpec`'s: the subset width ``window``
+    and the shots per subset circuit.
     """
 
     def __init__(
@@ -50,17 +45,12 @@ class JigSawEstimator(EstimatorBase):
         hamiltonian: Hamiltonian,
         ansatz: EfficientSU2,
         backend: SimulatorBackend,
-        shots: int = 1024,
-        window: int = 2,
-        subset_shots: int | None = None,
+        spec: JigSawSpec,
         engine=None,
     ):
-        super().__init__(hamiltonian, ansatz, backend, shots, engine=engine)
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self.subset_shots = checked_subset_shots(subset_shots, shots)
-        self.windows = sliding_windows(self.n_qubits, window)
+        super().__init__(hamiltonian, ansatz, backend, spec, engine)
+        self.subset_shots = spec.subset_shots or spec.shots
+        self.windows = sliding_windows(self.n_qubits, spec.window)
 
     def evaluate(self, params: np.ndarray) -> float:
         """JigSaw-mitigated energy: every group's Global + subsets."""
@@ -73,7 +63,7 @@ class JigSawEstimator(EstimatorBase):
     def _submit_group(self, batch, state: np.ndarray, basis: PauliString):
         """Queue one group's Global + subset circuits; return the handles."""
         global_handle = self._submit_basis(
-            batch, state, basis, range(self.n_qubits), self.shots
+            batch, state, basis, range(self.n_qubits), self.spec.shots
         )
         local_handles = [
             self._submit_basis(
@@ -103,11 +93,18 @@ class JigSawEstimator(EstimatorBase):
 @register_estimator("jigsaw")
 @dataclass(frozen=True)
 class JigSawSpec(EstimatorSpec):
-    """Per-circuit JigSaw mitigation applied to every VQA iteration."""
+    """Per-circuit JigSaw mitigation applied to every VQA iteration.
+
+    ``window`` is the subset width ``m`` (paper default and Appendix A
+    optimum: 2); ``subset_shots`` is the shots per subset circuit,
+    ``None`` meaning the Global's ``shots``.
+    """
 
     shots: int = 1024
     window: int = 2
     subset_shots: int | None = None
+
+    estimator_class = JigSawEstimator
 
     def validate(self) -> None:
         """Check shot counts and the window width eagerly."""
@@ -115,15 +112,3 @@ class JigSawSpec(EstimatorSpec):
         check_int("window", self.window, minimum=1)
         if self.subset_shots is not None:
             check_int("subset_shots", self.subset_shots, minimum=1)
-
-    def build(self, workload, backend, engine=None):
-        """A :class:`JigSawEstimator` over ``workload``."""
-        return JigSawEstimator(
-            workload.hamiltonian,
-            workload.ansatz,
-            backend,
-            shots=self.shots,
-            window=self.window,
-            subset_shots=self.subset_shots,
-            engine=engine,
-        )

@@ -13,9 +13,14 @@ extrapolation over a configurable scale ladder.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..noise import DeviceModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle)
+    from ..api import EstimatorSpec
 
 __all__ = ["richardson_extrapolate", "linear_extrapolate", "zne_energy"]
 
@@ -57,20 +62,17 @@ def linear_extrapolate(scales, values) -> float:
 def zne_energy(
     workload,
     params,
-    kind: str = "baseline",
+    spec: EstimatorSpec,
     scales=(1.0, 1.5, 2.0),
     method: str = "richardson",
-    shots: int = 4096,
     seed: int = 0,
     base_device: DeviceModel | None = None,
-    **estimator_kwargs,
 ) -> tuple[float, list[float]]:
     """Evaluate the objective across a noise ladder and extrapolate.
 
-    Returns ``(zero_noise_estimate, per_scale_energies)``.  ``kind`` may
-    be any registered estimator kind (also an
-    :class:`~repro.api.EstimatorSpec` or payload dict) — ZNE stacks
-    with VarSaw by passing ``kind="varsaw_no_sparsity"`` etc.
+    Returns ``(zero_noise_estimate, per_scale_energies)``.  ``spec``
+    may describe any registered estimator kind — ZNE stacks with
+    VarSaw by passing a ``varsaw_no_sparsity`` spec etc.
     """
     # Imported here: this module is imported during repro.api's own
     # registration pass, so a module-level import would be circular.
@@ -82,9 +84,7 @@ def zne_energy(
     energies = []
     for scale in scales:
         session = Session(device, seed=seed, noise_scale=scale)
-        estimator = session.estimator(
-            kind, workload, shots=shots, **estimator_kwargs
-        )
+        estimator = session.estimator(spec, workload)
         energies.append(estimator.evaluate(np.asarray(params, dtype=float)))
     if method == "richardson":
         return richardson_extrapolate(scales, energies), energies

@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
 from ..sweeps.spec import WORKLOAD_KINDS, canonical_json
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api import EstimatorSpec
 
 __all__ = ["JOB_SCHEMA_VERSION", "JOB_KINDS", "JobSpec", "execute_job"]
 
@@ -74,7 +77,9 @@ class JobSpec:
         registry (``None`` = ``dense``), validated eagerly.
     estimator:
         Typed estimator parameters, validated eagerly against the
-        scheme's registered :class:`~repro.api.EstimatorSpec`.
+        scheme's registered :class:`~repro.api.EstimatorSpec`.  Its
+        ``kind`` overrides ``scheme`` and its ``shots`` overrides
+        ``shots``, as on a sweep Point.
     max_iterations / circuit_budget:
         Tuning-run bounds (``tuning`` jobs only).
     """
@@ -127,16 +132,10 @@ class JobSpec:
         if isinstance(self.backend, Mapping):
             object.__setattr__(self, "backend", dict(self.backend))
         object.__setattr__(self, "estimator", dict(self.estimator))
-        self._validate_estimator_payload()
+        # Fail misspelled estimator knobs at submission, not mid-batch.
+        self.estimator_spec()
         self._validate_backend()
         self._validate_device()
-
-    def _validate_estimator_payload(self) -> None:
-        """Fail misspelled estimator knobs at submission, not mid-batch."""
-        from ..api import make_spec
-
-        kind, params = self.estimator_args()
-        make_spec(kind, **params)
 
     def _validate_backend(self) -> None:
         """Fail unknown backend kinds/knobs at submission, not mid-batch."""
@@ -166,11 +165,17 @@ class JobSpec:
                 f"bad device {dict(self.device)!r}: {exc}"
             ) from exc
 
-    def estimator_args(self) -> tuple[str, dict]:
-        """``(kind, extra spec params)`` — inline payload kind wins."""
-        payload = dict(self.estimator)
-        kind = payload.pop("kind", None) or self.scheme
-        return kind, payload
+    def estimator_spec(self) -> EstimatorSpec:
+        """The validated estimator spec this job describes.
+
+        The sweep :class:`~repro.sweeps.Point`'s rule
+        (:func:`repro.api.registry.description_spec`): the payload's
+        ``kind`` overrides ``scheme`` and its ``shots`` overrides the
+        job's ``shots``.
+        """
+        from ..api.registry import description_spec
+
+        return description_spec(self.scheme, self.estimator, self.shots)
 
     def to_dict(self) -> dict:
         """JSON form of the job (what journals and HTTP bodies hold)."""
@@ -220,7 +225,7 @@ class JobSpec:
             if key in self.workload:
                 name = str(self.workload[key])
                 break
-        scheme, _ = self.estimator_args()
+        scheme = self.estimator_spec().kind
         return f"{name} {self.kind} {scheme} seed={self.seed}"
 
 
@@ -240,11 +245,9 @@ def execute_job(job: JobSpec, session, workload_cache: dict) -> dict:
         workload = materialize_workload(job.workload)
         workload_cache[cache_key] = workload
 
-    scheme, extra = job.estimator_args()
+    spec = job.estimator_spec()
     if job.kind == "estimate":
-        estimator = session.estimator(
-            scheme, workload, shots=job.shots, **extra
-        )
+        estimator = session.estimator(spec, workload)
         if job.params is not None:
             params = np.array(job.params, dtype=float)
         else:
@@ -259,15 +262,13 @@ def execute_job(job: JobSpec, session, workload_cache: dict) -> dict:
     from ..sweeps.runner import execute_tuning
 
     run = execute_tuning(
-        scheme,
+        spec,
         workload,
         max_iterations=job.max_iterations,
         circuit_budget=job.circuit_budget,
-        shots=job.shots,
         seed=job.seed,
         backend=session.backend,
         engine=session.engine,
-        **extra,
     )
     return {
         "kind": "tuning",

@@ -11,10 +11,11 @@ package turns those grids from ad-hoc loops into data:
   JSONL store keyed by point fingerprint with atomic line writes,
   schema versioning, and tolerant load/merge — a killed sweep resumes
   by skipping completed points.
-* :mod:`~repro.sweeps.tasks` — the task-executor registry: every grid
-  cell shape in the paper (VQE tuning, energy/ZNE at optimal
-  parameters, structure counts, Trotter quenches, the extension
-  studies) as a deterministic ``point -> JSON result`` function.
+* :mod:`~repro.sweeps.tasks` — the task-executor registry
+  (``TASKS``): every grid cell shape in the paper (VQE tuning,
+  energy/ZNE at optimal parameters, structure counts, Trotter
+  quenches, the extension studies) as a deterministic
+  ``point -> JSON result`` function.
 * :mod:`~repro.sweeps.runner` — :func:`run_sweep` executes pending
   points inline (``workers=1``) or on a process pool (``workers=N``)
   with per-point deterministic seeding, one shared engine per backend,
@@ -25,11 +26,16 @@ package turns those grids from ad-hoc loops into data:
   from stored records back into the row/series shapes the figures
   print.
 * :mod:`~repro.sweeps.catalog` — all 27 paper grids (plus extension
-  grids) registered as
-  :class:`CatalogEntry`\\ s (spec builder + record-to-table reshaper);
+  grids) registered as ``CatalogEntry`` records (spec builder +
+  record-to-table reshaper + paper claims) in ``CATALOG``;
   ``repro reproduce`` regenerates any subset against one shared,
   resumable store, and ``tests/golden/`` pins the rendered tables
   byte-identical to the legacy benchmarks.
+
+The catalog and the task registry are the two large modules here;
+this package does not import them, so ``import repro`` stays light.
+Import them by name (``from repro.sweeps.catalog import CATALOG``);
+the runner loads the task registry when it first executes a point.
 
 Typical use::
 
@@ -54,20 +60,10 @@ Typical use::
 from __future__ import annotations
 
 from .aggregate import get_path, pivot, select
-from .catalog import (
-    CATALOG,
-    CatalogEntry,
-    EntryOutcome,
-    entry_names,
-    get_entry,
-    reproduce,
-    run_entry,
-)
 from .render import Table, fmt, render_table
 from .runner import SweepReport, execute_point, run_sweep
 from .spec import POINT_SCHEMA_VERSION, WORKLOAD_KINDS, Point, SweepSpec
 from .store import RESULT_SCHEMA_VERSION, ResultStore
-from .tasks import TASKS
 
 __all__ = [
     "Point",
@@ -79,18 +75,10 @@ __all__ = [
     "run_sweep",
     "execute_point",
     "SweepReport",
-    "TASKS",
     "pivot",
     "select",
     "get_path",
     "Table",
     "render_table",
     "fmt",
-    "CATALOG",
-    "CatalogEntry",
-    "EntryOutcome",
-    "entry_names",
-    "get_entry",
-    "reproduce",
-    "run_entry",
 ]

@@ -361,24 +361,42 @@ def fig8_cost_scaling(records: list) -> None:
     k = 1 ... 0.001 between them (~Q..Q^4)."""
     from ..core import jigsaw_cost, traditional_cost, varsaw_cost
 
+    assert len(records) == 1, f"fig8 stores one record; got {len(records)}"
+    series = records[0]["result"]["series"]
+    model = {
+        "Traditional VQA": traditional_cost,
+        "JigSaw + VQA": jigsaw_cost,
+        **{
+            f"VarSaw (k={k:g})": functools.partial(varsaw_cost, k=k)
+            for k in FIG8_SPARSITIES
+        },
+    }
+    assert list(series) == list(model), list(series)
+    cost = {}
+    for label, points in series.items():
+        assert [q for q, _ in points] == FIG8_QUBITS, label
+        # Every stored point is the cost model at its Q.
+        for q, value in points:
+            assert value == model[label](q), (label, q, value)
+        cost[label] = dict(points)
+    jigsaw, traditional = cost["JigSaw + VQA"], cost["Traditional VQA"]
+    varsaw = [cost[f"VarSaw (k={k:g})"] for k in FIG8_SPARSITIES]
     for q in FIG8_QUBITS:
         # JigSaw is the costliest curve everywhere.
-        assert jigsaw_cost(q) >= traditional_cost(q)
+        assert jigsaw[q] >= traditional[q]
         # Sparsity strictly orders the VarSaw family.
-        costs = [varsaw_cost(q, k) for k in FIG8_SPARSITIES]
+        costs = [curve[q] for curve in varsaw]
         assert costs == sorted(costs, reverse=True)
     # VarSaw k=1 overlaps Traditional at scale (the figure's overlap).
-    assert varsaw_cost(1000, 1.0) / traditional_cost(1000) < 1.01
+    assert varsaw[0][1000] / traditional[1000] < 1.01
     # VarSaw is at least O(Q) below JigSaw.
-    assert jigsaw_cost(1000) / varsaw_cost(1000, 1.0) > 500
+    assert jigsaw[1000] / varsaw[0][1000] > 500
     # High sparsity beats even the baseline (Section 3.3).
-    assert varsaw_cost(100, 0.001) < traditional_cost(100)
+    assert varsaw[-1][100] < traditional[100]
     # Asymptotic slopes on the log-log plot.
-    slope = (
-        (jigsaw_cost(1000) / jigsaw_cost(500)) ** (1 / 1)  # ratio at 2x Q
-    )
+    slope = (jigsaw[1000] / jigsaw[500]) ** (1 / 1)  # ratio at 2x Q
     assert 2**5 * 0.8 < slope < 2**5 * 1.2  # ~Q^5
-    slope_trad = traditional_cost(1000) / traditional_cost(500)
+    slope_trad = traditional[1000] / traditional[500]
     assert abs(slope_trad - 2**4) < 0.5  # ~Q^4
 
 

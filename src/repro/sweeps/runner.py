@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .. import obs
-from ..api import Session
+from ..api import EstimatorSpec, Session
 from ..noise import DEVICE_PRESETS, DeviceModel, SimulatorBackend
 from ..optimizers import SPSA
 from ..vqe import run_vqe
@@ -54,38 +54,32 @@ logger = logging.getLogger("repro.sweeps")
 
 
 def execute_tuning(
-    kind: str,
+    spec: EstimatorSpec,
     workload: Workload,
     max_iterations: int,
     circuit_budget: int | None = None,
-    shots: int = 256,
     seed: int = 0,
     device: DeviceModel | None = None,
     spsa_gain: float | None = 0.3,
     initial_params: np.ndarray | None = None,
     backend: SimulatorBackend | None = None,
-    **estimator_kwargs,
+    engine=None,
 ):
-    """One scheme's full VQE tuning loop (the repository's one code path).
+    """One estimator's full VQE tuning loop (the repository's one code
+    path).
 
-    ``kind`` may be a registered kind name, an
-    :class:`~repro.api.EstimatorSpec`, or a payload dict with a
-    ``'kind'`` key — construction goes through a
-    :class:`~repro.api.Session` either way.  Returns a
-    :class:`~repro.analysis.TuningRun`.  ``backend=None`` builds a
-    fresh ``SimulatorBackend(device or workload.device, seed)`` — the
-    deterministic per-trial discipline; pass an existing backend to
-    keep reading its ledger afterwards (the sweep runner does).
+    Returns a :class:`~repro.analysis.TuningRun`.  ``backend=None``
+    builds a fresh ``SimulatorBackend(device or workload.device,
+    seed)`` — the deterministic per-trial discipline; pass an existing
+    backend (and optionally its ``engine``) to keep reading its ledger
+    afterwards (the sweep runner and the serve jobs do).
     """
     from ..analysis.experiments import TuningRun
 
     if backend is None:
         device = device if device is not None else workload.device
         backend = SimulatorBackend(device, seed=seed)
-    engine = estimator_kwargs.pop("engine", None)
-    session = Session(backend=backend, engine=engine)
-    spec = session.spec(kind, shots=shots, **estimator_kwargs)
-    estimator = spec.build(workload, session.backend, engine=session.engine)
+    estimator = spec.build(workload, backend, engine)
     result = run_vqe(
         estimator,
         optimizer=SPSA(a=spsa_gain, seed=seed),
@@ -206,10 +200,8 @@ def _warm_start_params(
     )
     params = workload_cache.get(cache_key)
     if params is None:
-        from ..vqe import IdealEstimator, run_vqe as _run_vqe
-
-        estimator = IdealEstimator(workload.hamiltonian, workload.ansatz)
-        params = _run_vqe(
+        estimator = Session().estimator("ideal", workload)
+        params = run_vqe(
             estimator,
             max_iterations=warm["iterations"],
             seed=warm.get("seed"),
@@ -267,12 +259,11 @@ def execute_point(
 def execute_tuning_point(point: Point, workload_cache: dict) -> dict:
     """The ``tuning`` task: one deterministic VQE tuning run.
 
-    The estimator comes from the point's ``scheme`` plus ``estimator``
-    parameter payload; a payload carrying its own ``'kind'`` overrides
-    the scheme entirely (the inline-spec form).  Either way the
-    ``mbm: true`` flag is materialized by the spec itself
-    (:class:`repro.core.VarSawSpec`), bit-identically to the old
-    hand-wired :class:`~repro.mitigation.MatrixMitigator` setup.
+    The estimator is the one :meth:`Point.estimator_spec
+    <repro.sweeps.spec.Point.estimator_spec>` resolves from the
+    point's ``scheme``, ``estimator`` payload and ``shots``; a payload
+    carrying its own ``'kind'`` overrides the scheme entirely (the
+    inline-spec form).
 
     The execution backend comes from the point's optional ``backend``
     field through the :mod:`repro.backends` registry; absent, the
@@ -288,19 +279,16 @@ def execute_tuning_point(point: Point, workload_cache: dict) -> dict:
         device if device is not None else workload.device,
         seed=point.seed,
     )
-    scheme, shots, estimator_kwargs = point.estimator_args()
     try:
         run = execute_tuning(
-            scheme,
+            point.estimator_spec(),
             workload,
             max_iterations=point.max_iterations,
             circuit_budget=point.circuit_budget,
-            shots=shots,
             seed=point.seed,
             spsa_gain=point.spsa_gain,
             initial_params=initial,
             backend=backend,
-            **estimator_kwargs,
         )
     finally:
         backend.close()

@@ -24,9 +24,12 @@ import hashlib
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from ..api.spec import canonical_spec_json as canonical_json
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api import EstimatorSpec
 
 __all__ = [
     "BACKEND_AWARE_TASKS",
@@ -130,7 +133,8 @@ class Point:
         spec build, not mid-sweep.  The payload may carry its own
         ``"kind"`` (an inline spec, e.g. ``{"kind": "selective",
         "mass_fraction": 0.85}``), which overrides ``scheme`` entirely
-        and makes every registered kind addressable from a grid.  The
+        and makes every registered kind addressable from a grid; its
+        ``shots``, if any, overrides the point's ``shots``.  The
         boolean ``mbm`` flag is materialized into a
         :class:`~repro.mitigation.MatrixMitigator` for the point's
         device (Fig. 18's stacking).
@@ -254,22 +258,14 @@ class Point:
         a *scheme* the registry doesn't know is left for the point's
         task executor to interpret.
         """
-        payload = dict(self.estimator)
-        kind = payload.pop("kind", None)
-        inline = kind is not None
-        if kind is None:
-            if not payload or not self.scheme:
+        if self.estimator.get("kind") is None:
+            if not self.estimator or not self.scheme:
                 return
-            kind = self.scheme
-        from ..api import spec_class
+            from ..api import estimator_kinds
 
-        try:
-            cls = spec_class(kind)
-        except ValueError:
-            if inline:
-                raise
-            return
-        cls(**cls.check_params(payload))
+            if self.scheme not in estimator_kinds():
+                return
+        self.estimator_spec()
 
     def _validate_backend(self) -> None:
         """Eagerly validate ``backend`` against the backend registry.
@@ -293,19 +289,20 @@ class Point:
 
         resolve_backend_spec(self.backend)
 
-    def estimator_args(self) -> tuple[str, int, dict]:
-        """``(kind, shots, extra spec params)`` for this point.
+    def estimator_spec(self) -> EstimatorSpec:
+        """The validated estimator spec this point's scheme, payload and
+        shots describe.
 
-        The one place the estimator-payload conventions are decoded:
-        an inline payload ``kind`` overrides the ``scheme`` field, and
-        a payload-pinned ``shots`` wins over the point-level ``shots``.
-        Estimator-building task executors (``tuning``, ``energy``,
-        ``zne``) all go through this.
+        An inline payload ``kind`` overrides the ``scheme`` field, and
+        a payload-pinned ``shots`` wins over the point-level ``shots``
+        (:func:`repro.api.registry.description_spec`, the rule serve
+        jobs share).  The estimator-building task executors
+        (``tuning``, ``energy``, ``zne``) all go through this, and
+        ``serve_throughput`` hands the same three fields to its jobs.
         """
-        payload = dict(self.estimator)
-        kind = payload.pop("kind", None) or self.scheme
-        shots = payload.pop("shots", self.shots)
-        return kind, shots, payload
+        from ..api.registry import description_spec
+
+        return description_spec(self.scheme, self.estimator, self.shots)
 
     def to_dict(self) -> dict:
         """JSON form of the point.

@@ -41,14 +41,20 @@ __all__ = [
 
 
 class EstimatorBase:
-    """Shared plumbing: grouping, compiled suffixes, state preparation."""
+    """Shared plumbing: grouping, compiled suffixes, state preparation.
+
+    Every estimator is built from its validated
+    :class:`~repro.api.EstimatorSpec` (usually by
+    :meth:`EstimatorSpec.build <repro.api.EstimatorSpec.build>`) and
+    reads its knobs from ``self.spec``.
+    """
 
     def __init__(
         self,
         hamiltonian: Hamiltonian,
         ansatz: EfficientSU2,
         backend: SimulatorBackend,
-        shots: int = 1024,
+        spec: EstimatorSpec,
         engine=None,
     ):
         if ansatz.n_qubits != hamiltonian.n_qubits:
@@ -56,13 +62,11 @@ class EstimatorBase:
                 f"ansatz width {ansatz.n_qubits} != Hamiltonian width "
                 f"{hamiltonian.n_qubits}"
             )
-        if shots < 1:
-            raise ValueError("shots must be positive")
         self.hamiltonian = hamiltonian
         self.ansatz = ansatz
         self.backend = backend
+        self.spec = spec
         self.engine = ensure_engine(engine, backend)
-        self.shots = shots
         self._gate_load = ansatz.gate_load  # each read walks a circuit
         self.bases, self.group_terms = assign_terms_to_groups(hamiltonian)
         # Each basis-change suffix compiles once per estimator, the
@@ -133,7 +137,7 @@ class BaselineEstimator(EstimatorBase):
         batch = self.engine.new_batch()
         handles = [
             self._submit_basis(
-                batch, state, basis, range(self.n_qubits), self.shots
+                batch, state, basis, range(self.n_qubits), self.spec.shots
             )
             for basis in self.bases
         ]
@@ -155,16 +159,6 @@ class IdealEstimator(EstimatorBase):
     charges nothing to the circuit ledger.
     """
 
-    def __init__(
-        self,
-        hamiltonian: Hamiltonian,
-        ansatz: EfficientSU2,
-        backend: SimulatorBackend | None = None,
-        engine=None,
-    ):
-        backend = backend if backend is not None else SimulatorBackend()
-        super().__init__(hamiltonian, ansatz, backend, shots=1, engine=engine)
-
     def evaluate(self, params: np.ndarray) -> float:
         state = self.prepare_state(params)
         return self.hamiltonian.expectation_exact(state)
@@ -184,17 +178,10 @@ class BaselineSpec(EstimatorSpec):
 
     shots: int = 1024
 
+    estimator_class = BaselineEstimator
+
     def validate(self) -> None:
         check_int("shots", self.shots, minimum=1)
-
-    def build(self, workload, backend, engine=None):
-        return BaselineEstimator(
-            workload.hamiltonian,
-            workload.ansatz,
-            backend,
-            shots=self.shots,
-            engine=engine,
-        )
 
 
 @register_estimator("ideal")
@@ -202,10 +189,4 @@ class BaselineSpec(EstimatorSpec):
 class IdealSpec(EstimatorSpec):
     """Noise-free, infinite-shot exact reference (no parameters)."""
 
-    def build(self, workload, backend, engine=None):
-        return IdealEstimator(
-            workload.hamiltonian,
-            workload.ansatz,
-            backend,
-            engine=engine,
-        )
+    estimator_class = IdealEstimator

@@ -40,15 +40,14 @@ class GeneralCommutationEstimator(EstimatorBase):
         hamiltonian: Hamiltonian,
         ansatz,
         backend: SimulatorBackend,
-        shots: int = 1024,
-        method: str = "color",
+        spec: GeneralCommutationSpec,
         engine=None,
     ):
-        super().__init__(hamiltonian, ansatz, backend, shots, engine=engine)
+        super().__init__(hamiltonian, ansatz, backend, spec, engine)
         self.gc_groups: list[DiagonalizedGroup] = diagonalized_groups(
             [p for _, p in hamiltonian.non_identity_terms()],
             hamiltonian.n_qubits,
-            method=method,
+            method=spec.method,
         )
         coeff_of: dict = {}
         for coeff, term in hamiltonian.non_identity_terms():
@@ -75,7 +74,7 @@ class GeneralCommutationEstimator(EstimatorBase):
                 state,
                 suffix,
                 range(self.n_qubits),
-                self.shots,
+                self.spec.shots,
                 map_to_best=False,
                 gate_load=self._gate_load,
             )
@@ -112,16 +111,8 @@ class GeneralCommutationSpec(EstimatorSpec):
     shots: int = 1024
     method: str = "color"
 
+    estimator_class = GeneralCommutationEstimator
+
     def validate(self) -> None:
         check_int("shots", self.shots, minimum=1)
         check_choice("method", self.method, ("color", "greedy"))
-
-    def build(self, workload, backend, engine=None):
-        return GeneralCommutationEstimator(
-            workload.hamiltonian,
-            workload.ansatz,
-            backend,
-            shots=self.shots,
-            method=self.method,
-            engine=engine,
-        )

@@ -1,14 +1,18 @@
 """Bit-identity: the Session/spec path vs the direct constructors.
 
 With a fixed seed, constructing through ``Session.estimator`` yields
-*bit-identical* energies and cost ledgers to hand-wiring the
-estimator class over a backend, for every registered kind.
+*bit-identical* energies and cost ledgers to constructing the
+estimator class over a backend from the same spec, for every
+registered kind; and the helpers each estimator builds from its spec
+fields equal the hand-wired ones.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.api import Session, make_spec
+from repro.api import ESTIMATORS, Session, make_spec
 from repro.core import (
     CalibrationGate,
     CalibrationGatedVarSawEstimator,
@@ -39,32 +43,18 @@ def _params(workload):
 class TestSessionVsDirectConstructors:
     """Every kind against the direct constructor call it replaces."""
 
+    # kind -> (estimator class, spec params, hand-wired helpers the
+    # spec fields must build, by attribute).
     CASES = {
         "ideal": (IdealEstimator, {}, {}),
-        "baseline": (BaselineEstimator, {"shots": 32}, {"shots": 32}),
-        "jigsaw": (
-            JigSawEstimator,
-            {"shots": 32, "window": 3},
-            {"shots": 32, "window": 3},
-        ),
+        "baseline": (BaselineEstimator, {"shots": 32}, {}),
+        "jigsaw": (JigSawEstimator, {"shots": 32, "window": 3}, {}),
         "varsaw": (
-            VarSawEstimator,
-            {"shots": 32, "global_mode": "always"},
-            {"shots": 32, "global_mode": "always"},
+            VarSawEstimator, {"shots": 32, "global_mode": "always"}, {}
         ),
-        "gc": (
-            GeneralCommutationEstimator,
-            {"shots": 32},
-            {"shots": 32},
-        ),
+        "gc": (GeneralCommutationEstimator, {"shots": 32}, {}),
         "selective": (
             SelectiveVarSawEstimator,
-            {
-                "shots": 32,
-                "global_mode": "always",
-                "term_selector": TermSelector(0.8),
-                "phase_policy": PhasePolicy(10, start_fraction=0.5),
-            },
             {
                 "shots": 32,
                 "global_mode": "always",
@@ -72,33 +62,50 @@ class TestSessionVsDirectConstructors:
                 "phase_evaluations": 10,
                 "phase_start": 0.5,
             },
+            {
+                "term_selector": TermSelector(0.8),
+                "phase_policy": PhasePolicy(10, start_fraction=0.5),
+            },
         ),
         "calibration_gated": (
             CalibrationGatedVarSawEstimator,
-            {"shots": 32, "gate": CalibrationGate(error_threshold=0.02)},
             {"shots": 32, "error_threshold": 0.02},
+            {"gate": CalibrationGate(error_threshold=0.02)},
         ),
     }
 
     @pytest.mark.parametrize("kind", sorted(CASES))
     def test_evaluations_bit_identical(self, kind, workload):
-        cls, ctor_kwargs, spec_params = self.CASES[kind]
+        cls, spec_params, helpers = self.CASES[kind]
         params = _params(workload)
 
         backend = SimulatorBackend(workload.device, seed=5)
-        legacy = cls(
-            workload.hamiltonian, workload.ansatz, backend, **ctor_kwargs
+        direct = cls(
+            workload.hamiltonian,
+            workload.ansatz,
+            backend,
+            make_spec(kind, **spec_params),
         )
-        legacy_energies = [legacy.evaluate(params) for _ in range(3)]
+        direct_energies = [direct.evaluate(params) for _ in range(3)]
 
         session = Session(workload.device, seed=5)
         ours = session.estimator(kind, workload, **spec_params)
         assert type(ours) is cls
         energies = [ours.evaluate(params) for _ in range(3)]
 
-        assert energies == legacy_energies
+        assert energies == direct_energies
         assert session.backend.circuits_run == backend.circuits_run
         assert session.backend.shots_run == backend.shots_run
+        for attr, helper in helpers.items():
+            assert vars(getattr(ours, attr)) == vars(helper)
+
+    @pytest.mark.parametrize("kind", ESTIMATORS.builtin)
+    def test_constructor_takes_only_the_spec(self, kind):
+        """A knob has one declaration: its spec field.  No built-in
+        estimator constructor takes knob keywords of its own."""
+        cls = make_spec(kind).estimator_class
+        names = list(inspect.signature(cls).parameters)
+        assert names == ["hamiltonian", "ansatz", "backend", "spec", "engine"]
 
 
 class TestMbmMaterialization:
@@ -108,16 +115,19 @@ class TestMbmMaterialization:
         mitigator = MatrixMitigator.from_device(
             SimulatorBackend(workload.device), range(workload.n_qubits)
         )
-        legacy = VarSawEstimator(
+        hand_wired = VarSawEstimator(
             workload.hamiltonian,
             workload.ansatz,
             backend,
-            shots=32,
-            mbm=mitigator,
+            make_spec("varsaw", shots=32),
         )
+        hand_wired.mbm = mitigator
         session = Session(workload.device, seed=2)
         ours = session.estimator("varsaw", workload, shots=32, mbm=True)
-        assert ours.evaluate(params) == legacy.evaluate(params)
+        assert ours.mbm.matrices.keys() == mitigator.matrices.keys()
+        for qubit, matrix in mitigator.matrices.items():
+            assert np.array_equal(ours.mbm.matrices[qubit], matrix)
+        assert ours.evaluate(params) == hand_wired.evaluate(params)
 
 
 class TestSpecDrivenPointParity:
@@ -145,9 +155,9 @@ class TestSpecDrivenPointParity:
     def test_energy_task_honors_inline_kind_and_pinned_shots(
         self, tmp_path
     ):
-        """Every estimator-building task decodes the payload through
-        Point.estimator_args — inline kinds and payload-pinned shots
-        must not crash the energy task (PR 4 review regression)."""
+        """Every estimator-building task resolves the payload through
+        Point.estimator_spec — inline kinds and payload-pinned shots
+        must not crash the energy task."""
         from repro.sweeps import Point, ResultStore, run_sweep
 
         base = dict(

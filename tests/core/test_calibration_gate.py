@@ -5,8 +5,10 @@ import pytest
 
 from repro.core import (
     CalibrationGate,
+    CalibrationGatedSpec,
     CalibrationGatedVarSawEstimator,
     VarSawEstimator,
+    VarSawSpec,
     varsaw_subset_plan,
 )
 from repro.hamiltonian import Hamiltonian
@@ -95,14 +97,16 @@ class TestGatedEstimator:
         workload = make_workload("H2-4", device=split_quality_device)
         backend = SimulatorBackend(split_quality_device, seed=5)
         plain = VarSawEstimator(
-            workload.hamiltonian, workload.ansatz, backend, shots=128
+            workload.hamiltonian,
+            workload.ansatz,
+            backend,
+            VarSawSpec(shots=128),
         )
         gated = CalibrationGatedVarSawEstimator(
             workload.hamiltonian,
             workload.ansatz,
             SimulatorBackend(split_quality_device, seed=5),
-            shots=128,
-            gate=CalibrationGate(error_threshold=0.01),
+            CalibrationGatedSpec(shots=128, error_threshold=0.01),
         )
         assert gated.subsets_skipped > 0
         assert (
@@ -118,7 +122,10 @@ class TestGatedEstimator:
 
         backend_plain = SimulatorBackend(split_quality_device, seed=7)
         plain = VarSawEstimator(
-            workload.hamiltonian, workload.ansatz, backend_plain, shots=128
+            workload.hamiltonian,
+            workload.ansatz,
+            backend_plain,
+            VarSawSpec(shots=128),
         )
         plain.evaluate(params)
 
@@ -127,8 +134,7 @@ class TestGatedEstimator:
             workload.hamiltonian,
             workload.ansatz,
             backend_gated,
-            shots=128,
-            gate=CalibrationGate(error_threshold=0.01),
+            CalibrationGatedSpec(shots=128, error_threshold=0.01),
         )
         value = gated.evaluate(params)
         assert np.isfinite(value)
@@ -140,7 +146,7 @@ class TestGatedEstimator:
             workload.hamiltonian,
             workload.ansatz,
             SimulatorBackend(split_quality_device, seed=9),
-            shots=128,
+            CalibrationGatedSpec(shots=128),
         )
         assert gated.gate.error_threshold == pytest.approx(0.01)
 
@@ -150,10 +156,13 @@ class TestGatedEstimator:
         """Skipping subsets on near-perfect qubits costs ~no accuracy."""
         workload = make_workload("H2-4", device=split_quality_device)
         params = np.full(workload.ansatz.num_parameters, 0.1)
-        from repro.vqe import IdealEstimator
+        from repro.vqe import IdealEstimator, IdealSpec
 
         exact = IdealEstimator(
-            workload.hamiltonian, workload.ansatz
+            workload.hamiltonian,
+            workload.ansatz,
+            SimulatorBackend(),
+            IdealSpec(),
         ).evaluate(params)
 
         def mean_error(estimator_factory, trials=5):
@@ -168,7 +177,7 @@ class TestGatedEstimator:
                 workload.hamiltonian,
                 workload.ansatz,
                 SimulatorBackend(split_quality_device, seed=s),
-                shots=2048,
+                VarSawSpec(shots=2048),
             )
         )
         gated_err = mean_error(
@@ -176,8 +185,7 @@ class TestGatedEstimator:
                 workload.hamiltonian,
                 workload.ansatz,
                 SimulatorBackend(split_quality_device, seed=s),
-                shots=2048,
-                gate=CalibrationGate(error_threshold=0.01),
+                CalibrationGatedSpec(shots=2048, error_threshold=0.01),
             )
         )
         assert gated_err < plain_err + 0.25

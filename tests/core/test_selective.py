@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import PhasePolicy, SelectiveVarSawEstimator, TermSelector
+from repro.core import (
+    PhasePolicy,
+    SelectiveSpec,
+    SelectiveVarSawEstimator,
+    TermSelector,
+)
 from repro.hamiltonian import Hamiltonian
 from repro.noise import SimulatorBackend, ibmq_mumbai_like
 from repro.vqe.expectation import assign_terms_to_groups
@@ -69,8 +74,7 @@ class TestSelectiveEstimator:
     def test_full_selection_equals_varsaw_cost(self, setup):
         h2, ansatz, backend = setup
         est = SelectiveVarSawEstimator(
-            h2, ansatz, backend, shots=64,
-            term_selector=TermSelector(1.0),
+            h2, ansatz, backend, SelectiveSpec(shots=64, mass_fraction=1.0)
         )
         params = np.zeros(ansatz.num_parameters)
         est.evaluate(params)
@@ -81,12 +85,13 @@ class TestSelectiveEstimator:
     def test_partial_selection_runs_fewer_subsets(self, setup):
         h2, ansatz, backend = setup
         full = SelectiveVarSawEstimator(
-            h2, ansatz, SimulatorBackend(seed=0), shots=64,
-            term_selector=TermSelector(1.0),
+            h2,
+            ansatz,
+            SimulatorBackend(seed=0),
+            SelectiveSpec(shots=64, mass_fraction=1.0),
         )
         partial = SelectiveVarSawEstimator(
-            h2, ansatz, backend, shots=64,
-            term_selector=TermSelector(0.5),
+            h2, ansatz, backend, SelectiveSpec(shots=64, mass_fraction=0.5)
         )
         assert (
             partial.circuits_per_subset_pass
@@ -96,8 +101,10 @@ class TestSelectiveEstimator:
     def test_phase_policy_disables_mitigation_early(self, setup):
         h2, ansatz, backend = setup
         est = SelectiveVarSawEstimator(
-            h2, ansatz, backend, shots=64,
-            phase_policy=PhasePolicy(10, start_fraction=0.5),
+            h2,
+            ansatz,
+            backend,
+            SelectiveSpec(shots=64, phase_evaluations=10, phase_start=0.5),
         )
         params = np.zeros(ansatz.num_parameters)
         est.evaluate(params)  # t=0: inactive -> baseline path
@@ -109,22 +116,22 @@ class TestSelectiveEstimator:
 
     def test_energy_reasonable_with_partial_mitigation(self, setup):
         """Partial mitigation still produces a sane energy estimate."""
-        from repro.vqe import IdealEstimator
+        from repro.vqe import IdealEstimator, IdealSpec
 
         h2, ansatz, backend = setup
         est = SelectiveVarSawEstimator(
-            h2, ansatz, backend, shots=8192,
-            term_selector=TermSelector(0.8),
+            h2, ansatz, backend, SelectiveSpec(shots=8192, mass_fraction=0.8)
         )
         params = np.full(ansatz.num_parameters, 0.2)
-        ideal = IdealEstimator(h2, ansatz).evaluate(params)
+        ideal = IdealEstimator(
+            h2, ansatz, SimulatorBackend(), IdealSpec()
+        ).evaluate(params)
         assert est.evaluate(params) == pytest.approx(ideal, abs=0.5)
 
     def test_selected_groups_have_subsets(self, setup):
         h2, ansatz, backend = setup
         est = SelectiveVarSawEstimator(
-            h2, ansatz, backend, shots=64,
-            term_selector=TermSelector(0.7),
+            h2, ansatz, backend, SelectiveSpec(shots=64, mass_fraction=0.7)
         )
         for g in est.mitigated_groups:
             assert set(est._compatible[g]) <= set(est._active_subsets)

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core import VarSawEstimator
-from repro.mitigation import JigSawEstimator
+from repro.core import VarSawEstimator, VarSawSpec
+from repro.mitigation import JigSawEstimator, JigSawSpec
 from repro.noise import SimulatorBackend, ibmq_mumbai_like
-from repro.vqe import BaselineEstimator, IdealEstimator
+from repro.vqe import (
+    BaselineEstimator,
+    BaselineSpec,
+    IdealEstimator,
+    IdealSpec,
+)
 
 
 def make_varsaw(h2, h2_ansatz, backend, **kw):
     kw.setdefault("shots", 64)
-    return VarSawEstimator(h2, h2_ansatz, backend, **kw)
+    return VarSawEstimator(h2, h2_ansatz, backend, VarSawSpec(**kw))
 
 
 class TestCostAccounting:
@@ -55,7 +60,7 @@ class TestCostAccounting:
         """The headline: VarSaw's steady-state cost is far below JigSaw."""
         backend = SimulatorBackend(seed=0)
         var = make_varsaw(h2, h2_ansatz, backend, global_mode="never")
-        jig = JigSawEstimator(h2, h2_ansatz, backend, shots=64)
+        jig = JigSawEstimator(h2, h2_ansatz, backend, JigSawSpec(shots=64))
         assert var.circuits_per_subset_pass < jig.circuits_per_evaluation
 
     def test_global_fraction_tracked(self, h2, h2_ansatz):
@@ -71,7 +76,9 @@ class TestMitigationQuality:
     def test_noise_free_varsaw_consistent_with_ideal(self, h2, h2_ansatz):
         backend = SimulatorBackend(seed=1)
         est = make_varsaw(h2, h2_ansatz, backend, shots=50_000)
-        ideal = IdealEstimator(h2, h2_ansatz)
+        ideal = IdealEstimator(
+            h2, h2_ansatz, SimulatorBackend(), IdealSpec()
+        )
         params = np.full(h2_ansatz.num_parameters, 0.2)
         assert est.evaluate(params) == pytest.approx(
             ideal.evaluate(params), abs=0.1
@@ -80,12 +87,16 @@ class TestMitigationQuality:
     def test_varsaw_beats_baseline_under_noise(self, h2, h2_ansatz):
         """Fig. 14's mechanism at a fixed parameter point."""
         params = np.full(h2_ansatz.num_parameters, 0.3)
-        ideal = IdealEstimator(h2, h2_ansatz).evaluate(params)
+        ideal = IdealEstimator(
+            h2, h2_ansatz, SimulatorBackend(), IdealSpec()
+        ).evaluate(params)
         device = ibmq_mumbai_like(scale=2.0)
         base_err, var_err = [], []
         for seed in range(3):
             backend = SimulatorBackend(device, seed=seed)
-            base = BaselineEstimator(h2, h2_ansatz, backend, shots=4096)
+            base = BaselineEstimator(
+                h2, h2_ansatz, backend, BaselineSpec(shots=4096)
+            )
             var = make_varsaw(h2, h2_ansatz, backend, shots=4096)
             base_err.append(abs(base.evaluate(params) - ideal))
             var_err.append(abs(var.evaluate(params) - ideal))

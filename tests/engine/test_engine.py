@@ -352,12 +352,12 @@ class TestEnsureEngine:
     def test_estimators_on_one_backend_share_the_engine(
         self, h2_workload, backend
     ):
-        from repro.mitigation import JigSawEstimator
-        from repro.vqe import BaselineEstimator
+        from repro.mitigation import JigSawEstimator, JigSawSpec
+        from repro.vqe import BaselineEstimator, BaselineSpec
 
         args = (h2_workload.hamiltonian, h2_workload.ansatz, backend)
-        baseline = BaselineEstimator(*args, shots=32)
-        jigsaw = JigSawEstimator(*args, shots=32)
+        baseline = BaselineEstimator(*args, BaselineSpec(shots=32))
+        jigsaw = JigSawEstimator(*args, JigSawSpec(shots=32))
         assert baseline.engine is jigsaw.engine
 
     def test_config_still_builds_private_engines(self, backend):

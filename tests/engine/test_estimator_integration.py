@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from repro import Session
-from repro.core import SelectiveVarSawEstimator, TermSelector
+from repro.core import SelectiveSpec, SelectiveVarSawEstimator
 from repro.engine import ExecutionEngine
 from repro.noise import SimulatorBackend
-from repro.vqe import GeneralCommutationEstimator
+from repro.vqe import GeneralCommutationEstimator, GeneralCommutationSpec
 
 FAMILIES = ("baseline", "jigsaw", "varsaw", "varsaw_max_sparsity")
 
@@ -34,7 +34,10 @@ class TestEstimatorsUseEngine:
     def test_gc_estimator_uses_engine(self, h2_workload, noisy_device):
         backend = SimulatorBackend(noisy_device, seed=7)
         estimator = GeneralCommutationEstimator(
-            h2_workload.hamiltonian, h2_workload.ansatz, backend, shots=64
+            h2_workload.hamiltonian,
+            h2_workload.ansatz,
+            backend,
+            GeneralCommutationSpec(shots=64),
         )
         estimator.evaluate(fixed_params(estimator))
         assert estimator.engine.stats.jobs_submitted == len(
@@ -48,8 +51,7 @@ class TestEstimatorsUseEngine:
             h2_workload.hamiltonian,
             h2_workload.ansatz,
             backend,
-            shots=64,
-            term_selector=TermSelector(0.6),
+            SelectiveSpec(shots=64, mass_fraction=0.6),
         )
         estimator.evaluate(fixed_params(estimator))
         assert estimator.engine.stats.jobs_submitted == backend.circuits_run

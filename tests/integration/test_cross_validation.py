@@ -98,9 +98,11 @@ class TestExpectationPaths:
         rho = DensityMatrix(np.outer(state, state.conj()))
         via_density = rho.expectation(h2.to_sparse_matrix().toarray())
 
-        from repro.vqe import IdealEstimator
+        from repro.vqe import IdealEstimator, IdealSpec
 
-        via_estimator = IdealEstimator(h2, h2_ansatz).evaluate(params)
+        via_estimator = IdealEstimator(
+            h2, h2_ansatz, SimulatorBackend(), IdealSpec()
+        ).evaluate(params)
 
         assert via_matrix == pytest.approx(via_density, abs=1e-9)
         assert via_matrix == pytest.approx(via_estimator, abs=1e-9)

@@ -8,8 +8,12 @@ distributions, and adversarial scheduler feedback.
 import numpy as np
 import pytest
 
-from repro.core import GlobalScheduler, VarSawEstimator
-from repro.mitigation import JigSawEstimator, bayesian_reconstruct
+from repro.core import GlobalScheduler, VarSawEstimator, VarSawSpec
+from repro.mitigation import (
+    JigSawEstimator,
+    JigSawSpec,
+    bayesian_reconstruct,
+)
 from repro.noise import (
     DepolarizingGateNoise,
     DeviceModel,
@@ -19,7 +23,7 @@ from repro.noise import (
     ibmq_mumbai_like,
 )
 from repro.sim import PMF
-from repro.vqe import BaselineEstimator
+from repro.vqe import BaselineEstimator, BaselineSpec
 
 
 def brutal_device(n_qubits: int = 4) -> DeviceModel:
@@ -39,9 +43,12 @@ class TestExtremeNoise:
     ):
         backend = SimulatorBackend(brutal_device(), seed=0)
         params = np.full(h2_ansatz.num_parameters, 0.2)
-        for estimator_cls in (BaselineEstimator, JigSawEstimator,
-                              VarSawEstimator):
-            est = estimator_cls(h2, h2_ansatz, backend, shots=128)
+        for estimator_cls, spec in (
+            (BaselineEstimator, BaselineSpec(shots=128)),
+            (JigSawEstimator, JigSawSpec(shots=128)),
+            (VarSawEstimator, VarSawSpec(shots=128)),
+        ):
+            est = estimator_cls(h2, h2_ansatz, backend, spec)
             energy = est.evaluate(params)
             assert np.isfinite(energy)
 
@@ -54,7 +61,9 @@ class TestExtremeNoise:
 
     def test_noise_scale_five_still_valid_pmfs(self, h2, h2_ansatz):
         backend = SimulatorBackend(ibmq_mumbai_like(scale=5.0), seed=1)
-        est = BaselineEstimator(h2, h2_ansatz, backend, shots=64)
+        est = BaselineEstimator(
+            h2, h2_ansatz, backend, BaselineSpec(shots=64)
+        )
         energy = est.evaluate(np.zeros(h2_ansatz.num_parameters))
         assert np.isfinite(energy)
 
@@ -62,7 +71,7 @@ class TestExtremeNoise:
 class TestDegenerateStatistics:
     def test_single_shot_evaluation(self, h2, h2_ansatz):
         backend = SimulatorBackend(ibmq_mumbai_like(), seed=2)
-        est = VarSawEstimator(h2, h2_ansatz, backend, shots=1)
+        est = VarSawEstimator(h2, h2_ansatz, backend, VarSawSpec(shots=1))
         energy = est.evaluate(np.zeros(h2_ansatz.num_parameters))
         assert np.isfinite(energy)
 
@@ -118,7 +127,9 @@ class TestBudgetEdgeCases:
         from repro.vqe import run_vqe
 
         backend = SimulatorBackend(seed=0)
-        est = BaselineEstimator(h2, h2_ansatz, backend, shots=16)
+        est = BaselineEstimator(
+            h2, h2_ansatz, backend, BaselineSpec(shots=16)
+        )
         result = run_vqe(
             est,
             optimizer=SPSA(a=0.2, seed=0),
@@ -134,7 +145,9 @@ class TestBudgetEdgeCases:
         from repro.vqe import run_vqe
 
         backend = SimulatorBackend(seed=0)
-        est = BaselineEstimator(h2, h2_ansatz, backend, shots=16)
+        est = BaselineEstimator(
+            h2, h2_ansatz, backend, BaselineSpec(shots=16)
+        )
         result = run_vqe(
             est,
             optimizer=SPSA(a=0.2, seed=0),

@@ -11,7 +11,11 @@ import pytest
 
 from repro.api import Session
 from repro.noise import SimulatorBackend, ibm_lagos_like, ibmq_mumbai_like
-from repro.vqe import GeneralCommutationEstimator, run_vqe
+from repro.vqe import (
+    GeneralCommutationEstimator,
+    GeneralCommutationSpec,
+    run_vqe,
+)
 
 
 class TestQAOAThroughTheFullStack:
@@ -45,7 +49,10 @@ class TestGCEstimatorInTheLoop:
         workload = make_workload("H2-4")
         backend = SimulatorBackend(ibmq_mumbai_like(), seed=37)
         estimator = GeneralCommutationEstimator(
-            workload.hamiltonian, workload.ansatz, backend, shots=512
+            workload.hamiltonian,
+            workload.ansatz,
+            backend,
+            GeneralCommutationSpec(shots=512),
         )
         start = np.full(workload.ansatz.num_parameters, 0.1)
         start_energy = estimator.evaluate(start)
@@ -59,7 +66,10 @@ class TestGCEstimatorInTheLoop:
 
 class TestCalibrationGatedInTheLoop:
     def test_gated_varsaw_tuning_run(self):
-        from repro.core import CalibrationGate, CalibrationGatedVarSawEstimator
+        from repro.core import (
+            CalibrationGatedSpec,
+            CalibrationGatedVarSawEstimator,
+        )
         from repro.noise import (
             DepolarizingGateNoise,
             DeviceModel,
@@ -86,8 +96,7 @@ class TestCalibrationGatedInTheLoop:
             workload.hamiltonian,
             workload.ansatz,
             backend,
-            shots=256,
-            gate=CalibrationGate(error_threshold=0.01),
+            CalibrationGatedSpec(shots=256, error_threshold=0.01),
         )
         assert estimator.subsets_skipped > 0
         result = run_vqe(estimator, max_iterations=60, seed=41)
@@ -150,6 +159,7 @@ class TestSweepsThroughTheFullStack:
         runner share one code path; a stored sweep record must
         therefore carry exactly the energy a direct call produces.
         """
+        from repro.api import make_spec
         from repro.sweeps import Point, ResultStore, run_sweep
         from repro.sweeps.runner import execute_tuning
         from repro.workloads import make_workload
@@ -157,8 +167,8 @@ class TestSweepsThroughTheFullStack:
         workload = make_workload("H2-4")
         device = ibmq_mumbai_like(scale=2.0)
         direct = execute_tuning(
-            "varsaw", workload, max_iterations=4, shots=64, seed=9,
-            device=device,
+            make_spec("varsaw", shots=64), workload, max_iterations=4,
+            seed=9, device=device,
         )
 
         point = Point(

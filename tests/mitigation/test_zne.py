@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import optimal_parameters
 from repro.mitigation import linear_extrapolate, richardson_extrapolate, zne_energy
-from repro.api import Session
+from repro.api import Session, make_spec
 from repro.workloads import make_workload
 
 
@@ -59,9 +59,8 @@ class TestZneEnergy:
         estimate, energies = zne_energy(
             workload,
             params,
-            kind="baseline",
+            make_spec("baseline", shots=60_000),
             scales=(1.0, 2.0, 3.0),
-            shots=60_000,
             seed=3,
         )
         assert abs(estimate - ideal) < abs(energies[0] - ideal)
@@ -70,7 +69,11 @@ class TestZneEnergy:
         workload = make_workload("H2-4")
         params = optimal_parameters(workload, iterations=300)
         _, energies = zne_energy(
-            workload, params, scales=(0.5, 2.0, 4.0), shots=60_000, seed=1
+            workload,
+            params,
+            make_spec("baseline", shots=60_000),
+            scales=(0.5, 2.0, 4.0),
+            seed=1,
         )
         # Energy error grows with the noise scale (monotone ladder).
         ideal = Session(seed=0).estimator("ideal", workload).evaluate(params)
@@ -83,9 +86,8 @@ class TestZneEnergy:
         estimate, energies = zne_energy(
             workload,
             params,
-            kind="varsaw_no_sparsity",
+            make_spec("varsaw_no_sparsity", shots=8192),
             scales=(1.0, 2.0),
-            shots=8192,
             seed=2,
         )
         assert len(energies) == 2
@@ -94,4 +96,7 @@ class TestZneEnergy:
     def test_method_validation(self):
         workload = make_workload("H2-4")
         with pytest.raises(ValueError):
-            zne_energy(workload, np.zeros(24), method="cubic")
+            zne_energy(
+                workload, np.zeros(24), make_spec("baseline"),
+                method="cubic",
+            )

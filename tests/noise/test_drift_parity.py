@@ -20,6 +20,7 @@ from repro.noise import (
     StepDrift,
     ibmq_mumbai_like,
 )
+from repro.api import make_spec
 from repro.sweeps.runner import execute_tuning
 from repro.workloads import make_workload
 
@@ -29,7 +30,7 @@ def tuning_outcome(device):
     workload = make_workload("H2-4")
     backend = SimulatorBackend(device, seed=5)
     run = execute_tuning(
-        "varsaw", workload, max_iterations=3, shots=64, seed=5,
+        make_spec("varsaw", shots=64), workload, max_iterations=3, seed=5,
         backend=backend,
     )
     return {

@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.noise import SimulatorBackend, ibmq_mumbai_like
+from repro.api import make_spec
 from repro.sweeps.runner import execute_tuning
 from repro.workloads import make_workload
 
@@ -20,7 +21,7 @@ def tuning_outcome():
     workload = make_workload("H2-4")
     backend = SimulatorBackend(ibmq_mumbai_like(scale=2.0), seed=5)
     run = execute_tuning(
-        "varsaw", workload, max_iterations=3, shots=64, seed=5,
+        make_spec("varsaw", shots=64), workload, max_iterations=3, seed=5,
         backend=backend,
     )
     return {
@@ -56,7 +57,8 @@ class TestCatalogParity:
 
     @pytest.fixture
     def run_fig8(self, tmp_path):
-        from repro.sweeps import ResultStore, reproduce
+        from repro.sweeps import ResultStore
+        from repro.sweeps.catalog import reproduce
 
         def run(name):
             store = ResultStore(tmp_path / f"{name}.jsonl")

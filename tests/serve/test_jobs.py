@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import make_spec
 from repro.serve import JOB_KINDS, JobSpec
 
 
@@ -59,9 +60,7 @@ class TestValidation:
 
     def test_inline_estimator_kind_wins(self):
         spec = job(scheme="baseline", estimator={"kind": "varsaw"})
-        kind, extra = spec.estimator_args()
-        assert kind == "varsaw"
-        assert extra == {}
+        assert spec.estimator_spec() == make_spec("varsaw", shots=64)
 
     def test_job_kinds_constant(self):
         assert JOB_KINDS == ("estimate", "tuning")
@@ -127,3 +126,75 @@ class TestLabel:
 
     def test_tuning_label(self):
         assert "tuning" in job(kind="tuning").label()
+
+
+class TestPayloadPinnedShots:
+    """A job resolves its estimator exactly as a sweep Point does: the
+    payload's ``shots`` wins over the job's, on both job kinds, and
+    the job charges what the equivalent Point charges."""
+
+    POINT = {"workload": {"key": "H2-4"}, "scheme": "varsaw", "shots": 64,
+             "seed": 7, "estimator": {"shots": 128}}
+
+    def test_job_and_point_resolve_one_spec(self):
+        from repro.sweeps import Point
+
+        for kind in JOB_KINDS:
+            spec = job(kind=kind, seed=7, estimator={"shots": 128})
+            assert spec.estimator_spec() == Point(
+                **self.POINT
+            ).estimator_spec()
+            assert spec.estimator_spec().shots == 128
+
+    def test_tuning_job_charges_what_the_point_charges(self, tmp_path):
+        from repro.serve import Service
+        from repro.sweeps import Point
+        from repro.sweeps.runner import execute_point
+
+        point = Point(max_iterations=2, **self.POINT)
+        record, _ = execute_point(point)
+        spec = job(
+            kind="tuning", seed=7, max_iterations=2,
+            estimator={"shots": 128},
+        )
+        with Service(tmp_path / "journal") as service:
+            request = service.submit("alice", spec)
+            service.drain()
+            result = request.future.result()["result"]
+            charge = service.budget.charged("alice")
+        assert result["energy"] == record["energy"]
+        assert (charge.circuits, charge.shots) == (
+            record["circuits"], record["shots"],
+        )
+        assert charge.shots == 128 * charge.circuits
+
+    def test_estimate_job_charges_what_the_point_charges(self, tmp_path):
+        from repro.analysis import optimal_parameters
+        from repro.api import Session
+        from repro.serve import Service
+        from repro.sweeps import Point
+        from repro.sweeps.runner import execute_point
+        from repro.workloads import make_workload
+
+        point = Point(
+            task="energy", options={"params_iterations": 20}, **self.POINT
+        )
+        record, _ = execute_point(point)
+        workload = make_workload("H2-4")
+        params = optimal_parameters(workload, iterations=20)
+        # What the Point's energy task charges for its one evaluation.
+        session = Session(workload.device, seed=7)
+        session.estimator(point.estimator_spec(), workload).evaluate(params)
+        expected = session.ledger()
+
+        spec = job(seed=7, params=list(params), estimator={"shots": 128})
+        with Service(tmp_path / "journal") as service:
+            request = service.submit("alice", spec)
+            service.drain()
+            result = request.future.result()["result"]
+            charge = service.budget.charged("alice")
+        assert result["energy"] == record["energy"]
+        assert (charge.circuits, charge.shots) == (
+            expected.circuits, expected.shots,
+        )
+        assert charge.shots == 128 * charge.circuits

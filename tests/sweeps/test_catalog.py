@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from repro.sweeps import CATALOG, Point, SweepSpec, get_entry
+import repro
+from repro.sweeps import Point, ResultStore, SweepSpec
+from repro.sweeps.catalog import (
+    CATALOG,
+    fig8_cost_scaling,
+    get_entry,
+    run_entry,
+)
 from repro.sweeps.tasks import TASKS
 
 EXPECTED_ENTRIES = {
@@ -77,3 +90,46 @@ def test_entries_do_not_collide_in_one_store():
         assert len(fingerprints) == len(set(fingerprints)), entry.name
         total += len(fingerprints)
     assert total > 100  # the full catalog is a real grid population
+
+
+def test_import_repro_leaves_catalog_and_tasks_unloaded():
+    """Every process that imports ``repro`` (serve, perfbench, pool
+    workers) skips the paper catalog and the task registry until it
+    uses them."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, repro; print(sorted(m for m in sys.modules "
+        "if m in ('repro.sweeps.catalog', 'repro.sweeps.tasks')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+class TestFig8Claim:
+    """The Fig. 8 claim checks the stored series, not the cost model."""
+
+    @pytest.fixture(scope="class")
+    def records(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fig8") / "fig8.jsonl"
+        return run_entry(get_entry("fig8"), ResultStore(path)).records
+
+    def test_holds_on_the_stored_series(self, records):
+        fig8_cost_scaling(records)
+
+    def test_no_records_fail(self):
+        with pytest.raises(AssertionError):
+            fig8_cost_scaling([])
+
+    def test_one_perturbed_value_fails(self, records):
+        broken = copy.deepcopy(records)
+        point = broken[0]["result"]["series"]["VarSaw (k=0.1)"][3]
+        point[1] *= 1.0 + 1e-9  # every ordering still holds
+        with pytest.raises(AssertionError, match="VarSaw"):
+            fig8_cost_scaling(broken)

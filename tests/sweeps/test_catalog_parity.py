@@ -24,7 +24,8 @@ import random
 import pytest
 
 from repro.analysis import is_full_scale
-from repro.sweeps import CATALOG, ResultStore, run_entry
+from repro.sweeps import ResultStore
+from repro.sweeps.catalog import CATALOG, run_entry
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 

@@ -8,13 +8,18 @@ from repro.api import Session
 from repro.hamiltonian import build_hamiltonian, ground_state_energy
 from repro.noise import SimulatorBackend, ibmq_mumbai_like
 from repro.qaoa import make_qaoa_workload
-from repro.vqe import BaselineEstimator, IdealEstimator
+from repro.vqe import (
+    BaselineEstimator,
+    BaselineSpec,
+    IdealEstimator,
+    IdealSpec,
+)
 from repro.workloads import make_workload
 
 
 class TestIdealEstimator:
     def test_matches_exact_expectation(self, h2, h2_ansatz):
-        est = IdealEstimator(h2, h2_ansatz)
+        est = IdealEstimator(h2, h2_ansatz, SimulatorBackend(), IdealSpec())
         params = np.full(h2_ansatz.num_parameters, 0.3)
         from repro.sim import run_statevector
 
@@ -24,13 +29,13 @@ class TestIdealEstimator:
         )
 
     def test_charges_nothing(self, h2, h2_ansatz):
-        est = IdealEstimator(h2, h2_ansatz)
+        est = IdealEstimator(h2, h2_ansatz, SimulatorBackend(), IdealSpec())
         est.evaluate(np.zeros(h2_ansatz.num_parameters))
         assert est.backend.circuits_run == 0
         assert est.circuits_per_evaluation == 0
 
     def test_never_below_ground_energy(self, h2, h2_ansatz):
-        est = IdealEstimator(h2, h2_ansatz)
+        est = IdealEstimator(h2, h2_ansatz, SimulatorBackend(), IdealSpec())
         e0 = ground_state_energy(h2)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -41,15 +46,21 @@ class TestIdealEstimator:
 class TestBaselineEstimator:
     def test_width_mismatch_rejected(self, h2):
         with pytest.raises(ValueError):
-            BaselineEstimator(h2, EfficientSU2(6), SimulatorBackend())
+            BaselineEstimator(
+                h2, EfficientSU2(6), SimulatorBackend(), BaselineSpec()
+            )
 
     def test_shots_positive(self, h2, h2_ansatz):
         with pytest.raises(ValueError):
-            BaselineEstimator(h2, h2_ansatz, SimulatorBackend(), shots=0)
+            BaselineEstimator(
+                h2, h2_ansatz, SimulatorBackend(), BaselineSpec(shots=0)
+            )
 
     def test_charges_one_circuit_per_group(self, h2, h2_ansatz):
         backend = SimulatorBackend(seed=0)
-        est = BaselineEstimator(h2, h2_ansatz, backend, shots=64)
+        est = BaselineEstimator(
+            h2, h2_ansatz, backend, BaselineSpec(shots=64)
+        )
         est.evaluate(np.zeros(h2_ansatz.num_parameters))
         assert backend.circuits_run == est.num_groups
         assert est.circuits_per_evaluation == est.num_groups
@@ -57,8 +68,12 @@ class TestBaselineEstimator:
     def test_ideal_backend_converges_to_exact(self, h2, h2_ansatz):
         """With no device noise and many shots, baseline ~= exact."""
         backend = SimulatorBackend(seed=1)
-        est = BaselineEstimator(h2, h2_ansatz, backend, shots=200_000)
-        ideal = IdealEstimator(h2, h2_ansatz)
+        est = BaselineEstimator(
+            h2, h2_ansatz, backend, BaselineSpec(shots=200_000)
+        )
+        ideal = IdealEstimator(
+            h2, h2_ansatz, SimulatorBackend(), IdealSpec()
+        )
         params = np.full(h2_ansatz.num_parameters, 0.2)
         assert est.evaluate(params) == pytest.approx(
             ideal.evaluate(params), abs=0.02
@@ -68,11 +83,15 @@ class TestBaselineEstimator:
         """Near the ground state, noise can only raise the energy."""
         from repro.vqe import run_vqe
 
-        ideal = IdealEstimator(h2, h2_ansatz)
+        ideal = IdealEstimator(
+            h2, h2_ansatz, SimulatorBackend(), IdealSpec()
+        )
         tuned = run_vqe(ideal, max_iterations=300, seed=4)
         noisy = BaselineEstimator(
-            h2, h2_ansatz, SimulatorBackend(ibmq_mumbai_like(), seed=2),
-            shots=8192,
+            h2,
+            h2_ansatz,
+            SimulatorBackend(ibmq_mumbai_like(), seed=2),
+            BaselineSpec(shots=8192),
         )
         e_ideal = ideal.evaluate(tuned.parameters)
         e_noisy = noisy.evaluate(tuned.parameters)

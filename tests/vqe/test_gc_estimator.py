@@ -6,8 +6,11 @@ import pytest
 from repro.noise import SimulatorBackend, ibmq_mumbai_like, ideal_device
 from repro.vqe import (
     BaselineEstimator,
+    BaselineSpec,
     GeneralCommutationEstimator,
+    GeneralCommutationSpec,
     IdealEstimator,
+    IdealSpec,
 )
 from repro.workloads import make_workload
 
@@ -23,27 +26,32 @@ class TestCorrectness:
     def test_noise_free_matches_exact(self, h2_setup):
         workload, params = h2_setup
         exact = IdealEstimator(
-            workload.hamiltonian, workload.ansatz
+            workload.hamiltonian,
+            workload.ansatz,
+            SimulatorBackend(),
+            IdealSpec(),
         ).evaluate(params)
         gc = GeneralCommutationEstimator(
             workload.hamiltonian,
             workload.ansatz,
             SimulatorBackend(ideal_device(4), seed=5),
-            shots=400_000,
+            GeneralCommutationSpec(shots=400_000),
         )
         assert gc.evaluate(params) == pytest.approx(exact, abs=0.05)
 
     def test_greedy_method_also_exact(self, h2_setup):
         workload, params = h2_setup
         exact = IdealEstimator(
-            workload.hamiltonian, workload.ansatz
+            workload.hamiltonian,
+            workload.ansatz,
+            SimulatorBackend(),
+            IdealSpec(),
         ).evaluate(params)
         gc = GeneralCommutationEstimator(
             workload.hamiltonian,
             workload.ansatz,
             SimulatorBackend(ideal_device(4), seed=7),
-            shots=400_000,
-            method="greedy",
+            GeneralCommutationSpec(shots=400_000, method="greedy"),
         )
         assert gc.evaluate(params) == pytest.approx(exact, abs=0.05)
 
@@ -51,13 +59,16 @@ class TestCorrectness:
         workload = make_workload("LiH-6")
         params = np.full(workload.ansatz.num_parameters, 0.07)
         exact = IdealEstimator(
-            workload.hamiltonian, workload.ansatz
+            workload.hamiltonian,
+            workload.ansatz,
+            SimulatorBackend(),
+            IdealSpec(),
         ).evaluate(params)
         gc = GeneralCommutationEstimator(
             workload.hamiltonian,
             workload.ansatz,
             SimulatorBackend(ideal_device(6), seed=3),
-            shots=400_000,
+            GeneralCommutationSpec(shots=400_000),
         )
         assert gc.evaluate(params) == pytest.approx(exact, abs=0.25)
 
@@ -67,10 +78,13 @@ class TestCostStructure:
         workload, _ = h2_setup
         backend = SimulatorBackend(ideal_device(4), seed=1)
         gc = GeneralCommutationEstimator(
-            workload.hamiltonian, workload.ansatz, backend
+            workload.hamiltonian,
+            workload.ansatz,
+            backend,
+            GeneralCommutationSpec(),
         )
         qwc = BaselineEstimator(
-            workload.hamiltonian, workload.ansatz, backend
+            workload.hamiltonian, workload.ansatz, backend, BaselineSpec()
         )
         assert gc.num_groups < qwc.num_groups
         assert gc.circuits_per_evaluation == gc.num_groups
@@ -81,6 +95,7 @@ class TestCostStructure:
             workload.hamiltonian,
             workload.ansatz,
             SimulatorBackend(ideal_device(4), seed=1),
+            GeneralCommutationSpec(),
         )
         # H2's Hamiltonian has XXYY-type terms: merging them into one
         # family requires entangling rotations.
@@ -90,7 +105,10 @@ class TestCostStructure:
         workload, params = h2_setup
         backend = SimulatorBackend(ideal_device(4), seed=1)
         gc = GeneralCommutationEstimator(
-            workload.hamiltonian, workload.ansatz, backend, shots=128
+            workload.hamiltonian,
+            workload.ansatz,
+            backend,
+            GeneralCommutationSpec(shots=128),
         )
         before = backend.circuits_run
         gc.evaluate(params)
@@ -98,12 +116,13 @@ class TestCostStructure:
 
     def test_unknown_method_rejected(self, h2_setup):
         workload, _ = h2_setup
-        with pytest.raises(ValueError, match="unknown method"):
+        # The spec rejects the method before any grouping runs.
+        with pytest.raises(ValueError, match="method must be one of"):
             GeneralCommutationEstimator(
                 workload.hamiltonian,
                 workload.ansatz,
                 SimulatorBackend(ideal_device(4)),
-                method="psychic",
+                GeneralCommutationSpec(method="psychic"),
             )
 
 
@@ -114,7 +133,7 @@ class TestNoisyBehavior:
             workload.hamiltonian,
             workload.ansatz,
             SimulatorBackend(ibmq_mumbai_like(), seed=11),
-            shots=1024,
+            GeneralCommutationSpec(shots=1024),
         )
         value = gc.evaluate(params)
         # Any sampled expectation is bounded by the Hamiltonian's 1-norm.
@@ -129,21 +148,22 @@ class TestNoisyBehavior:
         off) biases GC at least as much as the baseline."""
         workload, params = h2_setup
         exact = IdealEstimator(
-            workload.hamiltonian, workload.ansatz
+            workload.hamiltonian,
+            workload.ansatz,
+            SimulatorBackend(),
+            IdealSpec(),
         ).evaluate(params)
         device = ibmq_mumbai_like(scale=5.0)
 
-        def bias(estimator_cls):
+        def bias(estimator_cls, spec):
             backend = SimulatorBackend(device, seed=13)
             backend.readout_enabled = False
             est = estimator_cls(
-                workload.hamiltonian,
-                workload.ansatz,
-                backend,
-                shots=200_000,
+                workload.hamiltonian, workload.ansatz, backend, spec
             )
             return abs(est.evaluate(params) - exact)
 
-        assert bias(GeneralCommutationEstimator) >= bias(
-            BaselineEstimator
-        ) - 0.02
+        assert bias(
+            GeneralCommutationEstimator,
+            GeneralCommutationSpec(shots=200_000),
+        ) >= bias(BaselineEstimator, BaselineSpec(shots=200_000)) - 0.02

@@ -5,7 +5,14 @@ import pytest
 
 from repro.noise import SimulatorBackend
 from repro.optimizers import ImFil
-from repro.vqe import BaselineEstimator, IdealEstimator, initial_parameters, run_vqe
+from repro.vqe import (
+    BaselineEstimator,
+    BaselineSpec,
+    IdealEstimator,
+    IdealSpec,
+    initial_parameters,
+    run_vqe,
+)
 
 
 class TestInitialParameters:
@@ -22,7 +29,7 @@ class TestInitialParameters:
 
 class TestRunVqe:
     def test_ideal_vqe_approaches_ground_state(self, h2, h2_ansatz):
-        est = IdealEstimator(h2, h2_ansatz)
+        est = IdealEstimator(h2, h2_ansatz, SimulatorBackend(), IdealSpec())
         result = run_vqe(est, max_iterations=250, seed=0)
         from repro.hamiltonian import ground_state_energy
 
@@ -35,7 +42,9 @@ class TestRunVqe:
 
     def test_histories_aligned(self, h2, h2_ansatz):
         backend = SimulatorBackend(seed=0)
-        est = BaselineEstimator(h2, h2_ansatz, backend, shots=32)
+        est = BaselineEstimator(
+            h2, h2_ansatz, backend, BaselineSpec(shots=32)
+        )
         result = run_vqe(est, max_iterations=10, seed=0)
         assert len(result.energy_history) == len(result.circuit_history) == 10
         assert result.iterations_completed() == 10
@@ -44,7 +53,9 @@ class TestRunVqe:
         from repro.optimizers import SPSA
 
         backend = SimulatorBackend(seed=0)
-        est = BaselineEstimator(h2, h2_ansatz, backend, shots=16)
+        est = BaselineEstimator(
+            h2, h2_ansatz, backend, BaselineSpec(shots=16)
+        )
         per_iter = 2 * est.circuits_per_evaluation  # SPSA: 2 evals/iter
         budget = 5 * per_iter
         result = run_vqe(
@@ -61,7 +72,9 @@ class TestRunVqe:
     def test_budget_counted_from_run_start(self, h2, h2_ansatz):
         """Pre-existing backend charges don't eat the run's budget."""
         backend = SimulatorBackend(seed=0)
-        est = BaselineEstimator(h2, h2_ansatz, backend, shots=16)
+        est = BaselineEstimator(
+            h2, h2_ansatz, backend, BaselineSpec(shots=16)
+        )
         est.evaluate(np.zeros(h2_ansatz.num_parameters))  # outside the run
         spent_before = backend.circuits_run
         result = run_vqe(
@@ -73,14 +86,14 @@ class TestRunVqe:
         assert result.circuits_executed == backend.circuits_run - spent_before
 
     def test_custom_optimizer(self, h2, h2_ansatz):
-        est = IdealEstimator(h2, h2_ansatz)
+        est = IdealEstimator(h2, h2_ansatz, SimulatorBackend(), IdealSpec())
         result = run_vqe(
             est, optimizer=ImFil(h0=0.3), max_iterations=20, seed=0
         )
         assert result.iterations <= 20
 
     def test_explicit_initial_params(self, h2, h2_ansatz):
-        est = IdealEstimator(h2, h2_ansatz)
+        est = IdealEstimator(h2, h2_ansatz, SimulatorBackend(), IdealSpec())
         x0 = np.zeros(h2_ansatz.num_parameters)
         result = run_vqe(est, max_iterations=5, initial_params=x0, seed=0)
         assert result.energy <= est.evaluate(x0) + 1e-9
