@@ -12,6 +12,9 @@ layer].  Parameter count: ``2 * n_qubits * (reps + 1)``.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+
 from ..circuits import Circuit, ParameterVector
 
 __all__ = ["EfficientSU2", "ENTANGLEMENT_TYPES"]
@@ -129,6 +132,23 @@ class EfficientSU2:
         """(one-qubit, two-qubit) gate counts — feeds the gate-noise model."""
         g2 = self.circuit.num_two_qubit_gates
         return (self.circuit.num_gates - g2, g2)
+
+    @functools.cached_property
+    def content_key(self) -> str:
+        """Digest of everything that shapes this ansatz's bound circuits.
+
+        The template's gates, qubits and symbolic parameters (name and
+        coefficient), and the parameter order: two ansatzes with one key
+        bind every parameter vector to the same circuit.  Computed once
+        per instance; the engine keys prepared states by it.
+        """
+        h = hashlib.blake2b(digest_size=16)
+        h.update(f"su2:{self.n_qubits}".encode())
+        for ins in self.circuit.instructions:
+            # A Parameter's repr names it and its coefficient exactly.
+            h.update(f"|{ins.name}:{ins.qubits}:{ins.param!r}".encode())
+        h.update(f"|p:{','.join(p.name for p in self.params)}".encode())
+        return h.hexdigest()
 
     def bind(self, values) -> Circuit:
         """Bind a flat parameter array to a concrete circuit."""

@@ -25,13 +25,14 @@ import numpy as np
 from ..ansatz import EfficientSU2
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_bool, check_choice, check_int
+from ..engine import MeasurementSpec
 from ..hamiltonian import Hamiltonian
 from ..mitigation.mbm import MatrixMitigator
 from ..mitigation.reconstruction import bayesian_reconstruct_batch
 from ..noise import SimulatorBackend
 from ..pauli import PauliString
 from ..sim import PMF
-from ..sim.plan import CircuitPlan, compile_plan
+from ..sim.plan import compile_plan
 from ..vqe.estimator import EstimatorBase
 from ..vqe.expectation import energy_from_group_pmfs
 from .spatial import SubsetPlan, varsaw_subset_plan
@@ -83,17 +84,15 @@ class VarSawEstimator(EstimatorBase):
     def _adopt_plan(self, plan: SubsetPlan) -> None:
         """Install ``plan`` together with everything derived from it.
 
-        Each subset's suffix slot (compiled on first submission) and
-        support, and each measurement group's compatible subset indices
-        (by position — two groups may share a Z-filled basis but stay
-        distinct circuits), are set here in one place, so a subclass
+        Each subset's measurement slot (compiled on first submission)
+        and each measurement group's compatible subset indices (by
+        position — two groups may share a Z-filled basis but stay
+        distinct circuits) are set here in one place, so a subclass
         that swaps in another plan cannot leave any of them stale.
         """
         self.plan: SubsetPlan = plan
-        subsets = range(plan.num_subsets)
-        self._subset_rotations: list[CircuitPlan | None]
-        self._subset_rotations = [None] * plan.num_subsets
-        self._subset_supports = [plan.support(i) for i in subsets]
+        self._subset_measurements: list[MeasurementSpec | None]
+        self._subset_measurements = [None] * plan.num_subsets
         self._compatible: list[list[int]] = [
             plan.compatible_with(basis) for basis in self.bases
         ]
@@ -102,18 +101,16 @@ class VarSawEstimator(EstimatorBase):
 
     def _submit_subset(self, batch, state: np.ndarray, index: int):
         """Queue one reduced subset circuit; return its job handle."""
-        if self._subset_rotations[index] is None:
-            self._subset_rotations[index] = compile_plan(
-                self.plan.rotation_circuit(index)
+        measurement = self._subset_measurements[index]
+        if measurement is None:
+            measurement = self._measurement(
+                compile_plan(self.plan.rotation_circuit(index)),
+                self.plan.support(index),
+                self.subset_shots,
+                map_to_best=True,
             )
-        return batch.submit_state(
-            state,
-            self._subset_rotations[index],
-            self._subset_supports[index],
-            self.subset_shots,
-            map_to_best=True,
-            gate_load=self._gate_load,
-        )
+            self._subset_measurements[index] = measurement
+        return batch.submit_state(state, measurement)
 
     def _submit_global(self, batch, state: np.ndarray, basis: PauliString):
         """Queue one Global circuit; return its job handle."""

@@ -11,14 +11,17 @@ charging the backend's ``circuits_run``/``shots_run`` ledger per
 
 Typical use::
 
-    from repro.engine import EngineConfig, ExecutionEngine
+    from repro.engine import EngineConfig, ExecutionEngine, MeasurementSpec
     from repro.sim import compile_plan
 
     engine = ExecutionEngine(backend, EngineConfig(cache_size=512))
-    rotation = compile_plan(basis.basis_rotation())  # once, then reused
-    state = engine.prepare_state(ansatz.bind(params))
+    # Compile a measurement once, then reuse it with every state.
+    measurement = MeasurementSpec(
+        n, compile_plan(basis.basis_rotation()), range(n), shots=512
+    )
+    state = engine.prepare_state(ansatz, params)
     batch = engine.new_batch()
-    handle = batch.submit_state(state, rotation, range(n), shots=512)
+    handle = batch.submit_state(state, measurement)
     batch.run()
     counts = handle.result()
     print(engine.stats.pmf_cache.hit_rate)
@@ -43,9 +46,8 @@ from .config import EngineConfig
 from .engine import Batch, EngineStats, ExecutionEngine, JobHandle
 from .spec import (
     CircuitSpec,
-    StateSpec,
+    MeasurementSpec,
     body_fingerprint,
-    circuit_fingerprint,
     device_fingerprint,
 )
 
@@ -56,11 +58,10 @@ __all__ = [
     "Batch",
     "JobHandle",
     "CircuitSpec",
-    "StateSpec",
+    "MeasurementSpec",
     "LRUCache",
     "CacheStats",
     "body_fingerprint",
-    "circuit_fingerprint",
     "device_fingerprint",
     "ensure_engine",
     "shared_engine",

@@ -5,7 +5,7 @@ Estimators no longer call the backend circuit-by-circuit.  They open a
 evaluation as a spec, and receive :class:`JobHandle` futures; one
 ``run()`` then drives the whole batch through three phases:
 
-1. **Dedup** — specs are grouped by content fingerprint (mixed with the
+1. **Dedup** — jobs are grouped by content key (mixed with the
    backend's device/noise fingerprint); structurally identical circuits
    simulate once and fan their exact PMF out to every submitter.
 2. **Simulate** — the bounded LRU memoization cache is consulted
@@ -45,8 +45,7 @@ from .cache import CacheStats, LRUCache
 from .config import EngineConfig
 from .spec import (
     CircuitSpec,
-    StateSpec,
-    circuit_fingerprint,
+    MeasurementSpec,
     device_fingerprint,
     state_digest,
 )
@@ -131,25 +130,28 @@ class EngineStats:
 
 
 class JobHandle:
-    """Future-style handle for one submitted spec.
+    """Future-style handle for one submitted job.
 
-    ``result()``/``pmf()`` become available once the owning batch has
-    run; accessing them earlier raises.  After the run, :attr:`source`
-    records where this job's PMF came from — ``"simulated"`` (a fresh
-    simulation), ``"cache"`` (the engine's memoization cache), or
-    ``"dedup"`` (coalesced onto an identical spec earlier in the same
-    batch) — the per-job cache-hit attribution the trace spans
-    aggregate.
+    ``spec`` is the job's :class:`CircuitSpec`, or, for a prepared-state
+    job, its :class:`MeasurementSpec` with ``state`` the statevector it
+    reads out (``None`` for a circuit job).  ``result()``/``pmf()``
+    become available once the owning batch has run; accessing them
+    earlier raises.  After the run, :attr:`source` records where this
+    job's PMF came from — ``"simulated"`` (a fresh simulation),
+    ``"cache"`` (the engine's memoization cache), or ``"dedup"``
+    (coalesced onto an identical job earlier in the same batch) — the
+    per-job cache-hit attribution the trace spans aggregate.
     """
 
-    __slots__ = ("spec", "index", "source", "_fingerprint", "_counts",
-                 "_pmf")
+    __slots__ = ("spec", "state", "index", "source", "_fingerprint",
+                 "_counts", "_pmf")
 
-    def __init__(self, spec, index: int):
+    def __init__(self, spec, index: int, fingerprint, state=None):
         self.spec = spec
+        self.state = state
         self.index = index
         self.source: str | None = None
-        self._fingerprint = spec.fingerprint()
+        self._fingerprint = fingerprint
         self._counts: Counts | None = None
         self._pmf: PMF | None = None
 
@@ -175,27 +177,37 @@ class JobHandle:
 
 
 class Batch:
-    """An ordered set of specs executed together by one engine pass."""
+    """An ordered set of jobs executed together by one engine pass."""
 
     def __init__(self, engine: "ExecutionEngine"):
         self._engine = engine
         self._jobs: list[JobHandle] = []
         self._ran = False
-        # Whole-iteration batches submit many specs over one prepared
+        # Whole-iteration batches submit many jobs over one prepared
         # state, and JigSaw batches many copies of one bound circuit;
         # hash each distinct array, and each distinct instruction list,
-        # once.  Keyed by id(): safe here because the specs keep their
+        # once.  Keyed by id(): safe here because the jobs keep their
         # arrays and frozen Instructions alive for the batch's lifetime.
         self._state_digests: dict[int, str] = {}
         self._bodies: dict[tuple, str] = {}
 
-    def submit(self, spec) -> JobHandle:
-        """Queue a :class:`CircuitSpec`/:class:`StateSpec`; get a handle."""
+    def _queue(self, spec, fingerprint, state=None) -> JobHandle:
         if self._ran:
             raise RuntimeError("batch already ran; open a new one")
-        handle = JobHandle(spec, self._engine._next_job_index())
+        handle = JobHandle(
+            spec, self._engine._next_job_index(), fingerprint, state
+        )
         self._jobs.append(handle)
         return handle
+
+    def submit(self, spec: CircuitSpec) -> JobHandle:
+        """Queue a :class:`CircuitSpec`; get a handle."""
+        if not isinstance(spec, CircuitSpec):
+            raise TypeError(
+                f"submit takes a CircuitSpec, not {type(spec).__name__}; "
+                "queue prepared states with submit_state"
+            )
+        return self._queue(spec, spec.fingerprint())
 
     def submit_circuit(
         self, circuit: Circuit, shots: int, map_to_best: bool = False
@@ -213,34 +225,27 @@ class Batch:
         return self.submit(spec)
 
     def submit_state(
-        self,
-        state: np.ndarray,
-        suffix: CircuitPlan | None,
-        measured_qubits,
-        shots: int,
-        map_to_best: bool = False,
-        gate_load: tuple[int, int] = (0, 0),
+        self, state: np.ndarray, measurement: MeasurementSpec
     ) -> JobHandle:
-        """Queue a prepared state + basis suffix (a :class:`StateSpec`).
+        """Queue a prepared state read out by a compiled measurement.
 
-        ``suffix`` is a parameter-free compiled plan, built once by the
-        caller with :func:`~repro.sim.plan.compile_plan`.
+        The only way to queue a state job.  ``measurement`` was
+        validated once, when it was built; here the state must hold
+        ``2**measurement.n_qubits`` amplitudes.  The job's key is the
+        pair (state digest, ``measurement.key``), with each distinct
+        state array hashed once per batch.
         """
+        size = len(state)
+        if size != 1 << measurement.n_qubits:
+            raise ValueError(
+                f"state has {size} amplitudes but the measurement reads "
+                f"a {measurement.n_qubits}-qubit register"
+            )
         digest = self._state_digests.get(id(state))
         if digest is None:
             digest = state_digest(state)
             self._state_digests[id(state)] = digest
-        return self.submit(
-            StateSpec(
-                state=state,
-                suffix=suffix,
-                measured_qubits=tuple(measured_qubits),
-                shots=shots,
-                map_to_best=map_to_best,
-                gate_load=gate_load,
-                digest=digest,
-            )
-        )
+        return self._queue(measurement, (digest, measurement.key), state)
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -302,8 +307,8 @@ class ExecutionEngine:
         """Open an empty :class:`Batch` bound to this engine."""
         return Batch(self)
 
-    def run_spec(self, spec) -> Counts:
-        """Convenience: execute a single spec as its own batch."""
+    def run_spec(self, spec: CircuitSpec) -> Counts:
+        """Convenience: execute a single circuit spec as its own batch."""
         batch = self.new_batch()
         handle = batch.submit(spec)
         batch.run()
@@ -334,30 +339,36 @@ class ExecutionEngine:
             _M_PLAN_HITS.inc()
         return plan
 
-    def prepare_state(self, circuit: Circuit) -> np.ndarray:
+    def prepare_state(self, ansatz, params) -> np.ndarray:
         """Memoized ansatz-state preparation (never charged, noise-free).
 
         Callers must treat the returned statevector as read-only — suffix
         evolution copies it first, so the cached array is never mutated
         downstream.
         """
-        (state,) = self.prepare_states([circuit])
+        (state,) = self.prepare_states(ansatz, [params])
         return state
 
-    def prepare_states(self, circuits) -> list[np.ndarray]:
-        """Batched :meth:`prepare_state` over many bound circuits.
+    def prepare_states(self, ansatz, params_list) -> list[np.ndarray]:
+        """Batched :meth:`prepare_state` over many parameter vectors.
 
-        State-cache misses go to the backend's ``prepare_states`` hook
-        in one call; on dense backends, misses sharing one structure
-        (SPSA's ``±ck·Δ`` perturbation pair, sweep points over one
-        ansatz) advance through a single compiled-plan batch — one
-        broadcast ``matmul`` per gate.  Every returned state is
-        bit-identical to preparing its circuit alone.
+        The state cache keys each state by the ansatz's ``content_key``
+        (a digest of everything that shapes its bound circuits, computed
+        once per ansatz instance) plus the shape and float64 bytes of
+        the parameter vector, so a hit binds and hashes no circuit.
+        Misses are bound once each and go to the backend's
+        ``prepare_states`` hook in one call; on dense backends, misses
+        sharing one structure (SPSA's ``±ck·Δ`` perturbation pair, sweep
+        points over one ansatz) advance through a single compiled-plan
+        batch — one broadcast ``matmul`` per gate.  Every returned
+        state is bit-identical to preparing its circuit alone.
         """
-        results: list[np.ndarray | None] = [None] * len(circuits)
-        misses: list[tuple[int, str]] = []
-        for i, circuit in enumerate(circuits):
-            key = circuit_fingerprint(circuit)
+        content = ansatz.content_key
+        results: list[np.ndarray | None] = [None] * len(params_list)
+        misses: list[tuple[int, tuple]] = []
+        for i, params in enumerate(params_list):
+            values = np.asarray(params, dtype=np.float64)
+            key = (content, values.shape, values.tobytes())
             state = self._state_cache.get(key)
             if state is None:
                 misses.append((i, key))
@@ -365,7 +376,8 @@ class ExecutionEngine:
                 results[i] = state
         if misses:
             states = self.backend.prepare_states(
-                [circuits[i] for i, _ in misses], self._plan_for
+                [ansatz.bind(params_list[i]) for i, _ in misses],
+                self._plan_for,
             )
             for (i, key), state in zip(misses, states):
                 self._state_cache.put(key, state)
@@ -377,30 +389,32 @@ class ExecutionEngine:
     def _simulate(self, misses: list, device_fp: str) -> list:
         """Exact PMFs of a batch's cache misses: ``(key, pmf)`` pairs.
 
-        Specs group by the body they evolve, and each body evolves
-        once; every spec then contributes an ideal probability row with
+        Jobs group by the body they evolve, and each body evolves
+        once; every job then contributes an ideal probability row with
         its own measured qubits, readout mapping and gate load.
         Circuit specs group by their ``body`` digest — a JigSaw Global
         and its subsets differ only in measured qubits — and one
         circuit per body goes to the backend's
         ``circuit_probabilities_batch`` hook, in a single call.  State
-        specs group by (state ``digest``, suffix ``structure_key``), and
+        jobs group by (state digest, suffix ``structure_key``), and
         the backend's ``state_rows`` evolves each such body once
-        through the spec's own compiled suffix plan.  The noise
+        through the measurement's own compiled suffix plan.  The noise
         finisher advances all rows at once, keyed by ``device_fp`` so
         it reuses its stages while the noise state holds.
         """
         backend = self.backend
         bodies: dict[str, list] = {}
         state_keys: list[tuple] = []
-        state_bodies: dict[tuple, list[tuple[int, StateSpec]]] = {}
-        for key, spec in misses:
-            if isinstance(spec, CircuitSpec):
+        state_bodies: dict[tuple, list[tuple[int, JobHandle]]] = {}
+        for key, job in misses:
+            spec = job.spec
+            if job.state is None:
                 bodies.setdefault(spec.body, []).append((key, spec))
             else:
+                digest, _ = job._fingerprint
                 state_bodies.setdefault(
-                    (spec.digest, spec.suffix_key), []
-                ).append((len(state_keys), spec))
+                    (digest, spec.suffix_key), []
+                ).append((len(state_keys), job))
                 state_keys.append(key)
         keys, rows = [], []
         if bodies:
@@ -426,9 +440,10 @@ class ExecutionEngine:
             first = group[0][1]
             body_rows = backend.state_rows(
                 first.state,
-                first.suffix,
-                [(spec.measured_qubits, spec.map_to_best, spec.gate_load)
-                 for _, spec in group],
+                first.spec.suffix,
+                [(job.spec.measured_qubits, job.spec.map_to_best,
+                  job.spec.gate_load)
+                 for _, job in group],
             )
             for (position, _), row in zip(group, body_rows):
                 state_rows[position] = row
@@ -445,8 +460,8 @@ class ExecutionEngine:
         with _obs_span("engine.batch", jobs=len(jobs)) as batch_span:
             device_fp = device_fingerprint(self.backend)
 
-            # Phase 1: dedup — group by content fingerprint, consult
-            # the memoization cache, collect one simulation per miss.
+            # Phase 1: dedup — group by content key, consult the
+            # memoization cache, collect one simulation per miss.
             resolved: dict[tuple, PMF] = {}
             scheduled: set[tuple] = set()
             misses: list[tuple[tuple, object]] = []
@@ -463,7 +478,7 @@ class ExecutionEngine:
                         sources.append("cache")
                     else:
                         scheduled.add(key)
-                        misses.append((key, job.spec))
+                        misses.append((key, job))
                         sources.append("simulated")
             cache_hits = len(resolved)
             coalesced = len(jobs) - cache_hits - len(misses)

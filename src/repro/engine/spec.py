@@ -1,27 +1,31 @@
-"""Execution job specs and content-addressed fingerprints.
+"""Execution job specs and content-addressed keys.
 
-A *spec* is everything needed to reproduce one device execution: either a
-full bound circuit (:class:`CircuitSpec`) or a prepared ansatz state plus
-a compiled measurement-basis suffix (:class:`StateSpec` — the backend's
-``state_rows`` fast path).  Specs are immutable once submitted.
+A job is everything needed to reproduce one device execution: either a
+full bound circuit (:class:`CircuitSpec`) or a prepared ansatz state
+read out by a compiled measurement (:class:`MeasurementSpec` — the
+backend's ``state_rows`` fast path).  Specs are immutable once
+submitted.
 
-Each spec exposes a :meth:`fingerprint`: a digest over the exact content
-that determines its noisy outcome distribution — circuit structure,
-statevector bytes, measured qubits, readout mapping mode, and the gate
-load charged to depolarizing noise.  Each spec carries the digest of
-the body it evolves (a circuit spec its gates' :func:`body_fingerprint`,
-a state spec its statevector's :func:`state_digest`), computed once, and
-its fingerprint adds the measurement to that digest.  Shots are
-deliberately *excluded*:
-two specs that differ only in shot count share one exact PMF, so they
-dedup to a single simulation while still sampling (and being charged)
-separately.  The engine mixes a device/noise-flag fingerprint into its
-cache keys so a cache is never polluted across backend configurations.
+Each job has a content key over exactly what determines its noisy
+outcome distribution — circuit structure, statevector bytes, measured
+qubits, readout mapping mode, and the gate load charged to depolarizing
+noise.  A circuit spec carries the digest of the body it evolves (its
+gates' :func:`body_fingerprint`), computed once, and its
+:meth:`~CircuitSpec.fingerprint` adds the measurement to it.  A state
+job's key is the pair (:func:`state_digest` of its statevector, its
+measurement's ``key``): estimators compile each measurement once, so
+the measurement half is hashed once per estimator, not per job.  Shots
+are deliberately *excluded*: two jobs that differ only in shot count
+share one exact PMF, so they dedup to a single simulation while still
+sampling (and being charged) separately.  The engine mixes a
+device/noise-flag fingerprint into its cache keys so a cache is never
+polluted across backend configurations.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +35,8 @@ from ..sim.plan import CircuitPlan
 
 __all__ = [
     "CircuitSpec",
-    "StateSpec",
+    "MeasurementSpec",
     "body_fingerprint",
-    "circuit_fingerprint",
     "device_fingerprint",
     "state_digest",
 ]
@@ -58,22 +61,8 @@ def _feed_body(h, circuit: Circuit) -> None:
         )
 
 
-def _feed_circuit(h, circuit: Circuit) -> None:
-    _feed_body(h, circuit)
-    h.update(
-        f"|m:{','.join(map(str, sorted(circuit.measured_qubits)))}".encode()
-    )
-
-
-def circuit_fingerprint(circuit: Circuit) -> str:
-    """Structural digest of a bound circuit (gates + measured qubits)."""
-    h = _hasher()
-    _feed_circuit(h, circuit)
-    return h.hexdigest()
-
-
 def body_fingerprint(circuit: Circuit) -> str:
-    """:func:`circuit_fingerprint` without the measured qubits.
+    """Structural digest of a bound circuit's gates (no measured qubits).
 
     Circuits sharing a body (a JigSaw Global and its subsets) evolve
     to the same ideal probabilities; only their readout differs.
@@ -113,26 +102,22 @@ def device_fingerprint(backend) -> str:
     drift = getattr(device, "drift_state_fingerprint", None)
     if drift is not None:
         h.update(f"|t:{drift()}".encode())
+    # Every rate the finisher reads, as packed float64 bytes.
     readout = device.readout
-    h.update(
-        f"|x:{readout.crosstalk_strength.hex()}"
-        f":{readout.scale.hex()}".encode()
-    )
-    for err in readout.qubit_errors:
-        h.update(f"|q:{err.p01.hex()}:{err.p10.hex()}".encode())
     gn = device.gate_noise
-    h.update(
-        f"|g:{gn.error_1q.hex()}:{gn.error_2q.hex()}:{gn.scale.hex()}".encode()
-    )
+    rates = [readout.crosstalk_strength, readout.scale]
+    for err in readout.qubit_errors:
+        rates += (err.p01, err.p10)
+    rates += (gn.error_1q, gn.error_2q, gn.scale)
+    h.update(struct.pack(f"<{len(rates)}d", *rates))
     return h.hexdigest()
 
 
 def state_digest(state: np.ndarray) -> str:
     """Content digest of a statevector's bytes.
 
-    Whole-iteration batches submit many specs sharing one prepared
-    state; callers that hold the array can compute this once and pass
-    it to every :class:`StateSpec` instead of re-hashing per spec.
+    Whole-iteration batches submit many jobs sharing one prepared
+    state; a batch hashes each distinct state array once.
     """
     h = _hasher()
     h.update(np.ascontiguousarray(state).tobytes())
@@ -178,35 +163,36 @@ class CircuitSpec:
 
 
 @dataclass(frozen=True)
-class StateSpec:
-    """One prepared-state execution request (``backend.state_rows``).
+class MeasurementSpec:
+    """A compiled, validated readout of an ``n_qubits``-qubit state.
 
-    ``suffix`` is the measurement-basis change as a parameter-free
-    compiled plan (or ``None``): estimators compile each suffix once,
-    on first use, with :func:`~repro.sim.plan.compile_plan`, so the
-    engine never hashes or compiles one per submission.  A plan without
-    slots is fixed by its gates and qubits, so its ``structure_key`` is
-    a content key: the fingerprint and the engine's grouping read it.
-    ``gate_load`` is the (one-qubit, two-qubit) gate count of the state
-    preparation, charged to depolarizing noise on top of the suffix.
-    ``state`` must hold ``2**n`` amplitudes, ``suffix`` (if any) must
-    act on the same ``n`` qubits, and ``measured_qubits`` must be
-    distinct qubits of that register — all checked here, so a bad spec
-    fails at submit time instead of failing its whole batch.
-    ``digest`` is a precomputed :func:`state_digest` of ``state`` (an
-    optimization for batches whose specs share a state); when given it
-    MUST match the state, and when left out it is computed here.
+    Estimators build one per distinct measurement the first time they
+    submit it and pass it with every prepared state
+    (``batch.submit_state(state, measurement)``), so every check below
+    runs once per measurement, and a job only checks that its state
+    holds ``2**n_qubits`` amplitudes.  ``suffix`` is the
+    measurement-basis change as a parameter-free compiled plan (or
+    ``None``), built with :func:`~repro.sim.plan.compile_plan`; it
+    must act on the same ``n_qubits`` qubits, and ``measured_qubits``
+    must be distinct qubits of that register.  ``gate_load`` is the
+    (one-qubit, two-qubit) gate count of the state preparation, charged
+    to depolarizing noise on top of the suffix.  ``key`` is the content
+    digest of everything but ``shots``: the suffix plan's
+    ``structure_key`` (a plan without slots is fixed by its gates and
+    qubits), the sorted measured qubits, the mapping and the gate load.
     """
 
-    state: np.ndarray = field(repr=False)
+    n_qubits: int
     suffix: CircuitPlan | None
     measured_qubits: tuple[int, ...]
     shots: int
     map_to_best: bool = False
     gate_load: tuple[int, int] = (0, 0)
-    digest: str | None = field(default=None, repr=False)
+    key: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        n_qubits = int(self.n_qubits)
+        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(
             self,
             "measured_qubits",
@@ -221,12 +207,6 @@ class StateSpec:
             raise ValueError("shots must be positive")
         if not self.measured_qubits:
             raise ValueError("no measured qubits")
-        size = len(self.state)
-        n_qubits = max(size.bit_length() - 1, 0)
-        if size != 1 << n_qubits:
-            raise ValueError(
-                f"state has {size} amplitudes, not a power of two"
-            )
         if self.suffix is not None:
             if not isinstance(self.suffix, CircuitPlan):
                 raise TypeError(
@@ -243,31 +223,26 @@ class StateSpec:
             if self.suffix.n_qubits != n_qubits:
                 raise ValueError(
                     f"suffix acts on {self.suffix.n_qubits} qubits but the "
-                    f"state has a {n_qubits}-qubit register"
+                    f"measurement reads a {n_qubits}-qubit register"
                 )
         for i, q in enumerate(self.measured_qubits):
             if not 0 <= q < n_qubits:
                 raise ValueError(
-                    f"measured qubit {q} is outside the state's "
+                    f"measured qubit {q} is outside the "
                     f"{n_qubits}-qubit register"
                 )
             if q in self.measured_qubits[:i]:
                 raise ValueError(f"measured qubit {q} is listed twice")
-        if self.digest is None:
-            object.__setattr__(self, "digest", state_digest(self.state))
+        h = _hasher()
+        h.update(
+            f"s:{n_qubits}|{self.suffix_key}"
+            f"|m:{','.join(map(str, sorted(self.measured_qubits)))}"
+            f"|b:{int(self.map_to_best)}"
+            f"|l:{self.gate_load[0]},{self.gate_load[1]}".encode()
+        )
+        object.__setattr__(self, "key", h.hexdigest())
 
     @property
     def suffix_key(self) -> str | None:
         """The suffix plan's ``structure_key`` (``None``: no suffix)."""
         return None if self.suffix is None else self.suffix.structure_key
-
-    def fingerprint(self) -> str:
-        """Content digest over state bytes + suffix + measurement."""
-        h = _hasher()
-        h.update(f"s:{self.digest}|{self.suffix_key}".encode())
-        h.update(
-            f"|m:{','.join(map(str, sorted(self.measured_qubits)))}"
-            f"|b:{int(self.map_to_best)}"
-            f"|l:{self.gate_load[0]},{self.gate_load[1]}".encode()
-        )
-        return h.hexdigest()

@@ -235,8 +235,8 @@ class SimulatorBackend:
         """Exact noisy PMF of a prepared state + basis suffix (uncharged).
 
         ``suffix`` is a parameter-free compiled plan, as a
-        :class:`~repro.engine.StateSpec` carries it: :meth:`state_rows`
-        with one readout, finished as a batch of one.
+        :class:`~repro.engine.MeasurementSpec` carries it:
+        :meth:`state_rows` with one readout, finished as a batch of one.
         """
         rows = self.state_rows(
             state, suffix, [(measured_qubits, map_to_best, gate_load)]

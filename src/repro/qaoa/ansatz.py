@@ -7,11 +7,14 @@ term compiles to CX·RZ·CX and each Z term to one RZ.  The mixer is the
 standard transverse field ``exp(-i β Σ X_q)``.
 
 The class duck-types :class:`~repro.ansatz.EfficientSU2` (``n_qubits``,
-``num_parameters``, ``bind``) so every estimator and runner in the
-library accepts it unchanged.
+``num_parameters``, ``bind``, ``gate_load``, ``content_key``) so every
+estimator and runner in the library accepts it unchanged.
 """
 
 from __future__ import annotations
+
+import functools
+import hashlib
 
 import numpy as np
 
@@ -82,6 +85,22 @@ class QAOAAnsatz:
     def _append_mixer_layer(self, qc: Circuit, beta: float) -> None:
         for q in range(self.n_qubits):
             qc.rx(2.0 * beta, q)
+
+    @functools.cached_property
+    def content_key(self) -> str:
+        """Digest of everything that shapes this ansatz's bound circuits.
+
+        The width, the depth and every cost term's coefficient and
+        support, in order: a bound angle is ``2γ·coefficient``, so the
+        gate structure alone would let two weightings share a key.
+        Computed once per instance; the engine keys prepared states by
+        it.
+        """
+        h = hashlib.blake2b(digest_size=16)
+        h.update(f"qaoa:{self.n_qubits}:{self.reps}".encode())
+        for coeff, pauli in self.hamiltonian.non_identity_terms():
+            h.update(f"|{coeff!r}:{pauli.support}".encode())
+        return h.hexdigest()
 
     def bind(self, values) -> Circuit:
         """Build the bound circuit for a flat [γ, β, ...] array."""

@@ -17,9 +17,11 @@ re-normalize the contraction axes for every gate of every binding.  A
   reshape -> transpose`` — the exact arithmetic ``tensordot`` performs,
   minus the per-call bookkeeping;
 * rotation gates (``rx``/``ry``/``rz``/``p``) become *slots*: the plan
-  stores their position, and :meth:`CircuitPlan.run` builds each 2x2
-  matrix from the binding vector with the same scalar
-  :func:`~repro.circuits.gates.rotation_matrix` the interpreter uses.
+  stores their position, and :meth:`CircuitPlan.run` builds every
+  slot's 2x2 matrix for the whole binding in one pass, from the scalars
+  :func:`~repro.circuits.gates.rotation_matrix` uses (``math.cos`` and
+  ``math.sin`` of ``theta / 2.0``, and ``np.exp`` of the same complex
+  arguments), so each matrix equals the interpreter's byte for byte.
 
 :meth:`CircuitPlan.run_batch` additionally vectorizes across the
 parameter axis: the batch is stacked on a leading axis (state shape
@@ -45,10 +47,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 
 import numpy as np
 
-from ..circuits import Circuit, ROTATION_GATES, gate_matrix, rotation_matrix
+from ..circuits import Circuit, ROTATION_GATES, gate_matrix
 from ..circuits.transpile import BITEXACT_SELF_INVERSE, cancel_adjacent
 
 __all__ = [
@@ -145,6 +148,8 @@ class CircuitPlan:
         self.fused_gates = fused_gates
         self._shape = (2,) * n_qubits
         self._dim = 2**n_qubits
+        # Each slot's gate name, in slot order.
+        self._slot_names = tuple(op.name for op in ops if op.slot is not None)
 
     def __repr__(self) -> str:
         return (
@@ -184,6 +189,41 @@ class CircuitPlan:
             )
         return [float(v) for v in values]
 
+    def _slot_matrices(self, rows: list[list[float]]) -> np.ndarray:
+        """Every slot's rotation matrix for every binding, in one pass.
+
+        Shape ``(num_slots, len(rows), 2, 2)``, so each op reads one
+        C-contiguous ``(batch, 2, 2)`` block, the operand ``np.stack``
+        of the per-binding matrices would be.  Entry ``[k, b]`` equals
+        ``rotation_matrix(name, rows[b][k])`` byte for byte: the same
+        ``math.cos``/``math.sin`` of ``theta / 2.0``, the same Python
+        complex products, and one elementwise ``np.exp`` over every
+        complex argument that function exponentiates.
+        """
+        entries: list = []
+        phases: list[complex] = []
+        at: list[int] = []
+        for name, column in zip(self._slot_names, zip(*rows)):
+            for theta in column:
+                c = math.cos(theta / 2.0)
+                s = math.sin(theta / 2.0)
+                if name == "rx":
+                    entries += (c, -1j * s, -1j * s, c)
+                elif name == "ry":
+                    entries += (c, -s, s, c)
+                elif name == "rz":
+                    at += (len(entries), len(entries) + 3)
+                    phases += (-1j * theta / 2, 1j * theta / 2)
+                    entries += (0, 0, 0, 0)
+                else:  # "p"
+                    at.append(len(entries) + 3)
+                    phases.append(1j * theta)
+                    entries += (1, 0, 0, 0)
+        flat = np.array(entries, dtype=complex)
+        if phases:
+            flat[at] = np.exp(np.array(phases))
+        return flat.reshape(self.num_slots, len(rows), 2, 2)
+
     def _initial(self, initial_state: np.ndarray | None) -> np.ndarray:
         if initial_state is None:
             state = np.zeros(self._dim, dtype=complex)
@@ -215,10 +255,11 @@ class CircuitPlan:
             return state
         shape = self._shape
         tensor = state.reshape(shape)
+        slots = self._slot_matrices([values]) if self.num_slots else None
         for op in ops:
             matrix = op.matrix
             if matrix is None:
-                matrix = rotation_matrix(op.name, values[op.slot])
+                matrix = slots[op.slot, 0]
             # The reshape of the transposed view copies into the same
             # C-order (2^k, rest) matrix tensordot builds internally,
             # so the GEMM sees bit-identical operands.
@@ -251,12 +292,11 @@ class CircuitPlan:
             return states
         shape = (batch,) + self._shape
         tensor = states.reshape(shape)
+        slots = self._slot_matrices(rows) if self.num_slots else None
         for op in ops:
             matrix = op.matrix
             if matrix is None:
-                matrix = np.stack(
-                    [rotation_matrix(op.name, row[op.slot]) for row in rows]
-                )
+                matrix = slots[op.slot]
             tmp = tensor.transpose(op.batch_perm).reshape(
                 batch, op.rows, -1
             )

@@ -23,7 +23,7 @@ import numpy as np
 from ..ansatz import EfficientSU2
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_int
-from ..engine import ensure_engine
+from ..engine import MeasurementSpec, ensure_engine
 from ..hamiltonian import Hamiltonian
 from ..noise import SimulatorBackend
 from ..pauli import PauliString
@@ -41,7 +41,7 @@ __all__ = [
 
 
 class EstimatorBase:
-    """Shared plumbing: grouping, compiled suffixes, state preparation.
+    """Shared plumbing: grouping, compiled measurements, state preparation.
 
     Every estimator is built from its validated
     :class:`~repro.api.EstimatorSpec` (usually by
@@ -70,8 +70,10 @@ class EstimatorBase:
         self._gate_load = ansatz.gate_load  # each read walks a circuit
         self.bases, self.group_terms = assign_terms_to_groups(hamiltonian)
         # Each basis-change suffix compiles once per estimator, the
-        # first time it is submitted.
+        # first time it is submitted, and so does each measurement of
+        # it (measured qubits, shots, mapping).
         self._rotations: dict[PauliString, CircuitPlan] = {}
+        self._measurements: dict[tuple, MeasurementSpec] = {}
 
     @property
     def n_qubits(self) -> int:
@@ -83,7 +85,7 @@ class EstimatorBase:
         return len(self.bases)
 
     def prepare_state(self, params: np.ndarray) -> np.ndarray:
-        return self.engine.prepare_state(self.ansatz.bind(params))
+        return self.engine.prepare_state(self.ansatz, params)
 
     def prepare_states(self, params_list) -> list[np.ndarray]:
         """Prepare many parameter points at once (one compiled-plan batch).
@@ -94,8 +96,19 @@ class EstimatorBase:
         point alone.  SPSA calls this ahead of each ``±ck·Δ``
         evaluation pair.
         """
-        return self.engine.prepare_states(
-            [self.ansatz.bind(params) for params in params_list]
+        return self.engine.prepare_states(self.ansatz, params_list)
+
+    def _measurement(
+        self,
+        suffix: CircuitPlan | None,
+        measured,
+        shots: int,
+        map_to_best: bool = False,
+    ) -> MeasurementSpec:
+        """Compile one measurement of this estimator's ansatz states."""
+        return MeasurementSpec(
+            self.n_qubits, suffix, measured, shots, map_to_best,
+            self._gate_load,
         )
 
     def _submit_basis(
@@ -107,17 +120,23 @@ class EstimatorBase:
         shots: int,
         map_to_best: bool = False,
     ):
-        """Queue ``state`` rotated into ``basis``; return the job handle."""
-        if basis not in self._rotations:
-            self._rotations[basis] = compile_plan(basis.basis_rotation())
-        return batch.submit_state(
-            state,
-            self._rotations[basis],
-            measured,
-            shots,
-            map_to_best=map_to_best,
-            gate_load=self._gate_load,
-        )
+        """Queue ``state`` rotated into ``basis``; return the job handle.
+
+        Each distinct measurement (``measured`` a range or tuple)
+        compiles once, on its first submission.
+        """
+        key = (basis, measured, shots, map_to_best)
+        measurement = self._measurements.get(key)
+        if measurement is None:
+            rotation = self._rotations.get(basis)
+            if rotation is None:
+                rotation = compile_plan(basis.basis_rotation())
+                self._rotations[basis] = rotation
+            measurement = self._measurement(
+                rotation, measured, shots, map_to_best
+            )
+            self._measurements[key] = measurement
+        return batch.submit_state(state, measurement)
 
     # Cost bookkeeping delegates to the backend's ledger.
     @property

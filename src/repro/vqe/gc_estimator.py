@@ -23,10 +23,11 @@ import numpy as np
 from ..api import EstimatorSpec, register_estimator
 from ..api.spec import check_choice, check_int
 from ..clifford import DiagonalizedGroup
+from ..engine import MeasurementSpec
 from ..hamiltonian import Hamiltonian
 from ..noise import SimulatorBackend
 from ..pauli import diagonalized_groups
-from ..sim.plan import CircuitPlan, compile_plan
+from ..sim.plan import compile_plan
 from .estimator import EstimatorBase
 
 __all__ = ["GeneralCommutationEstimator", "GeneralCommutationSpec"]
@@ -53,9 +54,9 @@ class GeneralCommutationEstimator(EstimatorBase):
         for coeff, term in hamiltonian.non_identity_terms():
             coeff_of[term] = coeff_of.get(term, 0.0) + coeff
         self._coeff_of = coeff_of
-        # Each family's Clifford suffix compiles once per estimator,
-        # on the first evaluation.
-        self._suffixes: list[CircuitPlan] = []
+        # Each family's measurement (its Clifford suffix) compiles once
+        # per estimator, on the first evaluation.
+        self._group_measurements: list[MeasurementSpec] = []
 
     @property
     def num_groups(self) -> int:
@@ -63,22 +64,20 @@ class GeneralCommutationEstimator(EstimatorBase):
         return len(self.gc_groups)
 
     def evaluate(self, params: np.ndarray) -> float:
-        if not self._suffixes:
-            self._suffixes = [
-                compile_plan(g.circuit) for g in self.gc_groups
+        if not self._group_measurements:
+            self._group_measurements = [
+                self._measurement(
+                    compile_plan(g.circuit),
+                    range(self.n_qubits),
+                    self.spec.shots,
+                )
+                for g in self.gc_groups
             ]
         state = self.prepare_state(params)
         batch = self.engine.new_batch()
         handles = [
-            batch.submit_state(
-                state,
-                suffix,
-                range(self.n_qubits),
-                self.spec.shots,
-                map_to_best=False,
-                gate_load=self._gate_load,
-            )
-            for suffix in self._suffixes
+            batch.submit_state(state, measurement)
+            for measurement in self._group_measurements
         ]
         batch.run()
         energy = self.hamiltonian.identity_coefficient

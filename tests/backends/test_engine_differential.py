@@ -23,11 +23,13 @@ from repro.ansatz import EfficientSU2
 from repro.backends import make_backend
 from repro.circuits import Circuit
 from repro.dist.transport import WorkerPool
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, MeasurementSpec
 from repro.engine.engine import ExecutionEngine
 from repro.mitigation import sliding_windows
 from repro.noise import ibmq_mumbai_like
 from repro.sim import CircuitPlan, compile_plan
+
+from ..engine.fixed_ansatz import prepare
 
 N_QUBITS = 5
 SHOTS = 256
@@ -89,7 +91,7 @@ def run_mixed_batch(backend):
     ``expected`` holds the backend's own one-spec answer for each job.
     """
     engine = ExecutionEngine(backend, EngineConfig())
-    state = engine.prepare_state(ansatz_body())
+    state = prepare(engine, ansatz_body())
     load = backend.noise_gate_load(ansatz_body())
     submitted = basis_suffix()
     state_specs = [
@@ -103,7 +105,10 @@ def run_mixed_batch(backend):
         for circuit, map_to_best, _ in circuit_specs()
     ]
     handles += [
-        batch.submit_state(state, suffix, qubits, SHOTS, best, load)
+        batch.submit_state(
+            state,
+            MeasurementSpec(N_QUBITS, suffix, qubits, SHOTS, best, load),
+        )
         for suffix, qubits, best in state_specs
     ]
     batch.run()

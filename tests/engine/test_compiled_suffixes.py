@@ -1,19 +1,22 @@
-"""Every estimator submits suffix plans it compiled once, on first use.
+"""Every estimator submits measurements it compiled once, on first use.
 
-Estimators compile each basis or subset suffix the first time they
-submit it and keep the plan; construction compiles nothing.  They pass
-the plan with every state spec; the engine fingerprints and groups
-state specs by the plan's structure key, and its plan cache holds only
-circuit bodies.  After one H2-4 evaluation of every kind that submits
-state specs:
+Estimators compile each basis or subset suffix, and each measurement
+of it, the first time they submit it and keep both; construction
+compiles nothing.  They pass the compiled measurement with every
+prepared state; the engine keys and groups state jobs by the
+measurement's key and its suffix plan's structure key, and its plan
+cache holds only circuit bodies.  After one H2-4 evaluation of every
+kind that submits state jobs:
 
-* each submitted suffix is one of the estimator's own compiled plans
-  (the very object) and has no parameter slots;
-* each subset spec measures its subset's support (for JigSaw, a
+* each submitted measurement is one of the estimator's own compiled
+  measurements (the very object), and its suffix one of its own
+  compiled plans, with no parameter slots;
+* each subset measurement reads its subset's support (for JigSaw, a
   window);
 * the engine compiled only circuit bodies: the ansatz, and
   ``drift_adaptive``'s calibration probe, a circuit spec;
-* the estimator compiled exactly the suffixes it submitted, each once.
+* the estimator compiled exactly the suffixes it submitted, each once,
+  and a second evaluation compiles nothing more.
 """
 
 import sys
@@ -24,7 +27,7 @@ import pytest
 
 from repro.api import Session
 from repro.api.registry import estimator_kinds
-from repro.engine import Batch, StateSpec
+from repro.engine import Batch
 from repro.noise import ibmq_mumbai_like
 from repro.sim.plan import compile_plan
 from repro.workloads import make_workload
@@ -68,17 +71,17 @@ def test_every_kind_that_submits_state_specs_is_covered():
     assert set(KIND_OPTIONS) == set(estimator_kinds()) - {"ideal"}
 
 
-def record_specs(monkeypatch) -> list:
-    """Every spec submitted to any batch from now on, in order."""
-    specs = []
-    submit = Batch.submit
+def record_measurements(monkeypatch) -> list:
+    """The measurement of every state job submitted from now on."""
+    measurements = []
+    submit_state = Batch.submit_state
 
-    def recording(self, spec):
-        specs.append(spec)
-        return submit(self, spec)
+    def recording(self, state, measurement):
+        measurements.append(measurement)
+        return submit_state(self, state, measurement)
 
-    monkeypatch.setattr(Batch, "submit", recording)
-    return specs
+    monkeypatch.setattr(Batch, "submit_state", recording)
+    return measurements
 
 
 def count_compiles(monkeypatch) -> Counter:
@@ -96,17 +99,24 @@ def count_compiles(monkeypatch) -> Counter:
     return calls
 
 
+def own_measurements(estimator) -> list:
+    """Every measurement the estimator compiled for itself."""
+    measurements = list(estimator._measurements.values())
+    measurements += getattr(estimator, "_subset_measurements", [])
+    measurements += getattr(estimator, "_group_measurements", [])
+    return [m for m in measurements if m is not None]
+
+
 def own_plans(estimator) -> list:
     """Every suffix plan the estimator compiled for itself."""
     plans = list(estimator._rotations.values())
-    plans += getattr(estimator, "_subset_rotations", [])
-    plans += getattr(estimator, "_suffixes", [])
+    plans += [m.suffix for m in own_measurements(estimator)]
     return plans
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_OPTIONS))
 def test_submitted_suffixes_are_own_plans(kind, monkeypatch):
-    specs = record_specs(monkeypatch)
+    specs = record_measurements(monkeypatch)
     workload = make_workload("H2-4")
     session = Session(ibmq_mumbai_like(), seed=7)
     estimator = session.estimator(
@@ -119,10 +129,11 @@ def test_submitted_suffixes_are_own_plans(kind, monkeypatch):
     )
     session.close()
 
-    state_specs = [s for s in specs if isinstance(s, StateSpec)]
-    assert state_specs
+    assert specs
     plans = own_plans(estimator)
-    for spec in state_specs:
+    measurements = own_measurements(estimator)
+    for spec in specs:
+        assert any(spec is m for m in measurements)
         assert any(spec.suffix is plan for plan in plans)
         assert spec.suffix.num_slots == 0
         if not spec.map_to_best:
@@ -131,8 +142,8 @@ def test_submitted_suffixes_are_own_plans(kind, monkeypatch):
             assert spec.measured_qubits in estimator.windows
         else:
             index = next(
-                i for i, plan in enumerate(estimator._subset_rotations)
-                if plan is spec.suffix
+                i for i, m in enumerate(estimator._subset_measurements)
+                if m is spec
             )
             assert spec.measured_qubits == estimator.plan.support(index)
     assert estimator.engine.stats.plan_cache.misses == BODY_COMPILES[kind]
@@ -151,17 +162,19 @@ def test_suffixes_compile_on_first_submission(kind, monkeypatch):
         kind, workload, shots=64, **KIND_OPTIONS.get(kind, {})
     )
     assert not calls  # construction compiles nothing
-    specs = record_specs(monkeypatch)
+    specs = record_measurements(monkeypatch)
     params = np.linspace(-1.0, 1.0, workload.ansatz.num_parameters)
     estimator.evaluate(params)
+    first = {id(spec) for spec in specs}
+    estimator.evaluate(-params)
     session.close()
 
     suffix_compiles = sum(
         n for module, n in calls.items() if module != "repro.engine.engine"
     )
     submitted = {
-        id(spec.suffix) for spec in specs
-        if isinstance(spec, StateSpec) and spec.suffix is not None
+        id(spec.suffix) for spec in specs if spec.suffix is not None
     }
     assert suffix_compiles == len(submitted) == SUFFIX_COMPILES[kind]
+    assert {id(spec) for spec in specs} <= first
     assert calls["repro.engine.engine"] == BODY_COMPILES.get(kind, 1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
-from repro.engine import ExecutionEngine
+from repro.engine import ExecutionEngine, MeasurementSpec
 from repro.engine.spec import device_fingerprint
 from repro.noise import (
     ConstantDrift,
@@ -23,6 +23,8 @@ from repro.noise import (
 )
 from repro.serve import JobSpec
 from repro.sim import compile_plan
+
+from .fixed_ansatz import prepare
 
 
 def ghz(n_qubits=4):
@@ -136,7 +138,7 @@ class TestFinisherStages:
         for step in range(6):
             circuit = ghz()
             circuit.ry(0.3 * step, 3)
-            state = engine.prepare_state(circuit)
+            state = prepare(engine, circuit)
             expected = [
                 backend.pmf_from_state(state, plan, measured, best, (7, 3))
                 for plan, measured, best in readouts
@@ -144,7 +146,9 @@ class TestFinisherStages:
             epochs.append(device.epoch)
             batch = engine.new_batch()
             handles = [
-                batch.submit_state(state, plan, measured, 64, best, (7, 3))
+                batch.submit_state(
+                    state, MeasurementSpec(4, plan, measured, 64, best, (7, 3))
+                )
                 for plan, measured, best in readouts
             ]
             batch.run()

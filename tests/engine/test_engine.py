@@ -8,8 +8,7 @@ from repro.engine import (
     CircuitSpec,
     EngineConfig,
     ExecutionEngine,
-    StateSpec,
-    circuit_fingerprint,
+    MeasurementSpec,
     ensure_engine,
 )
 from repro.backends import CliffordBackend
@@ -17,6 +16,8 @@ from repro.noise import SimulatorBackend
 from repro.obs import REGISTRY, snapshot_delta
 from repro.pauli import PauliString
 from repro.sim import compile_plan
+
+from .fixed_ansatz import prepare
 
 
 def ghz(n=3):
@@ -114,11 +115,10 @@ class TestPMFCache:
 class TestStatePreparation:
     def test_prepare_state_cached_and_uncharged(self, backend, h2_workload):
         engine = ExecutionEngine(backend)
-        circ = h2_workload.ansatz.bind(
-            np.zeros(h2_workload.ansatz.num_parameters)
-        )
-        s1 = engine.prepare_state(circ)
-        s2 = engine.prepare_state(circ)
+        ansatz = h2_workload.ansatz
+        params = np.zeros(ansatz.num_parameters)
+        s1 = engine.prepare_state(ansatz, params)
+        s2 = engine.prepare_state(ansatz, list(params))
         assert s1 is s2
         assert engine.stats.state_cache.hits == 1
         assert backend.circuits_run == 0
@@ -206,53 +206,45 @@ class TestSpecs:
     def test_nonpositive_shots_rejected(self):
         with pytest.raises(ValueError):
             CircuitSpec(ghz(), shots=0)
-        with pytest.raises(ValueError):
-            StateSpec(
-                state=np.array([1.0 + 0j, 0.0]),
-                suffix=None,
-                measured_qubits=(0,),
-                shots=0,
-            )
+        with pytest.raises(ValueError, match="shots must be positive"):
+            MeasurementSpec(1, None, (0,), shots=0)
+
+    def test_measurement_without_measured_qubits_rejected(self):
+        with pytest.raises(ValueError, match="no measured qubits"):
+            MeasurementSpec(2, None, (), shots=10)
 
     @pytest.mark.parametrize("qubit", [2, -1])
     def test_state_spec_qubit_outside_register_rejected(self, qubit):
         with pytest.raises(ValueError, match=f"measured qubit {qubit} "):
-            StateSpec(
-                state=np.array([1.0 + 0j, 0.0, 0.0, 0.0]),
-                suffix=None,
-                measured_qubits=(0, qubit),
-                shots=10,
-            )
+            MeasurementSpec(2, None, (0, qubit), shots=10)
 
     def test_state_spec_duplicate_qubit_rejected(self):
         with pytest.raises(ValueError, match="measured qubit 1 is listed"):
-            StateSpec(
-                state=np.array([1.0 + 0j, 0.0, 0.0, 0.0]),
-                suffix=None,
-                measured_qubits=(1, 0, 1),
-                shots=10,
-            )
+            MeasurementSpec(2, None, (1, 0, 1), shots=10)
 
     def test_bad_state_spec_fails_at_submit_and_the_batch_still_runs(
         self, backend
     ):
+        # A bad measurement fails where it is compiled, a state of the
+        # wrong width where it is submitted; neither poisons the batch.
         engine = ExecutionEngine(backend)
-        state = engine.prepare_state(ghz())
+        state = prepare(engine, ghz())
         batch = engine.new_batch()
-        good = batch.submit_state(state, None, (0, 2), shots=10)
+        good = batch.submit_state(state, MeasurementSpec(3, None, (0, 2), 10))
         with pytest.raises(ValueError, match="measured qubit 3 "):
-            batch.submit_state(state, None, (0, 3), shots=10)
+            MeasurementSpec(3, None, (0, 3), 10)
+        with pytest.raises(ValueError, match="8 amplitudes .* 2-qubit"):
+            batch.submit_state(state, MeasurementSpec(2, None, (0,), 10))
         batch.run()
         assert good.done() and good.pmf().qubits == (0, 2)
         assert backend.circuits_run == 1
 
-    def test_state_spec_length_not_a_power_of_two_rejected(self):
+    def test_state_spec_length_not_a_power_of_two_rejected(self, backend):
+        batch = ExecutionEngine(backend).new_batch()
         with pytest.raises(ValueError, match="6 amplitudes"):
-            StateSpec(
-                state=np.ones(6, dtype=complex) / np.sqrt(6),
-                suffix=None,
-                measured_qubits=(0,),
-                shots=10,
+            batch.submit_state(
+                np.ones(6, dtype=complex) / np.sqrt(6),
+                MeasurementSpec(2, None, (0,), shots=10),
             )
 
     def test_state_spec_suffix_width_mismatch_rejected(self):
@@ -260,20 +252,12 @@ class TestSpecs:
         with pytest.raises(
             ValueError, match="suffix acts on 2 qubits .* 3-qubit"
         ):
-            StateSpec(
-                state=np.eye(8, dtype=complex)[0],
-                suffix=suffix,
-                measured_qubits=(0, 1),
-                shots=10,
-            )
+            MeasurementSpec(3, suffix, (0, 1), shots=10)
 
     def test_state_spec_raw_circuit_suffix_rejected(self):
         with pytest.raises(TypeError, match="compile_plan"):
-            StateSpec(
-                state=np.eye(8, dtype=complex)[0],
-                suffix=PauliString("XYZ").basis_rotation(),
-                measured_qubits=(0, 1),
-                shots=10,
+            MeasurementSpec(
+                3, PauliString("XYZ").basis_rotation(), (0, 1), shots=10
             )
 
     def test_state_spec_slotted_suffix_rejected(self):
@@ -281,37 +265,50 @@ class TestSpecs:
         rotated.h(0)
         rotated.ry(0.25, 1)
         with pytest.raises(ValueError, match="1 rotation slots.*compile_plan"):
-            StateSpec(
-                state=np.eye(8, dtype=complex)[0],
-                suffix=compile_plan(rotated),
-                measured_qubits=(0, 1),
-                shots=10,
-            )
+            MeasurementSpec(3, compile_plan(rotated), (0, 1), shots=10)
 
     def test_misshapen_state_specs_fail_at_submit_and_the_batch_runs(
         self, backend
     ):
         engine = ExecutionEngine(backend)
-        state = engine.prepare_state(ghz())
-        batch = engine.new_batch()
-        good = batch.submit_state(
-            state,
-            compile_plan(PauliString("XYZ").basis_rotation()),
-            (0, 1, 2),
+        state = prepare(engine, ghz())
+        measurement = MeasurementSpec(
+            3, compile_plan(PauliString("XYZ").basis_rotation()), (0, 1, 2),
             10,
         )
-        with pytest.raises(ValueError, match="not a power of two"):
-            batch.submit_state(state[:6], None, (0,), shots=10)
-        with pytest.raises(ValueError, match="suffix acts on 2 qubits"):
+        batch = engine.new_batch()
+        good = batch.submit_state(state, measurement)
+        with pytest.raises(ValueError, match="6 amplitudes"):
+            batch.submit_state(state[:6], measurement)
+        with pytest.raises(ValueError, match="8 amplitudes .* 2-qubit"):
             batch.submit_state(
                 state,
-                compile_plan(PauliString("XX").basis_rotation()),
-                (0, 1),
-                10,
+                MeasurementSpec(
+                    2, compile_plan(PauliString("XX").basis_rotation()),
+                    (0, 1), 10,
+                ),
             )
         batch.run()
         assert good.done() and good.pmf().qubits == (0, 1, 2)
         assert backend.circuits_run == 1
+
+    def test_state_jobs_go_through_submit_state(self, backend):
+        batch = ExecutionEngine(backend).new_batch()
+        with pytest.raises(TypeError, match="submit_state"):
+            batch.submit(MeasurementSpec(3, None, (0,), 10))
+        assert len(batch) == 0
+
+    def test_measurement_key_excludes_only_shots(self):
+        plan = compile_plan(PauliString("XYZ").basis_rotation())
+        key = MeasurementSpec(3, plan, (0, 2), 10, True, (4, 2)).key
+        assert MeasurementSpec(3, plan, (2, 0), 99, True, (4, 2)).key == key
+        for other in (
+            MeasurementSpec(3, None, (0, 2), 10, True, (4, 2)),
+            MeasurementSpec(3, plan, (0, 1), 10, True, (4, 2)),
+            MeasurementSpec(3, plan, (0, 2), 10, False, (4, 2)),
+            MeasurementSpec(3, plan, (0, 2), 10, True, (4, 3)),
+        ):
+            assert other.key != key
 
     def test_unbound_circuit_fingerprint_rejected(self):
         from repro.circuits.parameter import Parameter
@@ -319,15 +316,15 @@ class TestSpecs:
         qc = Circuit(1)
         qc.ry(Parameter("theta"), 0)
         qc.measure_all()
-        with pytest.raises(ValueError):
-            circuit_fingerprint(qc)
+        with pytest.raises(ValueError, match="unbound parameter"):
+            CircuitSpec(qc, shots=10)
 
     def test_fingerprint_sensitivity(self):
-        base = ghz()
-        assert circuit_fingerprint(base) == circuit_fingerprint(ghz())
+        base = CircuitSpec(ghz(), shots=10).fingerprint()
+        assert CircuitSpec(ghz(), shots=20).fingerprint() == base
         other = ghz()
         other.z(2)
-        assert circuit_fingerprint(base) != circuit_fingerprint(other)
+        assert CircuitSpec(other, shots=10).fingerprint() != base
 
     def test_device_config_partitions_the_cache(self, noisy_device):
         # Same circuit, different noise flags -> distinct cache entries.

@@ -7,12 +7,14 @@ from repro.backends.clifford import CliffordBackend
 from repro.backends.density import DensityBackend
 from repro.engine import EngineConfig
 from repro.engine.engine import ExecutionEngine
-from repro.engine.spec import CircuitSpec, StateSpec, device_fingerprint
+from repro.engine.spec import CircuitSpec, MeasurementSpec, device_fingerprint
+from repro.ansatz import EfficientSU2
 from repro.circuits import Circuit
 from repro.noise import SimulatorBackend
 from repro.sim.plan import CircuitPlan, compile_plan
 
 from ..noise.scalar_reference import reference_pmf
+from .fixed_ansatz import prepare
 
 
 def ansatz(theta, phi=0.25):
@@ -91,15 +93,19 @@ class TestPlanPathBitIdentity:
     def test_prepare_states_matches_prepare_state_bitwise(
         self, noisy_device
     ):
-        circuits = [ansatz(t) for t in (0.3, 0.9, 0.3, -2.0)]
+        su2 = EfficientSU2(3, reps=1, entanglement="linear")
+        points = [
+            np.linspace(t, 2 * t, su2.num_parameters)
+            for t in (0.3, 0.9, 0.3, -2.0)
+        ]
         batched_engine = ExecutionEngine(
             SimulatorBackend(noisy_device, seed=7), EngineConfig()
         )
         single_engine = ExecutionEngine(
             SimulatorBackend(noisy_device, seed=7), EngineConfig()
         )
-        batched = batched_engine.prepare_states(circuits)
-        singles = [single_engine.prepare_state(c) for c in circuits]
+        batched = batched_engine.prepare_states(su2, points)
+        singles = [single_engine.prepare_state(su2, p) for p in points]
         for a, b in zip(batched, singles):
             assert np.array_equal(a, b)
 
@@ -154,12 +160,12 @@ class TestCapabilityGating:
         backend = CountingFinisher(noisy_device, seed=7)
         backend.exact_pmf(ansatz(0.1))
         engine = ExecutionEngine(backend, EngineConfig())
-        state = engine.prepare_state(ansatz(0.2))
-        run_specs(engine, [
-            CircuitSpec(ansatz(0.3), 64, False),
-            CircuitSpec(ansatz(0.4), 64, True),
-            StateSpec(state, None, (0, 1), 64),
-        ])
+        state = prepare(engine, ansatz(0.2))
+        batch = engine.new_batch()
+        batch.submit(CircuitSpec(ansatz(0.3), 64, False))
+        batch.submit(CircuitSpec(ansatz(0.4), 64, True))
+        batch.submit_state(state, MeasurementSpec(3, None, (0, 1), 64))
+        batch.run()
         backend.pmf_from_state(state, None, (2,))
         # exact_pmf, then the whole batch in one call under the engine's
         # noise key, then one state; the one-off calls pass no key.

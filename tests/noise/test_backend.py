@@ -7,7 +7,7 @@ from repro.circuits import Circuit
 from repro.engine import (
     CircuitSpec,
     ExecutionEngine,
-    StateSpec,
+    MeasurementSpec,
     shared_engine,
 )
 from repro.noise import SimulatorBackend, ideal_device
@@ -72,8 +72,9 @@ class TestAccounting:
         (state,) = ideal_backend.prepare_states([qc], compile_plan)
         ideal_backend.pmf_from_state(state, None, [0])
         assert ideal_backend.circuits_run == 0
-        engine = ExecutionEngine(ideal_backend)
-        engine.run_spec(StateSpec(state, None, (0,), shots=5))
+        batch = ExecutionEngine(ideal_backend).new_batch()
+        batch.submit_state(state, MeasurementSpec(2, None, (0,), shots=5))
+        batch.run()
         assert ideal_backend.circuits_run == 1
         assert ideal_backend.shots_run == 5
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit, Parameter, gate_matrix
+from repro.circuits import Circuit, Parameter, gate_matrix, rotation_matrix
 from repro.sim import probabilities, run_statevector
 from repro.sim.plan import compile_plan, structure_fingerprint
 from repro.sim.statevector import apply_gate, zero_state
@@ -188,3 +188,60 @@ class TestExecution:
             probabilities(plan.run(plan.slot_values(qc))),
             probabilities(interpret(qc)),
         )
+
+
+#: Angles where a rebuilt matrix could drift from the scalar one: signed
+#: zeros, ±π, a vanishing angle and one far outside a period.
+EDGE_ANGLES = [0.0, -0.0, np.pi, -np.pi, 1e-300, 3e10]
+
+
+def every_rotation(angles):
+    """One qubit through rx, ry, rz and p, one slot per gate."""
+    qc = Circuit(1)
+    for name, theta in zip(("rx", "ry", "rz", "p"), angles):
+        qc.append(name, 0, theta)
+    return qc
+
+
+class TestOnePassRotations:
+    """A plan builds every slot's matrix in one pass, byte for byte."""
+
+    @staticmethod
+    def angles():
+        rng = np.random.default_rng(2024)
+        randoms = rng.uniform(-4 * np.pi, 4 * np.pi, 40).tolist()
+        return randoms + EDGE_ANGLES
+
+    @pytest.mark.parametrize("name", ["rx", "ry", "rz", "p"])
+    def test_each_gate_matches_rotation_matrix_bytes(self, name):
+        qc = Circuit(1)
+        qc.append(name, 0, 0.0)
+        plan = compile_plan(qc)
+        angles = self.angles()
+        matrices = plan._slot_matrices([[theta] for theta in angles])
+        assert matrices.shape == (1, len(angles), 2, 2)
+        for theta, matrix in zip(angles, matrices[0]):
+            # tobytes, not array_equal: signed zeros must match too.
+            expected = rotation_matrix(name, theta)
+            assert matrix.tobytes() == expected.tobytes(), theta
+
+    def test_mixed_slots_and_bindings_match_rotation_matrix_bytes(self):
+        angles = self.angles()
+        rows = [angles[i:i + 4] for i in range(len(angles) - 3)]
+        plan = compile_plan(every_rotation(rows[0]))
+        matrices = plan._slot_matrices(rows)
+        assert matrices.shape == (4, len(rows), 2, 2)
+        for b, row in enumerate(rows):
+            for k, name in enumerate(("rx", "ry", "rz", "p")):
+                expected = rotation_matrix(name, row[k])
+                assert matrices[k, b].tobytes() == expected.tobytes()
+
+    def test_run_and_run_batch_match_the_interpreter_amplitudes(self):
+        angles = self.angles()
+        rows = [angles[i:i + 4] for i in range(0, len(angles) - 3, 4)]
+        plan = compile_plan(every_rotation(rows[0]))
+        batch = plan.run_batch(rows)
+        for row, amplitudes in zip(rows, batch):
+            expected = interpret(every_rotation(row))
+            assert plan.run(row).tobytes() == expected.tobytes()
+            assert amplitudes.tobytes() == expected.tobytes()

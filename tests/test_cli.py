@@ -47,10 +47,10 @@ class TestParser:
         default = _engine_config(build_parser().parse_args(["run", "H2-4"]))
         assert default == EngineConfig()
         ansatz = make_workload("H2-4").ansatz
-        circuit = ansatz.bind([0.1] * ansatz.num_parameters)
+        params = [0.1] * ansatz.num_parameters
         for config, kept in ((config, 0), (default, 1)):
             engine = ExecutionEngine(SimulatorBackend(), config)
-            engine.prepare_state(circuit)
+            engine.prepare_state(ansatz, params)
             assert engine.stats.state_cache.size == kept
 
 
