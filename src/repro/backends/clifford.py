@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..api.spec import check_bool, check_choice
+from ..api.spec import check_choice
 from ..circuits import Circuit
 from ..clifford import is_clifford_circuit, stabilizer_probabilities
 from ..noise import DeviceModel, SimulatorBackend
@@ -55,20 +55,13 @@ class CliffordBackend(SimulatorBackend):
         device: DeviceModel | None = None,
         seed: int | None = None,
         fallback: str = "dense",
-        readout_enabled: bool = True,
-        gate_noise_enabled: bool = True,
     ):
         if fallback not in FALLBACK_MODES:
             raise ValueError(
                 f"fallback must be one of {FALLBACK_MODES}; "
                 f"got {fallback!r}"
             )
-        super().__init__(
-            device,
-            seed=seed,
-            readout_enabled=readout_enabled,
-            gate_noise_enabled=gate_noise_enabled,
-        )
+        super().__init__(device, seed=seed)
         self.fallback = fallback
         self.stabilizer_runs = 0
         self.dense_fallbacks = 0
@@ -126,9 +119,9 @@ class CliffordBackendSpec(BackendSpec):
     fallback:
         ``"dense"`` (default) silently simulates non-Clifford circuits
         with the statevector engine; ``"error"`` raises instead.
-    readout / gate_noise:
-        The shared noise kill-switches (see
-        :class:`~repro.backends.DenseBackendSpec`).
+
+    As for every kind, the device is the only source of readout and
+    gate-noise rates.
 
     Example
     -------
@@ -139,14 +132,10 @@ class CliffordBackendSpec(BackendSpec):
     """
 
     fallback: str = "dense"
-    readout: bool = True
-    gate_noise: bool = True
 
     def validate(self) -> None:
-        """``fallback`` must be a known mode; switches must be bools."""
+        """``fallback`` must be a known mode."""
         check_choice("fallback", self.fallback, FALLBACK_MODES)
-        check_bool("readout", self.readout)
-        check_bool("gate_noise", self.gate_noise)
 
     def create(
         self,
@@ -158,6 +147,4 @@ class CliffordBackendSpec(BackendSpec):
             device,
             seed=seed,
             fallback=self.fallback,
-            readout_enabled=self.readout,
-            gate_noise_enabled=self.gate_noise,
         )

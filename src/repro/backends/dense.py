@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..api.spec import check_bool
 from ..noise import DeviceModel, SimulatorBackend
 from .registry import register_backend
 from .spec import BackendSpec
@@ -27,12 +26,9 @@ __all__ = ["DenseBackendSpec"]
 class DenseBackendSpec(BackendSpec):
     """Dense statevector simulation (the default execution backend).
 
-    Parameters
-    ----------
-    readout / gate_noise:
-        The :class:`~repro.noise.SimulatorBackend` noise kill-switches,
-        exposed as spec fields so experiments that isolate measurement
-        error from gate error can select them declaratively.
+    It has no knobs: the device is its only noise input, so an
+    experiment that isolates measurement error from gate error builds a
+    device whose other noise source has zero rates.
 
     Example
     -------
@@ -42,23 +38,10 @@ class DenseBackendSpec(BackendSpec):
     'dense'
     """
 
-    readout: bool = True
-    gate_noise: bool = True
-
-    def validate(self) -> None:
-        """Both kill-switches must be plain bools."""
-        check_bool("readout", self.readout)
-        check_bool("gate_noise", self.gate_noise)
-
     def create(
         self,
         device: DeviceModel | None = None,
         seed: int | None = None,
     ) -> SimulatorBackend:
         """The historical ``SimulatorBackend`` construction, verbatim."""
-        return SimulatorBackend(
-            device,
-            seed=seed,
-            readout_enabled=self.readout,
-            gate_noise_enabled=self.gate_noise,
-        )
+        return SimulatorBackend(device, seed=seed)

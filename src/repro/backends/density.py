@@ -56,24 +56,17 @@ class DensityBackend(SimulatorBackend):
         seed: int | None = None,
         analytic: bool = True,
         amplitude_damping: float = 0.0,
-        readout_enabled: bool = True,
-        gate_noise_enabled: bool = True,
     ):
-        super().__init__(
-            device,
-            seed=seed,
-            readout_enabled=readout_enabled,
-            gate_noise_enabled=gate_noise_enabled,
-        )
+        super().__init__(device, seed=seed)
         self.analytic = analytic
         self.amplitude_damping = amplitude_damping
 
     def pmf_fingerprint_extra(self) -> str:
         """Extra PMF-shaping state for the engine's cache key.
 
-        ``amplitude_damping`` changes exact PMFs, so (like the noise
-        kill-switches) it must never let two configurations share a
-        memoized distribution.
+        ``amplitude_damping`` changes exact PMFs but is not a device
+        rate, so it must reach the key here: two damping strengths over
+        one device never share a memoized distribution.
         """
         return f"ad{float(self.amplitude_damping).hex()}"
 
@@ -87,12 +80,11 @@ class DensityBackend(SimulatorBackend):
         Each circuit evolves on its own; ``plan_for`` is unused.
         """
         gn = self.device.gate_noise
-        scale = gn.scale if self.gate_noise_enabled else 0.0
         return [
             run_density_matrix(
                 circuit,
-                gate_error_1q=min(1.0, gn.error_1q * scale),
-                gate_error_2q=min(1.0, gn.error_2q * scale),
+                gate_error_1q=min(1.0, gn.error_1q * gn.scale),
+                gate_error_2q=min(1.0, gn.error_2q * gn.scale),
                 amplitude_damping=self.amplitude_damping,
             ).probabilities()
             for circuit in circuits
@@ -134,9 +126,9 @@ class DensityBackendSpec(BackendSpec):
     amplitude_damping:
         Optional per-gate T1-relaxation strength in [0, 1] — a noise
         channel the dense backend cannot express at all.
-    readout / gate_noise:
-        The shared noise kill-switches (see
-        :class:`~repro.backends.DenseBackendSpec`).
+
+    As for every kind, the device is the only source of readout and
+    gate-noise rates.
 
     Example
     -------
@@ -148,15 +140,11 @@ class DensityBackendSpec(BackendSpec):
 
     analytic: bool = True
     amplitude_damping: float = 0.0
-    readout: bool = True
-    gate_noise: bool = True
 
     def validate(self) -> None:
-        """Check the flag types and the damping range eagerly."""
+        """Check the flag type and the damping range eagerly."""
         check_bool("analytic", self.analytic)
         check_fraction("amplitude_damping", self.amplitude_damping)
-        check_bool("readout", self.readout)
-        check_bool("gate_noise", self.gate_noise)
 
     def create(
         self,
@@ -169,6 +157,4 @@ class DensityBackendSpec(BackendSpec):
             seed=seed,
             analytic=self.analytic,
             amplitude_damping=self.amplitude_damping,
-            readout_enabled=self.readout,
-            gate_noise_enabled=self.gate_noise,
         )

@@ -1,7 +1,7 @@
 """Bounded memoization for exact distributions and prepared states.
 
 Exact noisy PMFs are deterministic functions of (circuit content, device
-config, noise flags, readout mapping) — all captured by the engine's
+config, backend kind, readout mapping) — all captured by the engine's
 cache keys — so memoizing them is semantically invisible: only the
 sampling step consumes randomness.  Across VQE iterations the same
 measurement circuits recur whenever the tuner revisits parameters
@@ -26,7 +26,7 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 __all__ = ["CacheStats", "LRUCache", "approx_nbytes"]
 
@@ -105,24 +105,17 @@ class LRUCache:
     max_bytes:
         Approximate byte budget over the payload sizes of cached values;
         ``0`` means unbounded bytes (entry cap only).  A single value
-        larger than the whole budget is simply not retained.
-    sizeof:
-        Payload-size estimator; defaults to :func:`approx_nbytes`.
+        larger than the whole budget is simply not retained.  Payload
+        sizes are :func:`approx_nbytes`.
     """
 
-    def __init__(
-        self,
-        maxsize: int,
-        max_bytes: int = 0,
-        sizeof: Callable[[Any], int] = approx_nbytes,
-    ):
+    def __init__(self, maxsize: int, max_bytes: int = 0):
         if maxsize < 0:
             raise ValueError("maxsize must be >= 0")
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         self.maxsize = int(maxsize)
         self.max_bytes = int(max_bytes)
-        self._sizeof = sizeof
         self._data: OrderedDict[Any, Any] = OrderedDict()
         self._sizes: dict[Any, int] = {}
         self.bytes = 0
@@ -155,7 +148,7 @@ class LRUCache:
         """
         if self.maxsize == 0:
             return
-        size = int(self._sizeof(value))
+        size = approx_nbytes(value)
         if self.max_bytes and size > self.max_bytes:
             # Oversized values are not retained — and must not flush
             # every smaller entry on their way through.  Drop any stale

@@ -18,8 +18,8 @@ the measurement half is hashed once per estimator, not per job.  Shots
 are deliberately *excluded*: two jobs that differ only in shot count
 share one exact PMF, so they dedup to a single simulation while still
 sampling (and being charged) separately.  The engine mixes a
-device/noise-flag fingerprint into its cache keys so a cache is never
-polluted across backend configurations.
+device fingerprint into its cache keys so a cache is never polluted
+across backend configurations.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ def device_fingerprint(backend) -> str:
     """Digest of everything on a backend that shapes exact PMFs.
 
     Covers the backend kind (a ``clifford`` and a ``density`` backend
-    over one device must never share memoized PMFs), per-qubit readout
-    rates, crosstalk, gate-noise rates/scales, and the backend's noise
-    kill-switches — but *not* its RNG state, which only affects
+    over one device must never share memoized PMFs), the backend's
+    declared extras, per-qubit readout rates, crosstalk and gate-noise
+    rates/scales — but *not* its RNG state, which only affects
     sampling.  It keys the engine's PMF cache and the noise finisher's
     compiled stages.
     """
@@ -86,9 +86,7 @@ def device_fingerprint(backend) -> str:
     h = _hasher()
     h.update(
         f"d:{device.name}:{device.n_qubits}"
-        f":k{getattr(backend, 'backend_kind', 'dense')}"
-        f":ro{int(backend.readout_enabled)}"
-        f":gn{int(backend.gate_noise_enabled)}".encode()
+        f":k{getattr(backend, 'backend_kind', 'dense')}".encode()
     )
     # Backend subclasses with extra PMF-shaping knobs (e.g. the density
     # backend's amplitude damping) contribute them here.

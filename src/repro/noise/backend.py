@@ -81,9 +81,11 @@ class SimulatorBackend:
     seed:
         Seed for the sampling RNG (shot noise).  Experiments that average
         over trials construct one backend per trial seed.
-    readout_enabled / gate_noise_enabled:
-        Independent kill-switches, used by experiments that isolate
-        measurement error from gate error.
+
+    The device is the only noise input: an experiment that isolates
+    measurement error from gate error gives the other source zero
+    rates (an ``ideal_device`` readout model, or
+    ``DepolarizingGateNoise(0.0, 0.0)``).
 
     Subclassing (the :mod:`repro.backends` registry)
     ------------------------------------------------
@@ -97,7 +99,7 @@ class SimulatorBackend:
     noise finisher, the cost ledger, and the engine contract stay
     shared.  ``backend_kind`` is the registry name; the engine mixes it
     into its cache keys.  A subclass with extra PMF-shaping state
-    beyond the device and the kill-switches must expose it via a
+    beyond the device must expose it via a
     ``pmf_fingerprint_extra() -> str`` method (see
     :func:`repro.engine.device_fingerprint`) so memoized PMFs are never
     shared across configurations (it keys the finisher's stages too); an
@@ -114,14 +116,10 @@ class SimulatorBackend:
         self,
         device: DeviceModel | None = None,
         seed: int | None = None,
-        readout_enabled: bool = True,
-        gate_noise_enabled: bool = True,
     ):
         self.device = device if device is not None else ideal_device()
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self.readout_enabled = readout_enabled
-        self.gate_noise_enabled = gate_noise_enabled
         self.circuits_run = 0
         self.shots_run = 0
         # (noise key, {shape: stage}) of the last keyed finisher call.
@@ -305,13 +303,10 @@ class SimulatorBackend:
             stages = {}
             if noise_key is not None:
                 self._stages = (noise_key, stages)
-        survival = None
-        if self.gate_noise_enabled:
-            gn = self.device.gate_noise
-            survival = [
-                1.0 - min(1.0, e * gn.scale)
-                for e in (gn.error_1q, gn.error_2q)
-            ]
+        gn = self.device.gate_noise
+        survival = [
+            1.0 - min(1.0, e * gn.scale) for e in (gn.error_1q, gn.error_2q)
+        ]
         out: list[PMF | None] = [None] * len(rows)
         groups: dict[tuple, list[int]] = {}
         for i, (_, n, measured, map_to_best, _) in enumerate(rows):
@@ -331,8 +326,8 @@ class SimulatorBackend:
         """What finishing one shape needs apart from its rows.
 
         Its width's uniform PMF (kept in ``stages`` under ``n``), the
-        axes the marginal sums away and, with readout on, each measured
-        qubit's confusion matrix with the transpose that turns the last
+        axes the marginal sums away and each measured qubit's confusion
+        matrix with the transpose that turns the last
         readout product into the operand ``np.tensordot`` would hand
         ``np.dot`` (the same data, shape and strides, so the same GEMM).
         """
@@ -342,8 +337,6 @@ class SimulatorBackend:
         if uniform is None:
             uniform = stages[n] = PMF.uniform(n).probs
         drop = tuple(ax + 1 for ax in range(n) if ax not in measured)
-        if not self.readout_enabled:
-            return n, measured, uniform, drop, None
         m = len(measured)
         mapping = self.physical_mapping(list(measured), map_to_best)
         readout = self.device.readout
@@ -358,11 +351,11 @@ class SimulatorBackend:
             (a, *range(1, a), 0, *range(a + 1, m + 1))
             for a in range(1, m + 1)
         ]
-        return n, measured, uniform, drop, (matrices, perms)
+        return n, measured, uniform, drop, matrices, perms
 
     def _finish_group(self, rows: list, stage: tuple, survival) -> list[PMF]:
         """One same-shape group of :meth:`exact_pmfs_from_probs_batch`."""
-        n, measured, uniform, drop, readout = stage
+        n, measured, uniform, drop, matrices, perms = stage
         batch = len(rows)
         probs = np.stack([np.asarray(row[0], dtype=float) for row in rows])
         if probs.min() < -1e-12:
@@ -372,44 +365,38 @@ class SimulatorBackend:
         if totals.min() <= 0:
             raise ValueError("probabilities sum to zero")
         probs = probs / totals[:, None]
-        if survival is not None:
-            s1, s2 = survival
-            lams = np.array(
-                [1.0 - s1**g1 * s2**g2 for *_, (g1, g2) in rows]
+        s1, s2 = survival
+        lams = np.array([1.0 - s1**g1 * s2**g2 for *_, (g1, g2) in rows])
+        if np.any(lams > 0):
+            mixed = (1.0 - lams)[:, None] * probs + lams[:, None] * (
+                uniform[None, :]
             )
-            if np.any(lams > 0):
-                mixed = (1.0 - lams)[:, None] * probs + lams[:, None] * (
-                    uniform[None, :]
-                )
-                mixed = mixed / mixed.sum(axis=1)[:, None]
-                # Rows with zero depolarizing weight skip the mix (and
-                # its renormalization) entirely, as a lone row would.
-                probs = np.where((lams > 0)[:, None], mixed, probs)
+            mixed = mixed / mixed.sum(axis=1)[:, None]
+            # Rows with zero depolarizing weight skip the mix (and its
+            # renormalization) entirely, as a lone row would.
+            probs = np.where((lams > 0)[:, None], mixed, probs)
         if drop:
             probs = probs.reshape((batch,) + (2,) * n).sum(axis=drop)
         m = len(measured)
         probs = probs.reshape(batch, 2**m)
         probs = probs / probs.sum(axis=1)[:, None]
-        if readout is not None:
-            matrices, perms = readout
-            if m == 1:
-                (matrix,) = matrices
-                probs = np.stack([
-                    np.dot(matrix, row.reshape(2, 1)).reshape(2)
-                    for row in probs
-                ])
-            else:
-                tensor = probs.reshape((batch,) + (2,) * m)
-                step = (2, batch) + (2,) * (m - 1)
-                for matrix, perm in zip(matrices, perms):
-                    tensor = np.dot(
-                        matrix, tensor.transpose(perm).reshape(2, -1)
-                    ).reshape(step)
-                probs = tensor.transpose(*range(1, m + 1), 0).reshape(
-                    batch, 2**m
-                )
-            probs = np.clip(probs, 0.0, None)
-            probs = probs / probs.sum(axis=1)[:, None]
+        if m == 1:
+            (matrix,) = matrices
+            probs = np.stack([
+                np.dot(matrix, row.reshape(2, 1)).reshape(2) for row in probs
+            ])
+        else:
+            tensor = probs.reshape((batch,) + (2,) * m)
+            step = (2, batch) + (2,) * (m - 1)
+            for matrix, perm in zip(matrices, perms):
+                tensor = np.dot(
+                    matrix, tensor.transpose(perm).reshape(2, -1)
+                ).reshape(step)
+            probs = tensor.transpose(*range(1, m + 1), 0).reshape(
+                batch, 2**m
+            )
+        probs = np.clip(probs, 0.0, None)
+        probs = probs / probs.sum(axis=1)[:, None]
         return [PMF._trusted(probs[i], measured) for i in range(batch)]
 
     # ---------------------------------------------------------------- mapping

@@ -268,25 +268,21 @@ class CircuitPlan:
             tensor = out.reshape(shape).transpose(op.inv_perm)
         return tensor.reshape(self._dim)
 
-    def run_batch(
-        self, bindings, initial_state: np.ndarray | None = None
-    ) -> np.ndarray:
+    def run_batch(self, bindings) -> np.ndarray:
         """Execute many bindings at once; return shape ``(B, 2**n)``.
 
         ``bindings`` is a sequence of slot-value vectors.  The whole
-        batch advances through each gate with one broadcast ``matmul``
-        over the ``(batch, 2, ..., 2)`` stacked state; row ``b`` of the
-        result is bit-identical to ``run(bindings[b], initial_state)``.
+        batch starts from ``|0...0>`` and advances through each gate
+        with one broadcast ``matmul`` over the ``(batch, 2, ..., 2)``
+        stacked state; row ``b`` of the result is bit-identical to
+        ``run(bindings[b])``.
         """
         rows = [self._check_values(v) for v in bindings]
         batch = len(rows)
         if batch == 0:
             return np.zeros((0, self._dim), dtype=complex)
         states = np.zeros((batch, self._dim), dtype=complex)
-        if initial_state is None:
-            states[:, 0] = 1.0
-        else:
-            states[:] = self._initial(initial_state)
+        states[:, 0] = 1.0
         ops = self._ops
         if not ops:
             return states

@@ -91,4 +91,4 @@ def test_estimator_spec():
 
 def test_backend_spec():
     spec = make_backend_spec("density", analytic=False)
-    assert spec.fingerprint() == "41c02fb1f2e59209c96f64e3ed58088c"
+    assert spec.fingerprint() == "794e503fc6f858a0df7bcafce888fdde"

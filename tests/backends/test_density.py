@@ -11,6 +11,8 @@ from repro.noise import SimulatorBackend, ibmq_mumbai_like
 from repro.sim import run_density_matrix
 from repro.workloads import make_workload
 
+from ..noise.finisher_rows import without_gate_noise, without_readout_error
+
 
 def bell():
     circuit = Circuit(2)
@@ -86,15 +88,12 @@ class TestExpectationParity:
         expectation as shots grow."""
         workload = make_workload("H2-4", reps=1, entanglement="linear")
         params = np.full(workload.ansatz.num_parameters, 0.1)
-        device = ibmq_mumbai_like()
+        device = without_gate_noise(ibmq_mumbai_like())
         analytic = Session(
-            device, backend={"kind": "density", "gate_noise": False}
+            device, backend="density"
         ).estimator("baseline", workload, shots=8).evaluate(params)
         sampled = np.mean([
-            Session(
-                device, seed=s,
-                backend={"kind": "dense", "gate_noise": False},
-            ).estimator(
+            Session(device, seed=s, backend="dense").estimator(
                 "baseline", workload, shots=8192
             ).evaluate(params)
             for s in range(4)
@@ -104,8 +103,8 @@ class TestExpectationParity:
 
 class TestLocalNoiseModel:
     def test_full_circuit_probs_match_reference_density_matrix(self):
-        device = ibmq_mumbai_like(scale=2.0)
-        backend = DensityBackend(device, seed=0, readout_enabled=False)
+        device = without_readout_error(ibmq_mumbai_like(scale=2.0))
+        backend = DensityBackend(device, seed=0)
         circuit = bell()
         gn = device.gate_noise
         reference = run_density_matrix(
@@ -118,12 +117,9 @@ class TestLocalNoiseModel:
             reference.probabilities(),
         )
 
-    def test_gate_noise_kill_switch_gives_pure_evolution(self):
-        backend = DensityBackend(
-            ibmq_mumbai_like(scale=2.0),
-            readout_enabled=False,
-            gate_noise_enabled=False,
-        )
+    def test_zero_gate_noise_gives_pure_evolution(self):
+        device = without_gate_noise(ibmq_mumbai_like(scale=2.0))
+        backend = DensityBackend(without_readout_error(device))
         probs = backend.exact_pmf(bell()).probs
         assert probs[0] == pytest.approx(0.5)
         assert probs[3] == pytest.approx(0.5)
@@ -136,9 +132,7 @@ class TestLocalNoiseModel:
             ensure_engine,
         )
 
-        backend = make_backend(
-            {"kind": "density", "readout": False}, seed=0
-        )
+        backend = make_backend("density", seed=0)
         plain_fp = device_fingerprint(backend)
         engine = ensure_engine(None, backend)
         before = engine.run_spec(CircuitSpec(bell(), 100))
@@ -148,11 +142,8 @@ class TestLocalNoiseModel:
         assert before.data != after.data
 
     def test_amplitude_damping_biases_toward_zero(self):
-        damped = make_backend(
-            {"kind": "density", "amplitude_damping": 0.2,
-             "readout": False},
-        )
-        plain = make_backend({"kind": "density", "readout": False})
+        damped = make_backend({"kind": "density", "amplitude_damping": 0.2})
+        plain = make_backend("density")
         assert (
             damped.exact_pmf(bell()).probs[0]
             > plain.exact_pmf(bell()).probs[0]
@@ -162,9 +153,9 @@ class TestLocalNoiseModel:
         """exact_pmf applies local channels only — mixing the global
         depolarizing weight on top again would push the distribution
         measurably closer to uniform than the reference evolution."""
-        device = ibmq_mumbai_like(scale=2.0)
-        backend = DensityBackend(device, readout_enabled=False)
-        dense = SimulatorBackend(device, readout_enabled=False)
+        device = without_readout_error(ibmq_mumbai_like(scale=2.0))
+        backend = DensityBackend(device)
+        dense = SimulatorBackend(device)
         circuit = bell()
         gn = device.gate_noise
         reference = run_density_matrix(

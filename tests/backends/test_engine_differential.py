@@ -8,7 +8,7 @@ without a basis suffix.  Every backend must agree with ``dense``:
 * ``remote`` (dense workers) bit for bit, in one ``probs`` request;
 * ``clifford`` bit for bit on the non-Clifford body (dense fallback)
   and within 1e-12 on the Clifford one (stabilizer tableaus);
-* ``density`` within 1e-12 with gate noise off on both sides;
+* ``density`` within 1e-12 on a device without gate noise;
 
 and every PMF the engine hands out must equal that backend's own
 ``exact_pmf``/``pmf_from_state`` on the spec alone, bit for bit, with
@@ -30,6 +30,7 @@ from repro.noise import ibmq_mumbai_like
 from repro.sim import CircuitPlan, compile_plan
 
 from ..engine.fixed_ansatz import prepare
+from ..noise.finisher_rows import without_gate_noise
 
 N_QUBITS = 5
 SHOTS = 256
@@ -148,12 +149,8 @@ def wire_ops(monkeypatch):
     return ops
 
 
-def dense_run(gate_noise=True):
-    backend = make_backend(
-        {"kind": "dense", "gate_noise": gate_noise},
-        ibmq_mumbai_like(),
-        seed=7,
-    )
+def dense_run(device=None):
+    backend = make_backend("dense", device or ibmq_mumbai_like(), seed=7)
     return run_mixed_batch(backend)
 
 
@@ -198,12 +195,11 @@ def test_clifford_matches_dense():
 
 
 def test_density_without_gate_noise_matches_dense():
-    backend = make_backend(
-        {"kind": "density", "gate_noise": False}, ibmq_mumbai_like(), seed=7
-    )
+    device = without_gate_noise(ibmq_mumbai_like())
+    backend = make_backend("density", device, seed=7)
     pmfs, expected, _ = run_mixed_batch(backend)
     assert_matches_own_exact_pmf(pmfs, expected)
-    dense, _, _ = dense_run(gate_noise=False)
+    dense, _, _ = dense_run(device)
     for pmf, reference in zip(pmfs, dense):
         assert pmf.qubits == reference.qubits
         assert np.max(np.abs(pmf.probs - reference.probs)) <= TOLERANCE

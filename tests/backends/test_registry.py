@@ -43,10 +43,10 @@ class TestRoundTrip:
 
     def test_fingerprint_stable_across_field_order(self):
         a = backend_spec_from_dict(
-            {"kind": "density", "analytic": False, "readout": True}
+            {"kind": "density", "analytic": False, "amplitude_damping": 0.25}
         )
         b = backend_spec_from_dict(
-            {"readout": True, "kind": "density", "analytic": False}
+            {"amplitude_damping": 0.25, "kind": "density", "analytic": False}
         )
         assert a.fingerprint() == b.fingerprint()
 

@@ -17,6 +17,7 @@ from repro.obs import REGISTRY, snapshot_delta
 from repro.pauli import PauliString
 from repro.sim import compile_plan
 
+from ..noise.finisher_rows import without_readout_error
 from .fixed_ansatz import prepare
 
 
@@ -327,9 +328,9 @@ class TestSpecs:
         assert CircuitSpec(other, shots=10).fingerprint() != base
 
     def test_device_config_partitions_the_cache(self, noisy_device):
-        # Same circuit, different noise flags -> distinct cache entries.
+        # Same circuit, different device rates -> distinct cache entries.
         b1 = SimulatorBackend(noisy_device, seed=1)
-        b2 = SimulatorBackend(noisy_device, seed=1, readout_enabled=False)
+        b2 = SimulatorBackend(without_readout_error(noisy_device), seed=1)
         from repro.engine import device_fingerprint
 
         assert device_fingerprint(b1) != device_fingerprint(b2)

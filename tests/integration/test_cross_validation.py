@@ -13,7 +13,11 @@ from repro.circuits import Circuit
 from repro.noise import QubitReadoutError, SimulatorBackend, ibmq_mumbai_like
 from repro.sim import PMF, run_density_matrix, run_statevector
 
-from ..noise.finisher_rows import finish, readout_backend
+from ..noise.finisher_rows import (
+    finish,
+    readout_backend,
+    without_readout_error,
+)
 
 
 class TestReadoutChannelVsMonteCarlo:
@@ -78,7 +82,7 @@ class TestBackendVsDensityMatrix:
         qc.cx(1, 2)
         qc.ry(0.5, 0)
         qc.measure_all()
-        backend = SimulatorBackend(device, seed=0, readout_enabled=False)
+        backend = SimulatorBackend(without_readout_error(device), seed=0)
         fast = backend.exact_pmf(qc)
         rho = run_density_matrix(qc, gate_error_1q=e1, gate_error_2q=e2)
         reference = PMF(rho.probabilities())

@@ -8,6 +8,8 @@ from repro.mitigation import MatrixMitigator
 from repro.noise import SimulatorBackend
 from repro.sim import PMF
 
+from ..noise.finisher_rows import without_readout_error
+
 
 class TestConstruction:
     def test_rejects_non_stochastic(self):
@@ -29,7 +31,7 @@ class TestExactCalibration:
         qc.measure([0, 1])
         noisy = backend.exact_pmf(qc)
         backend_clean = SimulatorBackend(
-            tiny_device, seed=0, readout_enabled=False
+            without_readout_error(tiny_device), seed=0
         )
         ideal = backend_clean.exact_pmf(qc)
         mitigator = MatrixMitigator.from_device(backend, [0, 1])

@@ -13,6 +13,8 @@ from repro.engine import (
 from repro.noise import SimulatorBackend, ideal_device
 from repro.sim import compile_plan
 
+from .finisher_rows import without_readout_error
+
 
 def bell() -> Circuit:
     qc = Circuit(2)
@@ -95,8 +97,8 @@ class TestNoiseApplication:
         # Best physical qubit is 2 with p01 = 0.002.
         assert pmf.probs[1] == pytest.approx(0.002)
 
-    def test_readout_kill_switch(self, tiny_device):
-        backend = SimulatorBackend(tiny_device, seed=3, readout_enabled=False)
+    def test_zero_readout_rates_read_exactly(self, tiny_device):
+        backend = SimulatorBackend(without_readout_error(tiny_device), seed=3)
         qc = Circuit(4)
         qc.measure(1)
         assert backend.exact_pmf(qc).probs[0] == pytest.approx(1.0)
@@ -137,7 +139,7 @@ class TestNoiseApplication:
         from repro.noise import ibmq_mumbai_like
 
         backend = SimulatorBackend(
-            ibmq_mumbai_like(), seed=3, readout_enabled=False
+            without_readout_error(ibmq_mumbai_like()), seed=3
         )
         qc = Circuit(2)
         for _ in range(30):

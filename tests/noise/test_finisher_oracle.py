@@ -7,8 +7,8 @@ its rows must equal :func:`tests.noise.scalar_reference.reference_pmf`
 on that row alone, bit for bit, whatever else shares the batch: 1-6
 qubits, random sorted measured subsets (single qubits included), the
 best-line readout mapping on and off, gate loads including ``(0, 0)``,
-both noise switches, several noise scales, and a device read at a
-drifted epoch.  One backend driven through several batches under the
+either noise source at zero rates, several noise scales, and a device
+read at a drifted epoch.  One backend driven through several batches under the
 engine's noise key must stay bitwise too, whatever changes the noise
 state between them: its compiled stages may serve only the noise state
 they were compiled in.
@@ -32,6 +32,7 @@ from repro.noise import (
     ideal_device,
 )
 
+from .finisher_rows import without_gate_noise, without_readout_error
 from .scalar_reference import reference_pmf
 
 
@@ -93,12 +94,7 @@ def assert_rows_match_reference(backend, rows, noise_key=None):
     pmfs = backend.exact_pmfs_from_probs_batch(rows, noise_key=noise_key)
     assert len(pmfs) == len(rows)
     for row, pmf in zip(rows, pmfs):
-        expected = reference_pmf(
-            *row,
-            device=backend.device,
-            readout_enabled=backend.readout_enabled,
-            gate_noise_enabled=backend.gate_noise_enabled,
-        )
+        expected = reference_pmf(*row, device=backend.device)
         assert pmf.qubits == row[2]
         assert np.array_equal(pmf.probs, expected)
 
@@ -113,13 +109,12 @@ def assert_rows_match_reference(backend, rows, noise_key=None):
 def test_batch_finisher_matches_frozen_scalar_bitwise(
     rows, device_index, readout, gate_noise
 ):
-    backend = SimulatorBackend(
-        DEVICES[device_index],
-        seed=0,
-        readout_enabled=readout,
-        gate_noise_enabled=gate_noise,
-    )
-    assert_rows_match_reference(backend, rows)
+    device = DEVICES[device_index]
+    if not readout:
+        device = without_readout_error(device)
+    if not gate_noise:
+        device = without_gate_noise(device)
+    assert_rows_match_reference(SimulatorBackend(device, seed=0), rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,12 +134,12 @@ def _advance_clock(backend, draw):
         advance(draw(st.integers(0, 9)))
 
 
-def _toggle_readout(backend, draw):
-    backend.readout_enabled = not backend.readout_enabled
+def _drop_readout_error(backend, draw):
+    backend.device = without_readout_error(backend.device)
 
 
-def _toggle_gate_noise(backend, draw):
-    backend.gate_noise_enabled = not backend.gate_noise_enabled
+def _drop_gate_noise(backend, draw):
+    backend.device = without_gate_noise(backend.device)
 
 
 def _scale_gate_noise_in_place(backend, draw):
@@ -158,8 +153,8 @@ def _swap_device(backend, draw):
 
 NOISE_CHANGES = [
     _advance_clock,
-    _toggle_readout,
-    _toggle_gate_noise,
+    _drop_readout_error,
+    _drop_gate_noise,
     _scale_gate_noise_in_place,
     _swap_device,
 ]

@@ -14,6 +14,8 @@ from repro.vqe import (
 )
 from repro.workloads import make_workload
 
+from ..noise.finisher_rows import without_readout_error
+
 
 @pytest.fixture
 def h2_setup():
@@ -144,8 +146,9 @@ class TestNoisyBehavior:
         assert abs(value) <= bound
 
     def test_gate_noise_hits_gc_harder_per_circuit(self, h2_setup):
-        """GC suffixes add 2-qubit gates, so pure gate noise (readout
-        off) biases GC at least as much as the baseline."""
+        """GC suffixes add 2-qubit gates, so pure gate noise (a device
+        without readout error) biases GC at least as much as the
+        baseline."""
         workload, params = h2_setup
         exact = IdealEstimator(
             workload.hamiltonian,
@@ -153,11 +156,10 @@ class TestNoisyBehavior:
             SimulatorBackend(),
             IdealSpec(),
         ).evaluate(params)
-        device = ibmq_mumbai_like(scale=5.0)
+        device = without_readout_error(ibmq_mumbai_like(scale=5.0))
 
         def bias(estimator_cls, spec):
             backend = SimulatorBackend(device, seed=13)
-            backend.readout_enabled = False
             est = estimator_cls(
                 workload.hamiltonian, workload.ansatz, backend, spec
             )
