@@ -84,6 +84,11 @@ WORKLOAD_TASKS = frozenset(
 #: instead.
 BACKEND_AWARE_TASKS = frozenset({"tuning", "backend_matrix"})
 
+#: Tasks whose executors always build their estimator from the registry
+#: (the ``scheme`` or an inline payload ``kind``), so a point of one of
+#: them must name a registered kind.
+_ESTIMATOR_TASKS = frozenset({"tuning", "energy", "zne"})
+
 
 @dataclass(frozen=True)
 class Point:
@@ -180,7 +185,7 @@ class Point:
                     f"{WORKLOAD_KINDS}; got {workload!r}"
                 )
             inline_kind = dict(self.estimator).get("kind")
-            if self.task in ("tuning", "energy", "zne") and not (
+            if self.task in _ESTIMATOR_TASKS and not (
                 (self.scheme and isinstance(self.scheme, str))
                 or (inline_kind and isinstance(inline_kind, str))
             ):
@@ -254,11 +259,16 @@ class Point:
         A misspelled or out-of-range knob in ``estimator`` fails at
         point construction (i.e. at :class:`SweepSpec` build) with the
         offending key and the kind's accepted fields, instead of deep
-        in a constructor mid-sweep.  Inline payload kinds must resolve;
-        a *scheme* the registry doesn't know is left for the point's
-        task executor to interpret.
+        in a constructor mid-sweep.  Inline payload kinds must resolve,
+        and so must the scheme of a task that builds its estimator from
+        the registry (``tuning``, ``energy``, ``zne``); any other task's
+        *scheme* the registry doesn't know is left for its executor to
+        interpret.
         """
-        if self.estimator.get("kind") is None:
+        if (
+            self.estimator.get("kind") is None
+            and self.task not in _ESTIMATOR_TASKS
+        ):
             if not self.estimator or not self.scheme:
                 return
             from ..api import estimator_kinds

@@ -249,11 +249,21 @@ class TestEstimatorPayloadValidation:
             Point(workload={"key": "H2-4"})
 
     def test_unregistered_scheme_without_payload_deferred(self):
-        # Task executors may interpret schemes themselves; only points
-        # that carry estimator parameters (or inline kinds) must
-        # resolve against the registry.
-        point = Point(workload={"key": "H2-4"}, scheme="bespoke")
+        # A task that never builds a registry estimator may interpret
+        # its scheme itself; only its points that carry estimator
+        # parameters (or inline kinds) must resolve against the registry.
+        point = Point(
+            workload={"key": "H2-4"}, scheme="bespoke", task="structure"
+        )
         assert point.scheme == "bespoke"
+
+    @pytest.mark.parametrize("task", ["tuning", "energy", "zne"])
+    def test_unregistered_scheme_of_an_estimator_task_rejected(self, task):
+        # These executors always build their estimator from the
+        # registry: an unknown scheme fails at construction, not
+        # mid-sweep.
+        with pytest.raises(ValueError, match="bespoke"):
+            Point(workload={"key": "H2-4"}, scheme="bespoke", task=task)
 
     def test_fingerprints_unchanged_for_classic_points(self):
         # The schema gained no fields: stores written before the API
