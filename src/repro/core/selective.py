@@ -29,9 +29,7 @@ from ..ansatz import EfficientSU2
 from ..api import register_estimator
 from ..api.spec import check_fraction, check_int, check_number
 from ..hamiltonian import Hamiltonian
-from ..mitigation.reconstruction import bayesian_reconstruct_batch
 from ..noise import SimulatorBackend
-from ..sim import PMF
 from ..vqe.expectation import energy_from_group_pmfs
 from .spatial import SubsetPlan
 from .varsaw import VarSawEstimator, VarSawSpec
@@ -137,7 +135,6 @@ class SelectiveVarSawEstimator(VarSawEstimator):
     ):
         super().__init__(hamiltonian, ansatz, backend, spec, engine)
         self.term_selector = None
-        self.mitigated_groups = set(range(len(self.bases)))
         if spec.mass_fraction is not None:
             self.term_selector = TermSelector(spec.mass_fraction)
             self.mitigated_groups = self.term_selector.select(
@@ -177,68 +174,7 @@ class SelectiveVarSawEstimator(VarSawEstimator):
             return energy_from_group_pmfs(
                 self.hamiltonian, pmfs, self.group_terms
             )
-        if not self.mitigated_groups or len(self.mitigated_groups) == len(
-            self.bases
-        ):
-            return super().evaluate(params)
-        return self._evaluate_partially_mitigated(params)
-
-    def _evaluate_partially_mitigated(self, params: np.ndarray) -> float:
-        state = self.prepare_state(params)
-        t = self._evaluation_index
-        self._evaluation_index += 1
-        have_prior = self._prior is not None
-        run_globals = self.scheduler.due(t) or not have_prior
-
-        # One whole-iteration batch: the subsets any mitigated group
-        # needs, then one Global per group that requires it (unselected
-        # groups always; selected groups only on Global evaluations).
-        batch = self.engine.new_batch()
-        subset_handles = {
-            i: self._submit_subset(batch, state, i)
-            for i in self._active_subsets
-        }
-        global_handles: dict[int, object] = {}
-        for g, basis in enumerate(self.bases):
-            if g not in self.mitigated_groups or run_globals:
-                global_handles[g] = self._submit_global(batch, state, basis)
-        batch.run()
-        local_pmfs = {
-            i: h.result().to_pmf() for i, h in subset_handles.items()
-        }
-
-        mitigated = sorted(self.mitigated_groups)
-        priors = [
-            self._global_pmf(global_handles[g]) if run_globals
-            else self._prior[g]
-            for g in mitigated
-        ]
-        group_locals = [
-            [local_pmfs[i] for i in self._compatible[g]] for g in mitigated
-        ]
-        reconstructed = dict(zip(
-            mitigated, bayesian_reconstruct_batch(priors, group_locals)
-        ))
-        # Unselected groups read their raw Global every evaluation (the
-        # baseline path).
-        pmfs: list[PMF] = [
-            reconstructed[g] if g in reconstructed
-            else self._global_pmf(global_handles[g])
-            for g in range(len(self.bases))
-        ]
-        if run_globals:
-            self.scheduler.record_global(t)
-        self._prior = pmfs
-        self.scheduler.record_evaluation()
-        return energy_from_group_pmfs(
-            self.hamiltonian, pmfs, self.group_terms
-        )
-
-    @property
-    def circuits_per_subset_pass(self) -> int:
-        """Subset circuits a mitigated evaluation runs: those some
-        selected group needs."""
-        return len(self._active_subsets)
+        return super().evaluate(params)
 
 
 class CalibrationGate:

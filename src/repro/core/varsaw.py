@@ -12,7 +12,9 @@ Reconstruction per group uses the group-compatible Local-PMFs against a
 *prior*: the fresh Global-PMF on Global evaluations, or the stored
 mitigated result of the previous evaluation otherwise (Fig. 11's MR_i
 chain).  On Global evaluations both paths are computed and the energy
-comparison drives the scheduler's hill climbing.
+comparison drives the scheduler's hill climbing.  A subclass may
+mitigate only some groups (``mitigated_groups``): the rest read their
+raw Global every evaluation, in both energies.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ class VarSawEstimator(EstimatorBase):
     :class:`~repro.mitigation.MatrixMitigator` calibrated on the
     backend's device is applied to every Global-PMF before
     reconstruction (the paper's VarSaw+MBM stack, Fig. 18).
+
+    ``mitigated_groups`` (every group here) are the measurement groups
+    reconstructed from subsets; ``_active_subsets`` (every subset here)
+    the subset circuits each evaluation runs.
     """
 
     def __init__(
@@ -70,6 +76,7 @@ class VarSawEstimator(EstimatorBase):
             initial_period=spec.initial_period,
             max_period=spec.max_period,
         )
+        self.mitigated_groups: set[int] = set(range(len(self.bases)))
         self._adopt_plan(varsaw_subset_plan(hamiltonian, spec.window))
         self._prior: list[PMF] | None = None
         self._evaluation_index = 0
@@ -84,11 +91,12 @@ class VarSawEstimator(EstimatorBase):
     def _adopt_plan(self, plan: SubsetPlan) -> None:
         """Install ``plan`` together with everything derived from it.
 
-        Each subset's measurement slot (compiled on first submission)
-        and each measurement group's compatible subset indices (by
+        Each subset's measurement slot (compiled on first submission),
+        each measurement group's compatible subset indices (by
         position — two groups may share a Z-filled basis but stay
-        distinct circuits) are set here in one place, so a subclass
-        that swaps in another plan cannot leave any of them stale.
+        distinct circuits) and the active subsets (all of them) are set
+        here in one place, so a subclass that swaps in another plan
+        cannot leave any of them stale.
         """
         self.plan: SubsetPlan = plan
         self._subset_measurements: list[MeasurementSpec | None]
@@ -96,6 +104,7 @@ class VarSawEstimator(EstimatorBase):
         self._compatible: list[list[int]] = [
             plan.compatible_with(basis) for basis in self.bases
         ]
+        self._active_subsets: list[int] = list(range(plan.num_subsets))
 
     # ------------------------------------------------------------- execution
 
@@ -135,32 +144,45 @@ class VarSawEstimator(EstimatorBase):
         have_prior = self._prior is not None
         run_globals = self.scheduler.due(t) or not have_prior
 
-        # One whole-iteration batch: every subset, plus the Globals when
-        # the temporal scheduler says they are due this evaluation.
+        # One whole-iteration batch: the active subsets, then a Global
+        # per group that reads one this evaluation — an unmitigated
+        # group every time, a mitigated one when the temporal scheduler
+        # says the Globals are due.
+        mitigated = sorted(self.mitigated_groups)
         batch = self.engine.new_batch()
-        subset_handles = [
-            self._submit_subset(batch, state, i)
-            for i in range(self.plan.num_subsets)
-        ]
-        global_handles = (
-            [self._submit_global(batch, state, b) for b in self.bases]
-            if run_globals
-            else []
-        )
+        subset_handles = {
+            i: self._submit_subset(batch, state, i)
+            for i in self._active_subsets
+        }
+        global_handles = {
+            g: self._submit_global(batch, state, basis)
+            for g, basis in enumerate(self.bases)
+            if run_globals or g not in self.mitigated_groups
+        }
         batch.run()
-        local_pmfs = [h.result().to_pmf() for h in subset_handles]
+        local_pmfs = {
+            i: h.result().to_pmf() for i, h in subset_handles.items()
+        }
+        raw = {g: self._global_pmf(h) for g, h in global_handles.items()}
         group_locals = [
-            [local_pmfs[i] for i in compatible]
-            for compatible in self._compatible
+            [local_pmfs[i] for i in self._compatible[g]] for g in mitigated
         ]
 
+        def reconstruct(priors: list[PMF]) -> list[PMF]:
+            """Every group's PMF: the mitigated ones reconstructed
+            against ``priors``, the rest read raw."""
+            pmfs = [raw.get(g) for g in range(len(self.bases))]
+            for g, pmf in zip(
+                mitigated, bayesian_reconstruct_batch(priors, group_locals)
+            ):
+                pmfs[g] = pmf
+            return pmfs  # type: ignore[return-value]
+
         if run_globals:
-            fresh = bayesian_reconstruct_batch(
-                [self._global_pmf(h) for h in global_handles], group_locals
-            )
+            fresh = reconstruct([raw[g] for g in mitigated])
             self.scheduler.record_global(t)
             if have_prior:
-                stale = bayesian_reconstruct_batch(self._prior, group_locals)
+                stale = reconstruct([self._prior[g] for g in mitigated])
                 energy_fresh = self._energy(fresh)
                 energy_stale = self._energy(stale)
                 # Fig. 11: if the stale-prior result is at least as low,
@@ -176,7 +198,7 @@ class VarSawEstimator(EstimatorBase):
                 chosen = fresh
                 energy = self._energy(fresh)
         else:
-            chosen = bayesian_reconstruct_batch(self._prior, group_locals)
+            chosen = reconstruct([self._prior[g] for g in mitigated])
             energy = self._energy(chosen)
         self._prior = chosen
         self.scheduler.record_evaluation()
@@ -191,8 +213,8 @@ class VarSawEstimator(EstimatorBase):
 
     @property
     def circuits_per_subset_pass(self) -> int:
-        """Subset circuits every evaluation runs."""
-        return self.plan.num_subsets
+        """Subset circuits every mitigated evaluation runs."""
+        return len(self._active_subsets)
 
     @property
     def global_fraction(self) -> float:

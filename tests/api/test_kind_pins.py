@@ -25,7 +25,7 @@ PINS = {
     "calibration_gated": ("0x1.6506df5dac956p+3", 650, 166400, 0.125),
     "drift_adaptive": ("0x1.6107e1336f2cep+3", 720, 194560, 0.2),
     "selective(mass_fraction=0.5)": (
-        "0x1.668ffc0dad251p+3", 480, 122880, 0.5
+        "0x1.65acdaf9aa118p+3", 458, 117248, 0.225
     ),
 }
 

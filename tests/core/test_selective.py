@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Session, make_workload, run_vqe
 from repro.core import (
     PhasePolicy,
     SelectiveSpec,
@@ -135,3 +136,16 @@ class TestSelectiveEstimator:
         )
         for g in est.mitigated_groups:
             assert set(est._compatible[g]) <= set(est._active_subsets)
+
+    def test_partial_mitigation_adapts_the_global_period(self):
+        """Fig. 11's fresh-versus-stale rule drives the Global period
+        when only some groups are mitigated, as it does in VarSaw."""
+        workload = make_workload("H2-4")
+        session = Session(workload.device, seed=7)
+        est = session.estimator(
+            "selective", workload, shots=256, mass_fraction=0.5
+        )
+        assert len(est.mitigated_groups) < est.num_groups
+        run_vqe(est, max_iterations=12, seed=7)
+        assert est.scheduler.globals_executed > 1
+        assert set(est.scheduler.period_history) != {2}
