@@ -327,9 +327,9 @@ class SimulatorBackend:
 
         Its width's uniform PMF (kept in ``stages`` under ``n``), the
         axes the marginal sums away and each measured qubit's confusion
-        matrix with the transpose that turns the last
-        readout product into the operand ``np.tensordot`` would hand
-        ``np.dot`` (the same data, shape and strides, so the same GEMM).
+        matrix with the transpose that turns the last readout product
+        into the operand ``np.tensordot`` would hand ``np.dot`` (the
+        same data, shape and strides, so the same GEMM).
         """
         if not measured:
             raise ValueError("no measured qubits")

@@ -8,10 +8,10 @@ on that row alone, bit for bit, whatever else shares the batch: 1-6
 qubits, random sorted measured subsets (single qubits included), the
 best-line readout mapping on and off, gate loads including ``(0, 0)``,
 either noise source at zero rates, several noise scales, and a device
-read at a drifted epoch.  One backend driven through several batches under the
-engine's noise key must stay bitwise too, whatever changes the noise
-state between them: its compiled stages may serve only the noise state
-they were compiled in.
+read at a drifted epoch.  One backend driven through several batches
+under the engine's noise key must stay bitwise too, whatever changes
+the noise state between them: its compiled stages may serve only the
+noise state they were compiled in.
 """
 
 import copy
